@@ -19,7 +19,7 @@ let row_of kem sa (o : Experiment.outcome) =
 let measure ?(seed = "attack") kem sa =
   row_of kem sa (Experiment.run ~seed kem sa)
 
-let survey ?(seed = "attack") ?(exec = Exec.sequential) () =
+let survey ?(seed = "attack") ?(exec = Exec.sequential ()) () =
   let pairs =
     List.map (fun sa -> (Pqc.Registry.baseline_kem, sa)) Pqc.Registry.sigs
     @ List.map

@@ -43,7 +43,7 @@ let perf_report ?seed ?exec level =
   Buffer.contents b
 
 (* the Appendix-B all-sphincs run: find the fastest SPHINCS+ profile *)
-let all_sphincs_report ?seed ?(exec = Exec.sequential) () =
+let all_sphincs_report ?seed ?(exec = Exec.sequential ()) () =
   let results =
     Exec.cells exec
       (List.map
@@ -98,6 +98,13 @@ let entries :
      fun ?seed ?exec () -> Report.table2a ?seed ?exec ());
     ("all-sig", "Table 2b campaign: every SA with x25519",
      fun ?seed ?exec () -> Report.table2b ?seed ?exec ());
+    ("figure3", "Figure 3: KA/SA independence, levels 1-2/3/5, both \
+                 bufferings and the optimized-vs-default improvement",
+     fun ?seed ?exec () -> Report.figure3 ?seed ?exec ());
+    ("table3", "Table 3: white-box CPU shares per library",
+     fun ?seed ?exec () -> Report.table3 ?seed ?exec ());
+    ("figure4", "Figure 4: log-scaled ranking of KAs and SAs from Table 2",
+     fun ?seed ?exec () -> Report.figure4 ?seed ?exec ());
     ("level1", "Figure 3 campaign, level 1-2, optimized buffering",
      fun ?seed ?exec () ->
        level_report ?seed ?exec ~buffering:Tls.Config.Optimized_push 1);
@@ -152,8 +159,8 @@ let entries :
     ("ablation-hrr", "HelloRetryRequest (wrong key-share) fallback cost",
      fun ?seed ?exec () -> Report.ablation_hrr ?seed ?exec ()) ]
 
-(* paper-table spellings accepted as synonyms (the CI smoke job and the
-   bench targets use these) *)
+(* paper-table spellings accepted as synonyms (the CI smoke jobs use
+   these) *)
 let aliases =
   [ ("table2a", "all-kem");
     ("table2b", "all-sig");

@@ -45,7 +45,7 @@ let fresh_counters () =
     c_failed = Atomic.make 0;
     c_started = Clock.now_s () }
 
-let sequential =
+let sequential () =
   { jobs = 1; cache = None; progress = false; retries = 1; fail_cell = None;
     counters = fresh_counters (); trace = None; metrics = Metrics.create () }
 
@@ -73,27 +73,25 @@ let contains ~needle hay =
    are unchanged); attempt [k > 0] reseeds the cell's DRBG through the
    seed string, so retry results depend only on the spec and the attempt
    number — never on scheduling or [jobs] *)
-let attempt_spec spec k =
+let attempt_spec (kind : _ Cell.kind) spec k =
   if k = 0 then spec
-  else
-    { spec with
-      Experiment.sp_seed =
-        Printf.sprintf "%s#retry%d" spec.Experiment.sp_seed k }
+  else kind.Cell.reseed (fun seed -> Printf.sprintf "%s#retry%d" seed k) spec
 
-let run_cell ?trace t spec =
+let run_cell t (kind : _ Cell.kind) ?trace spec =
   (* volatile telemetry only (ce_elapsed_s, cell_wall_s): host time never
      reaches a deterministic artifact, see Clock *)
   let t0 = Clock.now_s () in
+  let label = kind.Cell.label spec in
   let rec attempt k =
     (* a retried attempt restarts the cell from scratch, so its trace
        does too — only the completing attempt's events survive *)
-    (match trace with Some b -> Trace.Buf.clear b | None -> ());
+    Option.iter Trace.Buf.clear trace;
     match
       (match t.fail_cell with
-      | Some needle when contains ~needle (Experiment.spec_label spec) ->
-        failwith ("injected failure for " ^ Experiment.spec_label spec)
+      | Some needle when contains ~needle label ->
+        failwith ("injected failure for " ^ label)
       | _ -> ());
-      Experiment.run_spec ?trace (attempt_spec spec k)
+      kind.Cell.run ?trace (attempt_spec kind spec k)
     with
     | o ->
       Atomic.incr t.counters.c_ok;
@@ -113,36 +111,39 @@ let run_cell ?trace t spec =
   in
   attempt 0
 
-let cells t specs =
-  (* one buffer per cell, allocated in spec order before the fan-out and
-     merged into the store in that same order afterwards, so the trace is
-     bit-identical whatever [jobs]. A cell served from the cache keeps
-     its (empty, labelled) buffer: cache hits execute nothing. *)
+(* the grid runner every cell kind shares *)
+let grid t (kind : _ Cell.kind) record specs =
+  (* one buffer per cell of a traced kind, allocated in spec order
+     before the fan-out and merged into the store in that same order
+     afterwards, so the trace is bit-identical whatever [jobs]. A cell
+     served from the cache keeps its (empty, labelled) buffer: cache
+     hits execute nothing. *)
   let bufs =
     match t.trace with
-    | None -> List.map (fun _ -> None) specs
-    | Some _ ->
+    | Some _ when kind.Cell.traced ->
       List.map
-        (fun sp ->
-          Some (Trace.Buf.create ~label:(Experiment.spec_label sp) ()))
+        (fun sp -> Some (Trace.Buf.create ~label:(kind.Cell.label sp) ()))
         specs
+    | _ -> List.map (fun _ -> None) specs
   in
   let run (spec, trace) =
     let t0 = Clock.now_s () in
     let result =
       match t.cache with
-      | None -> (run_cell ?trace t spec, `Miss)
+      | None -> (run_cell t kind ?trace spec, `Miss)
       | Some c -> (
-        let k = Result_cache.key c spec in
-        match Result_cache.find c k with
+        let k = Result_cache.kind_key c kind spec in
+        match Result_cache.kind_find c kind k with
         | Some o ->
           Atomic.incr t.counters.c_ok;
           (Ok o, `Hit)
         | None ->
-          let r = run_cell ?trace t spec in
+          let r = run_cell t kind ?trace spec in
           (* failures are never cached: the next run re-executes the cell
              instead of replaying the error *)
-          (match r with Ok o -> Result_cache.store c k o | Error _ -> ());
+          (match r with
+          | Ok o -> Result_cache.kind_store c kind k o
+          | Error _ -> ());
           (r, `Miss))
     in
     (* self-telemetry: volatile (host wall clock, scheduling-dependent),
@@ -171,131 +172,33 @@ let cells t specs =
           in
           Printf.eprintf "  [%*d/%d] %-45s %6.2fs%s\n%!"
             (String.length (string_of_int total))
-            completed total
-            (Experiment.spec_label spec)
-            elapsed note)
+            completed total (kind.Cell.label spec) elapsed note)
   in
   let results =
     Pool.map ~jobs:t.jobs ?on_done run (List.combine specs bufs)
   in
   (match t.trace with
   | None -> ()
-  | Some store ->
-    List.iter
-      (function Some b -> Trace.Store.add store b | None -> ())
-      bufs);
+  | Some store -> List.iter (Option.iter (Trace.Store.add store)) bufs);
   (* record cell summaries in spec order from this (coordinating)
      domain, mirroring the trace-buffer merge above: the artifact's cell
      order is a function of the grids alone, never of [jobs] *)
   List.iter2
     (fun spec (r, _status) ->
-      Metrics.record_cell t.metrics spec
-        (Result.map_error (fun e -> e.ce_message) r))
+      record t.metrics spec (Result.map_error (fun e -> e.ce_message) r))
     specs results;
   List.map fst results
+
+let cells t = grid t Cell.standard Metrics.record_cell
 
 let cell t spec =
   match cells t [ spec ] with
   | [ r ] -> r
   | _ -> assert false
 
-(* ---- farm cells ---------------------------------------------------------- *)
-
 type farm_cell_result = (Experiment.farm_outcome, cell_error) result
 
-let attempt_farm_spec spec k =
-  if k = 0 then spec
-  else
-    { spec with
-      Experiment.fa_seed =
-        Printf.sprintf "%s#retry%d" spec.Experiment.fa_seed k }
-
-let run_farm_cell t spec =
-  let t0 = Clock.now_s () in
-  let rec attempt k =
-    match
-      (match t.fail_cell with
-      | Some needle when contains ~needle (Experiment.farm_spec_label spec) ->
-        failwith
-          ("injected failure for " ^ Experiment.farm_spec_label spec)
-      | _ -> ());
-      Experiment.run_farm_spec (attempt_farm_spec spec k)
-    with
-    | o ->
-      Atomic.incr t.counters.c_ok;
-      if k > 0 then Atomic.incr t.counters.c_retried;
-      Ok o
-    | exception e ->
-      let bt = Printexc.get_backtrace () in
-      if k < t.retries then attempt (k + 1)
-      else begin
-        Atomic.incr t.counters.c_failed;
-        Error
-          { ce_message = Printexc.to_string e;
-            ce_backtrace = bt;
-            ce_attempts = k + 1;
-            ce_elapsed_s = Clock.elapsed_s t0 }
-      end
-  in
-  attempt 0
-
-(* the farm counterpart of [cells]: same cache / retry / fail-injection
-   / metrics-in-spec-order contract. Farm cells are not traced — one
-   cell spans thousands of handshakes, so a per-cell event buffer would
-   dwarf the trace store; the single-pair cells cover tracing needs. *)
-let farm_cells t specs =
-  let run spec =
-    let t0 = Clock.now_s () in
-    let result =
-      match t.cache with
-      | None -> (run_farm_cell t spec, `Miss)
-      | Some c -> (
-        let k = Result_cache.farm_key c spec in
-        match Result_cache.find_farm c k with
-        | Some o ->
-          Atomic.incr t.counters.c_ok;
-          (Ok o, `Hit)
-        | None ->
-          let r = run_farm_cell t spec in
-          (match r with
-          | Ok o -> Result_cache.store_farm c k o
-          | Error _ -> ());
-          (r, `Miss))
-    in
-    Metrics.observe t.metrics "cell_wall_s" (Clock.elapsed_s t0);
-    Metrics.incr t.metrics
-      (match snd result with
-      | `Hit -> "cells_from_cache"
-      | `Miss -> "cells_executed");
-    result
-  in
-  let on_done =
-    if not t.progress then None
-    else
-      Some
-        (fun ~index:_ ~completed ~total spec (r, status) elapsed ->
-          let note =
-            match (r, status) with
-            | Ok _, `Hit -> "  (cached)"
-            | Ok _, `Miss -> ""
-            | Error e, _ ->
-              Printf.sprintf "  FAILED after %d attempt%s: %s" e.ce_attempts
-                (if e.ce_attempts = 1 then "" else "s")
-                e.ce_message
-          in
-          Printf.eprintf "  [%*d/%d] %-45s %6.2fs%s\n%!"
-            (String.length (string_of_int total))
-            completed total
-            (Experiment.farm_spec_label spec)
-            elapsed note)
-  in
-  let results = Pool.map ~jobs:t.jobs ?on_done run specs in
-  List.iter2
-    (fun spec (r, _status) ->
-      Metrics.record_farm_cell t.metrics spec
-        (Result.map_error (fun e -> e.ce_message) r))
-    specs results;
-  List.map fst results
+let farm_cells t = grid t Cell.farm Metrics.record_farm_cell
 
 let ok_count t = Atomic.get t.counters.c_ok
 let retried_count t = Atomic.get t.counters.c_retried

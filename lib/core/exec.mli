@@ -1,8 +1,12 @@
 (** Campaign execution context: domain count, optional result cache,
     per-cell retry budget, and progress narration. Every campaign in
     {!Report}, {!Deviation}, {!Whitebox}, {!Amplification} and
-    {!Catalog} accepts one; the default {!sequential} reproduces the
-    historical single-core behaviour bit for bit.
+    {!Catalog} accepts one; the default, a fresh {!sequential} context
+    per call, reproduces the historical single-core behaviour bit for
+    bit.
+
+    Every {!Cell.kind} runs through one grid runner: {!cells} and
+    {!farm_cells} instantiate it for the two kinds.
 
     Execution is fault-tolerant end to end: a cell whose experiment
     raises (e.g. zero completed handshakes under 10 % loss) is retried
@@ -36,14 +40,15 @@ type t = {
   retries : int;  (** extra attempts granted to a failing cell *)
   fail_cell : string option;
       (** fault injection for tests/CI: any cell whose
-          {!Experiment.spec_label} contains this substring raises on
-          every attempt. Defaults from [PQTLS_FAIL_CELL]. *)
+          {!Cell.kind} label contains this substring raises on every
+          attempt. Defaults from [PQTLS_FAIL_CELL]. *)
   counters : counters;
   trace : Trace.Store.t option;
-      (** when set, every executed cell records its trace into a
-          per-cell buffer; buffers are merged into the store in spec
-          order after each {!cells} call, bit-identical whatever
-          [jobs]. Cache hits contribute empty labelled buffers. *)
+      (** when set, every executed cell of a traced {!Cell.kind}
+          records its trace into a per-cell buffer; buffers are merged
+          into the store in spec order after each grid, bit-identical
+          whatever [jobs]. Cache hits contribute empty labelled
+          buffers. *)
   metrics : Metrics.t;
       (** always-on observability: per-cell distribution summaries
           recorded in spec order after each {!cells} call (deduplicated
@@ -53,8 +58,10 @@ type t = {
           [cell_wall_s] series feeding {!health_summary}. *)
 }
 
-val sequential : t
-(** [jobs = 1], no cache, silent, one retry — the default everywhere. *)
+val sequential : unit -> t
+(** A fresh context with [jobs = 1], no cache, silent, one retry, no
+    fault injection — the default everywhere. Each call has its own
+    metrics registry and health counters. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
@@ -81,19 +88,18 @@ val cells : t -> Experiment.spec list -> cell_result list
     independent deterministic seeds, and retry attempt [k] reruns the
     cell with seed ["<seed>#retry<k>"], so even retried and failed cells
     are a pure function of the spec and the budget. A failing cell
-    yields [Error] (never cached); completed cells are unaffected. *)
+    yields [Error] (never cached); completed cells are unaffected.
+    Summaries are recorded through {!Metrics.record_cell} in spec
+    order. *)
 
 val cell : t -> Experiment.spec -> cell_result
 
 type farm_cell_result = (Experiment.farm_outcome, cell_error) result
 
 val farm_cells : t -> Experiment.farm_spec list -> farm_cell_result list
-(** {!cells} for server-farm grids: same cache (separate [.farm]
-    entries), same retry reseeding through [fa_seed], same fault
-    injection (matched against {!Experiment.farm_spec_label}), and farm
-    summaries recorded via {!Metrics.record_farm_cell} in spec order.
-    Farm cells are never traced: one cell spans thousands of handshakes,
-    so per-event buffers belong to the single-pair campaigns. *)
+(** Evaluate a server-farm grid ({!Cell.farm}) under the same contract,
+    recording through {!Metrics.record_farm_cell}. Farm cells are never
+    traced. *)
 
 val ok_count : t -> int
 (** Cells that completed (first try, retry, or cache hit). *)

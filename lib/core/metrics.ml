@@ -317,73 +317,62 @@ let note_experiment t name =
       if not (List.mem name t.experiments_rev) then
         t.experiments_rev <- name :: t.experiments_rev)
 
-(* Called by [Exec.cells] once per grid, in spec order, from the
-   coordinating domain — so recording order (and thus the artifact) is
-   independent of [jobs]. Re-run cells (same fingerprint) keep their
-   first recording; grids that share cells stay deduplicated. *)
-let record_cell t (sp : Experiment.spec) result =
-  let id = Experiment.spec_fingerprint sp in
+(* The recorder every cell kind shares, called by [Exec] once per grid
+   in spec order from the coordinating domain — so recording order (and
+   thus the artifact) is independent of [jobs]. Re-run cells (same
+   fingerprint) keep their first recording; grids that share cells stay
+   deduplicated. Fingerprints never collide across kinds and label
+   formats differ, so one [seen] / [labels] pair serves every kind. *)
+let record (kind : _ Cell.kind) summarize push t sp result =
+  let id = kind.Cell.fingerprint sp in
   locked t (fun () ->
       if not (Hashtbl.mem t.seen id) then begin
         Hashtbl.add t.seen id ();
-        let label = Experiment.spec_label sp in
+        let label = kind.Cell.label sp in
         let occurrences =
-          Option.value ~default:0 (Hashtbl.find_opt t.labels label)
+          1 + Option.value ~default:0 (Hashtbl.find_opt t.labels label)
         in
-        Hashtbl.replace t.labels label (occurrences + 1);
+        Hashtbl.replace t.labels label occurrences;
         (* ablation grids reuse labels (same pair, different knob):
            disambiguate later occurrences deterministically *)
         let key =
-          if occurrences = 0 then label
-          else Printf.sprintf "%s#%d" label (occurrences + 1)
+          if occurrences = 1 then label
+          else Printf.sprintf "%s#%d" label occurrences
         in
-        let cell =
-          { m_id = id;
-            m_key = key;
-            m_kem = sp.Experiment.sp_kem.Pqc.Kem.name;
-            m_sig = sp.Experiment.sp_sig.Pqc.Sigalg.name;
-            m_scenario = sp.Experiment.sp_scenario.Scenario.name;
-            m_mix = sp.Experiment.sp_mix.Mix.name;
-            m_chain = sp.Experiment.sp_chain.Tls.Chain_profile.name;
-            m_buffering = buffering_name sp.Experiment.sp_buffering;
-            m_standard = is_standard sp;
-            m_data = Result.map (fun o -> data_of_outcome ~id o) result }
-        in
-        t.cells_rev <- cell :: t.cells_rev
+        push t (summarize ~id ~key sp result)
       end)
 
-(* farm cells share the dedup and label machinery above: fingerprints
-   never collide across the two kinds (the farm tag differs), and label
-   formats differ, so one [seen] / [labels] pair serves both *)
-let record_farm_cell t (sp : Experiment.farm_spec) result =
-  let id = Experiment.farm_spec_fingerprint sp in
-  locked t (fun () ->
-      if not (Hashtbl.mem t.seen id) then begin
-        Hashtbl.add t.seen id ();
-        let label = Experiment.farm_spec_label sp in
-        let occurrences =
-          Option.value ~default:0 (Hashtbl.find_opt t.labels label)
-        in
-        Hashtbl.replace t.labels label (occurrences + 1);
-        let key =
-          if occurrences = 0 then label
-          else Printf.sprintf "%s#%d" label (occurrences + 1)
-        in
-        let cell =
-          { f_id = id;
-            f_key = key;
-            f_kem = sp.Experiment.fa_kem.Pqc.Kem.name;
-            f_sig = sp.Experiment.fa_sig.Pqc.Sigalg.name;
-            f_scenario = sp.Experiment.fa_scenario.Scenario.name;
-            f_profile = sp.Experiment.fa_profile;
-            f_policy = sp.Experiment.fa_policy;
-            f_utilization = sp.Experiment.fa_utilization;
-            f_adv_fraction = sp.Experiment.fa_adv_fraction;
-            f_mix = sp.Experiment.fa_mix.Mix.name;
-            f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
-        in
-        t.farm_cells_rev <- cell :: t.farm_cells_rev
-      end)
+let cell_of ~id ~key (sp : Experiment.spec) result =
+  { m_id = id;
+    m_key = key;
+    m_kem = sp.Experiment.sp_kem.Pqc.Kem.name;
+    m_sig = sp.Experiment.sp_sig.Pqc.Sigalg.name;
+    m_scenario = sp.Experiment.sp_scenario.Scenario.name;
+    m_mix = sp.Experiment.sp_mix.Mix.name;
+    m_chain = sp.Experiment.sp_chain.Tls.Chain_profile.name;
+    m_buffering = buffering_name sp.Experiment.sp_buffering;
+    m_standard = is_standard sp;
+    m_data = Result.map (fun o -> data_of_outcome ~id o) result }
+
+let farm_cell_of ~id ~key (sp : Experiment.farm_spec) result =
+  { f_id = id;
+    f_key = key;
+    f_kem = sp.Experiment.fa_kem.Pqc.Kem.name;
+    f_sig = sp.Experiment.fa_sig.Pqc.Sigalg.name;
+    f_scenario = sp.Experiment.fa_scenario.Scenario.name;
+    f_profile = sp.Experiment.fa_profile;
+    f_policy = sp.Experiment.fa_policy;
+    f_utilization = sp.Experiment.fa_utilization;
+    f_adv_fraction = sp.Experiment.fa_adv_fraction;
+    f_mix = sp.Experiment.fa_mix.Mix.name;
+    f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
+
+let record_cell =
+  record Cell.standard cell_of (fun t c -> t.cells_rev <- c :: t.cells_rev)
+
+let record_farm_cell =
+  record Cell.farm farm_cell_of (fun t c ->
+      t.farm_cells_rev <- c :: t.farm_cells_rev)
 
 let cell_count t =
   locked t (fun () ->
@@ -461,131 +450,124 @@ let json_of_chain_levels levels =
                    ("verify_ms", Json.Float verify_ms) ])
              levels) ) ]
 
-let json_of_cell c =
+(* the frame every kind's cell shares: the common identity keys, the
+   kind's own identity keys, then either the error or the data block *)
+let json_of_frame ~id ~key ~kem ~sig_ ~scenario identity data result =
   let base =
-    [ ("id", Json.String c.m_id);
-      ("key", Json.String c.m_key);
-      ("kem", Json.String c.m_kem);
-      ("sig", Json.String c.m_sig);
-      ("scenario", Json.String c.m_scenario) ]
-    @ (if c.m_mix = "full" then []
-       else [ ("mix", Json.String c.m_mix) ])
+    [ ("id", Json.String id);
+      ("key", Json.String key);
+      ("kem", Json.String kem);
+      ("sig", Json.String sig_);
+      ("scenario", Json.String scenario) ]
+    @ identity
+  in
+  match result with
+  | Error msg ->
+    Json.Obj (base @ [ ("error", Json.String msg); ("data", Json.Null) ])
+  | Ok d -> Json.Obj (base @ [ ("data", Json.Obj (data d)) ])
+
+let json_of_cell c =
+  json_of_frame ~id:c.m_id ~key:c.m_key ~kem:c.m_kem ~sig_:c.m_sig
+    ~scenario:c.m_scenario
+    ((if c.m_mix = "full" then [] else [ ("mix", Json.String c.m_mix) ])
     @ (if c.m_chain = "default" then []
        else [ ("chain", Json.String c.m_chain) ])
     @ [ ("buffering", Json.String c.m_buffering);
-        ("standard", Json.Bool c.m_standard) ]
-  in
-  match c.m_data with
-  | Error msg ->
-    Json.Obj (base @ [ ("error", Json.String msg); ("data", Json.Null) ])
-  | Ok d ->
-    Json.Obj
-      (base
-      @ [ ( "data",
-            Json.Obj
-              ([ ("handshakes_per_minute", Json.Int d.cd_handshakes_per_minute);
-                ( "latency_ms",
-                  Json.Obj
-                    [ ("part_a", json_of_dist d.cd_part_a);
-                      ("part_b", json_of_dist d.cd_part_b);
-                      ("total", json_of_dist d.cd_total);
-                      ("iteration", json_of_dist d.cd_iteration) ] );
-                ( "wire",
-                  Json.Obj
-                    [ ("client_bytes", json_of_dist d.cd_client_bytes);
-                      ("server_bytes", json_of_dist d.cd_server_bytes);
-                      ("client_pkts", json_of_dist d.cd_client_pkts);
-                      ("server_pkts", json_of_dist d.cd_server_pkts);
-                      ("retransmissions", Json.Int d.cd_retransmissions);
-                      ("fast_retx", Json.Int d.cd_fast_retx);
-                      ("timeout_retx", Json.Int d.cd_timeout_retx);
-                      ("rtt_samples", Json.Int d.cd_rtt_samples) ] );
-                ( "cpu",
-                  Json.Obj
-                    [ ("client_ms", Json.Float d.cd_client_cpu_ms);
-                      ("server_ms", Json.Float d.cd_server_cpu_ms);
-                      ("client_charges", Json.Int d.cd_client_cpu_charges);
-                      ("server_charges", Json.Int d.cd_server_cpu_charges);
-                      ("client_ledger", json_of_ledger d.cd_client_ledger);
-                      ("server_ledger", json_of_ledger d.cd_server_ledger) ]
-                ) ]
-              @ (match d.cd_resumption with
-                | None -> []
-                | Some r -> [ ("resumption", json_of_resumption r) ])
-              @
-              if c.m_chain = "default" then []
-              else [ ("chain", json_of_chain_levels d.cd_chain_levels) ]) ) ])
+        ("standard", Json.Bool c.m_standard) ])
+    (fun d ->
+      [ ("handshakes_per_minute", Json.Int d.cd_handshakes_per_minute);
+        ( "latency_ms",
+          Json.Obj
+            [ ("part_a", json_of_dist d.cd_part_a);
+              ("part_b", json_of_dist d.cd_part_b);
+              ("total", json_of_dist d.cd_total);
+              ("iteration", json_of_dist d.cd_iteration) ] );
+        ( "wire",
+          Json.Obj
+            [ ("client_bytes", json_of_dist d.cd_client_bytes);
+              ("server_bytes", json_of_dist d.cd_server_bytes);
+              ("client_pkts", json_of_dist d.cd_client_pkts);
+              ("server_pkts", json_of_dist d.cd_server_pkts);
+              ("retransmissions", Json.Int d.cd_retransmissions);
+              ("fast_retx", Json.Int d.cd_fast_retx);
+              ("timeout_retx", Json.Int d.cd_timeout_retx);
+              ("rtt_samples", Json.Int d.cd_rtt_samples) ] );
+        ( "cpu",
+          Json.Obj
+            [ ("client_ms", Json.Float d.cd_client_cpu_ms);
+              ("server_ms", Json.Float d.cd_server_cpu_ms);
+              ("client_charges", Json.Int d.cd_client_cpu_charges);
+              ("server_charges", Json.Int d.cd_server_cpu_charges);
+              ("client_ledger", json_of_ledger d.cd_client_ledger);
+              ("server_ledger", json_of_ledger d.cd_server_ledger) ]
+        ) ]
+      @ (match d.cd_resumption with
+        | None -> []
+        | Some r -> [ ("resumption", json_of_resumption r) ])
+      @
+      if c.m_chain = "default" then []
+      else [ ("chain", json_of_chain_levels d.cd_chain_levels) ])
+    c.m_data
 
 let json_of_farm_cell c =
-  let base =
-    [ ("id", Json.String c.f_id);
-      ("key", Json.String c.f_key);
-      ("kem", Json.String c.f_kem);
-      ("sig", Json.String c.f_sig);
-      ("scenario", Json.String c.f_scenario);
-      ("profile", Json.String c.f_profile);
-      ("policy", Json.String c.f_policy);
-      ("utilization", Json.Float c.f_utilization);
-      ("adv_fraction", Json.Float c.f_adv_fraction) ]
-    @ if c.f_mix = "full" then [] else [ ("mix", Json.String c.f_mix) ]
-  in
-  match c.f_data with
-  | Error msg ->
-    Json.Obj (base @ [ ("error", Json.String msg); ("data", Json.Null) ])
-  | Ok d ->
-    Json.Obj
-      (base
-      @ [ ( "data",
+  json_of_frame ~id:c.f_id ~key:c.f_key ~kem:c.f_kem ~sig_:c.f_sig
+    ~scenario:c.f_scenario
+    ([ ("profile", Json.String c.f_profile);
+       ("policy", Json.String c.f_policy);
+       ("utilization", Json.Float c.f_utilization);
+       ("adv_fraction", Json.Float c.f_adv_fraction) ]
+    @ if c.f_mix = "full" then [] else [ ("mix", Json.String c.f_mix) ])
+    (fun d ->
+      [ ( "load",
+          Json.Obj
+            [ ("capacity_hs_s", Json.Float d.fd_capacity_hs_s);
+              ("offered_rate_hs_s", Json.Float d.fd_offered_rate);
+              ("window_s", Json.Float d.fd_window_s);
+              ("offered", Json.Int d.fd_offered);
+              ("completed", Json.Int d.fd_completed);
+              ("dropped", Json.Int d.fd_dropped);
+              ("unfinished", Json.Int d.fd_unfinished) ] );
+        ( "latency_ms",
+          Json.Obj
+            [ ("handshake", json_of_dist d.fd_latency);
+              ("p999", Json.Float d.fd_latency_p999);
+              ("p99_ci95_lo", Json.Float d.fd_p99_ci_lo);
+              ("p99_ci95_hi", Json.Float d.fd_p99_ci_hi);
+              ("accept_wait", json_of_dist d.fd_wait) ] );
+        ( "servers",
+          Json.Obj
+            [ ("cpu_ms", Json.Float d.fd_server_cpu_ms);
+              ("busy", Json.Float d.fd_server_busy);
+              ("ledger", json_of_ledger d.fd_server_ledger);
+              ( "completed",
+                Json.List
+                  (List.map
+                     (fun n -> Json.Int n)
+                     d.fd_per_server_completed) ) ] );
+        ( "adversarial",
+          Json.Obj
+            [ ("launched", Json.Int d.fd_adv_launched);
+              ("completed", Json.Int d.fd_adv_completed);
+              ("adv_client_bytes", Json.Int d.fd_adv_client_bytes);
+              ("adv_server_bytes", Json.Int d.fd_adv_server_bytes);
+              ("benign_client_bytes", Json.Int d.fd_benign_client_bytes);
+              ("benign_server_bytes", Json.Int d.fd_benign_server_bytes)
+            ] );
+        ( "calibration",
+          Json.Obj
+            [ ("client_cpu_ms", Json.Float d.fd_cal_client_cpu_ms);
+              ("server_cpu_ms", Json.Float d.fd_cal_server_cpu_ms);
+              ( "adv_server_cpu_ms",
+                Json.Float d.fd_cal_adv_server_cpu_ms ) ] ) ]
+      @
+      if c.f_mix = "full" then []
+      else
+        [ ( "resumption",
             Json.Obj
-              ([ ( "load",
-                  Json.Obj
-                    [ ("capacity_hs_s", Json.Float d.fd_capacity_hs_s);
-                      ("offered_rate_hs_s", Json.Float d.fd_offered_rate);
-                      ("window_s", Json.Float d.fd_window_s);
-                      ("offered", Json.Int d.fd_offered);
-                      ("completed", Json.Int d.fd_completed);
-                      ("dropped", Json.Int d.fd_dropped);
-                      ("unfinished", Json.Int d.fd_unfinished) ] );
-                ( "latency_ms",
-                  Json.Obj
-                    [ ("handshake", json_of_dist d.fd_latency);
-                      ("p999", Json.Float d.fd_latency_p999);
-                      ("p99_ci95_lo", Json.Float d.fd_p99_ci_lo);
-                      ("p99_ci95_hi", Json.Float d.fd_p99_ci_hi);
-                      ("accept_wait", json_of_dist d.fd_wait) ] );
-                ( "servers",
-                  Json.Obj
-                    [ ("cpu_ms", Json.Float d.fd_server_cpu_ms);
-                      ("busy", Json.Float d.fd_server_busy);
-                      ("ledger", json_of_ledger d.fd_server_ledger);
-                      ( "completed",
-                        Json.List
-                          (List.map
-                             (fun n -> Json.Int n)
-                             d.fd_per_server_completed) ) ] );
-                ( "adversarial",
-                  Json.Obj
-                    [ ("launched", Json.Int d.fd_adv_launched);
-                      ("completed", Json.Int d.fd_adv_completed);
-                      ("adv_client_bytes", Json.Int d.fd_adv_client_bytes);
-                      ("adv_server_bytes", Json.Int d.fd_adv_server_bytes);
-                      ("benign_client_bytes", Json.Int d.fd_benign_client_bytes);
-                      ("benign_server_bytes", Json.Int d.fd_benign_server_bytes)
-                    ] );
-                ( "calibration",
-                  Json.Obj
-                    [ ("client_cpu_ms", Json.Float d.fd_cal_client_cpu_ms);
-                      ("server_cpu_ms", Json.Float d.fd_cal_server_cpu_ms);
-                      ( "adv_server_cpu_ms",
-                        Json.Float d.fd_cal_adv_server_cpu_ms ) ] ) ]
-              @
-              if c.f_mix = "full" then []
-              else
-                [ ( "resumption",
-                    Json.Obj
-                      [ ("completed", Json.Int d.fd_resumed_completed);
-                        ("early_data_bytes", Json.Int d.fd_early_data_bytes)
-                      ] ) ]) ) ])
+              [ ("completed", Json.Int d.fd_resumed_completed);
+                ("early_data_bytes", Json.Int d.fd_early_data_bytes)
+              ] ) ])
+    c.f_data
 
 let to_json_string a =
   Json.to_string
@@ -617,23 +599,11 @@ type p_cell = {
   p_metrics : (string * float) list; (* flattened numeric leaves, in order *)
 }
 
-type p_farm_cell = {
-  pf_id : string;
-  pf_key : string;
-  pf_kem : string;
-  pf_sig : string;
-  pf_scenario : string;
-  pf_profile : string;
-  pf_policy : string;
-  pf_error : string option;
-  pf_metrics : (string * float) list;
-}
-
 type p_artifact = {
   p_seed : string;
   p_experiments : string list;
   p_cells : p_cell list;
-  p_farm_cells : p_farm_cell list;
+  p_farm_cells : p_cell list;
 }
 
 let rec flatten prefix j acc =
@@ -658,16 +628,29 @@ let req what o =
   | Some v -> Ok v
   | None -> Error ("metrics artifact: missing or ill-typed " ^ what)
 
-let parse_cell j =
-  let str k = Json.to_str (Json.member k j) in
-  let* id = req "cell id" (str "id") in
-  let* key = req "cell key" (str "key") in
-  let* kem = req "cell kem" (str "kem") in
-  let* sig_ = req "cell sig" (str "sig") in
-  let* scenario = req "cell scenario" (str "scenario") in
-  let* buffering = req "cell buffering" (str "buffering") in
-  let* standard = req "cell standard" (Json.to_bool (Json.member "standard" j)) in
-  let error = Json.to_str (Json.member "error" j) in
+(* both kinds parse into [p_cell]; a farm cell carries its own identity
+   keys instead of buffering/standard and is never standard, so
+   [against_paper] cannot judge it *)
+let parse_cell ~farm j =
+  let what = if farm then "farm cell " else "cell " in
+  let str k = req (what ^ k) (Json.to_str (Json.member k j)) in
+  let* id = str "id" in
+  let* key = str "key" in
+  let* kem = str "kem" in
+  let* sig_ = str "sig" in
+  let* scenario = str "scenario" in
+  let* buffering, standard =
+    if farm then
+      let* _ = str "profile" in
+      let* _ = str "policy" in
+      Ok ("", false)
+    else
+      let* buffering = str "buffering" in
+      let* standard =
+        req (what ^ "standard") (Json.to_bool (Json.member "standard" j))
+      in
+      Ok (buffering, standard)
+  in
   let metrics =
     match Json.member "data" j with
     | Some (Json.Obj _ as data) -> List.rev (flatten "data" data [])
@@ -681,47 +664,14 @@ let parse_cell j =
       p_scenario = scenario;
       p_buffering = buffering;
       p_standard = standard;
-      p_error = error;
+      p_error = Json.to_str (Json.member "error" j);
       p_metrics = metrics }
 
-let rec collect_cells = function
+let rec collect_cells ~farm = function
   | [] -> Ok []
   | j :: rest ->
-    let* c = parse_cell j in
-    let* cs = collect_cells rest in
-    Ok (c :: cs)
-
-let parse_farm_cell j =
-  let str k = Json.to_str (Json.member k j) in
-  let* id = req "farm cell id" (str "id") in
-  let* key = req "farm cell key" (str "key") in
-  let* kem = req "farm cell kem" (str "kem") in
-  let* sig_ = req "farm cell sig" (str "sig") in
-  let* scenario = req "farm cell scenario" (str "scenario") in
-  let* profile = req "farm cell profile" (str "profile") in
-  let* policy = req "farm cell policy" (str "policy") in
-  let error = str "error" in
-  let metrics =
-    match Json.member "data" j with
-    | Some (Json.Obj _ as data) -> List.rev (flatten "data" data [])
-    | _ -> []
-  in
-  Ok
-    { pf_id = id;
-      pf_key = key;
-      pf_kem = kem;
-      pf_sig = sig_;
-      pf_scenario = scenario;
-      pf_profile = profile;
-      pf_policy = policy;
-      pf_error = error;
-      pf_metrics = metrics }
-
-let rec collect_farm_cells = function
-  | [] -> Ok []
-  | j :: rest ->
-    let* c = parse_farm_cell j in
-    let* cs = collect_farm_cells rest in
+    let* c = parse_cell ~farm j in
+    let* cs = collect_cells ~farm rest in
     Ok (c :: cs)
 
 let of_json_string s =
@@ -744,14 +694,14 @@ let of_json_string s =
       |> Result.map List.rev
     in
     let* cells = req "cells" (Json.to_list (Json.member "cells" j)) in
-    let* cells = collect_cells cells in
+    let* cells = collect_cells ~farm:false cells in
     (* absent for every pre-farm artifact; never required *)
     let* farm_cells =
       match Json.member "farm_cells" j with
       | None -> Ok []
       | Some fj ->
         let* items = req "farm_cells" (Json.to_list (Some fj)) in
-        collect_farm_cells items
+        collect_cells ~farm:true items
     in
     Ok
       { p_seed = seed;
@@ -759,79 +709,85 @@ let of_json_string s =
         p_cells = cells;
         p_farm_cells = farm_cells }
 
-(* ---- diffing two artifacts ----------------------------------------------- *)
+(* ---- the keyed leaf comparison ------------------------------------------- *)
 
-let both_nan a b = Float.is_nan a && Float.is_nan b
+type row = {
+  row_id : string;
+  row_key : string;
+  row_error : string option;
+  row_leaves : (string * float) list;
+}
 
 let rel_delta a b =
-  if both_nan a b || a = b then 0.
+  if (Float.is_nan a && Float.is_nan b) || a = b then 0.
   else
     Float.abs (a -. b)
     /. Float.max (Float.max (Float.abs a) (Float.abs b)) 1e-9
 
-(* shared cell-matching core of [diff]: both cell kinds reduce to
-   (id, key, error, metrics) views and get identical treatment *)
-let diff_views ~rel_tol ~issue base_cells cand_cells =
-  let issue fmt = Printf.ksprintf issue fmt in
-  let index =
-    let h = Hashtbl.create (List.length cand_cells) in
-    List.iter
-      (fun ((id, _, _, _) as c) -> Hashtbl.replace h id c)
-      cand_cells;
+let diff_rows ?judged ~rel_tol base cand =
+  let issues = ref [] in
+  let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
+  let leaves r =
+    match judged with
+    | None -> r.row_leaves
+    | Some keys -> List.filter (fun (k, _) -> List.mem k keys) r.row_leaves
+  in
+  let index rows =
+    let h = Hashtbl.create (List.length rows) in
+    List.iter (fun r -> Hashtbl.replace h r.row_id r) rows;
     h
   in
-  let base_ids = Hashtbl.create (List.length base_cells) in
-  List.iter (fun (id, _, _, _) -> Hashtbl.replace base_ids id ()) base_cells;
+  let cand_rows = index cand and base_rows = index base in
   List.iter
-    (fun (b_id, b_key, b_error, b_metrics) ->
-      match Hashtbl.find_opt index b_id with
-      | None -> issue "%s: cell missing from candidate" b_key
-      | Some (_, _, c_error, c_metrics) -> (
-        match (b_error, c_error) with
+    (fun b ->
+      match Hashtbl.find_opt cand_rows b.row_id with
+      | None -> issue "%s: missing from candidate" b.row_key
+      | Some c -> (
+        match (b.row_error, c.row_error) with
         | Some _, Some _ -> () (* both failed; messages may differ *)
-        | Some _, None -> issue "%s: failed in baseline, ok in candidate" b_key
-        | None, Some _ -> issue "%s: ok in baseline, failed in candidate" b_key
+        | Some _, None -> issue "%s: failed in baseline, ok in candidate" b.row_key
+        | None, Some _ -> issue "%s: ok in baseline, failed in candidate" b.row_key
         | None, None ->
-          let cm = Hashtbl.create (List.length c_metrics) in
-          List.iter (fun (k, v) -> Hashtbl.replace cm k v) c_metrics;
+          let b_leaves = leaves b and c_leaves = leaves c in
+          let cm = Hashtbl.create (List.length c_leaves) in
+          List.iter (fun (k, v) -> Hashtbl.replace cm k v) c_leaves;
           List.iter
             (fun (k, bv) ->
               match Hashtbl.find_opt cm k with
-              | None -> issue "%s: metric %s missing from candidate" b_key k
+              | None -> issue "%s: metric %s missing from candidate" b.row_key k
               | Some cv ->
                 let rel = rel_delta bv cv in
                 if not (rel <= rel_tol) then
-                  issue "%s: %s %s vs %s (%.2f%% apart, tol %.2f%%)" b_key k
-                    (Json.float_repr bv) (Json.float_repr cv) (100. *. rel)
+                  issue "%s: %s %s vs %s (%.2f%% apart, tol %.2f%%)" b.row_key
+                    k (Json.float_repr bv) (Json.float_repr cv) (100. *. rel)
                     (100. *. rel_tol))
-            b_metrics;
+            b_leaves;
           List.iter
             (fun (k, _) ->
-              if not (List.mem_assoc k b_metrics) then
-                issue "%s: metric %s missing from baseline" b_key k)
-            c_metrics))
-    base_cells;
+              if not (List.mem_assoc k b_leaves) then
+                issue "%s: metric %s missing from baseline" b.row_key k)
+            c_leaves))
+    base;
   List.iter
-    (fun (id, key, _, _) ->
-      if not (Hashtbl.mem base_ids id) then
-        issue "%s: cell missing from baseline" key)
-    cand_cells
+    (fun c ->
+      if not (Hashtbl.mem base_rows c.row_id) then
+        issue "%s: missing from baseline" c.row_key)
+    cand;
+  List.rev !issues
 
 let diff ?(rel_tol = 0.) base cand =
-  let issues = ref [] in
-  let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  if base.p_seed <> cand.p_seed then
-    issue "seed mismatch: %S vs %S" base.p_seed cand.p_seed;
-  let issue s = issue "%s" s in
-  let cell_view c = (c.p_id, c.p_key, c.p_error, c.p_metrics) in
-  let farm_view c = (c.pf_id, c.pf_key, c.pf_error, c.pf_metrics) in
-  diff_views ~rel_tol ~issue
-    (List.map cell_view base.p_cells)
-    (List.map cell_view cand.p_cells);
-  diff_views ~rel_tol ~issue
-    (List.map farm_view base.p_farm_cells)
-    (List.map farm_view cand.p_farm_cells);
-  List.rev !issues
+  let rows a =
+    List.map
+      (fun c ->
+        { row_id = c.p_id;
+          row_key = c.p_key;
+          row_error = c.p_error;
+          row_leaves = c.p_metrics })
+      (a.p_cells @ a.p_farm_cells)
+  in
+  (if base.p_seed = cand.p_seed then []
+   else [ Printf.sprintf "seed mismatch: %S vs %S" base.p_seed cand.p_seed ])
+  @ diff_rows ~rel_tol (rows base) (rows cand)
 
 (* ---- the paper-drift gate ------------------------------------------------ *)
 

@@ -99,7 +99,7 @@ type cell = {
 
 (** {1 Farm cells (Table 5)}
 
-    One summary per {!Experiment.farm_spec} cell. The artifact gains a
+    One summary per {!Cell.farm} cell. The artifact gains a
     [farm_cells] key only when a farm campaign ran, so artifacts of the
     existing campaigns stay byte-identical under the same schema
     version; parsers treat the key as optional. *)
@@ -176,17 +176,18 @@ val note_experiment : t -> string -> unit
 
 val record_cell :
   t -> Experiment.spec -> (Experiment.outcome, string) result -> unit
-(** Summarize one finished cell. Deduplicated on the spec fingerprint
-    (first recording wins), so call order — which {!Exec.cells} fixes
-    to spec order — fully determines the artifact. *)
+(** Summarize one finished {!Cell.standard} cell. Cells of every kind
+    are deduplicated on their {!Cell.kind} fingerprint (first recording
+    wins) and keyed by their label, with a deterministic [#k] suffix on
+    later clashes, so call order — which {!Exec} fixes to spec order —
+    fully determines the artifact. *)
 
 val record_farm_cell :
   t ->
   Experiment.farm_spec ->
   (Experiment.farm_outcome, string) result ->
   unit
-(** Farm-cell counterpart of {!record_cell}: same fingerprint dedup and
-    label disambiguation, recorded by {!Exec.farm_cells} in spec order. *)
+(** Summarize one finished {!Cell.farm} cell, under the same rules. *)
 
 val cell_count : t -> int
 (** Recorded cells of both kinds. *)
@@ -220,43 +221,44 @@ type p_cell = {
   p_kem : string;
   p_sig : string;
   p_scenario : string;
-  p_buffering : string;
-  p_standard : bool;
+  p_buffering : string;  (** [""] for farm cells *)
+  p_standard : bool;  (** always [false] for farm cells *)
   p_error : string option;
   p_metrics : (string * float) list;
       (** dotted-path numeric leaves, e.g.
           ["data.latency_ms.total.p50"], in serialization order *)
 }
 
-type p_farm_cell = {
-  pf_id : string;
-  pf_key : string;
-  pf_kem : string;
-  pf_sig : string;
-  pf_scenario : string;
-  pf_profile : string;
-  pf_policy : string;
-  pf_error : string option;
-  pf_metrics : (string * float) list;
-}
-
 type p_artifact = {
   p_seed : string;
   p_experiments : string list;
   p_cells : p_cell list;
-  p_farm_cells : p_farm_cell list;  (** [[]] for pre-farm artifacts *)
+  p_farm_cells : p_cell list;  (** [[]] for pre-farm artifacts *)
 }
 
 val of_json_string : string -> (p_artifact, string) result
 (** Rejects other schema versions and malformed documents. *)
 
+type row = {
+  row_id : string;  (** what rows match on *)
+  row_key : string;  (** how issues name the row *)
+  row_error : string option;  (** [Some] for a failed row *)
+  row_leaves : (string * float) list;  (** dotted numeric leaves *)
+}
+
+val diff_rows :
+  ?judged:string list -> rel_tol:float -> row list -> row list -> string list
+(** The keyed leaf comparison behind {!diff} and {!Profile.diff}:
+    human-readable issues between baseline and candidate rows, empty
+    when they agree. Rows match on [row_id]; unmatched rows, ok/failed
+    flips (two failed rows agree whatever their messages) and leaves
+    missing on either side are issues. [rel_tol] bounds
+    [|a - b| / max(|a|, |b|)] per leaf, NaN equal to NaN. [judged]
+    restricts the comparison to those leaves (default: all). *)
+
 val diff : ?rel_tol:float -> p_artifact -> p_artifact -> string list
-(** Human-readable drift issues between a baseline and a candidate,
-    empty when they agree. Farm cells are compared with the same rules
-    as standard cells. Cells match on [p_id]; unmatched cells,
-    ok/failed flips, missing metrics and seed mismatches are issues.
-    [rel_tol] (default [0.] = exact, NaN equal to NaN) bounds
-    [|a - b| / max(|a|, |b|)] per metric. *)
+(** {!diff_rows} over every cell of both kinds, matched on [p_id], plus
+    a seed mismatch issue. [rel_tol] defaults to [0.] (exact). *)
 
 val against_paper : p_artifact -> int * string list
 (** Judge every standard, push-buffered, completed cell against the

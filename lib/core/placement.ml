@@ -150,12 +150,12 @@ let table7_grid ~seed ~exec ~pairs ~profiles ~max_samples =
   in
   main ^ "\n" ^ breakdown
 
-let table7 ?(seed = "table7") ?(exec = Exec.sequential) () =
+let table7 ?(seed = "table7") ?(exec = Exec.sequential ()) () =
   table7_grid ~seed ~exec ~pairs:table7_pairs
     ~profiles:Tls.Chain_profile.all ~max_samples:40
 
 (* the CI gate's campaign: two pairs, three shapes, a dozen samples *)
-let table7_smoke ?(seed = "table7") ?(exec = Exec.sequential) () =
+let table7_smoke ?(seed = "table7") ?(exec = Exec.sequential ()) () =
   table7_grid ~seed ~exec
     ~pairs:[ ("x25519", "rsa:2048"); ("kyber512", "sphincs128") ]
     ~profiles:

@@ -570,42 +570,20 @@ let of_json_string s =
    path, the most regression-sensitive signal here). *)
 let judged = [ "time_ms.p50"; "gc.minor_words" ]
 
+(* An op's identity and iteration plan are part of its row identity, so
+   a changed plan reads as one op missing and another appearing. *)
 let diff ?(rel_tol = 0.25) a b =
-  let issues = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
-  List.iter
-    (fun qa ->
-      match List.find_opt (fun qb -> qb.q_name = qa.q_name) b.q_ops with
-      | None -> add "op %S missing from candidate" qa.q_name
-      | Some qb ->
-          if qa.q_group <> qb.q_group || qa.q_alg <> qb.q_alg
-             || qa.q_kind <> qb.q_kind
-          then add "op %S: identity changed" qa.q_name;
-          if
-            (qa.q_samples, qa.q_batch, qa.q_warmup)
-            <> (qb.q_samples, qb.q_batch, qb.q_warmup)
-          then
-            add "op %S: iteration plan changed (%dx%d warmup %d -> %dx%d warmup %d)"
-              qa.q_name qa.q_samples qa.q_batch qa.q_warmup qb.q_samples
-              qb.q_batch qb.q_warmup;
-          List.iter
-            (fun key ->
-              match
-                ( List.assoc_opt key qa.q_metrics,
-                  List.assoc_opt key qb.q_metrics )
-              with
-              | Some va, Some vb ->
-                  let denom = Float.max (Float.abs va) (Float.abs vb) in
-                  if denom > 0. && Float.abs (va -. vb) /. denom > rel_tol then
-                    add "op %S: %s drifted %s -> %s (tol %.0f%%)" qa.q_name key
-                      (Json.float_repr va) (Json.float_repr vb)
-                      (rel_tol *. 100.)
-              | _ -> add "op %S: metric %s missing" qa.q_name key)
-            judged)
-    a.q_ops;
-  List.iter
-    (fun qb ->
-      if not (List.exists (fun qa -> qa.q_name = qb.q_name) a.q_ops) then
-        add "op %S not in baseline" qb.q_name)
-    b.q_ops;
-  List.rev !issues
+  let rows p =
+    List.map
+      (fun q ->
+        let key =
+          Printf.sprintf "op %S (%s/%s/%s, %dx%d warmup %d)" q.q_name q.q_group
+            q.q_alg q.q_kind q.q_samples q.q_batch q.q_warmup
+        in
+        { Metrics.row_id = key;
+          row_key = key;
+          row_error = None;
+          row_leaves = q.q_metrics })
+      p.q_ops
+  in
+  Metrics.diff_rows ~judged ~rel_tol (rows a) (rows b)

@@ -154,8 +154,9 @@ val of_json_string : string -> (p_artifact, string) result
 
 val diff : ?rel_tol:float -> p_artifact -> p_artifact -> string list
 (** Per-op regression issues between a baseline and a candidate, empty
-    when they agree. Ops match on name; unmatched ops and shape changes
-    (iteration counts) are always issues. Of the measured values only
-    the stable ones are judged — median time and minor allocated words
-    per op — each within [rel_tol] (default [0.25]; wall-clock medians
-    jitter run to run even on one machine). *)
+    when they agree, via {!Metrics.diff_rows}. Ops match on name,
+    identity and iteration plan, so unmatched ops and shape changes are
+    always issues. Of the measured values only the stable ones are
+    judged — median time and minor allocated words per op — each within
+    [rel_tol] (default [0.25]; wall-clock medians jitter run to run even
+    on one machine). *)

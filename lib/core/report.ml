@@ -18,7 +18,7 @@ type t2_data = {
   t2_paper : (float * float * float * int * int) option;
 }
 
-let table2_data ?seed ?(exec = Exec.sequential) which =
+let table2_data ?seed ?(exec = Exec.sequential ()) which =
   let algs, spec_of, find =
     match which with
     | `A ->
@@ -157,7 +157,7 @@ let table3 ?seed ?exec () =
 
 (* ---- Table 4 ------------------------------------------------------------ *)
 
-let table4_rows ?seed ?(exec = Exec.sequential) which =
+let table4_rows ?seed ?(exec = Exec.sequential ()) which =
   let algs, spec_of, find =
     match which with
     | `A ->
@@ -291,7 +291,7 @@ let figure3 ?(seed = "figure3") ?exec () =
 
 (* ---- Figure 4 ------------------------------------------------------------ *)
 
-let figure4 ?(seed = "figure4") ?(exec = Exec.sequential) () =
+let figure4 ?(seed = "figure4") ?(exec = Exec.sequential ()) () =
   let b = Buffer.create 2048 in
   let kem_specs =
     List.map
@@ -511,7 +511,7 @@ let table5_attack ~seed ~exec ~servers ~duration_s ~max_connections
        "offer" "compl" "drop" "p99 ms" "amplif" "adv CPU")
     rows
 
-let table5 ?(seed = "table5") ?(exec = Exec.sequential) () =
+let table5 ?(seed = "table5") ?(exec = Exec.sequential ()) () =
   table5_capacity ~seed ~exec ~pairs:table5_pairs
     ~profiles:(List.map (fun w -> w.Netsim.Workload.name) Netsim.Workload.all)
     ~servers:3 ~duration_s:1.0 ~max_connections:1200
@@ -521,7 +521,7 @@ let table5 ?(seed = "table5") ?(exec = Exec.sequential) () =
       ("kyber512", "sphincs128")
 
 (* the CI gate's campaign: same shape, farm sizes cut for wall clock *)
-let table5_smoke ?(seed = "table5") ?(exec = Exec.sequential) () =
+let table5_smoke ?(seed = "table5") ?(exec = Exec.sequential ()) () =
   table5_capacity ~seed ~exec
     ~pairs:[ ("x25519", "rsa:2048"); ("kyber768", "dilithium3") ]
     ~profiles:[ "poisson"; "flash-crowd" ] ~servers:2 ~duration_s:0.4
@@ -601,11 +601,11 @@ let table6_grid ~seed ~exec ~pairs ~mixes ~max_samples =
        "0RTT B")
     rows
 
-let table6 ?(seed = "table6") ?(exec = Exec.sequential) () =
+let table6 ?(seed = "table6") ?(exec = Exec.sequential ()) () =
   table6_grid ~seed ~exec ~pairs:table6_pairs ~mixes:Mix.all ~max_samples:60
 
 (* the CI gate's campaign: two pairs, three mixes, a dozen samples *)
-let table6_smoke ?(seed = "table6") ?(exec = Exec.sequential) () =
+let table6_smoke ?(seed = "table6") ?(exec = Exec.sequential ()) () =
   table6_grid ~seed ~exec
     ~pairs:[ ("x25519", "rsa:2048"); ("kyber512", "sphincs128") ]
     ~mixes:[ Mix.full; Mix.find "resumed90"; Mix.find "resumed90-0rtt" ]
@@ -618,7 +618,7 @@ let table7_smoke = Placement.table7_smoke
 
 (* ---- ablations ------------------------------------------------------------ *)
 
-let ablation_buffer ?(seed = "ablation") ?(exec = Exec.sequential) () =
+let ablation_buffer ?(seed = "ablation") ?(exec = Exec.sequential ()) () =
   let limits = [ 1024; 2048; 4096; 8192; 16384; 65536 ] in
   let kem = Pqc.Registry.find_kem "kyber512" in
   let sa = Pqc.Registry.find_sig "sphincs128" in
@@ -651,7 +651,7 @@ let ablation_buffer ?(seed = "ablation") ?(exec = Exec.sequential) () =
     (Printf.sprintf "%8s %12s %12s" "limit B" "default" "optimized")
     rows
 
-let ablation_cwnd ?(seed = "ablation") ?(exec = Exec.sequential) () =
+let ablation_cwnd ?(seed = "ablation") ?(exec = Exec.sequential ()) () =
   let windows = [ 4; 10; 20; 40; 80 ] in
   let pairs =
     [ ("x25519", "rsa:2048"); ("kyber768", "dilithium3");
@@ -692,7 +692,7 @@ let ablation_cwnd ?(seed = "ablation") ?(exec = Exec.sequential) () =
        (String.concat " " (List.map (Printf.sprintf "%9d") windows)))
     rows
 
-let ablation_hrr ?(seed = "ablation") ?(exec = Exec.sequential) () =
+let ablation_hrr ?(seed = "ablation") ?(exec = Exec.sequential ()) () =
   (* the 2-RTT HelloRetryRequest fallback the paper configured away:
      cost of a wrong pre-computed key share, per scenario *)
   let pairs =

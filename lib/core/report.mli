@@ -3,8 +3,8 @@
     Each function runs the underlying campaign (virtual 60 s per cell)
     and returns the finished table as a string.
 
-    Every campaign accepts an [exec] context ({!Exec.t}, default
-    {!Exec.sequential}): the full cell grid is built first and evaluated
+    Every campaign accepts an [exec] context ({!Exec.t}, default a fresh
+    {!Exec.sequential} one): the full cell grid is built first and evaluated
     through it, so [~exec:(Exec.create ~jobs:n ())] shards the campaign
     across [n] domains and an attached result cache makes re-runs
     incremental — with output bit-identical to the sequential run. *)

@@ -6,13 +6,16 @@
    the cell's full parameter fingerprint plus a fingerprint of the
    running executable — so a rebuild that changes *any* code invalidates
    everything, which is the only safe default for Marshal-ed payloads.
+   Every cell kind shares the directory; its tag is both the file
+   extension and part of the magic, since Marshal is untyped and two
+   outcome types must never be able to read each other's files.
 
    Writes go through a unique temp file followed by [Sys.rename], so
    concurrent domains (or concurrent processes sharing a cache
    directory) never observe a torn entry; a corrupt or alien file is
    treated as a miss and overwritten. *)
 
-let magic = "pqtls-cache-1"
+let magic (kind : _ Cell.kind) = "pqtls-cache-2/" ^ kind.Cell.tag
 
 type t = {
   dir : string;
@@ -43,21 +46,21 @@ let create ~dir =
     hits = Atomic.make 0;
     misses = Atomic.make 0 }
 
-let key t spec =
+let kind_key t (kind : _ Cell.kind) spec =
   hex
     (Crypto.Sha256.digest
-       (Experiment.spec_fingerprint spec ^ "|code=" ^ t.code_fingerprint))
+       (kind.Cell.fingerprint spec ^ "|code=" ^ t.code_fingerprint))
 
-let path t k = Filename.concat t.dir (k ^ ".outcome")
+let path t (kind : _ Cell.kind) k = Filename.concat t.dir (k ^ "." ^ kind.Cell.tag)
 
-let find t k =
+let kind_find (type o) t (kind : (_, o) Cell.kind) k : o option =
   let read () =
-    let ic = open_in_bin (path t k) in
+    let ic = open_in_bin (path t kind k) in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        let m, (o : Experiment.outcome) = Marshal.from_channel ic in
-        if m <> magic then None else Some o)
+        let m, (o : o) = Marshal.from_channel ic in
+        if m <> magic kind then None else Some o)
   in
   let r = try read () with Sys_error _ | End_of_file | Failure _ -> None in
   (match r with
@@ -65,8 +68,8 @@ let find t k =
   | None -> Atomic.incr t.misses);
   r
 
-let store t k (o : Experiment.outcome) =
-  let final = path t k in
+let kind_store (type o) t (kind : (_, o) Cell.kind) k (o : o) =
+  let final = path t kind k in
   let tmp =
     Printf.sprintf "%s.%d.%d.tmp" final (Unix.getpid ())
       (Domain.self () :> int)
@@ -74,56 +77,15 @@ let store t k (o : Experiment.outcome) =
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc (magic, o) []);
+    (fun () -> Marshal.to_channel oc (magic kind, o) []);
   Sys.rename tmp final
 
-(* farm cells share the directory but use their own magic and extension:
-   Marshal is untyped, so the two outcome types must never be able to
-   read each other's files *)
-let farm_magic = "pqtls-farm-cache-1"
-
-let farm_key t spec =
-  hex
-    (Crypto.Sha256.digest
-       (Experiment.farm_spec_fingerprint spec ^ "|code=" ^ t.code_fingerprint))
-
-let farm_path t k = Filename.concat t.dir (k ^ ".farm")
-
-let find_farm t k =
-  let read () =
-    let ic = open_in_bin (farm_path t k) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m, (o : Experiment.farm_outcome) = Marshal.from_channel ic in
-        if m <> farm_magic then None else Some o)
-  in
-  let r = try read () with Sys_error _ | End_of_file | Failure _ -> None in
-  (match r with
-  | Some _ -> Atomic.incr t.hits
-  | None -> Atomic.incr t.misses);
-  r
-
-let store_farm t k (o : Experiment.farm_outcome) =
-  let final = farm_path t k in
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" final (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc (farm_magic, o) []);
-  Sys.rename tmp final
-
-let find_or_run t spec f =
-  let k = key t spec in
-  match find t k with
-  | Some o -> (o, `Hit)
-  | None ->
-    let o = f () in
-    store t k o;
-    (o, `Miss)
+let key t = kind_key t Cell.standard
+let find t = kind_find t Cell.standard
+let store t = kind_store t Cell.standard
+let farm_key t = kind_key t Cell.farm
+let find_farm t = kind_find t Cell.farm
+let store_farm t = kind_store t Cell.farm
 
 let hits t = Atomic.get t.hits
 let misses t = Atomic.get t.misses

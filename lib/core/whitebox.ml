@@ -39,7 +39,7 @@ let row_of (level, kem_name, sa_name) o =
     server_libs = o.Experiment.server_ledger;
     client_libs = o.Experiment.client_ledger }
 
-let rows ?seed ?(exec = Exec.sequential) pairs =
+let rows ?seed ?(exec = Exec.sequential ()) pairs =
   let results = Exec.cells exec (List.map (spec_of ?seed) pairs) in
   List.map2
     (fun p r -> match r with Ok o -> Some (row_of p o) | Error _ -> None)

@@ -293,7 +293,7 @@ let test_scenarios_and_catalog () =
   Alcotest.check_raises "unknown scenario"
     (Invalid_argument "Scenario.find: unknown scenario mars") (fun () ->
       ignore (Scenario.find "mars"));
-  Alcotest.(check int) "twenty-four experiments" 24 (List.length Catalog.names);
+  Alcotest.(check int) "twenty-seven experiments" 27 (List.length Catalog.names);
   List.iter (fun n -> ignore (Catalog.describe n)) Catalog.names;
   (* one cheap catalog entry end-to-end *)
   let report = Catalog.run ~seed:"test" "level5-perf" in

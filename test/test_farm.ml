@@ -186,12 +186,12 @@ let test_farm_jobs_identity () =
     (Metrics.diff p (parse_artifact a4));
   let first = List.hd p.Metrics.p_farm_cells in
   Alcotest.(check string) "spec order preserved"
-    "farm x25519 x rsa:2048 @ none/poisson u=0.90" first.Metrics.pf_key;
+    "farm x25519 x rsa:2048 @ none/poisson u=0.90" first.Metrics.p_key;
   Alcotest.(check bool) "farm leaves present" true
-    (List.mem_assoc "data.latency_ms.handshake.p99" first.Metrics.pf_metrics
-    && List.mem_assoc "data.latency_ms.p999" first.Metrics.pf_metrics
-    && List.mem_assoc "data.load.capacity_hs_s" first.Metrics.pf_metrics
-    && List.mem_assoc "data.servers.busy" first.Metrics.pf_metrics)
+    (List.mem_assoc "data.latency_ms.handshake.p99" first.Metrics.p_metrics
+    && List.mem_assoc "data.latency_ms.p999" first.Metrics.p_metrics
+    && List.mem_assoc "data.load.capacity_hs_s" first.Metrics.p_metrics
+    && List.mem_assoc "data.servers.busy" first.Metrics.p_metrics)
 
 let test_farm_outcome_sanity () =
   let o =
@@ -236,6 +236,58 @@ let test_farm_retry_and_failure () =
       | Ok _ -> ())
     results
 
+(* ---- farm cells through the result cache ----------------------------------- *)
+
+let temp_cache_dir () =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "pqtls-farm-cache-test-%d-%.0f" (Unix.getpid ())
+       (Clock.now_s () *. 1e6))
+
+let farm_cache_grid seed = List.filteri (fun i _ -> i < 2) (farm_grid seed)
+
+let test_farm_cache_roundtrip () =
+  let dir = temp_cache_dir () and seed = "farm-cache" in
+  let run () =
+    let exec = Exec.create ~jobs:2 ~cache_dir:dir () in
+    let results = Exec.farm_cells exec (farm_cache_grid seed) in
+    Alcotest.(check bool) "farm cells ok" true
+      (List.for_all Result.is_ok results);
+    ( Metrics.to_json_string (Metrics.artifact exec.Exec.metrics ~seed),
+      Metrics.counter exec.Exec.metrics "cells_executed",
+      Metrics.counter exec.Exec.metrics "cells_from_cache" )
+  in
+  let cold, cold_executed, _ = run () in
+  let warm, warm_executed, warm_hits = run () in
+  Alcotest.(check int) "cold run executes every cell" 2 cold_executed;
+  Alcotest.(check (pair int int)) "warm run executes nothing" (0, 2)
+    (warm_executed, warm_hits);
+  Alcotest.(check string) "cached artifact byte-identical" cold warm
+
+let test_farm_cache_entries () =
+  let dir = temp_cache_dir () in
+  let c = Result_cache.create ~dir in
+  let spec = List.hd (farm_cache_grid "farm-cache-entry") in
+  let k = Result_cache.farm_key c spec in
+  let o = Experiment.run_farm_spec spec in
+  Result_cache.store_farm c k o;
+  Alcotest.(check bool) "stored entry hits" true
+    (Result_cache.find_farm c k = Some o);
+  (* a standard lookup under the very same key must not read the farm
+     entry, not even when its file sits where a standard entry would *)
+  let file = Filename.concat dir (Sys.readdir dir).(0) in
+  let payload = In_channel.with_open_bin file In_channel.input_all in
+  Alcotest.(check bool) "standard lookup misses" true
+    (Result_cache.find c k = None);
+  Out_channel.with_open_bin
+    (Filename.concat dir (k ^ ".outcome"))
+    (fun oc -> output_string oc payload);
+  Alcotest.(check bool) "farm payload is unreadable as a standard entry"
+    true
+    (Result_cache.find c k = None);
+  Out_channel.with_open_bin file (fun oc -> output_string oc "not an outcome");
+  Alcotest.(check bool) "corrupt farm entry is a miss" true
+    (Result_cache.find_farm c k = None)
+
 let suites =
   [ ( "farm",
       [ Alcotest.test_case "workload reproducible from seed" `Quick
@@ -257,4 +309,8 @@ let suites =
         Alcotest.test_case "farm outcome sanity" `Slow
           test_farm_outcome_sanity;
         Alcotest.test_case "farm retry and failure" `Slow
-          test_farm_retry_and_failure ] ) ]
+          test_farm_retry_and_failure;
+        Alcotest.test_case "farm cache cold/warm byte-identity" `Slow
+          test_farm_cache_roundtrip;
+        Alcotest.test_case "farm cache entries stay apart" `Slow
+          test_farm_cache_entries ] ) ]

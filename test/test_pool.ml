@@ -79,8 +79,8 @@ let oks results =
 
 let test_parallel_bit_identical () =
   let specs = subgrid "pool-determinism" in
-  let seq = oks (Exec.cells Exec.sequential specs) in
-  let par = oks (Exec.cells { Exec.sequential with Exec.jobs = 4 } specs) in
+  let seq = oks (Exec.cells (Exec.sequential ()) specs) in
+  let par = oks (Exec.cells { (Exec.sequential ()) with Exec.jobs = 4 } specs) in
   Alcotest.(check bool)
     "3x3 grid byte-identical across jobs=1/jobs=4" true
     (String.equal (marshal_bytes seq) (marshal_bytes par))
@@ -149,22 +149,43 @@ let test_cache_key_sensitivity () =
         (String.equal k1 (Result_cache.key c sp)))
     different
 
+(* the production lookup path: a fresh context per run over one cache
+   directory, with every entry on disk clobbered between runs *)
 let test_cache_corrupt_entry_is_miss () =
   let dir = temp_cache_dir () in
-  let c = Result_cache.create ~dir in
   let spec = List.hd (subgrid "pool-corrupt") in
-  let k = Result_cache.key c spec in
-  let o1, s1 = Result_cache.find_or_run c spec (fun () -> Experiment.run_spec spec) in
-  Alcotest.(check bool) "first is a miss" true (s1 = `Miss);
+  let run () =
+    let exec = Exec.create ~jobs:1 ~cache_dir:dir () in
+    let o = oks (Exec.cells exec [ spec ]) in
+    (o, Metrics.counter exec.Exec.metrics "cells_executed")
+  in
+  let o1, executed1 = run () in
+  Alcotest.(check int) "first is a miss" 1 executed1;
   (* clobber the entry on disk; the reader must fall back to executing *)
-  let oc = open_out_bin (Filename.concat dir (k ^ ".outcome")) in
-  output_string oc "not a marshalled outcome";
-  close_out oc;
-  let o2, s2 = Result_cache.find_or_run c spec (fun () -> Experiment.run_spec spec) in
-  Alcotest.(check bool) "corrupt entry re-executes" true (s2 = `Miss);
+  Array.iter
+    (fun f ->
+      Out_channel.with_open_bin (Filename.concat dir f) (fun oc ->
+          output_string oc "not a marshalled outcome"))
+    (Sys.readdir dir);
+  let o2, executed2 = run () in
+  Alcotest.(check int) "corrupt entry re-executes" 1 executed2;
   Alcotest.(check bool) "and returns the same outcome" true (o1 = o2);
-  let _, s3 = Result_cache.find_or_run c spec (fun () -> Experiment.run_spec spec) in
-  Alcotest.(check bool) "repaired entry now hits" true (s3 = `Hit)
+  let _, executed3 = run () in
+  Alcotest.(check int) "repaired entry now hits" 0 executed3
+
+(* the default context is created per call: two of them never share a
+   metrics registry or health counters *)
+let test_sequential_contexts_independent () =
+  let a = Exec.sequential () and b = Exec.sequential () in
+  let spec k = Experiment.spec ~seed:"pool-seq" ~max_samples:2 (kem k) (sa "rsa:2048") in
+  ignore (oks (Exec.cells a [ spec "x25519" ]));
+  ignore (oks (Exec.cells b [ spec "kyber512"; spec "kyber768" ]));
+  Alcotest.(check (pair int int)) "cells ok per context" (1, 2)
+    (Exec.ok_count a, Exec.ok_count b);
+  Alcotest.(check (pair int int)) "cells recorded per context" (1, 2)
+    (Metrics.cell_count a.Exec.metrics, Metrics.cell_count b.Exec.metrics);
+  Alcotest.(check int) "executed counter per context" 1
+    (Metrics.counter a.Exec.metrics "cells_executed")
 
 let test_catalog_aliases () =
   Alcotest.(check string) "table2a resolves" "all-kem"
@@ -184,7 +205,9 @@ let suites =
         Alcotest.test_case "parallel 3x3 grid bit-identical" `Slow
           test_parallel_bit_identical;
         Alcotest.test_case "parallel catalog report identical" `Slow
-          test_catalog_report_bit_identical ] );
+          test_catalog_report_bit_identical;
+        Alcotest.test_case "default contexts are independent" `Quick
+          test_sequential_contexts_independent ] );
     ( "result-cache",
       [ Alcotest.test_case "cold/warm roundtrip, zero re-execution" `Slow
           test_cache_roundtrip;
