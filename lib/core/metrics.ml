@@ -35,7 +35,7 @@ type dist = {
    so the interval is a pure function of the data — the artifact stays
    byte-identical whatever domain computed it *)
 let dist ~seed xs =
-  let ci_lo, ci_hi = Stats.bootstrap_ci ~seed Stats.median xs in
+  let ci_lo, ci_hi = Stats.bootstrap_ci ~seed 0.5 xs in
   match Stats.percentiles [ 0.05; 0.25; 0.5; 0.75; 0.95; 0.99 ] xs with
   | [ p5; p25; p50; p75; p95; p99 ] ->
     { d_n = List.length xs;
@@ -230,7 +230,7 @@ type farm_cell = {
 let data_of_farm_outcome ~id (o : Experiment.farm_outcome) =
   let lat = o.Experiment.fo_latencies_ms in
   let p99_lo, p99_hi =
-    Stats.bootstrap_ci ~seed:(id ^ "/p99") (Stats.percentile 0.99) lat
+    Stats.bootstrap_ci ~seed:(id ^ "/p99") 0.99 lat
   in
   { fd_capacity_hs_s = o.Experiment.fo_capacity_hs_s;
     fd_offered_rate = o.Experiment.fo_offered_rate;

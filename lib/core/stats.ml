@@ -1,17 +1,51 @@
-let percentile p xs =
-  match List.sort Float.compare xs with
-  | [] -> invalid_arg "Stats.percentile: empty"
-  | sorted ->
-    let a = Array.of_list sorted in
-    let n = Array.length a in
-    if n = 1 then a.(0)
-    else begin
-      let pos = p *. float_of_int (n - 1) in
-      let lo = int_of_float (Float.floor pos) in
-      let hi = min (n - 1) (lo + 1) in
-      let frac = pos -. float_of_int lo in
-      a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
+(* linear interpolation at [p] in [0,1] over an ascending, non-empty array *)
+let interpolate p a =
+  let n = Array.length a in
+  if n = 1 then a.(0)
+  else begin
+    let pos = p *. float_of_int (n - 1) in
+    let lo = int_of_float (Float.floor pos) in
+    let hi = Int.min (n - 1) (lo + 1) in
+    let frac = pos -. float_of_int lo in
+    a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
+  end
+
+(* In-place ascending heapsort in [Float.compare]'s order. [Array.sort]
+   would box both floats it hands to the comparison on every step. *)
+let sort_floats (a : float array) =
+  let rec sift i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c =
+        if l + 1 < len && Float.compare a.(l + 1) a.(l) > 0 then l + 1 else l
+      in
+      if Float.compare a.(c) a.(i) > 0 then begin
+        let t = a.(i) in
+        a.(i) <- a.(c);
+        a.(c) <- t;
+        sift c len
+      end
     end
+  in
+  let n = Array.length a in
+  for i = (n / 2) - 1 downto 0 do
+    sift i n
+  done;
+  for last = n - 1 downto 1 do
+    let t = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- t;
+    sift 0 last
+  done
+
+let sorted_array what = function
+  | [] -> invalid_arg what
+  | xs ->
+    let a = Array.of_list xs in
+    sort_floats a;
+    a
+
+let percentile p xs = interpolate p (sorted_array "Stats.percentile: empty" xs)
 
 let median xs = percentile 0.5 xs
 
@@ -37,37 +71,29 @@ let stddev = function
       /. (n -. 1.))
 
 let percentiles ps xs =
-  match List.sort Float.compare xs with
-  | [] -> invalid_arg "Stats.percentiles: empty"
-  | sorted ->
-    let a = Array.of_list sorted in
-    let n = Array.length a in
-    List.map
-      (fun p ->
-        if n = 1 then a.(0)
-        else begin
-          let pos = p *. float_of_int (n - 1) in
-          let lo = int_of_float (Float.floor pos) in
-          let hi = min (n - 1) (lo + 1) in
-          let frac = pos -. float_of_int lo in
-          a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
-        end)
-      ps
+  let a = sorted_array "Stats.percentiles: empty" xs in
+  List.map (fun p -> interpolate p a) ps
 
-let bootstrap_ci ?(resamples = 200) ?(confidence = 0.95) ~seed stat = function
+(* Every resample is drawn into one float array and sorted in place, and
+   the resampled percentiles fill another: a metrics campaign runs this
+   for every distribution of every cell, and boxed-float lists here made
+   it the campaign's largest source of allocation and promotion. *)
+let bootstrap_ci ?(resamples = 200) ?(confidence = 0.95) ~seed p = function
   | [] -> invalid_arg "Stats.bootstrap_ci: empty"
-  | [ x ] ->
-    let v = stat [ x ] in
-    (v, v)
+  | [ x ] -> (x, x)
   | xs ->
     let a = Array.of_list xs in
     let n = Array.length a in
     let rng = Crypto.Drbg.create ~seed:("stats-bootstrap/" ^ seed) in
+    let r = Array.make n 0. in
     let stats =
-      List.init resamples (fun _ ->
-          stat (List.init n (fun _ -> a.(Crypto.Drbg.uniform rng n))))
+      Array.init resamples (fun _ ->
+          for i = 0 to n - 1 do
+            r.(i) <- a.(Crypto.Drbg.uniform rng n)
+          done;
+          sort_floats r;
+          interpolate p r)
     in
+    sort_floats stats;
     let alpha = (1. -. confidence) /. 2. in
-    match percentiles [ alpha; 1. -. alpha ] stats with
-    | [ lo; hi ] -> (lo, hi)
-    | _ -> assert false
+    (interpolate alpha stats, interpolate (1. -. alpha) stats)

@@ -23,11 +23,12 @@ val bootstrap_ci :
   ?resamples:int ->
   ?confidence:float ->
   seed:string ->
-  (float list -> float) ->
+  float ->
   float list ->
   float * float
-(** [bootstrap_ci ~seed stat xs] is a deterministic percentile-bootstrap
-    confidence interval for [stat] over [xs]: resampling indices come
-    from a {!Crypto.Drbg} seeded with [seed], so the same inputs give
-    the same interval on every machine and domain. Defaults: 200
-    resamples, 95 % confidence. A singleton collapses to [(v, v)]. *)
+(** [bootstrap_ci ~seed p xs] is a deterministic percentile-bootstrap
+    confidence interval for the [p]-th percentile of [xs] (as
+    {!percentile}; [0.5] is the median): resampling indices come from a
+    {!Crypto.Drbg} seeded with [seed], so the same inputs give the same
+    interval on every machine and domain. Defaults: 200 resamples, 95 %
+    confidence. A singleton collapses to [(v, v)]. *)

@@ -236,6 +236,13 @@ let server_encrypt ctx msg =
 let kem_costs cfg = Pqc.Costs.kem cfg.Config.kem.Pqc.Kem.name
 let sig_costs cfg = Pqc.Costs.sig_ cfg.Config.sig_alg.Pqc.Sigalg.name
 
+(* RFC 8446 section 4.2.8: a key share whose length is wrong for the
+   negotiated group is a decode error, caught before the KEM is charged
+   or run *)
+let check_share_length ~what ~expected share =
+  if String.length share <> expected then
+    raise (Wire.Decode_error (what ^ " key share has the wrong length"))
+
 (* per-fragment AEAD cost, scaled to the fragment size *)
 let aead_cost len =
   { Pqc.Costs.aead_per_kilobyte with
@@ -263,6 +270,8 @@ let server_on_resumption ctx (p : peer) msg (ch : M.client_hello) offer =
   if not (Crypto.Bytesx.equal_ct offer.M.psk_binder expected) then
     raise (Wire.Decode_error "PSK binder mismatch");
   Transcript.add p.transcript msg;
+  check_share_length ~what:"client"
+    ~expected:cfg.Config.kem.Pqc.Kem.public_key_bytes ch.M.key_share;
   charge p.host (kem_costs cfg).Pqc.Costs.kem_encaps @@ fun () ->
   let ct, shared_secret =
     cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share
@@ -349,6 +358,10 @@ let server_on_client_hello ctx (p : peer) msg =
     finish_step p
   end
   else
+  let () =
+    check_share_length ~what:"client"
+      ~expected:cfg.Config.kem.Pqc.Kem.public_key_bytes ch.M.key_share
+  in
   charge p.host (kem_costs cfg).Pqc.Costs.kem_encaps @@ fun () ->
   let ct, shared_secret = cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share in
   Transcript.add p.transcript msg;
@@ -533,6 +546,8 @@ let client_dispatch ctx (p : peer) msg =
        (* a real client would fall back to a full handshake; our server
           always accepts a binder-valid offer, so this is fail-closed *)
        raise (Wire.Decode_error "server ignored the PSK offer"));
+    check_share_length ~what:"server"
+      ~expected:cfg.Config.kem.Pqc.Kem.ciphertext_bytes sh.M.sh_key_share;
     charge p.host (kem_costs cfg).Pqc.Costs.kem_decaps @@ fun () ->
     let keypair = Option.get ctx.c_keypair in
     let shared_secret =

@@ -78,6 +78,21 @@ let test_shake_incremental () =
   in
   Alcotest.(check string) "incremental squeeze" one_shot (String.concat "" parts)
 
+let test_sha3_multi_block () =
+  (* a 200-byte message spans two SHA3-256/SHAKE256 blocks (rate 136)
+     and two SHAKE128 blocks (rate 168); bytes 268..299 of a 300-byte
+     output come from the second squeeze block *)
+  let m = String.make 200 '\xa3' in
+  check_hex "sha3-256 a3x200"
+    "79f38adec5c20307a98ef76e8324afbfd46cfd81b22e3973c65fa1bd9de31787"
+    (Keccak.sha3_256 m);
+  check_hex "shake128 a3x200 [268,300)"
+    "e53e5a4a6197dbec5ce95f505b520bcd9570c4a8265a7e01f89c0c002c59bfec"
+    (String.sub (Keccak.shake128 m 300) 268 32);
+  check_hex "shake256 a3x200 [268,300)"
+    "a5e4fa0514ae974d8c2648513b5db494cea847156d277ad0e141c24c7839064c"
+    (String.sub (Keccak.shake256 m 300) 268 32)
+
 (* ---- MAC / KDF ------------------------------------------------------------ *)
 
 let test_hmac () =
@@ -212,6 +227,28 @@ let test_drbg () =
 
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:200 gen prop)
 
+(* message lengths on either side of each rate (72: SHA3-512, 136:
+   SHAKE256, 168: SHAKE128), plus arbitrary unaligned ones *)
+let sponge_case =
+  let open QCheck.Gen in
+  let len =
+    oneof
+      [ oneofl [ 0; 1; 7; 8; 9; 71; 72; 73; 135; 136; 137; 167; 168; 169 ];
+        int_range 0 400 ]
+  in
+  let msg = len >>= fun n -> string_size ~gen:char (return n) in
+  let splits = list_size (int_range 1 8) (int_range 0 400) in
+  QCheck.make
+    ~print:(fun (m, s) ->
+      Printf.sprintf "len=%d splits=[%s]" (String.length m)
+        (String.concat ";" (List.map string_of_int s)))
+    (pair msg splits)
+
+let squeeze_split_prop (xof, one_shot) (m, splits) =
+  let x = xof m in
+  let parts = List.map (Keccak.Xof.squeeze x) splits in
+  String.concat "" parts = one_shot m (List.fold_left ( + ) 0 splits)
+
 let prop_tests =
   [ qc "hex roundtrip" QCheck.string (fun s -> Bytesx.of_hex (Bytesx.to_hex s) = s);
     qc "xor involution"
@@ -220,6 +257,10 @@ let prop_tests =
     qc "equal_ct agrees with (=)"
       QCheck.(pair small_string small_string)
       (fun (a, b) -> Bytesx.equal_ct a b = (a = b));
+    qc "shake128 split squeeze = one-shot" sponge_case
+      (squeeze_split_prop (Keccak.Xof.shake128, Keccak.shake128));
+    qc "shake256 split squeeze = one-shot" sponge_case
+      (squeeze_split_prop (Keccak.Xof.shake256, Keccak.shake256));
     qc "sha256 distinct on distinct inputs (no trivial collisions)"
       QCheck.(pair small_string small_string)
       (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b);
@@ -252,6 +293,7 @@ let suites =
         Alcotest.test_case "sha2 streaming" `Quick test_sha2_streaming;
         Alcotest.test_case "sha3/shake vectors" `Quick test_sha3;
         Alcotest.test_case "shake incremental" `Quick test_shake_incremental;
+        Alcotest.test_case "sha3/shake multi-block" `Quick test_sha3_multi_block;
         Alcotest.test_case "hmac vectors" `Quick test_hmac;
         Alcotest.test_case "hkdf rfc5869" `Quick test_hkdf;
         Alcotest.test_case "aes fips-197" `Quick test_aes;

@@ -17,6 +17,15 @@ let test_stats_stddev () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.stddev: empty")
     (fun () -> ignore (Stats.stddev []))
 
+(* the definition Stats implements on float arrays: sort the list, then
+   interpolate linearly between the two nearest ranks *)
+let list_percentile p xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  let pos = p *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float pos in
+  let hi = min (Array.length a - 1) (lo + 1) in
+  a.(lo) +. ((pos -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+
 let test_stats_percentiles () =
   let xs = [ 9.; 1.; 4.; 7.; 2.; 8.; 3.; 6.; 5.; 10. ] in
   let ps = [ 0.; 0.05; 0.25; 0.5; 0.75; 0.95; 0.99; 1. ] in
@@ -29,28 +38,61 @@ let test_stats_percentiles () =
         (Stats.percentile p xs) batched)
     ps
     (Stats.percentiles ps xs);
+  (* the in-place heapsort agrees with List.sort, duplicates included *)
+  List.iter
+    (fun n ->
+      let ys = List.init n (fun i -> float_of_int (i * 7919 mod 23) /. 3.) in
+      List.iter2
+        (fun p got ->
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "n=%d p%g = list definition" n (100. *. p))
+            (list_percentile p ys) got)
+        ps (Stats.percentiles ps ys))
+    [ 1; 2; 3; 24; 257 ];
   Alcotest.check_raises "empty" (Invalid_argument "Stats.percentiles: empty")
     (fun () -> ignore (Stats.percentiles [ 0.5 ] []))
 
 let test_stats_bootstrap_ci () =
   let xs = List.init 50 (fun i -> float_of_int (i mod 13)) in
-  let lo, hi = Stats.bootstrap_ci ~seed:"t" Stats.median xs in
-  let lo', hi' = Stats.bootstrap_ci ~seed:"t" Stats.median xs in
+  let lo, hi = Stats.bootstrap_ci ~seed:"t" 0.5 xs in
+  let lo', hi' = Stats.bootstrap_ci ~seed:"t" 0.5 xs in
   Alcotest.(check (pair (float 0.) (float 0.))) "deterministic" (lo, hi)
     (lo', hi');
-  (* medians of discrete data can coincide across seeds; the mean of a
-     resample almost never does, so that's where reseeding must show *)
-  let mlo, mhi = Stats.bootstrap_ci ~seed:"t" Stats.mean xs in
-  let mlo2, mhi2 = Stats.bootstrap_ci ~seed:"other" Stats.mean xs in
+  (* medians of discrete data can coincide across seeds; an interpolated
+     percentile of distinct values almost never does, so that's where
+     reseeding must show *)
+  let ys = List.init 50 (fun i -> float_of_int (i * 37 mod 101) /. 7.) in
+  let mlo, mhi = Stats.bootstrap_ci ~seed:"t" 0.37 ys in
+  let mlo2, mhi2 = Stats.bootstrap_ci ~seed:"other" 0.37 ys in
   Alcotest.(check bool) "seed-sensitive" true (mlo <> mlo2 || mhi <> mhi2);
+  (* the in-place array resampling is exactly the list definition: the
+     same draws in the same order, the same interpolated percentiles *)
+  let reference p xs =
+    let a = Array.of_list xs and n = List.length xs in
+    let rng = Crypto.Drbg.create ~seed:"stats-bootstrap/t" in
+    let stats =
+      List.init 200 (fun _ ->
+          list_percentile p
+            (List.init n (fun _ -> a.(Crypto.Drbg.uniform rng n))))
+    in
+    let alpha = (1. -. 0.95) /. 2. in
+    (list_percentile alpha stats, list_percentile (1. -. alpha) stats)
+  in
+  List.iter
+    (fun (p, data) ->
+      Alcotest.(check (pair (float 0.) (float 0.)))
+        (Printf.sprintf "p%g = list definition" (100. *. p))
+        (reference p data)
+        (Stats.bootstrap_ci ~seed:"t" p data))
+    [ (0.5, xs); (0.5, ys); (0.99, ys); (0.37, List.filteri (fun i _ -> i < 7) ys) ];
   Alcotest.(check bool) "ordered interval" true (lo <= hi);
   let mn, mx = Stats.min_max xs in
   Alcotest.(check bool) "inside the data range" true (lo >= mn && hi <= mx);
   Alcotest.(check (pair (float 1e-9) (float 1e-9))) "singleton collapses"
     (3., 3.)
-    (Stats.bootstrap_ci ~seed:"t" Stats.median [ 3. ]);
+    (Stats.bootstrap_ci ~seed:"t" 0.5 [ 3. ]);
   Alcotest.check_raises "empty" (Invalid_argument "Stats.bootstrap_ci: empty")
-    (fun () -> ignore (Stats.bootstrap_ci ~seed:"t" Stats.median []))
+    (fun () -> ignore (Stats.bootstrap_ci ~seed:"t" 0.5 []))
 
 (* ---- the JSON codec --------------------------------------------------------- *)
 

@@ -502,6 +502,43 @@ let test_binder_mismatch_fails_closed () =
              { s with Tls.Handshake.ticket = flip_ct s.Tls.Handshake.ticket })
            "kyber768" "dilithium3"))
 
+let test_truncated_key_share_fails_closed () =
+  (* RFC 8446 section 4.2.8: a key share one byte short for the hybrid
+     group is a decode error before the KEM runs, where the real hybrid
+     would otherwise split it with String.sub and raise Invalid_argument *)
+  let k = kem "p256_kyber512" in
+  let truncate s = String.sub s 0 (String.length s - 1) in
+  let run kem =
+    let engine = Netsim.Engine.create () in
+    let rng = Crypto.Drbg.create ~seed:"tls-short-share" in
+    let link =
+      Netsim.Link.create engine (Crypto.Drbg.fork rng "link") Netsim.Link.ideal
+        ~tap:(fun _ _ -> ())
+    in
+    Tls.Handshake.run ~engine ~link ~tcp_config:Netsim.Tcp.default_config
+      ~client_host:(Netsim.Host.create engine ~name:"client")
+      ~server_host:(Netsim.Host.create engine ~name:"server")
+      ~config:(Tls.Config.make kem (sa "rsa:2048"))
+      ~rng ~on_done:ignore ();
+    Netsim.Engine.run engine
+  in
+  Alcotest.check_raises "short client share"
+    (Tls.Wire.Decode_error "client key share has the wrong length") (fun () ->
+      run
+        { k with
+          Pqc.Kem.keygen =
+            (fun rng ->
+              let kp = k.Pqc.Kem.keygen rng in
+              { kp with Pqc.Kem.public = truncate kp.Pqc.Kem.public }) });
+  Alcotest.check_raises "short server share"
+    (Tls.Wire.Decode_error "server key share has the wrong length") (fun () ->
+      run
+        { k with
+          Pqc.Kem.encaps =
+            (fun rng pk ->
+              let ct, ss = k.Pqc.Kem.encaps rng pk in
+              (truncate ct, ss)) })
+
 let test_handshake_completes_everywhere () =
   (* every KA and every SA completes a handshake (mocked for speed) *)
   List.iter
@@ -655,6 +692,8 @@ let suites =
         Alcotest.test_case "0-RTT early data" `Quick test_zero_rtt;
         Alcotest.test_case "binder mismatch fails closed" `Quick
           test_binder_mismatch_fails_closed;
+        Alcotest.test_case "truncated key share fails closed" `Quick
+          test_truncated_key_share_fails_closed;
         Alcotest.test_case "handshakes complete for all algorithms" `Slow
           test_handshake_completes_everywhere;
         Alcotest.test_case "real-crypto handshakes" `Slow test_real_handshakes;
