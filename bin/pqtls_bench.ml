@@ -489,8 +489,9 @@ let handshake_cmd =
       else Tls.Config.Optimized_push
     in
     let o =
-      Core.Experiment.run ~seed ~scenario ~buffering ~real_crypto:real kem
-        sig_alg
+      Core.Experiment.run_spec
+        (Core.Experiment.spec ~seed ~scenario ~buffering ~real_crypto:real kem
+           sig_alg)
     in
     let m f = Core.Experiment.median_of f o in
     Printf.printf

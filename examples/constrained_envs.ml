@@ -31,10 +31,13 @@ let () =
         let med sc =
           Experiment.median_of
             (fun smp -> smp.Experiment.total_ms)
-            (Experiment.run ~seed:"constrained" ~scenario:sc kem sa)
+            (Experiment.run_spec
+               (Experiment.spec ~seed:"constrained" ~scenario:sc kem sa))
         in
         let bytes =
-          let o = Experiment.run ~seed:"constrained" kem sa in
+          let o =
+            Experiment.run_spec (Experiment.spec ~seed:"constrained" kem sa)
+          in
           Experiment.median_bytes (fun smp -> smp.Experiment.server_bytes) o
           + Experiment.median_bytes (fun smp -> smp.Experiment.client_bytes) o
         in

@@ -34,9 +34,10 @@ let () =
       List.iter
         (fun st ->
           let o =
-            Experiment.run ~seed:"migration"
-              (Pqc.Registry.find_kem st.ka)
-              (Pqc.Registry.find_sig st.sa)
+            Experiment.run_spec
+              (Experiment.spec ~seed:"migration"
+                 (Pqc.Registry.find_kem st.ka)
+                 (Pqc.Registry.find_sig st.sa))
           in
           let total =
             Experiment.median_of (fun s -> s.Experiment.total_ms) o

@@ -17,7 +17,7 @@ let row_of kem sa (o : Experiment.outcome) =
       /. med (fun s -> s.Experiment.client_bytes) }
 
 let measure ?(seed = "attack") kem sa =
-  row_of kem sa (Experiment.run ~seed kem sa)
+  row_of kem sa (Experiment.run_spec (Experiment.spec ~seed kem sa))
 
 let survey ?(seed = "attack") ?(exec = Exec.sequential ()) () =
   let pairs =

@@ -288,7 +288,7 @@ let run_spec_traced sp =
   let samples = List.rev !samples in
   if samples = [] then
     invalid_arg
-      (Printf.sprintf "Experiment.run: no handshake completed for %s x %s"
+      (Printf.sprintf "Experiment.run_spec: no handshake completed for %s x %s"
          kem.Pqc.Kem.name sig_alg.Pqc.Sigalg.name);
   let mean_iter =
     Stats.mean (List.map (fun s -> s.iteration_ms) samples) /. 1000.
@@ -325,12 +325,6 @@ let run_spec ?trace sp =
   match trace with
   | None -> run_spec_traced sp
   | Some buf -> Trace.Sink.run_with buf (fun () -> run_spec_traced sp)
-
-let run ?buffering ?scenario ?duration_s ?max_samples ?seed ?real_crypto
-    ?tcp_config ?buffer_limit ?wrong_key_share ?mix ?chain kem sig_alg =
-  run_spec
-    (spec ?buffering ?scenario ?duration_s ?max_samples ?seed ?real_crypto
-       ?tcp_config ?buffer_limit ?wrong_key_share ?mix ?chain kem sig_alg)
 
 let median_of f outcome = Stats.median (List.map f outcome.samples)
 

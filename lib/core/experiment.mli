@@ -73,9 +73,9 @@ type spec = {
   sp_kem : Pqc.Kem.t;
   sp_sig : Pqc.Sigalg.t;
 }
-(** The full parameter set of one campaign cell — what {!run} closes
-    over, reified so grids can be built first and executed later (in
-    parallel, or against the result cache). *)
+(** The full parameter set of one campaign cell, reified so grids can be
+    built first and executed later (in parallel, or against the result
+    cache). *)
 
 val spec :
   ?buffering:Tls.Config.buffering ->
@@ -92,7 +92,12 @@ val spec :
   Pqc.Kem.t ->
   Pqc.Sigalg.t ->
   spec
-(** Same defaults as {!run}. *)
+(** One cell's spec; {!run_spec} executes it. Defaults: optimized
+    buffering, no emulation, 60 virtual seconds, mocked crypto,
+    Linux-default TCP. The default sample cap is 40 for deterministic
+    loss-free runs and 200 under loss; the 60 s budget and the paper's
+    handshake counts are preserved by extrapolating from the mean
+    iteration time when the cap is reached first. *)
 
 val run_spec : ?trace:Trace.Buf.t -> spec -> outcome
 (** Execute one cell. Deterministic in the spec alone: two calls with
@@ -113,27 +118,6 @@ val spec_fingerprint : spec -> string
 (** Stable rendering of every outcome-relevant field, used as the
     pre-image of {!Result_cache} keys. Versioned: bump the leading tag
     when the meaning of a field changes. *)
-
-val run :
-  ?buffering:Tls.Config.buffering ->
-  ?scenario:Scenario.t ->
-  ?duration_s:float ->
-  ?max_samples:int ->
-  ?seed:string ->
-  ?real_crypto:bool ->
-  ?tcp_config:Netsim.Tcp.config ->
-  ?buffer_limit:int ->
-  ?wrong_key_share:bool ->
-  ?mix:Mix.t ->
-  ?chain:Tls.Chain_profile.t ->
-  Pqc.Kem.t ->
-  Pqc.Sigalg.t ->
-  outcome
-(** Defaults: optimized buffering, no emulation, 60 virtual seconds,
-    mocked crypto, Linux-default TCP. The default sample cap is 40 for
-    deterministic loss-free runs and 200 under loss; the 60 s budget and
-    the paper's handshake counts are preserved by extrapolating from the
-    mean iteration time when the cap is reached first. *)
 
 val median_of : (sample -> float) -> outcome -> float
 val median_bytes : (sample -> int) -> outcome -> int

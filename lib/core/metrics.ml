@@ -1,5 +1,5 @@
-(* The observability layer: a domain-safe registry of counters, gauges
-   and observation series for harness self-telemetry, plus per-cell
+(* The observability layer: a domain-safe registry of counters and
+   observation series for harness self-telemetry, plus per-cell
    distribution summaries recorded by [Exec] after every campaign grid.
 
    Two invariants keep the [--metrics] artifact useful as a regression
@@ -265,7 +265,6 @@ let data_of_farm_outcome ~id (o : Experiment.farm_outcome) =
 type t = {
   mu : Mutex.t;
   counters : (string, int) Hashtbl.t;
-  gauges : (string, float) Hashtbl.t;
   series : (string, float list) Hashtbl.t; (* newest first *)
   seen : (string, unit) Hashtbl.t; (* cell fingerprints already recorded *)
   labels : (string, int) Hashtbl.t; (* spec_label -> occurrences *)
@@ -277,7 +276,6 @@ type t = {
 let create () =
   { mu = Mutex.create ();
     counters = Hashtbl.create 16;
-    gauges = Hashtbl.create 8;
     series = Hashtbl.create 8;
     seen = Hashtbl.create 64;
     labels = Hashtbl.create 64;
@@ -297,11 +295,6 @@ let incr ?(by = 1) t name =
 let counter t name =
   locked t (fun () ->
       Option.value ~default:0 (Hashtbl.find_opt t.counters name))
-
-let set_gauge t name v =
-  locked t (fun () -> Hashtbl.replace t.gauges name v)
-
-let gauge t name = locked t (fun () -> Hashtbl.find_opt t.gauges name)
 
 let observe t name v =
   locked t (fun () ->

@@ -1,5 +1,5 @@
-(** Campaign observability: a domain-safe registry of counters, gauges
-    and observation series (harness self-telemetry), per-cell
+(** Campaign observability: a domain-safe registry of counters and
+    observation series (harness self-telemetry), per-cell
     distribution summaries, the versioned machine-readable artifact
     behind [pqtls-bench run --metrics], and the drift gates behind
     [pqtls-bench compare].
@@ -158,9 +158,6 @@ val incr : ?by:int -> t -> string -> unit
 (** Bump a named counter (created at 0 on first use). Domain-safe. *)
 
 val counter : t -> string -> int
-
-val set_gauge : t -> string -> float -> unit
-val gauge : t -> string -> float option
 
 val observe : t -> string -> float -> unit
 (** Append one observation to a named series (e.g. per-cell wall

@@ -739,16 +739,3 @@ let ablation_hrr ?(seed = "ablation") ?(exec = Exec.sequential ()) () =
                  Printf.sprintf "%9s" (sc.Scenario.name ^ "+HRR") ])
              scenarios)))
     rows
-
-let all ?seed ?exec () =
-  [ ("table2a", table2a ?seed ?exec ());
-    ("table2b", table2b ?seed ?exec ());
-    ("figure3", figure3 ?seed ?exec ());
-    ("table3", table3 ?seed ?exec ());
-    ("table4a", table4a ?seed ?exec ());
-    ("table4b", table4b ?seed ?exec ());
-    ("figure4", figure4 ?seed ?exec ());
-    ("attack", attack ?seed ?exec ());
-    ("ablation-buffer", ablation_buffer ?seed ?exec ());
-    ("ablation-cwnd", ablation_cwnd ?seed ?exec ());
-    ("ablation-hrr", ablation_hrr ?seed ?exec ()) ]

@@ -70,6 +70,3 @@ val ablation_hrr : ?seed:string -> ?exec:Exec.t -> unit -> string
 (** Extra (section 2's "the 2-RTT fallback never occurred"): what that
     fallback would have cost — a wrong pre-computed key share forces a
     HelloRetryRequest round trip plus a second key generation. *)
-
-val all : ?seed:string -> ?exec:Exec.t -> unit -> (string * string) list
-(** Every artifact above as (name, rendering), in paper order. *)

@@ -23,15 +23,3 @@ let find_mark t ?(after = neg_infinity) label =
   in
   (* stored newest-first: scan reversed *)
   List.find_opt matches (entries t)
-
-let bytes_sent_by t host =
-  List.fold_left
-    (fun acc e ->
-      if e.packet.Packet.src = host then acc + Packet.wire_bytes e.packet
-      else acc)
-    0 (entries t)
-
-let packets_sent_by t host =
-  List.fold_left
-    (fun acc e -> if e.packet.Packet.src = host then acc + 1 else acc)
-    0 (entries t)

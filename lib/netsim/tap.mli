@@ -20,8 +20,3 @@ val length : t -> int
 val find_mark : t -> ?after:float -> string -> entry option
 (** First capture at/after [after] whose packet carries the given TLS
     message mark. *)
-
-val bytes_sent_by : t -> string -> int
-(** Total wire bytes captured with the given source host. *)
-
-val packets_sent_by : t -> string -> int

@@ -114,39 +114,23 @@ end
 
 let max_fragment = 16384
 
-let fragment_plaintext msg =
-  let buf = Buffer.create (String.length msg + 16) in
-  let n = String.length msg in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min max_fragment (n - !pos) in
-    Buffer.add_string buf
-      (Wire.record Wire.Content_type.Handshake (String.sub msg !pos len));
-    pos := !pos + len
-  done;
-  Buffer.contents buf
-
-let fragment_encrypted crypt msg =
+(* the 2^14-byte chunking every record path shares; [record] frames one
+   chunk (plaintext, or sealed under a write state) *)
+let fragment record msg =
   let buf = Buffer.create (String.length msg + 64) in
   let n = String.length msg in
   let pos = ref 0 in
   while !pos < n do
     let len = min max_fragment (n - !pos) in
-    Buffer.add_string buf
-      (Record.seal crypt Wire.Content_type.Handshake (String.sub msg !pos len));
+    Buffer.add_string buf (record (String.sub msg !pos len));
     pos := !pos + len
   done;
   Buffer.contents buf
 
-let fragment_app crypt msg =
-  let buf = Buffer.create (String.length msg + 64) in
-  let n = String.length msg in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min max_fragment (n - !pos) in
-    Buffer.add_string buf
-      (Record.seal crypt Wire.Content_type.Application_data
-         (String.sub msg !pos len));
-    pos := !pos + len
-  done;
-  Buffer.contents buf
+let fragment_plaintext = fragment (Wire.record Wire.Content_type.Handshake)
+
+let fragment_encrypted crypt =
+  fragment (Record.seal crypt Wire.Content_type.Handshake)
+
+let fragment_app crypt =
+  fragment (Record.seal crypt Wire.Content_type.Application_data)

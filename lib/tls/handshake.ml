@@ -1,5 +1,6 @@
 module K = Key_schedule
 module M = Messages
+module HT = Wire.Handshake_type
 
 type result = {
   client_finished_at : float;
@@ -17,20 +18,25 @@ type session = {
   max_early_data : int;
 }
 
-let charge host (op : Pqc.Costs.op) k =
-  Netsim.Host.charge host ~op:op.Pqc.Costs.label ~ms:op.Pqc.Costs.ms
-    ~lib:(Pqc.Costs.lib_name op.Pqc.Costs.lib) ~k
-
 let charge_n host (op : Pqc.Costs.op) n k =
   Netsim.Host.charge host ~op:op.Pqc.Costs.label
     ~ms:(op.Pqc.Costs.ms *. float_of_int n)
     ~lib:(Pqc.Costs.lib_name op.Pqc.Costs.lib) ~k
+
+let charge host op k = charge_n host op 1 k
 
 let ccs_record = Wire.record Wire.Content_type.Change_cipher_spec "\x01"
 
 let make_record cfg traffic_secret =
   if cfg.Config.null_records then Record.create_null ()
   else Record.create (K.traffic_keys traffic_secret)
+
+(* 0-RTT protection, the same on both sides: the client early traffic
+   keys, derived over the ClientHello alone *)
+let early_record cfg ~early_secret ch_msg =
+  make_record cfg
+    (K.client_early_traffic ~early_secret
+       ~client_hello_hash:(K.hash.Crypto.Hmac.digest ch_msg))
 
 (* ---- session tickets (stateless STEK sealing) --------------------------- *)
 
@@ -91,6 +97,17 @@ let encode_hrr ~session_id ~group =
 let is_hrr (sh : M.server_hello) =
   Crypto.Bytesx.equal_ct sh.M.sh_random hrr_random
 
+(* RFC 8446 section 4.2.11.2, for the client building its offer and the
+   server checking it: [k ~early_secret binder] gets the early secret and
+   the binder MAC over [ch] truncated before its binders list *)
+let psk_binder host ~psk ch k =
+  charge_n host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
+  let early_secret = K.early_secret ~psk () in
+  let binder_key = K.binder_key ~early_secret in
+  k ~early_secret
+    (K.binder_mac ~binder_key
+       ~truncated_transcript_hash:
+         (K.hash.Crypto.Hmac.digest (M.truncated_client_hello ch)))
 
 (* ---- per-peer plumbing -------------------------------------------------- *)
 
@@ -143,7 +160,7 @@ and step p =
         Trace.Sink.begin_span
           ~track:(Netsim.Host.name p.host)
           ~cat:"message"
-          ~name:(Wire.Handshake_type.label (M.handshake_type msg))
+          ~name:(HT.label (M.handshake_type msg))
           (Netsim.Host.now p.host);
       p.dispatch p msg
   end
@@ -156,6 +173,22 @@ let finish_step p =
   p.busy <- false;
   step p
 
+(* Section 4.6.1, the same on both sides: the PSK a NewSessionTicket
+   binds, under the res master over the transcript through the client
+   Finished *)
+let ticket_psk (p : peer) (secrets : K.secrets) ~nonce =
+  K.resumption_psk
+    ~resumption_master:
+      (K.resumption_master ~master:secrets.K.master
+         ~finished_transcript_hash:(Transcript.current p.transcript))
+    ~ticket_nonce:nonce
+
+(* this side's handshake is over: stop dispatching, then report *)
+let complete p on_done =
+  p.done_ <- true;
+  on_done ();
+  finish_step p
+
 (* RFC 8446 4.4.1: after an HRR, CH1 is replaced in the transcript by a
    synthetic message_hash message *)
 let restart_transcript_after_ch1 (p : peer) hrr_msg =
@@ -164,6 +197,11 @@ let restart_transcript_after_ch1 (p : peer) hrr_msg =
   Transcript.add fresh ("\xfe\x00\x00" ^ String.make 1 (Char.chr 32) ^ ch1_hash);
   Transcript.add fresh hrr_msg;
   p.transcript <- fresh
+
+(* a plaintext handshake message straight to TCP, and into the transcript *)
+let send_plain (p : peer) label msg =
+  Transcript.add p.transcript msg;
+  Netsim.Tcp.write p.tcp ~marks:[ (0, label) ] (Codec.fragment_plaintext msg)
 
 (* ---- outgoing flight buffer (models the OpenSSL BIO buffer) ------------ *)
 
@@ -211,28 +249,6 @@ let flight_push_point f =
 
 (* ---- server ------------------------------------------------------------- *)
 
-type server_ctx = {
-  s_cfg : Config.t;
-  s_creds : Credentials.t;
-  s_rng : Crypto.Drbg.t;
-  s_flight : flight;
-  s_issue_ticket : bool;
-  s_ticket_key : string;
-  mutable s_secrets : K.secrets option;
-  mutable s_write : Record.t option;
-  mutable s_client_hs_secret : string;
-  mutable s_sfin_hash : string;  (* transcript hash at the server Finished *)
-  mutable s_early_bytes : int;
-  mutable s_expect :
-    [ `Client_hello | `End_of_early_data | `Client_finished ];
-  s_on_done : unit -> unit;
-}
-
-let server_encrypt ctx msg =
-  match ctx.s_write with
-  | None -> Codec.fragment_plaintext msg
-  | Some crypt -> Codec.fragment_encrypted crypt msg
-
 let kem_costs cfg = Pqc.Costs.kem cfg.Config.kem.Pqc.Kem.name
 let sig_costs cfg = Pqc.Costs.sig_ cfg.Config.sig_alg.Pqc.Sigalg.name
 
@@ -250,90 +266,121 @@ let aead_cost len =
       Pqc.Costs.aead_per_kilobyte.Pqc.Costs.ms
       *. (float_of_int len /. 1024.) }
 
-(* The psk_dhe_ke resumption flight (section 2.2): binder verification,
-   then ServerHello/EncryptedExtensions/Finished — no Certificate, no
-   CertificateVerify, no signature. *)
-let server_on_resumption ctx (p : peer) msg (ch : M.client_hello) offer =
+(* What the server knows once its flight is out: the handshake secrets
+   and the transcript hash at its Finished, which the application
+   traffic secrets are derived over. *)
+type keys = { secrets : K.secrets; sfin_hash : string }
+
+type server_state =
+  | S_client_hello  (* also after an HRR, awaiting CH2 *)
+  | S_end_of_early_data of keys  (* 0-RTT accepted *)
+  | S_client_finished of keys
+
+type server_ctx = {
+  s_cfg : Config.t;
+  s_creds : Credentials.t;
+  s_rng : Crypto.Drbg.t;
+  s_issue_ticket : bool;
+  s_ticket_key : string;
+  s_early_bytes : int ref;  (* 0-RTT application bytes accepted *)
+  mutable s_state : server_state;
+  s_on_done : unit -> unit;
+}
+
+(* The client's Finished arrives under its handshake traffic keys. *)
+let server_await_finished ctx (p : peer) keys =
+  Codec.Inbound.enable_decryption p.inbound
+    (make_record ctx.s_cfg keys.secrets.K.client_handshake_traffic);
+  ctx.s_state <- S_client_finished keys;
+  finish_step p
+
+(* 0-RTT records arrive under the early keys until EndOfEarlyData *)
+let server_await_early_data ctx (p : peer) ~early_secret ch_msg keys =
+  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+  Codec.Inbound.enable_decryption p.inbound
+    (early_record ctx.s_cfg ~early_secret ch_msg);
+  p.on_app <-
+    (fun p frag ->
+      charge p.host (aead_cost (String.length frag)) @@ fun () ->
+      ctx.s_early_bytes := !(ctx.s_early_bytes) + String.length frag;
+      finish_step p);
+  ctx.s_state <- S_end_of_early_data keys;
+  finish_step p
+
+(* The server's first flight, full (section 2.1) or psk_dhe_ke (section
+   2.2), told apart by the public PSK offer: ServerHello and the
+   compatibility CCS in the clear, then EncryptedExtensions, Certificate
+   and CertificateVerify (full handshakes only) and Finished under the
+   server handshake keys. [k] runs once the flight is flushed. *)
+let server_flight ctx (p : peer) msg (ch : M.client_hello) ?psk k =
   let cfg = ctx.s_cfg in
-  let psk = open_ticket ~config:cfg ~ticket_key:ctx.s_ticket_key
-              offer.M.psk_identity in
-  (* early secret + binder key + binder MAC *)
-  charge_n p.host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-  let early_secret = K.early_secret ~psk () in
-  let binder_key = K.binder_key ~early_secret in
-  let truncated_hash =
-    K.hash.Crypto.Hmac.digest (M.truncated_client_hello ch)
-  in
-  let expected =
-    K.binder_mac ~binder_key ~truncated_transcript_hash:truncated_hash
-  in
-  if not (Crypto.Bytesx.equal_ct offer.M.psk_binder expected) then
-    raise (Wire.Decode_error "PSK binder mismatch");
-  Transcript.add p.transcript msg;
+  let flight = make_flight cfg p in
+  let resumed = Option.is_some ch.M.psk_offer in
   check_share_length ~what:"client"
     ~expected:cfg.Config.kem.Pqc.Kem.public_key_bytes ch.M.key_share;
   charge p.host (kem_costs cfg).Pqc.Costs.kem_encaps @@ fun () ->
-  let ct, shared_secret =
-    cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share
-  in
+  let ct, shared_secret = cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share in
+  Transcript.add p.transcript msg;
   let sh =
     M.encode_server_hello
       { M.sh_random = Crypto.Drbg.generate ctx.s_rng 32;
         sh_session_id = ch.M.session_id;
         sh_group = cfg.Config.kem.Pqc.Kem.name;
         sh_key_share = ct;
-        sh_psk_selected = true }
+        sh_psk_selected = resumed }
   in
   Transcript.add p.transcript sh;
   charge p.host Pqc.Costs.build_server_flight @@ fun () ->
   charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
   let secrets =
-    K.handshake_secrets ~psk ~shared_secret
+    K.handshake_secrets ?psk ~shared_secret
       ~hello_transcript_hash:(Transcript.current p.transcript) ()
   in
-  ctx.s_secrets <- Some secrets;
-  ctx.s_client_hs_secret <- secrets.K.client_handshake_traffic;
-  flight_emit ctx.s_flight ~label:"SH" (Codec.fragment_plaintext sh);
-  flight_emit ctx.s_flight ccs_record;
-  ctx.s_write <- Some (make_record cfg secrets.K.server_handshake_traffic);
-  flight_push_point ctx.s_flight;
-  let ee = M.encode_encrypted_extensions ~early_data_accepted:ch.M.early_data () in
-  Transcript.add p.transcript ee;
-  flight_emit ctx.s_flight ~label:"EE" (server_encrypt ctx ee);
-  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-  let mac =
-    K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
-      ~transcript_hash:(Transcript.current p.transcript)
+  flight_emit flight ~label:"SH" (Codec.fragment_plaintext sh);
+  flight_emit flight ccs_record;
+  let write = make_record cfg secrets.K.server_handshake_traffic in
+  let send label m =
+    Transcript.add p.transcript m;
+    flight_emit flight ~label (Codec.fragment_encrypted write m)
   in
-  let fin = M.encode_finished mac in
-  Transcript.add p.transcript fin;
-  ctx.s_sfin_hash <- Transcript.current p.transcript;
-  flight_emit ctx.s_flight ~label:"FIN" (server_encrypt ctx fin);
-  flight_flush ctx.s_flight;
-  if ch.M.early_data then begin
-    (* 0-RTT records arrive under the client early traffic keys; the
-       client hello hash is the transcript at the CH alone *)
-    charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-    let early_traffic =
-      K.client_early_traffic ~early_secret
-        ~client_hello_hash:(K.hash.Crypto.Hmac.digest msg)
-    in
-    Codec.Inbound.enable_decryption p.inbound (make_record cfg early_traffic);
-    p.on_app <-
-      (fun p frag ->
-        charge p.host (aead_cost (String.length frag)) @@ fun () ->
-        ctx.s_early_bytes <- ctx.s_early_bytes + String.length frag;
-        finish_step p);
-    ctx.s_expect <- `End_of_early_data;
-    finish_step p
-  end
-  else begin
-    Codec.Inbound.enable_decryption p.inbound
-      (make_record cfg ctx.s_client_hs_secret);
-    ctx.s_expect <- `Client_finished;
-    finish_step p
-  end
+  flight_push_point flight;
+  (* EncryptedExtensions + Certificate do not wait for the signature *)
+  send "EE"
+    (M.encode_encrypted_extensions
+       ~early_data_accepted:(resumed && ch.M.early_data) ());
+  let authenticate k =
+    if resumed then k ()
+    else begin
+      send "CERT"
+        (M.encode_certificate_chain
+           (Chain.wire_certs ctx.s_creds.Credentials.chain));
+      flight_push_point flight;
+      charge p.host (sig_costs cfg).Pqc.Costs.sign @@ fun () ->
+      let cv_content =
+        M.cv_signed_content ~transcript_hash:(Transcript.current p.transcript)
+      in
+      send "CV"
+        (M.encode_certificate_verify
+           { M.cv_algorithm = cfg.Config.sig_alg.Pqc.Sigalg.name;
+             cv_signature =
+               cfg.Config.sig_alg.Pqc.Sigalg.sign ctx.s_rng
+                 ~secret:ctx.s_creds.Credentials.server_key.Pqc.Sigalg.secret
+                 cv_content });
+      k ()
+    end
+  in
+  authenticate @@ fun () ->
+  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+  send "FIN"
+    (M.encode_finished
+       (K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
+          ~transcript_hash:(Transcript.current p.transcript)));
+  let sfin_hash = Transcript.current p.transcript in
+  flight_flush flight;
+  k { secrets; sfin_hash }
 
+(* S_client_hello: resume on a binder-valid PSK offer, ask for the right
+   group with an HRR, or run the full handshake *)
 let server_on_client_hello ctx (p : peer) msg =
   let cfg = ctx.s_cfg in
   let parse_cost =
@@ -345,9 +392,17 @@ let server_on_client_hello ctx (p : peer) msg =
   charge p.host parse_cost @@ fun () ->
   let ch = M.decode_client_hello msg in
   match ch.M.psk_offer with
-  | Some offer -> server_on_resumption ctx p msg ch offer
-  | None ->
-  if ch.M.group <> cfg.Config.kem.Pqc.Kem.name then begin
+  | Some offer ->
+    let psk =
+      open_ticket ~config:cfg ~ticket_key:ctx.s_ticket_key offer.M.psk_identity
+    in
+    psk_binder p.host ~psk ch @@ fun ~early_secret binder ->
+    if not (Crypto.Bytesx.equal_ct offer.M.psk_binder binder) then
+      raise (Wire.Decode_error "PSK binder mismatch");
+    server_flight ctx p msg ch ~psk
+      (if ch.M.early_data then server_await_early_data ctx p ~early_secret msg
+       else server_await_finished ctx p)
+  | None when ch.M.group <> cfg.Config.kem.Pqc.Kem.name ->
     (* wrong key-share guess: answer with HelloRetryRequest (2-RTT path) *)
     Transcript.add p.transcript msg;
     let hrr = encode_hrr ~session_id:ch.M.session_id
@@ -356,92 +411,12 @@ let server_on_client_hello ctx (p : peer) msg =
     charge p.host Pqc.Costs.build_server_flight @@ fun () ->
     Netsim.Tcp.write p.tcp ~marks:[ (0, "HRR") ] (Codec.fragment_plaintext hrr);
     finish_step p
-  end
-  else
-  let () =
-    check_share_length ~what:"client"
-      ~expected:cfg.Config.kem.Pqc.Kem.public_key_bytes ch.M.key_share
-  in
-  charge p.host (kem_costs cfg).Pqc.Costs.kem_encaps @@ fun () ->
-  let ct, shared_secret = cfg.Config.kem.Pqc.Kem.encaps ctx.s_rng ch.M.key_share in
-  Transcript.add p.transcript msg;
-  let sh =
-    M.encode_server_hello
-      { M.sh_random = Crypto.Drbg.generate ctx.s_rng 32;
-        sh_session_id = ch.M.session_id;
-        sh_group = cfg.Config.kem.Pqc.Kem.name;
-        sh_key_share = ct;
-        sh_psk_selected = false }
-  in
-  Transcript.add p.transcript sh;
-  charge p.host Pqc.Costs.build_server_flight @@ fun () ->
-  charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
-  let hello_hash = Transcript.current p.transcript in
-  let secrets =
-    K.handshake_secrets ~shared_secret ~hello_transcript_hash:hello_hash ()
-  in
-  ctx.s_secrets <- Some secrets;
-  ctx.s_client_hs_secret <- secrets.K.client_handshake_traffic;
-  (* ServerHello and the compatibility CCS travel in the clear *)
-  flight_emit ctx.s_flight ~label:"SH" (Codec.fragment_plaintext sh);
-  flight_emit ctx.s_flight ccs_record;
-  ctx.s_write <- Some (make_record cfg secrets.K.server_handshake_traffic);
-  flight_push_point ctx.s_flight;
-  (* EncryptedExtensions + Certificate do not wait for the signature *)
-  let ee = M.encode_encrypted_extensions () in
-  Transcript.add p.transcript ee;
-  flight_emit ctx.s_flight ~label:"EE" (server_encrypt ctx ee);
-  let cert_msg =
-    M.encode_certificate_chain
-      (Chain.wire_certs ctx.s_creds.Credentials.chain)
-  in
-  Transcript.add p.transcript cert_msg;
-  flight_emit ctx.s_flight ~label:"CERT" (server_encrypt ctx cert_msg);
-  flight_push_point ctx.s_flight;
-  charge p.host (sig_costs cfg).Pqc.Costs.sign @@ fun () ->
-  let cv_content =
-    M.cv_signed_content ~transcript_hash:(Transcript.current p.transcript)
-  in
-  let signature =
-    cfg.Config.sig_alg.Pqc.Sigalg.sign ctx.s_rng
-      ~secret:ctx.s_creds.Credentials.server_key.Pqc.Sigalg.secret cv_content
-  in
-  let cv =
-    M.encode_certificate_verify
-      { M.cv_algorithm = cfg.Config.sig_alg.Pqc.Sigalg.name;
-        cv_signature = signature }
-  in
-  Transcript.add p.transcript cv;
-  flight_emit ctx.s_flight ~label:"CV" (server_encrypt ctx cv);
-  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-  let mac =
-    K.finished_mac
-      ~traffic_secret:(Option.get ctx.s_secrets).K.server_handshake_traffic
-      ~transcript_hash:(Transcript.current p.transcript)
-  in
-  let fin = M.encode_finished mac in
-  Transcript.add p.transcript fin;
-  ctx.s_sfin_hash <- Transcript.current p.transcript;
-  flight_emit ctx.s_flight ~label:"FIN" (server_encrypt ctx fin);
-  flight_flush ctx.s_flight;
-  ctx.s_expect <- `Client_finished;
-  (* client Finished arrives under the client handshake traffic keys *)
-  Codec.Inbound.enable_decryption p.inbound
-    (make_record cfg ctx.s_client_hs_secret);
-  finish_step p
+  | None -> server_flight ctx p msg ch (server_await_finished ctx p)
 
-let server_on_end_of_early_data ctx (p : peer) msg =
-  Transcript.add p.transcript msg;
-  (* the client switches to its handshake keys after EndOfEarlyData *)
-  Codec.Inbound.enable_decryption p.inbound
-    (make_record ctx.s_cfg ctx.s_client_hs_secret);
-  ctx.s_expect <- `Client_finished;
-  finish_step p
-
-let server_on_client_finished ctx (p : peer) msg =
+let server_on_client_finished ctx (p : peer) msg { secrets; sfin_hash } =
   charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
   let expected =
-    K.finished_mac ~traffic_secret:ctx.s_client_hs_secret
+    K.finished_mac ~traffic_secret:secrets.K.client_handshake_traffic
       ~transcript_hash:(Transcript.current p.transcript)
   in
   if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
@@ -449,21 +424,15 @@ let server_on_client_finished ctx (p : peer) msg =
   Transcript.add p.transcript msg;
   if ctx.s_issue_ticket then begin
     (* post-handshake NewSessionTicket under the server application
-       traffic keys: res master covers the client Finished (section 7.1),
-       the ticket PSK is HKDF-Expand-Label(res master, "resumption",
-       nonce) and rides STEK-sealed so the server stays stateless *)
+       traffic keys; its PSK rides STEK-sealed so the server stays
+       stateless. The server has finished before the ticket goes out. *)
     charge_n p.host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-    let secrets = Option.get ctx.s_secrets in
     let _c_app, s_app =
       K.application_secrets ~master:secrets.K.master
-        ~finished_transcript_hash:ctx.s_sfin_hash
-    in
-    let res_master =
-      K.resumption_master ~master:secrets.K.master
-        ~finished_transcript_hash:(Transcript.current p.transcript)
+        ~finished_transcript_hash:sfin_hash
     in
     let nonce = "\x00" in
-    let psk = K.resumption_psk ~resumption_master:res_master ~ticket_nonce:nonce in
+    let psk = ticket_psk p secrets ~nonce in
     let nst =
       M.encode_new_session_ticket
         { M.nst_lifetime = ticket_lifetime_s;
@@ -478,20 +447,30 @@ let server_on_client_finished ctx (p : peer) msg =
     Netsim.Tcp.write p.tcp ~marks:[ (0, "NST") ]
       (Codec.fragment_encrypted crypt nst)
   end;
-  p.done_ <- true;
-  ctx.s_on_done ();
-  finish_step p
+  complete p ctx.s_on_done
 
 let server_dispatch ctx p msg =
-  match ctx.s_expect with
-  | `Client_hello -> server_on_client_hello ctx p msg
-  | `End_of_early_data ->
-    if M.handshake_type msg <> Wire.Handshake_type.End_of_early_data then
+  match ctx.s_state with
+  | S_client_hello -> server_on_client_hello ctx p msg
+  | S_end_of_early_data keys ->
+    if M.handshake_type msg <> HT.End_of_early_data then
       raise (Wire.Decode_error "expected EndOfEarlyData");
-    server_on_end_of_early_data ctx p msg
-  | `Client_finished -> server_on_client_finished ctx p msg
+    (* the client switches to its handshake keys after EndOfEarlyData *)
+    Transcript.add p.transcript msg;
+    server_await_finished ctx p keys
+  | S_client_finished keys -> server_on_client_finished ctx p msg keys
 
 (* ---- client ------------------------------------------------------------- *)
+
+type client_state =
+  | C_server_hello of { keypair : Pqc.Kem.keypair option; retried : bool }
+      (* [keypair] is [None] while the only share sent was a wrong guess;
+         [retried] once an HRR was answered *)
+  | C_encrypted_extensions of K.secrets
+  | C_certificate of K.secrets
+  | C_certificate_verify of K.secrets * Certificate.t  (* and the leaf *)
+  | C_finished of K.secrets
+  | C_ticket of K.secrets
 
 type client_ctx = {
   c_cfg : Config.t;
@@ -499,194 +478,219 @@ type client_ctx = {
   c_creds : Credentials.t; (* for the trusted CA public key *)
   c_resume : session option;
   c_early_data : bool;
-  c_expect_ticket : bool;
+  c_await_ticket : bool;
   c_on_ticket : session -> unit;
-  mutable c_keypair : Pqc.Kem.keypair option;
   mutable c_session_id : string;
-  mutable c_retried : bool;
-  mutable c_secrets : K.secrets option;
   mutable c_early_write : Record.t option;  (* 0-RTT seal state, for EOED *)
-  mutable c_sfin_hash : string;
-  mutable c_expect :
-    [ `Server_hello | `Encrypted_extensions | `Certificate | `Cert_verify
-    | `Finished | `Ticket ];
-  mutable c_server_cert : Certificate.t option;
+  mutable c_state : client_state;
   c_on_done : unit -> unit;
 }
 
-let client_dispatch ctx (p : peer) msg =
+(* a ClientHello without a PSK offer, under a fresh random *)
+let plain_hello ctx ~group ~share =
+  { M.random = Crypto.Drbg.generate ctx.c_rng 32;
+    session_id = ctx.c_session_id;
+    group;
+    key_share = share;
+    sig_algs = [ ctx.c_cfg.Config.sig_alg.Pqc.Sigalg.name ];
+    psk_offer = None;
+    early_data = false }
+
+(* C_init: once TCP is up, the ClientHello with the pre-computed share;
+   when resuming, a psk_dhe_ke offer whose binder covers the CH with a
+   same-length placeholder binder (section 4.2.11.2), then any 0-RTT data *)
+let client_hello ctx (p : peer) ~group ~share =
+  charge p.host Pqc.Costs.build_client_finished @@ fun () ->
+  ctx.c_session_id <- Crypto.Drbg.generate ctx.c_rng 32;
+  let base = plain_hello ctx ~group ~share in
+  match ctx.c_resume with
+  | None -> send_plain p "CH" (M.encode_client_hello base)
+  | Some s ->
+    let offer binder =
+      { base with
+        M.psk_offer =
+          Some
+            { M.psk_identity = s.ticket;
+              psk_obfuscated_age = s.age_add;
+              psk_binder = binder };
+        early_data = ctx.c_early_data }
+    in
+    psk_binder p.host ~psk:s.psk (offer (String.make 32 '\000'))
+    @@ fun ~early_secret binder ->
+    let ch = M.encode_client_hello (offer binder) in
+    send_plain p "CH" ch;
+    if ctx.c_early_data then begin
+      charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+      let crypt = early_record ctx.c_cfg ~early_secret ch in
+      ctx.c_early_write <- Some crypt;
+      let payload = String.make (min early_data_size s.max_early_data) 'e' in
+      charge p.host (aead_cost (String.length payload)) @@ fun () ->
+      Netsim.Tcp.write p.tcp ~marks:[ (0, "0RTT") ]
+        (Codec.fragment_app crypt payload)
+    end
+
+(* HRR: the transcript restarts, and CH2 carries a share for the group
+   the server asked for. A second HRR is a protocol error. *)
+let client_on_hello_retry ctx (p : peer) msg ~retried =
+  if retried then raise (Wire.Decode_error "second HelloRetryRequest");
   let cfg = ctx.c_cfg in
-  match (ctx.c_expect, M.handshake_type msg) with
-  | `Server_hello, Wire.Handshake_type.Server_hello
-    when is_hrr (M.decode_server_hello msg) ->
-    if ctx.c_retried then raise (Wire.Decode_error "second HelloRetryRequest");
-    ctx.c_retried <- true;
-    charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
-    restart_transcript_after_ch1 p msg;
-    (* now compute the share the server actually wants *)
-    charge p.host (kem_costs cfg).Pqc.Costs.kem_keygen @@ fun () ->
-    ctx.c_keypair <- Some (cfg.Config.kem.Pqc.Kem.keygen ctx.c_rng);
-    let ch2 =
-      M.encode_client_hello
-        { M.random = Crypto.Drbg.generate ctx.c_rng 32;
-          session_id = ctx.c_session_id;
-          group = cfg.Config.kem.Pqc.Kem.name;
-          key_share = (Option.get ctx.c_keypair).Pqc.Kem.public;
-          sig_algs = [ cfg.Config.sig_alg.Pqc.Sigalg.name ];
-          psk_offer = None;
-          early_data = false }
-    in
-    Transcript.add p.transcript ch2;
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "CH2") ] (Codec.fragment_plaintext ch2);
+  charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
+  restart_transcript_after_ch1 p msg;
+  charge p.host (kem_costs cfg).Pqc.Costs.kem_keygen @@ fun () ->
+  let keypair = cfg.Config.kem.Pqc.Kem.keygen ctx.c_rng in
+  ctx.c_state <- C_server_hello { keypair = Some keypair; retried = true };
+  send_plain p "CH2"
+    (M.encode_client_hello
+       (plain_hello ctx ~group:cfg.Config.kem.Pqc.Kem.name
+          ~share:keypair.Pqc.Kem.public));
+  finish_step p
+
+let client_on_server_hello ctx (p : peer) msg (sh : M.server_hello) keypair =
+  let cfg = ctx.c_cfg in
+  charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
+  (if ctx.c_resume <> None && not sh.M.sh_psk_selected then
+     (* a real client would fall back to a full handshake; our server
+        always accepts a binder-valid offer, so this is fail-closed *)
+     raise (Wire.Decode_error "server ignored the PSK offer"));
+  check_share_length ~what:"server"
+    ~expected:cfg.Config.kem.Pqc.Kem.ciphertext_bytes sh.M.sh_key_share;
+  charge p.host (kem_costs cfg).Pqc.Costs.kem_decaps @@ fun () ->
+  let shared_secret =
+    cfg.Config.kem.Pqc.Kem.decaps keypair.Pqc.Kem.secret sh.M.sh_key_share
+  in
+  Transcript.add p.transcript msg;
+  charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
+  let secrets =
+    K.handshake_secrets
+      ?psk:(Option.map (fun s -> s.psk) ctx.c_resume)
+      ~shared_secret
+      ~hello_transcript_hash:(Transcript.current p.transcript) ()
+  in
+  Codec.Inbound.enable_decryption p.inbound
+    (make_record cfg secrets.K.server_handshake_traffic);
+  ctx.c_state <- C_encrypted_extensions secrets;
+  finish_step p
+
+let client_on_encrypted_extensions ctx (p : peer) msg secrets =
+  Transcript.add p.transcript msg;
+  (if ctx.c_early_data && not (M.ee_early_data_accepted msg) then
+     raise (Wire.Decode_error "server rejected early data"));
+  (* a resumed server flight carries no Certificate/CertificateVerify *)
+  ctx.c_state <-
+    (if ctx.c_resume <> None then C_finished secrets
+     else C_certificate secrets);
+  finish_step p
+
+let client_on_certificate ctx (p : peer) msg secrets =
+  let certs = M.decode_certificate_chain msg in
+  let local = ctx.c_creds.Credentials.chain in
+  (* PKI check: walk the received chain up to the trust anchor, one
+     verification per level, each charged at its issuing SA's cost so
+     the Table 3 ledger sees the per-level placement *)
+  let rec charge_levels issuers k =
+    match issuers with
+    | [] -> k ()
+    | (iss : Pqc.Sigalg.t) :: rest ->
+      charge p.host (Pqc.Costs.sig_ iss.Pqc.Sigalg.name).Pqc.Costs.verify
+      @@ fun () -> charge_levels rest k
+  in
+  charge_levels (Chain.issuer_algs local) @@ fun () ->
+  if not (Chain.verify_against ~local certs) then
+    raise (Wire.Decode_error "certificate chain verification failed");
+  Transcript.add p.transcript msg;
+  ctx.c_state <- C_certificate_verify (secrets, List.hd certs);
+  finish_step p
+
+let client_on_certificate_verify ctx (p : peer) msg secrets cert =
+  let cfg = ctx.c_cfg in
+  let cv = M.decode_certificate_verify msg in
+  let content =
+    M.cv_signed_content ~transcript_hash:(Transcript.current p.transcript)
+  in
+  charge p.host (sig_costs cfg).Pqc.Costs.verify @@ fun () ->
+  if
+    not
+      (cfg.Config.sig_alg.Pqc.Sigalg.verify ~public:cert.Certificate.public_key
+         ~msg:content cv.M.cv_signature)
+  then raise (Wire.Decode_error "CertificateVerify signature invalid");
+  Transcript.add p.transcript msg;
+  ctx.c_state <- C_finished secrets;
+  finish_step p
+
+let client_on_finished ctx (p : peer) msg secrets =
+  let cfg = ctx.c_cfg in
+  charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
+  let expected =
+    K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
+      ~transcript_hash:(Transcript.current p.transcript)
+  in
+  if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
+    raise (Wire.Decode_error "server Finished MAC mismatch");
+  Transcript.add p.transcript msg;
+  let sfin_hash = Transcript.current p.transcript in
+  (* 0-RTT closes with EndOfEarlyData under the early keys, part of
+     the transcript the client Finished covers (section 4.5) *)
+  let eoed_records =
+    match ctx.c_early_write with
+    | Some crypt ->
+      let eoed = M.encode_end_of_early_data () in
+      Transcript.add p.transcript eoed;
+      Codec.fragment_encrypted crypt eoed
+    | None -> ""
+  in
+  charge p.host Pqc.Costs.build_client_finished @@ fun () ->
+  let fin =
+    M.encode_finished
+      (K.finished_mac ~traffic_secret:secrets.K.client_handshake_traffic
+         ~transcript_hash:(Transcript.current p.transcript))
+  in
+  Transcript.add p.transcript fin;
+  let crypt = make_record cfg secrets.K.client_handshake_traffic in
+  Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ]
+    (eoed_records ^ ccs_record ^ Codec.fragment_encrypted crypt fin);
+  (* application traffic secrets, as OpenSSL derives them eagerly *)
+  charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
+  let _c_app, s_app =
+    K.application_secrets ~master:secrets.K.master
+      ~finished_transcript_hash:sfin_hash
+  in
+  if ctx.c_await_ticket then begin
+    (* stay up for the post-handshake NewSessionTicket, which arrives
+       under the server application traffic keys *)
+    Codec.Inbound.enable_decryption p.inbound (make_record cfg s_app);
+    ctx.c_state <- C_ticket secrets;
     finish_step p
-  | `Server_hello, Wire.Handshake_type.Server_hello ->
-    charge p.host Pqc.Costs.parse_server_flight @@ fun () ->
+  end
+  else complete p ctx.c_on_done
+
+let client_on_ticket ctx (p : peer) msg secrets =
+  charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
+  let nst = M.decode_new_session_ticket msg in
+  let psk = ticket_psk p secrets ~nonce:nst.M.nst_nonce in
+  ctx.c_on_ticket
+    { psk; ticket = nst.M.nst_ticket; age_add = nst.M.nst_age_add;
+      max_early_data = nst.M.nst_max_early_data };
+  complete p ctx.c_on_done
+
+let client_dispatch ctx p msg =
+  match (ctx.c_state, M.handshake_type msg) with
+  | C_server_hello { keypair; retried }, HT.Server_hello -> (
     let sh = M.decode_server_hello msg in
-    (if ctx.c_resume <> None && not sh.M.sh_psk_selected then
-       (* a real client would fall back to a full handshake; our server
-          always accepts a binder-valid offer, so this is fail-closed *)
-       raise (Wire.Decode_error "server ignored the PSK offer"));
-    check_share_length ~what:"server"
-      ~expected:cfg.Config.kem.Pqc.Kem.ciphertext_bytes sh.M.sh_key_share;
-    charge p.host (kem_costs cfg).Pqc.Costs.kem_decaps @@ fun () ->
-    let keypair = Option.get ctx.c_keypair in
-    let shared_secret =
-      cfg.Config.kem.Pqc.Kem.decaps keypair.Pqc.Kem.secret sh.M.sh_key_share
-    in
-    Transcript.add p.transcript msg;
-    charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
-    let secrets =
-      K.handshake_secrets
-        ?psk:(Option.map (fun s -> s.psk) ctx.c_resume)
-        ~shared_secret
-        ~hello_transcript_hash:(Transcript.current p.transcript) ()
-    in
-    ctx.c_secrets <- Some secrets;
-    Codec.Inbound.enable_decryption p.inbound
-      (make_record cfg secrets.K.server_handshake_traffic);
-    ctx.c_expect <- `Encrypted_extensions;
-    finish_step p
-  | `Encrypted_extensions, Wire.Handshake_type.Encrypted_extensions ->
-    Transcript.add p.transcript msg;
-    (if ctx.c_early_data && not (M.ee_early_data_accepted msg) then
-       raise (Wire.Decode_error "server rejected early data"));
-    (* a resumed server flight carries no Certificate/CertificateVerify *)
-    ctx.c_expect <-
-      (if ctx.c_resume <> None then `Finished else `Certificate);
-    finish_step p
-  | `Certificate, Wire.Handshake_type.Certificate ->
-    let certs = M.decode_certificate_chain msg in
-    let local = ctx.c_creds.Credentials.chain in
-    (* PKI check: walk the received chain up to the trust anchor, one
-       verification per level, each charged at its issuing SA's cost so
-       the Table 3 ledger sees the per-level placement *)
-    let rec charge_levels issuers k =
-      match issuers with
-      | [] -> k ()
-      | (iss : Pqc.Sigalg.t) :: rest ->
-        charge p.host (Pqc.Costs.sig_ iss.Pqc.Sigalg.name).Pqc.Costs.verify
-        @@ fun () -> charge_levels rest k
-    in
-    charge_levels (Chain.issuer_algs local) @@ fun () ->
-    if not (Chain.verify_against ~local certs) then
-      raise (Wire.Decode_error "certificate chain verification failed");
-    ctx.c_server_cert <- Some (List.hd certs);
-    Transcript.add p.transcript msg;
-    ctx.c_expect <- `Cert_verify;
-    finish_step p
-  | `Cert_verify, Wire.Handshake_type.Certificate_verify ->
-    let cv = M.decode_certificate_verify msg in
-    let content =
-      M.cv_signed_content ~transcript_hash:(Transcript.current p.transcript)
-    in
-    charge p.host (sig_costs cfg).Pqc.Costs.verify @@ fun () ->
-    let cert = Option.get ctx.c_server_cert in
-    if
-      not
-        (cfg.Config.sig_alg.Pqc.Sigalg.verify ~public:cert.Certificate.public_key
-           ~msg:content cv.M.cv_signature)
-    then raise (Wire.Decode_error "CertificateVerify signature invalid");
-    Transcript.add p.transcript msg;
-    ctx.c_expect <- `Finished;
-    finish_step p
-  | `Finished, Wire.Handshake_type.Finished ->
-    charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-    let secrets = Option.get ctx.c_secrets in
-    let expected =
-      K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
-        ~transcript_hash:(Transcript.current p.transcript)
-    in
-    if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
-      raise (Wire.Decode_error "server Finished MAC mismatch");
-    Transcript.add p.transcript msg;
-    ctx.c_sfin_hash <- Transcript.current p.transcript;
-    (* 0-RTT closes with EndOfEarlyData under the early keys, part of
-       the transcript the client Finished covers (section 4.5) *)
-    let eoed_records =
-      match ctx.c_early_write with
-      | Some crypt when ctx.c_early_data ->
-        let eoed = M.encode_end_of_early_data () in
-        Transcript.add p.transcript eoed;
-        Codec.fragment_encrypted crypt eoed
-      | _ -> ""
-    in
-    charge p.host Pqc.Costs.build_client_finished @@ fun () ->
-    let mac =
-      K.finished_mac ~traffic_secret:secrets.K.client_handshake_traffic
-        ~transcript_hash:(Transcript.current p.transcript)
-    in
-    let fin = M.encode_finished mac in
-    Transcript.add p.transcript fin;
-    let crypt = make_record cfg secrets.K.client_handshake_traffic in
-    let records =
-      eoed_records ^ ccs_record ^ Codec.fragment_encrypted crypt fin
-    in
-    Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ] records;
-    (* application traffic secrets, as OpenSSL derives them eagerly *)
-    charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
-    if ctx.c_expect_ticket then begin
-      (* stay up for the post-handshake NewSessionTicket, which arrives
-         under the server application traffic keys *)
-      let _c_app, s_app =
-        K.application_secrets ~master:secrets.K.master
-          ~finished_transcript_hash:ctx.c_sfin_hash
-      in
-      Codec.Inbound.enable_decryption p.inbound (make_record cfg s_app);
-      ctx.c_expect <- `Ticket;
-      finish_step p
-    end
-    else begin
-      ignore
-        (K.application_secrets ~master:secrets.K.master
-           ~finished_transcript_hash:(Transcript.current p.transcript));
-      p.done_ <- true;
-      ctx.c_on_done ();
-      finish_step p
-    end
-  | `Ticket, Wire.Handshake_type.New_session_ticket ->
-    charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
-    let secrets = Option.get ctx.c_secrets in
-    let nst = M.decode_new_session_ticket msg in
-    (* same derivation as the server: res master over the transcript
-       including the client Finished, then the per-ticket PSK *)
-    let res_master =
-      K.resumption_master ~master:secrets.K.master
-        ~finished_transcript_hash:(Transcript.current p.transcript)
-    in
-    let psk =
-      K.resumption_psk ~resumption_master:res_master
-        ~ticket_nonce:nst.M.nst_nonce
-    in
-    ctx.c_on_ticket
-      { psk; ticket = nst.M.nst_ticket; age_add = nst.M.nst_age_add;
-        max_early_data = nst.M.nst_max_early_data };
-    p.done_ <- true;
-    ctx.c_on_done ();
-    finish_step p
+    match keypair with
+    | _ when is_hrr sh -> client_on_hello_retry ctx p msg ~retried
+    | Some keypair -> client_on_server_hello ctx p msg sh keypair
+    | None -> raise (Wire.Decode_error "ServerHello for a share never sent"))
+  | C_encrypted_extensions secrets, HT.Encrypted_extensions ->
+    client_on_encrypted_extensions ctx p msg secrets
+  | C_certificate secrets, HT.Certificate ->
+    client_on_certificate ctx p msg secrets
+  | C_certificate_verify (secrets, cert), HT.Certificate_verify ->
+    client_on_certificate_verify ctx p msg secrets cert
+  | C_finished secrets, HT.Finished -> client_on_finished ctx p msg secrets
+  | C_ticket secrets, HT.New_session_ticket ->
+    client_on_ticket ctx p msg secrets
   | _, ty ->
-    raise
-      (Wire.Decode_error
-         (Printf.sprintf "unexpected %s" (Wire.Handshake_type.label ty)))
+    raise (Wire.Decode_error (Printf.sprintf "unexpected %s" (HT.label ty)))
 
 (* ---- driver ------------------------------------------------------------- *)
 
@@ -703,18 +707,7 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
     Credentials.get ~profile:config.Config.chain_profile config.Config.sig_alg
   in
   let client_done_at = ref nan and server_done_at = ref nan in
-  let maybe_done_ref = ref (fun () -> ()) in
-  let server_ctx =
-    { s_cfg = config; s_creds = creds; s_rng = Crypto.Drbg.fork rng "server";
-      s_flight = make_flight config server_peer;
-      s_issue_ticket = issue_ticket; s_ticket_key = ticket_key;
-      s_secrets = None; s_write = None; s_client_hs_secret = "";
-      s_sfin_hash = ""; s_early_bytes = 0; s_expect = `Client_hello;
-      s_on_done =
-        (fun () ->
-          server_done_at := Netsim.Engine.now engine;
-          !maybe_done_ref ()) }
-  in
+  let early_data_bytes = ref 0 in
   let maybe_done () =
     if not (Float.is_nan !client_done_at || Float.is_nan !server_done_at) then
       on_done
@@ -723,23 +716,19 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
           client_tcp;
           server_tcp;
           resumed = resume <> None;
-          early_data_bytes = server_ctx.s_early_bytes }
+          early_data_bytes = !early_data_bytes }
   in
-  maybe_done_ref := maybe_done;
-  server_peer.dispatch <- (fun p msg -> server_dispatch server_ctx p msg);
-  let client_ctx =
-    { c_cfg = config; c_rng = Crypto.Drbg.fork rng "client"; c_creds = creds;
-      c_resume = resume; c_early_data = early_data && resume <> None;
-      c_expect_ticket = issue_ticket; c_on_ticket = on_ticket;
-      c_keypair = None; c_session_id = ""; c_retried = false;
-      c_secrets = None; c_early_write = None; c_sfin_hash = "";
-      c_expect = `Server_hello; c_server_cert = None;
-      c_on_done =
+  let server_ctx =
+    { s_cfg = config; s_creds = creds; s_rng = Crypto.Drbg.fork rng "server";
+      s_issue_ticket = issue_ticket; s_ticket_key = ticket_key;
+      s_early_bytes = early_data_bytes; s_state = S_client_hello;
+      s_on_done =
         (fun () ->
-          client_done_at := Netsim.Engine.now engine;
+          server_done_at := Netsim.Engine.now engine;
           maybe_done ()) }
   in
-  client_peer.dispatch <- (fun p msg -> client_dispatch client_ctx p msg);
+  server_peer.dispatch <- server_dispatch server_ctx;
+  let client_rng = Crypto.Drbg.fork rng "client" in
   (* the client pre-computes its key share, then opens the connection;
      none of this is inside the measured phases (Fig. 1). With
      [wrong_first_key_share] it guesses a group the server will refuse. *)
@@ -749,72 +738,24 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
     else (kem_costs config).Pqc.Costs.kem_keygen
   in
   charge client_host guess_cost @@ fun () ->
-  let first_group, first_share =
+  let keypair, group, share =
     if config.Config.wrong_first_key_share then
-      ("wrong-guess", Crypto.Drbg.generate client_ctx.c_rng 32)
-    else begin
-      client_ctx.c_keypair <-
-        Some (config.Config.kem.Pqc.Kem.keygen client_ctx.c_rng);
-      ( config.Config.kem.Pqc.Kem.name,
-        (Option.get client_ctx.c_keypair).Pqc.Kem.public )
-    end
+      (None, "wrong-guess", Crypto.Drbg.generate client_rng 32)
+    else
+      let keypair = config.Config.kem.Pqc.Kem.keygen client_rng in
+      (Some keypair, config.Config.kem.Pqc.Kem.name, keypair.Pqc.Kem.public)
   in
+  let client_ctx =
+    { c_cfg = config; c_rng = client_rng; c_creds = creds;
+      c_resume = resume; c_early_data = early_data && resume <> None;
+      c_await_ticket = issue_ticket; c_on_ticket = on_ticket;
+      c_session_id = ""; c_early_write = None;
+      c_state = C_server_hello { keypair; retried = false };
+      c_on_done =
+        (fun () ->
+          client_done_at := Netsim.Engine.now engine;
+          maybe_done ()) }
+  in
+  client_peer.dispatch <- client_dispatch client_ctx;
   Netsim.Tcp.connect client_tcp ~on_established:(fun () ->
-      charge client_host Pqc.Costs.build_client_finished @@ fun () ->
-      client_ctx.c_session_id <- Crypto.Drbg.generate client_ctx.c_rng 32;
-      let base =
-        { M.random = Crypto.Drbg.generate client_ctx.c_rng 32;
-          session_id = client_ctx.c_session_id;
-          group = first_group;
-          key_share = first_share;
-          sig_algs = [ config.Config.sig_alg.Pqc.Sigalg.name ];
-          psk_offer = None;
-          early_data = false }
-      in
-      match resume with
-      | None ->
-        let ch = M.encode_client_hello base in
-        Transcript.add client_peer.transcript ch;
-        Netsim.Tcp.write client_tcp ~marks:[ (0, "CH") ]
-          (Codec.fragment_plaintext ch)
-      | Some s ->
-        (* psk_dhe_ke offer: binder over the truncated CH (computed with
-           a placeholder binder of the same length, section 4.2.11.2) *)
-        charge_n client_host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-        let offer binder =
-          { base with
-            M.psk_offer =
-              Some
-                { M.psk_identity = s.ticket;
-                  psk_obfuscated_age = s.age_add;
-                  psk_binder = binder };
-            early_data = client_ctx.c_early_data }
-        in
-        let early_secret = K.early_secret ~psk:s.psk () in
-        let binder_key = K.binder_key ~early_secret in
-        let truncated_hash =
-          K.hash.Crypto.Hmac.digest
-            (M.truncated_client_hello (offer (String.make 32 '\000')))
-        in
-        let binder =
-          K.binder_mac ~binder_key ~truncated_transcript_hash:truncated_hash
-        in
-        let ch = M.encode_client_hello (offer binder) in
-        Transcript.add client_peer.transcript ch;
-        Netsim.Tcp.write client_tcp ~marks:[ (0, "CH") ]
-          (Codec.fragment_plaintext ch);
-        if client_ctx.c_early_data then begin
-          charge client_host Pqc.Costs.key_schedule_derive @@ fun () ->
-          let early_traffic =
-            K.client_early_traffic ~early_secret
-              ~client_hello_hash:(K.hash.Crypto.Hmac.digest ch)
-          in
-          let crypt = make_record config early_traffic in
-          client_ctx.c_early_write <- Some crypt;
-          let payload =
-            String.make (min early_data_size s.max_early_data) 'e'
-          in
-          charge client_host (aead_cost (String.length payload)) @@ fun () ->
-          Netsim.Tcp.write client_tcp ~marks:[ (0, "0RTT") ]
-            (Codec.fragment_app crypt payload)
-        end)
+      client_hello client_ctx client_peer ~group ~share)

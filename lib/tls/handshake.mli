@@ -12,7 +12,23 @@
     (RFC 8446 sections 2.2, 4.6.1, 4.2.10): a resumed handshake omits
     Certificate/CertificateVerify from the server flight, and the binder
     over the truncated ClientHello transcript is verified constant-time
-    and fails closed. *)
+    and fails closed.
+
+    Each side's state is one variant, and each transition one function:
+    - server: [S_client_hello -> S_end_of_early_data (0-RTT accepted
+      only) -> S_client_finished -> done], then a NewSessionTicket when
+      tickets are on. In [S_client_hello] a PSK offer has its binder
+      checked and a wrong group gets a HelloRetryRequest (staying in
+      [S_client_hello]). Full and resumed handshakes share one flight:
+      ServerHello, CCS, EncryptedExtensions, then Certificate and
+      CertificateVerify (full only), then Finished.
+    - client: [ClientHello (with the PSK offer and 0-RTT data when
+      resuming) -> C_server_hello -> C_encrypted_extensions ->
+      C_certificate -> C_certificate_verify -> C_finished -> C_ticket
+      (when a ticket is expected) -> done]. A HelloRetryRequest sends
+      the second ClientHello and re-enters [C_server_hello], once; a
+      resumed handshake goes from [C_encrypted_extensions] straight to
+      [C_finished]. *)
 
 type result = {
   client_finished_at : float;

@@ -56,5 +56,3 @@ let open_ t body =
       Some
         ( Wire.Content_type.of_byte (Char.code inner.[!n - 1]),
           String.sub inner 0 (!n - 1) )
-
-let plaintext_record = Wire.record

@@ -19,6 +19,3 @@ val seal : t -> Wire.Content_type.t -> string -> string
 val open_ : t -> string -> (Wire.Content_type.t * string) option
 (** Decrypts the body of an application_data record (header excluded);
     [None] on authentication failure. *)
-
-val plaintext_record : Wire.Content_type.t -> string -> string
-(** Unprotected record (hello messages, change_cipher_spec). *)

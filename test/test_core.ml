@@ -8,7 +8,9 @@ let kem = Pqc.Registry.find_kem
 let sa = Pqc.Registry.find_sig
 
 let run ?buffering ?scenario ?max_samples k s =
-  Experiment.run ?buffering ?scenario ?max_samples ~seed:"test" (kem k) (sa s)
+  Experiment.run_spec
+    (Experiment.spec ?buffering ?scenario ?max_samples ~seed:"test" (kem k)
+       (sa s))
 
 let part_a o = Experiment.median_of (fun s -> s.Experiment.part_a_ms) o
 let part_b o = Experiment.median_of (fun s -> s.Experiment.part_b_ms) o
@@ -179,8 +181,9 @@ let test_finding_cwnd_extra_rtts () =
     { Netsim.Tcp.default_config with Netsim.Tcp.init_cwnd_segments = 80 }
   in
   let o =
-    Experiment.run ~seed:"test" ~scenario:delay ~tcp_config:big_window
-      (kem "x25519") (sa "sphincs256")
+    Experiment.run_spec
+      (Experiment.spec ~seed:"test" ~scenario:delay ~tcp_config:big_window
+         (kem "x25519") (sa "sphincs256"))
   in
   Alcotest.(check bool) "initcwnd 80 restores 1 RTT" true
     (Float.abs (total o -. 1000.) < 60.)
@@ -217,7 +220,7 @@ let test_attack_asymmetries () =
     (row.Amplification.amplification > Amplification.quic_limit);
   let base = Amplification.measure ~seed:"test" (kem "x25519") (sa "rsa:2048") in
   Alcotest.(check bool) "baseline modest" true (base.Amplification.amplification < 3.);
-  let sp = Experiment.run ~seed:"test" (kem "kyber512") (sa "sphincs128") in
+  let sp = run "kyber512" "sphincs128" in
   Alcotest.(check bool) "server-heavy CPU skew" true
     (sp.Experiment.server_cpu_ms /. sp.Experiment.client_cpu_ms > 3.)
 
@@ -258,19 +261,20 @@ let test_hrr_fallback () =
   (* a wrong key-share guess costs one extra round trip (section 2's
      2-RTT fallback) plus the deferred key generation *)
   let delay = Scenario.high_delay in
-  let right =
-    total (Experiment.run ~seed:"test" ~scenario:delay (kem "kyber768") (sa "dilithium3"))
-  in
+  let right = total (run ~scenario:delay "kyber768" "dilithium3") in
   let wrong =
     total
-      (Experiment.run ~seed:"test" ~scenario:delay ~wrong_key_share:true
-         (kem "kyber768") (sa "dilithium3"))
+      (Experiment.run_spec
+         (Experiment.spec ~seed:"test" ~scenario:delay ~wrong_key_share:true
+            (kem "kyber768") (sa "dilithium3")))
   in
   Alcotest.(check bool) "HRR adds ~1 RTT" true
     (wrong -. right > 900. && wrong -. right < 1100.);
   (* on the fast link it still completes, with both hellos on the wire *)
   let o =
-    Experiment.run ~seed:"test" ~wrong_key_share:true (kem "x25519") (sa "rsa:2048")
+    Experiment.run_spec
+      (Experiment.spec ~seed:"test" ~wrong_key_share:true (kem "x25519")
+         (sa "rsa:2048"))
   in
   Alcotest.(check bool) "handshakes complete through HRR" true
     (List.length o.Experiment.samples > 0)

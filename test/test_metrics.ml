@@ -217,9 +217,6 @@ let test_registry_and_health () =
     [ "campaign health:"; "4 cells ok"; "0 failed"; "4 fresh"; "0 cached";
       "cell wall" ];
   (* the generic registry faces user code too *)
-  Metrics.set_gauge exec.Exec.metrics "g" 2.5;
-  Alcotest.(check (option (float 0.))) "gauge" (Some 2.5)
-    (Metrics.gauge exec.Exec.metrics "g");
   Metrics.incr ~by:3 exec.Exec.metrics "c";
   Metrics.incr exec.Exec.metrics "c";
   Alcotest.(check int) "counter" 4 (Metrics.counter exec.Exec.metrics "c")

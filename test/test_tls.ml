@@ -632,6 +632,117 @@ let test_handshake_sizes_scale () =
   Alcotest.(check bool) "sphincs flight bigger" true
     (big.server_bytes > small.server_bytes + 100_000)
 
+(* ---- wire pins --------------------------------------------------------------- *)
+
+(* Every flow the handshake state machines speak, run mocked on the
+   ideal link from fixed seeds and pinned to constants: the MD5 of the
+   pcap export (every byte and timestamp on the wire), the TLS message
+   marks in capture order, and per handshake the client and server
+   finished times as exact hex floats plus the 0-RTT bytes accepted.
+   No bench/perf workload runs a resumption mix, so these are the only
+   byte-level pins on psk_dhe_ke, 0-RTT and NewSessionTicket. With
+   [?resume] a full handshake issues a ticket and a resumed one follows:
+   [`Psk] resumes without 0-RTT or a new ticket (the farm's shape),
+   [`Psk_0rtt] sends early data and takes a new ticket (the mixes'). *)
+let wire_flow ?(buffering = Tls.Config.Optimized_push) ?(wrong_share = false)
+    ?chain_profile ?resume kem_name sig_name =
+  let engine = Netsim.Engine.create () in
+  let tap = Netsim.Tap.create () in
+  let rng = Crypto.Drbg.create ~seed:"tls-wire" in
+  let link =
+    Netsim.Link.create engine (Crypto.Drbg.fork rng "link") Netsim.Link.ideal
+      ~tap:(Netsim.Tap.tap tap)
+  in
+  let client_host = Netsim.Host.create engine ~name:"client" in
+  let server_host = Netsim.Host.create engine ~name:"server" in
+  let config =
+    Tls.Config.mocked ~buffering ~wrong_first_key_share:wrong_share
+      ?chain_profile (kem kem_name) (sa sig_name)
+  in
+  let results = ref [] and session = ref None in
+  let handshake ?resume ?early_data ~issue_ticket rng =
+    Tls.Handshake.run ?resume ?early_data ~issue_ticket
+      ~on_ticket:(fun s -> session := Some s)
+      ~engine ~link ~tcp_config:Netsim.Tcp.default_config ~client_host
+      ~server_host ~config ~rng
+      ~on_done:(fun r -> results := r :: !results)
+      ();
+    Netsim.Engine.run engine
+  in
+  (match resume with
+  | None -> handshake ~issue_ticket:false rng
+  | Some mode ->
+    handshake ~issue_ticket:true rng;
+    let s =
+      match !session with Some s -> s | None -> Alcotest.fail "no ticket issued"
+    in
+    let early = mode = `Psk_0rtt in
+    handshake ~resume:s ~early_data:early ~issue_ticket:early
+      (Crypto.Drbg.fork rng "resumed"));
+  let entries = Netsim.Tap.entries tap in
+  ( Digest.to_hex (Digest.string (Netsim.Pcap.of_entries entries)),
+    String.concat " "
+      (List.concat_map
+         (fun e -> List.map snd e.Netsim.Tap.packet.Netsim.Packet.marks)
+         entries),
+    String.concat "; "
+      (List.rev_map
+         (fun r ->
+           Printf.sprintf "%h %h %d" r.Tls.Handshake.client_finished_at
+             r.Tls.Handshake.server_finished_at r.Tls.Handshake.early_data_bytes)
+         !results) )
+
+let wire_pins =
+  let kyber_dilithium ?buffering ?wrong_share ?chain_profile ?resume () =
+    wire_flow ?buffering ?wrong_share ?chain_profile ?resume "kyber768"
+      "dilithium3"
+  in
+  [ ( "optimized push",
+      (fun () -> kyber_dilithium ()),
+      ( "ce22d67c421afe9bed03ae173f122651",
+        "CH SH EE CERT CV FIN FIN_C",
+        "0x1.6b709689fd6bcp-10 0x1.68955eaf3476bp-10 0" ) );
+    ( "default buffering",
+      (fun () ->
+        wire_flow ~buffering:Tls.Config.Default_buffered "kyber512"
+          "sphincs128"),
+      ( "a69310af89a8e6e74e3ac0974402acd3",
+        "CH SH EE CERT CV FIN FIN_C",
+        "0x1.e8584f9496396p-7 0x1.e7fce8993d1acp-7 0" ) );
+    ( "hello retry",
+      (fun () -> kyber_dilithium ~wrong_share:true ()),
+      ( "3366d0bed48323221bebcde65038ead4",
+        "CH HRR CH2 SH EE CERT CV FIN FIN_C",
+        "0x1.b642e84a104b2p-10 0x1.b367b06f47561p-10 0" ) );
+    ( "ticket then resumption",
+      (fun () -> kyber_dilithium ~resume:`Psk ()),
+      ( "770476156de57ca00a5f2c3b197fd6b4",
+        "CH SH EE CERT CV FIN FIN_C NST CH SH EE FIN FIN_C",
+        "0x1.7afd29ea67c5bp-10 0x1.68955eaf3476bp-10 0; \
+         0x1.19e1b4672fa1cp+0 0x1.19e0fd9938ef7p+0 0" ) );
+    ( "resumption with 0-RTT",
+      (fun () -> kyber_dilithium ~resume:`Psk_0rtt ()),
+      ( "fa964b18e21d444780267efd937cd071",
+        "CH SH EE CERT CV FIN FIN_C NST CH 0RTT SH EE FIN FIN_C NST",
+        "0x1.7afd29ea67c5bp-10 0x1.68955eaf3476bp-10 0; \
+         0x1.19e6c5e2c6e07p+0 0x1.19e22beff813bp+0 256" ) );
+    ( "mixed-acme chain",
+      (fun () ->
+        kyber_dilithium ~chain_profile:(Tls.Chain_profile.find "mixed-acme")
+          ()),
+      ( "58f18730b8ebbf243fe8c4e9f4992290",
+        "CH SH EE CERT CV FIN FIN_C",
+        "0x1.83decfe23399dp-9 0x1.827133f4cf1f4p-9 0" ) ) ]
+
+let test_wire_pins () =
+  List.iter
+    (fun (name, run, (md5, marks, finished)) ->
+      let md5', marks', finished' = run () in
+      Alcotest.(check string) (name ^ ": pcap md5") md5 md5';
+      Alcotest.(check string) (name ^ ": marks") marks marks';
+      Alcotest.(check string) (name ^ ": finished") finished finished')
+    wire_pins
+
 let test_codec_inbound () =
   (* records split across arbitrary TCP chunk boundaries *)
   let msgs =
@@ -703,4 +814,5 @@ let suites =
           test_chain_mocked_equals_real;
         Alcotest.test_case "buffering modes" `Quick test_buffering_modes;
         Alcotest.test_case "sizes scale with algorithms" `Quick
-          test_handshake_sizes_scale ] ) ]
+          test_handshake_sizes_scale;
+        Alcotest.test_case "handshake wire pins" `Quick test_wire_pins ] ) ]
