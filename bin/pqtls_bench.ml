@@ -250,10 +250,6 @@ let run_cmd =
     let doc = "Write each experiment's report to $(docv)/<name>.txt instead of stdout." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"DIR" ~doc)
   in
-  let csv =
-    Arg.(value & flag & info [ "csv" ]
-           ~doc:"Also emit latencies CSVs for all-kem / all-sig (needs -o).")
-  in
   let trace_out =
     let doc =
       "Record a virtual-time trace of every executed cell and write it \
@@ -271,7 +267,7 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
-  let run seed jobs cache_dir quiet retries keep_going out_dir csv trace_out
+  let run seed jobs cache_dir quiet retries keep_going out_dir trace_out
       metrics_out experiments =
     let store = Option.map (fun _ -> Trace.Store.create ()) trace_out in
     let exec =
@@ -297,23 +293,11 @@ let run_cmd =
         | None -> print_string report
         | Some dir ->
           if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          let write path contents =
-            let oc = open_out path in
-            output_string oc contents;
-            close_out oc;
-            Printf.printf "wrote %s\n%!" path
-          in
-          write (Filename.concat dir (Core.Catalog.resolve name ^ ".txt")) report;
-          if csv then begin
-            match Core.Catalog.resolve name with
-            | "all-kem" ->
-              write (Filename.concat dir "all-kem-latencies.csv")
-                (Core.Report.table2a_csv ~seed ~exec ())
-            | "all-sig" ->
-              write (Filename.concat dir "all-sig-latencies.csv")
-                (Core.Report.table2b_csv ~seed ~exec ())
-            | _ -> ()
-          end)
+          let path = Filename.concat dir (Core.Catalog.resolve name ^ ".txt") in
+          let oc = open_out path in
+          output_string oc report;
+          close_out oc;
+          Printf.printf "wrote %s\n%!" path)
       experiments;
     (match (trace_out, store) with
     | Some path, Some store ->
@@ -351,7 +335,7 @@ let run_cmd =
           rendered report; $(b,--keep-going) makes such runs exit 0.")
     Term.(
       const run $ seed_arg $ jobs_arg $ cache_arg $ quiet_arg $ retries_arg
-      $ keep_going_arg $ out_dir $ csv $ trace_out $ metrics_out
+      $ keep_going_arg $ out_dir $ trace_out $ metrics_out
       $ experiments)
 
 (* ---- compare --------------------------------------------------------------- *)

@@ -1,6 +1,6 @@
 (* The campaign execution context: how many domains, which result
    cache, retry budget, and whether to narrate progress.
-   Report/Deviation/Whitebox/Amplification build their grids as
+   Catalog/Deviation/Whitebox/Amplification build their grids as
    [Experiment.spec] lists and hand them here; formatting stays
    sequential and cheap.
 

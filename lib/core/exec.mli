@@ -1,9 +1,8 @@
 (** Campaign execution context: domain count, optional result cache,
     per-cell retry budget, and progress narration. Every campaign in
-    {!Report}, {!Deviation}, {!Whitebox}, {!Amplification} and
-    {!Catalog} accepts one; the default, a fresh {!sequential} context
-    per call, reproduces the historical single-core behaviour bit for
-    bit.
+    {!Catalog}, {!Deviation}, {!Whitebox} and {!Amplification} accepts
+    one; the default, a fresh {!sequential} context per call, reproduces
+    the historical single-core behaviour bit for bit.
 
     Every {!Cell.kind} runs through one grid runner: {!cells} and
     {!farm_cells} instantiate it for the two kinds.

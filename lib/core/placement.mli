@@ -1,7 +1,6 @@
-(** The signature-placement study (Table 7): per-{!Tls.Chain_profile}
-    full-chain wire size, verification CPU, handshake-time medians under
-    the paper's deterministic scenarios, and the flights-to-deliver
-    column showing the chain-size x initcwnd cliff. *)
+(** The two computations behind the signature-placement study (Table 7,
+    rendered by {!Catalog}): the flights-to-deliver column showing the
+    chain-size x initcwnd cliff, and the per-level chain breakdown. *)
 
 val flights_to_deliver : tcp:Netsim.Tcp.config -> int -> int
 (** Smallest number of slow-start flights that delivers [bytes]:
@@ -13,19 +12,3 @@ val chain_stats :
   profile:Tls.Chain_profile.t -> string -> Tls.Chain.level_stat list
 (** Per-level breakdown of exactly the (cached, mocked) credentials the
     campaign cells serve for this SA name, without running a cell. *)
-
-val table7_grid :
-  seed:string ->
-  exec:Exec.t ->
-  pairs:(string * string) list ->
-  profiles:Tls.Chain_profile.t list ->
-  max_samples:int ->
-  string
-
-val table7 : ?seed:string -> ?exec:Exec.t -> unit -> string
-(** Three anchor pairs x every chain profile x (none, delay): the main
-    placement table plus the per-level breakdown. *)
-
-val table7_smoke : ?seed:string -> ?exec:Exec.t -> unit -> string
-(** The blocking CI gate's campaign: two pairs, three shapes, ten
-    samples. *)

@@ -19,5 +19,3 @@ let rank latencies =
 
 let total o = Experiment.median_of (fun s -> s.Experiment.total_ms) o
 let of_outcomes outcomes = rank (List.map (fun (n, o) -> (n, total o)) outcomes)
-let kem_ranking = of_outcomes
-let sig_ranking = of_outcomes

@@ -7,5 +7,5 @@ val rank : (string * float) list -> entry list
 (** [rank latencies] applies the paper's recipe: log, linear rescale to
     [0, 10], round; sorted fastest first. *)
 
-val kem_ranking : (string * Experiment.outcome) list -> entry list
-val sig_ranking : (string * Experiment.outcome) list -> entry list
+val of_outcomes : (string * Experiment.outcome) list -> entry list
+(** {!rank} on each outcome's median total handshake latency. *)

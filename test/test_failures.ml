@@ -66,16 +66,46 @@ let test_mixed_grid_order_and_determinism () =
        (Marshal.to_string (oks r1) [])
        (Marshal.to_string (oks r4) []))
 
+(* One injected failed cell per catalog entry, so every renderer shows
+   ok rows and failed rows side by side. Each report's MD5 pins both
+   row formats; the third element lists strings the report must show. *)
+let failure_pins =
+  let x25519_rsa = "x25519 x rsa:2048" in
+  [ ("table3", x25519_rsa, [], "4c7c75e93b063d0768a1d4d71d3825ef");
+    ("farm-smoke", x25519_rsa, [], "35189ba556bbcc057cfa3fcab34f0377");
+    ("mixes-smoke", x25519_rsa, [], "b21566f005b5034a0cfeb1e174285099");
+    ("chains-smoke", x25519_rsa, [], "cd88b6cc44786bb8c0439d410079c07c");
+    ("all-kem", x25519_rsa, [], "755aff1ae3f90120d0dbf2319e2907e5");
+    ("ablation-cwnd", x25519_rsa, [], "4b86abe8868cc9bd8ce8bb928627f938");
+    ( "level5", "kyber1024 x dilithium5 @", [],
+      "7e34b6591e7449657e1bd5a06c1ea707" );
+    ( "level5-perf", "kyber1024 x dilithium5", [],
+      "9ebecf00faab6adcf15f69a15e276833" );
+    ( "all-sphincs", "sphincs128s",
+      [ "(cell failed)"; "sphincs256f" ],
+      "10b595b40a1bb61d2558429550846689" );
+    ( "ablation-buffer", "(default-buffered)", [],
+      "9fcf5e8347f2ceca0686bbc23af4abe5" );
+    ( "ablation-hrr", "x25519 x rsa:2048 @ 5g", [],
+      "b9e91b1969b9f0eb7f466cf819b3cdba" ) ]
+
 let test_injected_failure_renders_partial_report () =
-  let exec = Exec.create ~jobs:2 ~fail_cell:"sphincs128" () in
-  let report = Catalog.run ~seed:"failures-report" ~exec "all-sphincs" in
-  Alcotest.(check bool) "failed cell marked" true
-    (contains "(cell failed)" report);
-  Alcotest.(check bool) "em dash rendered" true (contains "\xe2\x80\x94" report);
-  Alcotest.(check bool) "other variants still present" true
-    (contains "sphincs256f" report);
-  Alcotest.(check bool) "campaign counted the failure" true
-    (Exec.failed_count exec > 0)
+  List.iter
+    (fun (entry, fail_cell, must_show, md5) ->
+      let exec = Exec.create ~jobs:2 ~fail_cell () in
+      let report = Catalog.run ~seed:"failures-report" ~exec entry in
+      Alcotest.(check string) (entry ^ " report") md5
+        (Digest.to_hex (Digest.string report));
+      Alcotest.(check bool) (entry ^ ": em dash rendered") true
+        (contains "\xe2\x80\x94" report);
+      List.iter
+        (fun text ->
+          Alcotest.(check bool) (entry ^ " shows " ^ text) true
+            (contains text report))
+        must_show;
+      Alcotest.(check bool) (entry ^ ": campaign counted the failure") true
+        (Exec.failed_count exec > 0))
+    failure_pins
 
 let temp_cache_dir () =
   Filename.concat (Filename.get_temp_dir_name ())
