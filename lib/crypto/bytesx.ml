@@ -1,5 +1,7 @@
 [@@@lint.kernel
-  "every loop bound is the length of the same string/bytes taken immediately before the loop; unsafe_to_string covers locally created buffers"]
+  "every loop bound is the length of the same string/bytes taken immediately before the loop; equal_ct's get64u reads the 8 bytes at i only while i + 8 <= min of both lengths; unsafe_to_string covers locally created buffers"]
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
 
 let hex_digit = "0123456789abcdef"
 
@@ -43,16 +45,25 @@ let xor a b =
   if String.length b <> n then invalid_arg "Bytesx.xor: length mismatch";
   String.init n (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
 
+let byte s i = Char.code (String.unsafe_get s i)
+
+(* eight bytes per step: the XOR of two words is folded into [acc] in
+   two halves, as an OCaml int holds 63 bits *)
 let equal_ct a b =
   let la = String.length a and lb = String.length b in
-  let acc = ref (la lxor lb) in
   let n = min la lb in
-  for i = 0 to n - 1 do
-    acc := !acc lor (Char.code a.[i] lxor Char.code b.[i])
+  let acc = ref (la lxor lb) in
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let x = Int64.logxor (get64u a !i) (get64u b !i) in
+    acc :=
+      !acc lor Int64.to_int x lor Int64.to_int (Int64.shift_right_logical x 32);
+    i := !i + 8
+  done;
+  for j = !i to n - 1 do
+    acc := !acc lor (byte a j lxor byte b j)
   done;
   !acc = 0
-
-let byte s i = Char.code (String.unsafe_get s i)
 
 let get_u32_be s off =
   (byte s off lsl 24)

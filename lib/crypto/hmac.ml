@@ -3,25 +3,40 @@ type hash = {
   digest_size : int;
   block_size : int;
   digest : string -> string;
+  digest_parts : string list -> string;
 }
+
+let sha256_parts parts =
+  let c = Sha256.init () in
+  List.iter (Sha256.feed c) parts;
+  Sha256.get c
+
+let sha512_parts init parts =
+  let c = init () in
+  List.iter (Sha512.feed c) parts;
+  Sha512.get c
 
 let sha256 =
   { name = "SHA-256"; digest_size = 32; block_size = 64;
-    digest = Sha256.digest }
+    digest = Sha256.digest; digest_parts = sha256_parts }
 
 let sha384 =
   { name = "SHA-384"; digest_size = 48; block_size = 128;
-    digest = Sha512.digest_384 }
+    digest = Sha512.digest_384; digest_parts = sha512_parts Sha512.init_384 }
 
 let sha512 =
   { name = "SHA-512"; digest_size = 64; block_size = 128;
-    digest = Sha512.digest }
+    digest = Sha512.digest; digest_parts = sha512_parts Sha512.init }
+
+(* the key, zero-extended to one block, XORed with [byte] *)
+let pad h key byte =
+  let n = String.length key in
+  String.init h.block_size (fun i ->
+      Char.chr (if i < n then Char.code key.[i] lxor byte else byte))
 
 let hmac h ~key msg =
   let key =
     if String.length key > h.block_size then h.digest key else key
   in
-  let key = key ^ String.make (h.block_size - String.length key) '\000' in
-  let ipad = Bytesx.xor key (String.make h.block_size '\x36') in
-  let opad = Bytesx.xor key (String.make h.block_size '\x5c') in
-  h.digest (opad ^ h.digest (ipad ^ msg))
+  h.digest_parts
+    [ pad h key 0x5c; h.digest_parts [ pad h key 0x36; msg ] ]

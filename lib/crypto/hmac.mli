@@ -5,6 +5,9 @@ type hash = {
   digest_size : int;
   block_size : int;
   digest : string -> string;
+  digest_parts : string list -> string;
+      (** [digest_parts ps] is [digest (String.concat "" ps)], fed part by
+          part into one context instead of concatenated first. *)
 }
 (** A one-shot hash description; see {!sha256} and {!sha384}. *)
 

@@ -1,8 +1,26 @@
 (* FIPS 180-4 SHA-256/224. 32-bit words live in native ints masked to
-   [0, 2^32). *)
-[@@@lint.kernel
-  "message-schedule and state arrays are fixed-size (64/8); unsafe_to_string covers freshly created buffers that never escape mutably"]
+   [0, 2^32).
 
+   Performance note: [compress] loads the sixteen block words with one
+   unchecked 32-bit read each, and computes every Sigma/sigma rotation
+   on a doubled word. For x < 2^32, [d = x lor (x lsl 32)] holds x
+   twice within OCaml's 63-bit int (the top copy loses only bit 31,
+   which no rotation below 32 reads), so [(d lsr n) land mask] is x
+   rotated right by n, and the three rotations of one Sigma share one
+   doubling and one mask. [get] pads into a local block and finishes a
+   copy of the 8-word chaining value only, so the context, with its
+   64-word schedule scratch, is never copied. *)
+[@@@lint.kernel
+  "h has 8 words and k and the schedule w 64, indexed by constants or \
+   loop variables below those sizes; compress's get32u loads read the 4 \
+   bytes at off + 4i for i < 16, all inside [off, off + 64), and its \
+   callers pass either a 64-byte block at 0 (buf, get's pad block) or \
+   an offset feed_sub has checked to lie at least 64 bytes before the \
+   end of the string; unsafe_to_string covers those blocks for the \
+   duration of one compress"]
+
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
 
 let k =
   [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
@@ -41,35 +59,39 @@ let make iv out_len =
 let init () = make iv_256 32
 let init_224 () = make iv_224 28
 
-let copy c =
-  { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 64 0 }
-
 let mask = 0xffffffff
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-let compress ctx block off =
-  let w = ctx.w in
+(* the big-endian word at [off], for [off + 4 <= String.length s] *)
+let[@inline] load s off =
+  let v = get32u s off in
+  Int32.to_int (if Sys.big_endian then v else bswap32 v) land mask
+
+let[@inline] double x = x lor (x lsl 32)
+
+let compress h w block off =
   for i = 0 to 15 do
-    w.(i) <- Bytesx.get_u32_be block (off + (4 * i))
+    Array.unsafe_set w i (load block (off + (4 * i)))
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3)
-    and s1 =
-      rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10)
-    in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let dx = double x and dy = double y in
+    let s0 = ((dx lsr 7) lxor (dx lsr 18)) land mask lxor (x lsr 3)
+    and s1 = ((dy lsr 17) lxor (dy lsr 19)) land mask lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land mask)
   done;
-  let h = ctx.h in
-  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3)
-  and e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1)
+  and c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3)
+  and e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5)
+  and g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
+    let de = double !e and da = double !a in
+    let s1 = ((de lsr 6) lxor (de lsr 11) lxor (de lsr 25)) land mask in
     let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
+    let s0 = ((da lsr 2) lxor (da lsr 13) lxor (da lsr 22)) land mask in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
     hh := !g;
     g := !f;
     f := !e;
@@ -77,16 +99,16 @@ let compress ctx block off =
     d := !c;
     c := !b;
     b := !a;
-    a := (t1 + t2) land mask
+    a := (t1 + s0 + maj) land mask
   done;
-  h.(0) <- (h.(0) + !a) land mask;
-  h.(1) <- (h.(1) + !b) land mask;
-  h.(2) <- (h.(2) + !c) land mask;
-  h.(3) <- (h.(3) + !d) land mask;
-  h.(4) <- (h.(4) + !e) land mask;
-  h.(5) <- (h.(5) + !f) land mask;
-  h.(6) <- (h.(6) + !g) land mask;
-  h.(7) <- (h.(7) + !hh) land mask
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask)
 
 let feed_sub ctx s off len =
   if off < 0 || len < 0 || off + len > String.length s then
@@ -101,12 +123,12 @@ let feed_sub ctx s off len =
     pos := !pos + take;
     remaining := !remaining - take;
     if ctx.buf_len = 64 then begin
-      compress ctx (Bytes.unsafe_to_string ctx.buf) 0;
+      compress ctx.h ctx.w (Bytes.unsafe_to_string ctx.buf) 0;
       ctx.buf_len <- 0
     end
   end;
   while !remaining >= 64 do
-    compress ctx s !pos;
+    compress ctx.h ctx.w s !pos;
     pos := !pos + 64;
     remaining := !remaining - 64
   done;
@@ -117,23 +139,40 @@ let feed_sub ctx s off len =
 
 let feed ctx s = feed_sub ctx s 0 (String.length s)
 
+(* The padded final block or blocks: 0x80 after the pending bytes, zeros,
+   and the bit length in the last 8 bytes, compressed into a copy of the
+   chaining value. [ctx.w] is scratch, so [ctx]'s state is untouched. *)
 let get ctx =
-  let c = copy ctx in
-  let bit_len = Int64.of_int (8 * c.total) in
-  let pad_len =
-    let rem = (c.total + 1 + 8) mod 64 in
-    if rem = 0 then 1 + 8 else 1 + 8 + (64 - rem)
-  in
-  let pad = Bytes.make pad_len '\000' in
-  Bytes.set pad 0 '\x80';
-  Bytesx.set_u64_be pad (pad_len - 8) bit_len;
-  feed c (Bytes.unsafe_to_string pad);
-  assert (c.buf_len = 0);
-  let out = Bytes.create c.out_len in
-  for i = 0 to (c.out_len / 4) - 1 do
-    Bytesx.set_u32_be out (4 * i) c.h.(i)
+  let h = Array.copy ctx.h in
+  let block = Bytes.make 64 '\000' in
+  Bytes.blit ctx.buf 0 block 0 ctx.buf_len;
+  Bytes.set block ctx.buf_len '\x80';
+  if ctx.buf_len >= 56 then begin
+    compress h ctx.w (Bytes.unsafe_to_string block) 0;
+    Bytes.fill block 0 56 '\000'
+  end;
+  let bits = 8 * ctx.total in
+  Bytesx.set_u32_be block 56 ((bits lsr 32) land mask);
+  Bytesx.set_u32_be block 60 (bits land mask);
+  compress h ctx.w (Bytes.unsafe_to_string block) 0;
+  let out = Bytes.create ctx.out_len in
+  for i = 0 to (ctx.out_len / 4) - 1 do
+    Bytesx.set_u32_be out (4 * i) h.(i)
   done;
   Bytes.unsafe_to_string out
+
+type state = { s_h : int array; s_pending : string; s_total : int; s_out_len : int }
+
+let save c =
+  { s_h = Array.copy c.h; s_pending = Bytes.sub_string c.buf 0 c.buf_len;
+    s_total = c.total; s_out_len = c.out_len }
+
+let restore c s =
+  if c.out_len <> s.s_out_len then invalid_arg "Sha256.restore";
+  Array.blit s.s_h 0 c.h 0 8;
+  Bytes.blit_string s.s_pending 0 c.buf 0 (String.length s.s_pending);
+  c.buf_len <- String.length s.s_pending;
+  c.total <- s.s_total
 
 let digest s =
   let c = init () in

@@ -12,9 +12,20 @@ val init_224 : unit -> ctx
 val feed : ctx -> string -> unit
 val feed_sub : ctx -> string -> int -> int -> unit
 val get : ctx -> string
-(** [get ctx] finalizes a copy of [ctx]; [ctx] itself can keep absorbing. *)
+(** [get ctx] is the digest of everything fed so far. It leaves [ctx]'s
+    state unchanged, so [ctx] can keep absorbing. *)
 
-val copy : ctx -> ctx
+type state
+(** What a context has absorbed (chaining value, pending partial block
+    and byte count), without its working buffers. *)
+
+val save : ctx -> state
+
+val restore : ctx -> state -> unit
+(** [restore ctx s] puts [ctx] in the state [s] was saved from, as if it
+    had absorbed the same bytes.
+    @raise Invalid_argument if [s] comes from the other variant
+    (SHA-224 versus SHA-256). *)
 
 val digest : string -> string
 (** One-shot SHA-256; 32-byte output. *)

@@ -1,7 +1,8 @@
 open Parsetree
 
 (* U1 — unchecked accesses are confined to reviewed kernels. A module
-   may use Bytes/String/Array.unsafe_* or Obj.magic only when it opens
+   may use Bytes/String/Array.unsafe_* or Obj.magic, or bind an
+   [external] to an unchecked accessor primitive, only when it opens
    with a floating [@@@lint.kernel "bounds argument"] stating why every
    index in the file is in range. The annotation is two-way: a kernel
    marker on a module with no unsafe operations is stale and flagged
@@ -15,6 +16,39 @@ let unsafe_ident path =
     String.length f > 7 && String.sub f 0 7 = "unsafe_"
   | [ "Obj"; "magic" ] -> true
   | _ -> false
+
+(* the compiler primitives behind the unchecked accessors, which an
+   [external] can bind directly *)
+let unsafe_primitives =
+  [ "%array_unsafe_get"; "%array_unsafe_set"; "%string_unsafe_get";
+    "%bytes_unsafe_get"; "%bytes_unsafe_set" ]
+  @ List.concat_map
+      (fun bits ->
+        [ "%caml_string_get" ^ bits ^ "u"; "%caml_bytes_get" ^ bits ^ "u";
+          "%caml_bytes_set" ^ bits ^ "u" ])
+      [ "16"; "32"; "64" ]
+
+(* every [external] in [str], nested modules included, bound to an
+   unchecked primitive: (name, location, primitive) *)
+let unsafe_externals str =
+  let found = ref [] in
+  let super = Ast_iterator.default_iterator in
+  let iter =
+    { super with
+      structure_item =
+        (fun self it ->
+          (match it.pstr_desc with
+          | Pstr_primitive vd ->
+            List.iter
+              (fun prim ->
+                if List.mem prim unsafe_primitives then
+                  found := (vd.pval_name.Asttypes.txt, vd.pval_loc, prim) :: !found)
+              vd.pval_prim
+          | _ -> ());
+          super.structure_item self it) }
+  in
+  iter.Ast_iterator.structure iter str;
+  List.rev !found
 
 let kernel_reason str =
   List.find_map
@@ -46,7 +80,13 @@ let check sources =
               if unsafe_ident path then
                 uses := (symbol, e.pexp_loc, path) :: !uses
             | _ -> ());
-        let uses = List.rev !uses in
+        let uses =
+          List.rev !uses
+          @ List.map
+              (fun (name, loc, prim) ->
+                (name, loc, "external " ^ name ^ " = \"" ^ prim ^ "\""))
+              (unsafe_externals str)
+        in
         (match kernel_reason str with
         | Some (_, reason) when reason <> "" && uses <> [] -> []
         | Some (loc, "") ->
@@ -72,13 +112,16 @@ let rule =
   { Rule.name = "U1";
     severity = Rule.Error;
     synopsis =
-      "Bytes/String/Array.unsafe_* and Obj.magic live only in modules \
-       annotated [@@@lint.kernel \"bounds argument\"]";
+      "Bytes/String/Array.unsafe_*, Obj.magic and externals bound to \
+       unchecked primitives live only in modules annotated \
+       [@@@lint.kernel \"bounds argument\"]";
     doc =
       "Unchecked accesses are the fuel of ROADMAP item 1's hot-path \
        kernels, and they must stay inside small reviewed files. A \
        module using Bytes.unsafe_*, String.unsafe_*, Array.unsafe_* or \
-       Obj.magic needs a toplevel [@@@lint.kernel \"...\"] annotation \
+       Obj.magic, or declaring an external bound to an unchecked \
+       accessor primitive (%caml_bytes_get64u, %array_unsafe_get and \
+       the like), needs a toplevel [@@@lint.kernel \"...\"] annotation \
        whose payload argues why every index is in bounds; a kernel \
        annotation on a module with no unsafe operations is flagged as \
        stale so the reviewed set stays exact.";

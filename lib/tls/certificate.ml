@@ -12,9 +12,12 @@ type chain = { leaf : t; ca_public_key : string }
 (* serial, validity, SKI/AKI, basicConstraints etc. in a real DER cert *)
 let der_overhead = 10
 
-let tbs c =
-  Wire.vec8 c.subject ^ Wire.vec8 c.issuer ^ Wire.vec8 c.algorithm
-  ^ Wire.vec16 c.public_key ^ Wire.vec8 c.tbs_extra
+let tbs_parts c =
+  [ Wire.vec8 c.subject; Wire.vec8 c.issuer; Wire.vec8 c.algorithm;
+    Wire.prefix16 (String.length c.public_key); c.public_key;
+    Wire.vec8 c.tbs_extra ]
+
+let tbs c = String.concat "" (tbs_parts c)
 
 let make_chain alg rng =
   let ca = alg.Pqc.Sigalg.keygen rng in
@@ -31,7 +34,10 @@ let make_chain alg rng =
   ({ leaf = { leaf with signature }; ca_public_key = ca.Pqc.Sigalg.public },
    server)
 
-let encode c = tbs c ^ Wire.vec24 c.signature
+let encode_parts c =
+  tbs_parts c @ [ Wire.prefix24 (String.length c.signature); c.signature ]
+
+let encode c = String.concat "" (encode_parts c)
 
 let decode s =
   let r = Wire.Reader.of_string s in

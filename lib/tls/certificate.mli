@@ -20,6 +20,11 @@ val make_chain : Pqc.Sigalg.t -> Crypto.Drbg.t -> chain * Pqc.Sigalg.keypair
     Returns the chain and the server's keypair. *)
 
 val encode : t -> string
+
+val encode_parts : t -> string list
+(** [encode] as a list of parts, for a message encoder that concatenates
+    the whole message in one allocation. *)
+
 val decode : string -> t
 
 val verify : chain -> Pqc.Sigalg.t -> bool

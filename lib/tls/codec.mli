@@ -1,20 +1,6 @@
-(** Byte-stream plumbing between TCP and the handshake logic: a
-    consumable buffer, TLS record parsing/decryption, handshake-message
-    reassembly, and fragmentation of outgoing messages into records. *)
-
-module Consumable : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> string -> unit
-  val length : t -> int
-  (** Unconsumed bytes. *)
-
-  val peek : t -> int -> string option
-  (** [peek t n] is the next [n] bytes without consuming, if available. *)
-
-  val consume : t -> int -> unit
-end
+(** Byte-stream plumbing between TCP and the handshake logic: TLS record
+    parsing/decryption, handshake-message reassembly, and fragmentation
+    of outgoing messages into records. *)
 
 module Inbound : sig
   type t
@@ -31,6 +17,10 @@ module Inbound : sig
   val feed : t -> string -> unit
   val enable_decryption : t -> Record.t -> unit
   (** All subsequent application_data records are opened with this state. *)
+
+  val release : t -> unit
+  (** Shrink the buffers to the bytes not yet consumed: for an endpoint
+      whose handshake is over. *)
 
   val next : t -> event
   (** Pull-driven: the state machine asks for the next event only when it

@@ -115,17 +115,17 @@ type peer = {
   host : Netsim.Host.t;
   tcp : Netsim.Tcp.t;
   inbound : Codec.Inbound.t;
-  mutable transcript : Transcript.t;
+  transcript : Transcript.t;
   mutable busy : bool;
   mutable done_ : bool;
   mutable dispatch : peer -> string -> unit;
   mutable on_app : peer -> string -> unit;
 }
 
-let rec make_peer host tcp =
+let rec make_peer host tcp transcript =
   let p =
-    { host; tcp; inbound = Codec.Inbound.create ();
-      transcript = Transcript.create (); busy = false; done_ = false;
+    { host; tcp; inbound = Codec.Inbound.create (); transcript;
+      busy = false; done_ = false;
       dispatch = (fun _ _ -> ());
       on_app =
         (fun _ _ -> raise (Wire.Decode_error "unexpected application data")) }
@@ -186,6 +186,7 @@ let ticket_psk (p : peer) (secrets : K.secrets) ~nonce =
 (* this side's handshake is over: stop dispatching, then report *)
 let complete p on_done =
   p.done_ <- true;
+  Codec.Inbound.release p.inbound;
   on_done ();
   finish_step p
 
@@ -193,10 +194,10 @@ let complete p on_done =
    synthetic message_hash message *)
 let restart_transcript_after_ch1 (p : peer) hrr_msg =
   let ch1_hash = Transcript.current p.transcript in
-  let fresh = Transcript.create () in
-  Transcript.add fresh ("\xfe\x00\x00" ^ String.make 1 (Char.chr 32) ^ ch1_hash);
-  Transcript.add fresh hrr_msg;
-  p.transcript <- fresh
+  Transcript.reset p.transcript;
+  Transcript.add p.transcript
+    ("\xfe\x00\x00" ^ String.make 1 (Char.chr 32) ^ ch1_hash);
+  Transcript.add p.transcript hrr_msg
 
 (* a plaintext handshake message straight to TCP, and into the transcript *)
 let send_plain (p : peer) label msg =
@@ -208,24 +209,29 @@ let send_plain (p : peer) label msg =
 type flight = {
   cfg : Config.t;
   peer : peer;
-  buf : Buffer.t;
+  mutable pending : string list;  (* newest first, joined at the flush *)
+  mutable pending_bytes : int;
   mutable fmarks : (int * string) list;
 }
 
-let make_flight cfg peer = { cfg; peer; buf = Buffer.create 4096; fmarks = [] }
+let make_flight cfg peer =
+  { cfg; peer; pending = []; pending_bytes = 0; fmarks = [] }
 
 let flight_flush f =
-  if Buffer.length f.buf > 0 then begin
-    Netsim.Tcp.write f.peer.tcp ~marks:(List.rev f.fmarks) (Buffer.contents f.buf);
-    Buffer.clear f.buf;
+  if f.pending_bytes > 0 then begin
+    Netsim.Tcp.write f.peer.tcp ~marks:(List.rev f.fmarks)
+      (String.concat "" (List.rev f.pending));
+    f.pending <- [];
+    f.pending_bytes <- 0;
     f.fmarks <- []
   end
 
 let flight_append f ?label records =
   (match label with
-  | Some l -> f.fmarks <- (Buffer.length f.buf, l) :: f.fmarks
+  | Some l -> f.fmarks <- (f.pending_bytes, l) :: f.fmarks
   | None -> ());
-  Buffer.add_string f.buf records
+  f.pending <- records :: f.pending;
+  f.pending_bytes <- f.pending_bytes + String.length records
 
 (* Default-buffered mode: adding data that would overflow the BIO buffer
    first flushes what is pending; oversized chunks then go straight out. *)
@@ -234,7 +240,7 @@ let flight_emit f ?label records =
   | Config.Optimized_push -> flight_append f ?label records
   | Config.Default_buffered ->
     let len = String.length records in
-    if Buffer.length f.buf + len > f.cfg.Config.buffer_limit then flight_flush f;
+    if f.pending_bytes + len > f.cfg.Config.buffer_limit then flight_flush f;
     if len > f.cfg.Config.buffer_limit then
       Netsim.Tcp.write f.peer.tcp
         ~marks:(match label with Some l -> [ (0, l) ] | None -> [])
@@ -647,7 +653,8 @@ let client_on_finished ctx (p : peer) msg secrets =
   Transcript.add p.transcript fin;
   let crypt = make_record cfg secrets.K.client_handshake_traffic in
   Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ]
-    (eoed_records ^ ccs_record ^ Codec.fragment_encrypted crypt fin);
+    (String.concat ""
+       [ eoed_records; ccs_record; Codec.fragment_encrypted crypt fin ]);
   (* application traffic secrets, as OpenSSL derives them eagerly *)
   charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
   let _c_app, s_app =
@@ -701,8 +708,11 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
     Netsim.Tcp.create_pair engine link tcp_config ~client:client_host
       ~server:server_host
   in
-  let client_peer = make_peer client_host client_tcp in
-  let server_peer = make_peer server_host server_tcp in
+  (* one transcript memo per connection: each handshake byte is hashed
+     once, by whichever endpoint absorbs it first *)
+  let client_transcript, server_transcript = Transcript.create_pair () in
+  let client_peer = make_peer client_host client_tcp client_transcript in
+  let server_peer = make_peer server_host server_tcp server_transcript in
   let creds =
     Credentials.get ~profile:config.Config.chain_profile config.Config.sig_alg
   in

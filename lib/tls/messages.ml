@@ -264,10 +264,14 @@ let encode_certificate_chain certs =
      certificate, leaf first (RFC 8446 section 4.4.2), each carrying an
      empty per-entry extension list *)
   let entries =
-    String.concat ""
-      (List.map (fun c -> W.vec24 (Certificate.encode c) ^ W.vec16 "") certs)
+    List.concat_map
+      (fun c ->
+        let cert = Certificate.encode_parts c in
+        (W.prefix24 (W.parts_length cert) :: cert) @ [ W.vec16 "" ])
+      certs
   in
-  W.handshake HT.Certificate (W.vec8 "" ^ W.vec24 entries)
+  W.handshake_parts HT.Certificate
+    (W.vec8 "" :: W.prefix24 (W.parts_length entries) :: entries)
 
 let encode_certificate cert = encode_certificate_chain [ cert ]
 
@@ -294,8 +298,10 @@ let decode_certificate msg =
   | _ -> raise (W.Decode_error "Certificate: expected a single entry")
 
 let encode_certificate_verify cv =
-  W.handshake HT.Certificate_verify
-    (W.vec8 cv.cv_algorithm ^ W.vec16 cv.cv_signature)
+  W.handshake_parts HT.Certificate_verify
+    [ W.vec8 cv.cv_algorithm;
+      W.prefix16 (String.length cv.cv_signature);
+      cv.cv_signature ]
 
 let decode_certificate_verify msg =
   if handshake_type msg <> HT.Certificate_verify then

@@ -12,10 +12,24 @@ val create_null : unit -> t
     framing, padding and tag length are exact, but no AES is run, so the
     simulator's host time stays independent of flight size. *)
 
+val overhead : int
+(** Bytes a record adds to its fragment: header, inner type and tag. *)
+
 val seal : t -> Wire.Content_type.t -> string -> string
 (** [seal t ty fragment] is a full TLSCiphertext record (header
     included); advances the sequence number. *)
 
+val seal_into :
+  t -> Wire.Content_type.t -> Buffer.t -> string -> int -> int -> unit
+(** [seal_into t ty buf s off len] appends [seal t ty (String.sub s off
+    len)] to [buf] without taking the substring. *)
+
 val open_ : t -> string -> (Wire.Content_type.t * string) option
 (** Decrypts the body of an application_data record (header excluded);
     [None] on authentication failure. *)
+
+val open_sub :
+  t -> string -> int -> int -> (Wire.Content_type.t * string * int * int) option
+(** [open_sub t s off len] is [open_ t (String.sub s off len)] with the
+    plaintext given as a range [(s', off', len')]: under null protection
+    [s'] is [s] itself, so no byte is copied. *)

@@ -2,19 +2,17 @@ exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
-module B = Crypto.Bytesx
+(* the big-endian [width]-byte length prefix of a [len]-byte vector *)
+let prefix ~width len =
+  if len lsr (8 * width) <> 0 then fail "vec%d overflow" (8 * width);
+  String.init width (fun i -> Char.chr ((len lsr (8 * (width - 1 - i))) land 0xff))
 
-let vec8 s =
-  if String.length s > 0xff then fail "vec8 overflow";
-  String.make 1 (Char.chr (String.length s)) ^ s
-
-let vec16 s =
-  if String.length s > 0xffff then fail "vec16 overflow";
-  B.u16_be (String.length s) ^ s
-
-let vec24 s =
-  if String.length s > 0xffffff then fail "vec24 overflow";
-  B.u24_be (String.length s) ^ s
+let prefix16 len = prefix ~width:2 len
+let prefix24 len = prefix ~width:3 len
+let vec8 s = prefix ~width:1 (String.length s) ^ s
+let vec16 s = prefix16 (String.length s) ^ s
+let vec24 s = prefix24 (String.length s) ^ s
+let parts_length parts = List.fold_left (fun n s -> n + String.length s) 0 parts
 
 module Content_type = struct
   type t = Change_cipher_spec | Alert | Handshake | Application_data
@@ -33,9 +31,14 @@ module Content_type = struct
     | b -> fail "unknown content type %d" b
 end
 
-let record ct body =
-  String.make 1 (Char.chr (Content_type.to_byte ct))
-  ^ "\x03\x03" ^ B.u16_be (String.length body) ^ body
+let record_header ct len =
+  let b = Bytes.create 5 in
+  Bytes.set_uint8 b 0 (Content_type.to_byte ct);
+  Bytes.set_uint16_be b 1 0x0303;
+  Bytes.set_uint16_be b 3 len;
+  Bytes.to_string b
+
+let record ct body = record_header ct (String.length body) ^ body
 
 module Handshake_type = struct
   type t =
@@ -80,9 +83,15 @@ module Handshake_type = struct
     | Finished -> "FIN"
 end
 
-let handshake ty body =
-  String.make 1 (Char.chr (Handshake_type.to_byte ty))
-  ^ B.u24_be (String.length body) ^ body
+let handshake_parts ty body =
+  let b = Bytes.create 4 in
+  let len = parts_length body in
+  Bytes.set_uint8 b 0 (Handshake_type.to_byte ty);
+  Bytes.set_uint8 b 1 (len lsr 16);
+  Bytes.set_uint16_be b 2 (len land 0xffff);
+  String.concat "" (Bytes.to_string b :: body)
+
+let handshake ty body = handshake_parts ty [ body ]
 
 module Reader = struct
   type t = { data : string; mutable pos : int }

@@ -49,7 +49,45 @@ let test_sha2_streaming () =
   Sha256.feed c2 "c";
   check_hex "get is non-destructive"
     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-    (Sha256.get c2)
+    (Sha256.get c2);
+  (* every length across the first three blocks, split at the padding
+     edges: streamed = one-shot *)
+  for len = 0 to 200 do
+    List.iter
+      (fun split ->
+        if split <= len then begin
+          let c = Sha256.init () in
+          Sha256.feed_sub c data 0 split;
+          Sha256.feed_sub c data split (len - split);
+          Alcotest.(check string)
+            (Printf.sprintf "length %d split at %d" len split)
+            (Bytesx.to_hex (Sha256.digest (String.sub data 0 len)))
+            (Bytesx.to_hex (Sha256.get c))
+        end)
+      [ 0; 1; 55; 56; 63; 64; len ]
+  done;
+  (* digests pinned from sha256sum over the first [n] bytes of [data];
+     at each padding edge, [get] mid-stream must return the prefix's
+     digest and leave the context able to finish the whole input *)
+  List.iter
+    (fun (n, want) ->
+      check_hex (Printf.sprintf "sha256sum of %d bytes" n) want
+        (Sha256.digest (String.sub data 0 n));
+      let c = Sha256.init () in
+      Sha256.feed_sub c data 0 n;
+      check_hex (Printf.sprintf "get at %d" n) want (Sha256.get c);
+      check_hex (Printf.sprintf "get again at %d" n) want (Sha256.get c);
+      Sha256.feed_sub c data n (200 - n);
+      Alcotest.(check string)
+        (Printf.sprintf "context unchanged by get at %d" n)
+        (Bytesx.to_hex (Sha256.digest (String.sub data 0 200)))
+        (Bytesx.to_hex (Sha256.get c)))
+    [ (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c") ]
 
 let test_sha3 () =
   check_hex "sha3-256 empty"
@@ -100,6 +138,27 @@ let test_hmac () =
   check_hex "hmac-sha256 rfc4231#2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
     (Hmac.hmac Hmac.sha256 ~key:"Jefe" "what do ya want for nothing?");
+  (* RFC 4231 cases 1, 3, 4, 6 and 7 for HMAC-SHA-256: short, 20-byte,
+     25-byte and longer-than-a-block keys, and a longer-than-a-block
+     message *)
+  let big_key = String.make 131 '\xaa' in
+  List.iter
+    (fun (case, key, data, want) ->
+      check_hex ("hmac-sha256 rfc4231#" ^ case) want
+        (Hmac.hmac Hmac.sha256 ~key data))
+    [ ( "1", String.make 20 '\x0b', "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( "3", String.make 20 '\xaa', String.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( "4", String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( "6", big_key, "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( "7", big_key,
+        "This is a test using a larger than block-size key and a larger \
+         than block-size data. The key needs to be hashed before being \
+         used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" ) ];
   check_hex "hmac-sha512 rfc4231#2"
     "164b7a7bfcf819e2e395fbe73b56e0a387bd64222e831fd610270cd7ea250554\
      9758bf75c05a994a6d034f65f8f0e6fdcaeab1a34d4a6b4b636e070a38bce737"
@@ -257,6 +316,17 @@ let prop_tests =
     qc "equal_ct agrees with (=)"
       QCheck.(pair small_string small_string)
       (fun (a, b) -> Bytesx.equal_ct a b = (a = b));
+    qc "equal_ct sees every one-bit flip"
+      QCheck.(triple (string_of_size (Gen.int_range 1 70)) small_nat (int_bound 7))
+      (fun (s, pos, bit) ->
+        let pos = pos mod String.length s in
+        let flipped =
+          String.mapi
+            (fun i c -> if i = pos then Char.chr (Char.code c lxor (1 lsl bit)) else c)
+            s
+        in
+        Bytesx.equal_ct s (String.init (String.length s) (String.get s))
+        && not (Bytesx.equal_ct s flipped));
     qc "shake128 split squeeze = one-shot" sponge_case
       (squeeze_split_prop (Keccak.Xof.shake128, Keccak.shake128));
     qc "shake256 split squeeze = one-shot" sponge_case

@@ -304,7 +304,21 @@ let test_u1 () =
     (fired "lib/crypto/u1d.ml"
        "[@@@lint.kernel]\nlet get b i = Bytes.unsafe_get b i");
   Alcotest.(check (list string)) "U1 scope is lib/ only" []
-    (fired "bench/u1e.ml" "let get b i = Bytes.unsafe_get b i")
+    (fired "bench/u1e.ml" "let get b i = Bytes.unsafe_get b i");
+  Alcotest.(check (list string)) "unchecked external outside a kernel fires"
+    [ "U1" ]
+    (fired "lib/crypto/u1f.ml"
+       "external get64u : Bytes.t -> int -> int64 = \"%caml_bytes_get64u\"");
+  Alcotest.(check (list string))
+    "unchecked external keeps a kernel annotation live" []
+    (fired "lib/crypto/u1g.ml"
+       "[@@@lint.kernel \"fixture bounds argument\"]\n\
+        module M = struct\n\
+        external get : 'a array -> int -> 'a = \"%array_unsafe_get\"\n\
+        end");
+  Alcotest.(check (list string)) "checked external is not unsafe" []
+    (fired "lib/crypto/u1h.ml"
+       "external get64 : Bytes.t -> int -> int64 = \"%caml_bytes_get64\"")
 
 let test_s2 () =
   let s2 = [ rule "S2" ] in
@@ -415,7 +429,7 @@ let test_fixture_corpus () =
     let dir = Filename.concat root "test/lint_fixtures" in
     let sources, errors = Lint.Source.load_paths [ dir ] in
     Alcotest.(check (list (pair string string))) "fixtures parse" [] errors;
-    Alcotest.(check int) "fixture corpus size" 7 (List.length sources);
+    Alcotest.(check int) "fixture corpus size" 9 (List.length sources);
     List.iter
       (fun (name, expected) ->
         let diags = run ~rules:[ rule name ] sources in
@@ -427,7 +441,7 @@ let test_fixture_corpus () =
             Alcotest.(check string) "only the selected rule fires" name
               d.Lint.Diag.rule)
           diags)
-      [ ("C2", 5); ("U1", 2); ("S2", 1) ];
+      [ ("C2", 5); ("U1", 3); ("S2", 1) ];
     (* recursive scans skip the corpus, so the repo-wide clean run and
        the blocking CI lint job never see these deliberate findings *)
     let scanned = Lint.Source.scan [ Filename.concat root "test" ] in

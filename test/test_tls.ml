@@ -776,6 +776,101 @@ let test_codec_inbound () =
   Alcotest.(check int) "both messages" 2 (List.length !got);
   Alcotest.(check bool) "reassembled exactly" true (List.rev !got = msgs)
 
+(* ---- shared transcript --------------------------------------------------- *)
+
+(* The two endpoint transcripts of one connection absorb the same
+   random messages (0-70 kB) in a random order per message, and one
+   side may see one byte flipped. After every add each side's hash must
+   be that of an unshared transcript fed the same bytes. *)
+let shared_transcript_case =
+  let open QCheck.Gen in
+  let message = pair (oneof [ int_range 0 300; int_range 0 70_000 ]) bool in
+  QCheck.make
+    ~print:(fun (seed, msgs, flip) ->
+      Printf.sprintf "seed %d, sizes [%s], flip %s" seed
+        (String.concat "; " (List.map (fun (n, _) -> string_of_int n) msgs))
+        (match flip with
+        | None -> "none"
+        | Some (i, pos, a) ->
+          Printf.sprintf "msg %d byte %d on %s" i pos (if a then "A" else "B")))
+    (triple int (list_size (int_range 1 8) message)
+       (opt (triple (int_bound 7) nat bool)))
+
+let shared_transcript_prop (seed, msgs, flip) =
+  let rng = Random.State.make [| seed |] in
+  let a, b = Tls.Transcript.create_pair () in
+  let ra = Tls.Transcript.create () and rb = Tls.Transcript.create () in
+  let step t reference msg =
+    Tls.Transcript.add t msg;
+    Tls.Transcript.add reference msg;
+    Crypto.Bytesx.equal_ct (Tls.Transcript.current t)
+      (Tls.Transcript.current reference)
+  in
+  List.for_all
+    (fun (i, (size, a_first)) ->
+      let msg = String.init size (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let flipped =
+        match flip with
+        | Some (j, pos, _) when j = i && size > 0 ->
+          String.mapi
+            (fun k c -> if k = pos mod size then Char.chr (Char.code c lxor 1) else c)
+            msg
+        | _ -> msg
+      in
+      let msg_a, msg_b =
+        match flip with
+        | Some (_, _, true) -> (flipped, msg)
+        | _ -> (msg, flipped)
+      in
+      if a_first then step a ra msg_a && step b rb msg_b
+      else step b rb msg_b && step a ra msg_a)
+    (List.mapi (fun i m -> (i, m)) msgs)
+
+(* ---- byte-path allocation --------------------------------------------------- *)
+
+(* Bytes [f ()] allocates on this domain, minor and major heap, net of
+   what the measurement itself allocates. Native counters only advance
+   at collection boundaries, so the minor heap is flushed around it. *)
+let allocated f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let measure f =
+    let w0 = words () in
+    let r = f () in
+    (r, words () -. w0)
+  in
+  let (), overhead = measure (fun () -> ()) in
+  let r, w = measure f in
+  (r, int_of_float (w -. overhead) * (Sys.word_size / 8))
+
+let test_byte_path_allocation () =
+  let creds = Tls.Credentials.get (Pqc.Sigalg.mocked (sa "sphincs256")) in
+  let certs = Tls.Chain.wire_certs creds.Tls.Credentials.chain in
+  let within name (out, bytes) =
+    let limit = (2 * String.length out) + 1024 in
+    if bytes > limit then
+      Alcotest.failf "%s: %d bytes allocated for a %d-byte output (limit %d)"
+        name bytes (String.length out) limit
+  in
+  let msg, _ as chain =
+    allocated (fun () -> Tls.Messages.encode_certificate_chain certs)
+  in
+  Alcotest.(check int) "sphincs256 Certificate message" 49_998
+    (String.length msg);
+  within "encode_certificate_chain" chain;
+  within "fragment_encrypted"
+    (allocated (fun () ->
+         Tls.Codec.fragment_encrypted (Tls.Record.create_null ()) msg));
+  let t = Tls.Transcript.create () in
+  Tls.Transcript.add t msg;
+  let _, bytes = allocated (fun () -> Tls.Transcript.current t) in
+  if bytes >= 64 * (Sys.word_size / 8) then
+    Alcotest.failf "Transcript.current allocated %d bytes: a 64-word schedule"
+      bytes
+
 let suites =
   [ ( "tls",
       [ Alcotest.test_case "wire vectors" `Quick test_wire_vectors;
@@ -815,4 +910,9 @@ let suites =
         Alcotest.test_case "buffering modes" `Quick test_buffering_modes;
         Alcotest.test_case "sizes scale with algorithms" `Quick
           test_handshake_sizes_scale;
-        Alcotest.test_case "handshake wire pins" `Quick test_wire_pins ] ) ]
+        Alcotest.test_case "handshake wire pins" `Quick test_wire_pins;
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"shared transcript = unshared" ~count:100
+             shared_transcript_case shared_transcript_prop);
+        Alcotest.test_case "byte path allocation" `Quick
+          test_byte_path_allocation ] ) ]
