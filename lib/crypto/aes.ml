@@ -128,24 +128,51 @@ let encrypt_block { rounds; rk } block =
   add_round_key rounds;
   String.init 16 (fun i -> Char.chr s.(i))
 
-let ctr_keystream key ~nonce n =
-  let nlen = String.length nonce in
-  if nlen > 16 then invalid_arg "Aes.ctr_keystream: nonce too long";
-  let block = Bytes.make 16 '\000' in
-  Bytes.blit_string nonce 0 block 0 nlen;
-  let buf = Buffer.create n in
-  let ctr = ref 0 in
-  while Buffer.length buf < n do
-    (* write the counter into the low-order bytes after the nonce *)
-    let v = ref !ctr in
-    for i = 15 downto nlen do
-      Bytes.set block i (Char.chr (!v land 0xff));
-      v := !v lsr 8
-    done;
-    Buffer.add_string buf (encrypt_block key (Bytes.unsafe_to_string block));
-    incr ctr
+type ctr = {
+  key : key;
+  counter : Bytes.t; (* the nonce, then the big-endian block counter *)
+  nonce_len : int;
+  mutable next : int; (* counter value of the next block to encrypt *)
+  mutable block : string; (* the current keystream block *)
+  mutable used : int; (* bytes of [block] already handed out *)
+}
+
+let ctr_stream key ~nonce =
+  let nonce_len = String.length nonce in
+  if nonce_len > 16 then invalid_arg "Aes.ctr_stream: nonce too long";
+  let counter = Bytes.make 16 '\000' in
+  Bytes.blit_string nonce 0 counter 0 nonce_len;
+  { key; counter; nonce_len; next = 0; block = ""; used = 16 }
+
+(* encrypt the next counter block. A counter [width] bytes wide numbers
+   2^(8 * width) blocks before it wraps; from 8 bytes up, [next] cannot
+   get there. *)
+let refill t =
+  let width = 16 - t.nonce_len in
+  if width < 8 && t.next >= 1 lsl (8 * width) then
+    invalid_arg "Aes.ctr_squeeze: counter overflow";
+  let v = ref t.next in
+  for i = 15 downto t.nonce_len do
+    Bytes.set t.counter i (Char.chr (!v land 0xff));
+    v := !v lsr 8
   done;
-  String.sub (Buffer.contents buf) 0 n
+  t.block <- encrypt_block t.key (Bytes.unsafe_to_string t.counter);
+  t.next <- t.next + 1;
+  t.used <- 0
+
+let ctr_squeeze t n =
+  let out = Bytes.create n in
+  let off = ref 0 in
+  while !off < n do
+    if t.used = 16 then refill t;
+    let k = Int.min (n - !off) (16 - t.used) in
+    Bytes.blit_string t.block t.used out !off k;
+    t.used <- t.used + k;
+    off := !off + k
+  done;
+  Bytes.unsafe_to_string out
+
+let ctr_keystream key ~nonce n = ctr_squeeze (ctr_stream key ~nonce) n
 
 let ctr_encrypt key ~nonce msg =
   Bytesx.xor msg (ctr_keystream key ~nonce (String.length msg))

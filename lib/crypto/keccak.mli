@@ -12,6 +12,10 @@ val shake128 : string -> int -> string
 
 val shake256 : string -> int -> string
 
+val shake256_parts : string list -> int -> string
+(** [shake256_parts parts n] is [shake256 (String.concat "" parts) n],
+    absorbing each part in place instead of building the concatenation. *)
+
 module Xof : sig
   type t
 

@@ -163,14 +163,7 @@ let shake_stream msg =
   fun len -> Crypto.Keccak.Xof.squeeze x len
 
 let aes_stream key nonce =
-  let k = Crypto.Aes.expand_key key in
-  let pos = ref 0 in
-  fun len ->
-    (* stateless CTR keystream sliced progressively *)
-    let out = Crypto.Aes.ctr_keystream k ~nonce (!pos + len) in
-    let s = String.sub out !pos len in
-    pos := !pos + len;
-    s
+  Crypto.Aes.ctr_squeeze (Crypto.Aes.ctr_stream (Crypto.Aes.expand_key key) ~nonce)
 
 let two_bytes a b = String.init 2 (fun i -> Char.chr (if i = 0 then a else b))
 

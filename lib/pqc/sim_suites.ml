@@ -13,8 +13,14 @@
    both from public data. (Consequently anyone can "sign": these provide
    sizes and behaviour, not security — see the .mli.) *)
 
+(* SHAKE256 of "sim:" ^ label ^ ":" ^ String.concat "|" parts, absorbed
+   part by part so that multi-kilobyte public keys are never copied *)
 let xof label parts len =
-  Crypto.Keccak.shake256 ("sim:" ^ label ^ ":" ^ String.concat "|" parts) len
+  let rec sep = function
+    | ([] | [ _ ]) as last -> last
+    | p :: rest -> p :: "|" :: sep rest
+  in
+  Crypto.Keccak.shake256_parts ("sim:" :: label :: ":" :: sep parts) len
 
 let seed_len = 32
 

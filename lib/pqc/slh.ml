@@ -77,17 +77,15 @@ end
 (* ---- tweakable hashes (shake-simple) --------------------------------------- *)
 
 let thash p ~pk_seed adrs parts =
-  Crypto.Keccak.shake256
-    (pk_seed ^ Adrs.to_string adrs ^ String.concat "" parts)
-    p.n
+  Crypto.Keccak.shake256_parts (pk_seed :: Adrs.to_string adrs :: parts) p.n
 
 let prf p ~pk_seed ~sk_seed adrs = thash p ~pk_seed adrs [ sk_seed ]
 
 let prf_msg p ~sk_prf ~opt_rand msg =
-  Crypto.Keccak.shake256 (sk_prf ^ opt_rand ^ msg) p.n
+  Crypto.Keccak.shake256_parts [ sk_prf; opt_rand; msg ] p.n
 
 let h_msg p ~r ~pk_seed ~pk_root msg =
-  Crypto.Keccak.shake256 (r ^ pk_seed ^ pk_root ^ msg) (digest_bytes p)
+  Crypto.Keccak.shake256_parts [ r; pk_seed; pk_root; msg ] (digest_bytes p)
 
 (* ---- bit plumbing ----------------------------------------------------------- *)
 

@@ -131,6 +131,176 @@ let test_sha3_multi_block () =
     "a5e4fa0514ae974d8c2648513b5db494cea847156d277ad0e141c24c7839064c"
     (String.sub (Keccak.shake256 m 300) 268 32)
 
+(* SHA3 and SHAKE of a fixed byte pattern at lengths around each rate
+   (72, 136, 168) and twice the SHAKE256 rate, from Python's hashlib. Each
+   row is (length, SHA3-256, SHA3-512, SHAKE128, SHAKE256); a SHAKE pair
+   pins bytes [0, 32) and [468, 500) of a 500-byte squeeze, which spans
+   three SHAKE128 and four SHAKE256 output blocks. *)
+let keccak_kats =
+  [ ( 0,
+      "a7ffc6f8bf1ed76651c14756a061d662f580ff4de43b49fa82d80a4b80f8434a",
+      "a69f73cca23a9ac5c8b567dc185a756e97c982164fe25859e0d1dcc1475c80a6\
+       15b2123af1f5f94c11e3e9402c3ac558f500199d95b6d3e301758586281dcd26",
+      ( "7f9c2ba4e88f827d616045507605853ed73b8093f6efbc88eb1a6eacfa66ef26",
+        "4e1300b9b2153d2041d205b443e41b45a653f2a5c4492c1add544512dda25298" ),
+      ( "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f",
+        "1875824d09958f341ef274bdab0bae316339894304e35877b0c28a9b1fd166c7" ) );
+    ( 1,
+      "5223f7670b3b9ba04f57d477478ae77a58190d89f21da0b0be774735e23f9c96",
+      "340d7ff9f80cab5032d68e7437a7aad37695f663934c54922f7f09b22be42c32\
+       e17e6ab08abf273f9f23121120fa1660e262f8625c97419bacd73310392f8b3f",
+      ( "7c5f30fe262c65b3a20a2c5193a291d33a1022466825e0513dc744f1821aeaed",
+        "905dc41f7ed8956ecb9b046e716725b7d06d339252ebf58ffd1bc52ff650f021" ),
+      ( "b80ae24d9eb153769f5255dd09ac372349aa2571ae69543fa6a7a837532d06f2",
+        "603d3921865bbf57751c7053d0c98acf8aafb193d017ece87b597c31d8d5cb58" ) );
+    ( 7,
+      "5acf9e46e9e6ceb2e4ef83038a3914323622f78511dc75218c388e720653b13f",
+      "44d6a883df7c29f00939d37acee478232143b332f3b6940c3844061355802e16\
+       e902cc9059b6abc4840a97f2a4a7d3c82dfd4251b3b589604d193f3d4e31eaf9",
+      ( "91d02e85cdfc3ef03ee16f264e42e6cd9b4b98d4b9661d6957b17a9611db8bfe",
+        "95a195199f58d39c1ecfbe81217ee137de9b23ccd608d510d1707b91bcf96648" ),
+      ( "d5f9ae37afa60b2da80329d586ff632c78b795e5b196ef7e2b9fdfe4d789d6e6",
+        "cdf62e0244a6790fbab32d614ab6fef7910cea6581e3eac6f9bbfcffb8bcec58" ) );
+    ( 8,
+      "9cd587962e194b0ea4f890d033a2e10043e6cdce3d05d9cfd514a6a6a4642be9",
+      "6722318394d2815791bae3670a59e58b6c5f7ade40d37307e05bdcdb396c4a3f\
+       89c91ce7e298d7ed9df983f314bea0b7df0503fe6d0057c45d309203df357eb1",
+      ( "9a44c06e69df892409da4d4bf93069ac0874f0d4807efb693462b74390d4daa8",
+        "bbd6042329b44cf1e9c0362039a9baf1c6fff00156fcd50b1d59009fc4944554" ),
+      ( "2991f53ff5fb7bfd2cfccd86c98039b2c23d52ee5428d30cd8f7d27d87538814",
+        "7ac97ca11f35439ce2e6730cb670c38a3e44d5e04daebf635fc2cc5818b69f0f" ) );
+    ( 9,
+      "8cad1f928d81d6856d83f910e24b82f356265c291d32312ec0c3330bfdab50f8",
+      "b71eb701c157afaf45c2a510839dca9c6165344cb7d7b8b23ab93d393f670e2a\
+       07fd25ccb152693402da97ca3f638530b6fa48893145b13bdde2ad5bf54473a0",
+      ( "05638e578b0d489f16fc005fd193ed2da5334d8680910d467330b7af9220f4df",
+        "1462bf8f3c1af8cf04c2e3eb36e1d5d7185ad45feefa9d7908113dbe4996ba0e" ),
+      ( "9120bf25ec40de3ea8d2b3b62b3b0ff4bdac45605f8d5fd1d0a27fdc7d89053f",
+        "5f848fa4ccdc0335aa518ba06b6a1c428e9bc3b4ce9db9334c294c074bb6b720" ) );
+    ( 71,
+      "08dc4b08103212f7147acb126935f702831ddc658f1af45eb56022bc006ea9c7",
+      "15e93a11d76e7f88387b7aff41ec4e220da38c1bfb86ae472321667489308ad1\
+       b8b1aa6e2c3413a9e6d558381f27e62177924b53af5c5bcbfaed6e3b42b4105c",
+      ( "3ab54c5ebbb81171374c0490df61c93886abe0abac1a331074f57b7853f2061a",
+        "e539296ce7f79e241f62acb942c908a652c7babf82f2f9c91eb3fd525bc79ad0" ),
+      ( "0320c35b0251bf55a7a999f76faacd43e1eeb610fbe5641536137c848cd05601",
+        "57e6a338c1d883c940d65c823a29d0e16f56e01b4f5b66d15f8b7e275151ea68" ) );
+    ( 72,
+      "e1db4b2b87ec8b848450dc0b2696aa28d27ffca06840f184a3b96113275288e4",
+      "9032e99e709fc9205b3f5f15f68f4f02f5afa4ffbed99628ad385247be2b492d\
+       82cf4e7871339535baf2424443100cff38587507401d0f241e5006a474788726",
+      ( "2d66773589e79998061ea4552e73bd219af2e6d200f0dc684855edf534cb4cdd",
+        "d2dd41ced3ad890767d618fb52ad94b2355492c57c70f48506459d545cc01d1f" ),
+      ( "bb30ea8269d3941faac5727ab89a5468513869dad6304299856b5a88b6dcf07d",
+        "36386012b18c806cd7e3393376de222232541e970d882dea2bb13e10bbca3b53" ) );
+    ( 73,
+      "768142f9b927a4ee4975ff9eaf63de4b66e299a42a136d5523f85f49b2e123bf",
+      "8d24425518611222be23bf73f200e9bb9985b21143ddc579c6884cdf61371224\
+       77e039b8c174fcfd9df773459c9b048edc855fcd5bccbee8c6533556113f7ecd",
+      ( "d5c755efed573110caba809821086794267252775cb44c1c436a1e12b7ac2970",
+        "fc4309e14d096192034d47c88b50c145f4402bb2e776933757708924b24c5971" ),
+      ( "0b4f4fc3a789c1c7b9fb4b5f87c5b0e3fdb4c0807dbcf019678c064608d138de",
+        "8dd3290048acf3c601c1a4007e804951bc2914bc2f2e23a9316cef85573cf621" ) );
+    ( 135,
+      "27177c35076523ab12bf3c60c7e340ac833bee9017b0b9d273d25f1bc8759ce1",
+      "583439ef05460f9775ab2dd129cf86e3619cb0cdd5b08414ed4a234d061c5f08\
+       2a2a0b4879d8dff826110fedbde9d49ef97bed427d6f7295a2dcf5e59bdb37ce",
+      ( "1387cd7ff54246b6a3c54a442c5517d10038fcbeb745c1ffbfb3cc580133709c",
+        "8438ac562ec8a40b0af0df75fcaf510a17c2fb3a0ef47d1d28c9d946cb5f6208" ),
+      ( "9c585fe7ff9ec0f1b00a968b3f5a09b8aef98b0b1412d83817457c22a898ec73",
+        "385ba5e52b09f27e241c348705d9d229e9f419c3b2b8b183544a7fa9c242c2fc" ) );
+    ( 136,
+      "bf55dd8c0b4dd0f226d019f9b85d74e3d77cd13409e1306665a44cc688a93d6e",
+      "b58e567cc5e9e7fbf1b6485c814f97030748ce1218ff693618530cd199e9a5e7\
+       31bb09e8d6348528ab16bea466e18a2c0f2d0eb48d2d1de63cde06cb5cbfb685",
+      ( "73681d0342aabcb50f5f50b0e5dff20113750daed75f0a2ddb263966a2905701",
+        "32eb3d4d4c2ff4b55c6bd8d3b0a81d9d81ed716acc8511bba63a9868ecc2b111" ),
+      ( "b4528271407be681bf55998f4f3918c97019bb6280bd42d3b9300822760586f5",
+        "72ef51037c045fcb02213ab3c8e55a724d22ca6200bdac61585e7a389c4646f6" ) );
+    ( 137,
+      "b88ad98270115d9a7d164a81476b4b1c999eac7a9b67cfe013c365496a599e11",
+      "c06410f36f7850445951bde73059bab501cbc3300939cc5a880385d300c1ae0b\
+       6d569d196e9291c63fa97a1ad3094f2f8bdd4a7d2a1d1033db6b769d65832f8b",
+      ( "1144f604cc80164a9796a8663f59e641f04a32fa6b25f4e8fc6cc6d95351c8f4",
+        "fe0d5e60a039710c980243b9ca1e9bbad3facdcb719f657527c616fa57e4f9d7" ),
+      ( "6a774f0b3998136c58af9ed6ab80b9ed1ece811e5018a0039fb04c6a32a6302d",
+        "601d203cd51037e9840399bb99e3c2b7ffacf90948ec8a3b1b8a4e41bbac0a59" ) );
+    ( 167,
+      "c6f3aa8d05881d37ba5849f32c719edfa77e3a98f0fa6faf0c13807bde8f9f78",
+      "de602352e16adb513c498647ccf1e5c0e88d13020ff2f5d61186adcb4b7d04c0\
+       b69b28db79a90a9f4e91676c56007b1d6b14cdc2af00fb8c3c2a24a29777b6dd",
+      ( "1efd16dc15d14b107dbac8911e62ca44fc58514d09f3964a32d5fa06bcc3a46d",
+        "11346fa25b8f755841826bb6280bcc225528b2f120cb8e0f987e84a19b74739f" ),
+      ( "a749bff3fc294a41eb579624e75526cac6edc3aa13ce7505074b30a979737676",
+        "9043b7f5dc3f7d962f44d219f91c9bfaaa7cfa35ceb365a1f0a5ea92ad23ef78" ) );
+    ( 168,
+      "52721f3b517c6521539677e4252d4c7c550eeacfd2befa64699e5b27fb19c7e3",
+      "7e2d681e8626f47c8445adcdc1038b99a6eb21a0cce36bb0d267623fdeed2367\
+       bff61647f621aa5f43273eed83264e22ddb9e1b17528b61c9ce62a60680df92d",
+      ( "ed300818a030af92239f7140176a0e468fad27ea97b3f01578817e8e80f16fce",
+        "b6166c31ac4cdbed06ff275c8acdd0671cbb8d92fd2ec4902be45e9221482cd9" ),
+      ( "5fd8a83a33b38b81535272932cf775219a081d4c9ed18a7f2779daaffe1f15d0",
+        "32bfeba0e230ba7ca22980c9d72f5ae4d75743560da98e67d4dff87c1813b035" ) );
+    ( 169,
+      "707d8feeca714529fc25db07d8c40fe594dd76518eccfd9b38d08a491c18892d",
+      "b73230ef068d3740f4e50c1c0ee454bc80485bb2d960832e0b21dec2f7cf4f70\
+       6660fb74d7488b0b006eef3d4a229fbd29d3742224758c09437e5590cc58decc",
+      ( "3d052d31961f49122056846ddd7b43b37b680610f8343eb30372a0f3c67f648f",
+        "055d54daaf5d542963601f02ac8ad3bde4b6877b1e3fd26eda31c8a003884e35" ),
+      ( "b4478936cd86da284cf65a893d79fa447c14bfed298ca1a9c8632116ec0e58c5",
+        "1bade7c17269e897ec1d47f6ff13969b33770d727596e2fdcb19cdf4a6f7622f" ) );
+    ( 271,
+      "0a4ee8fd7f5dc6285c6e3901fd80a20e0fed1d40e0bfb6e01b22b822e5b71009",
+      "25c8d19d7ea788cae7e021000eea7e4295a49b37ff3e20b669efe89dea0ee894\
+       bf6269f1c397c0c451e8e49402d8671ad216cea8ddb755bee1c8d0c11b4ee6b1",
+      ( "47e6e0656ffe1816435a84fed0f2563d30d8aa765a5105695a252b09731f2ccc",
+        "d0aa4e663862f3867107a47c1bfb3607daa8bd377d60d37b8d61602f0015bed9" ),
+      ( "4000622d64522f06328d08b5189bc9887f28894097d41d00f29242e1195dfdcc",
+        "4fbaf256e07e7f721e51fac6e6a88976bff3a0c9488401c716c33d8199e0ee44" ) );
+    ( 272,
+      "b323515ec9ee619c2c497029753e8a92bb26ef831e9523799cc7b0bfe3f912aa",
+      "76d8b76029fbec734d25760b863ba2e5dea05842f00106fb641cdc2da90fa183\
+       bde2a421855cbb58a9438de92d54c06324eb8e8287fac290a58247aad8361dfc",
+      ( "1dba7edb2c92d355333461f9cc8bfd3885b3ba3c0dcd89075be3a9157ca00124",
+        "54743f37bdd4239307c15298c5632416ec6bf06cb45c560878ec0ac96f127a89" ),
+      ( "33c13aae83532424ab14070d02fb31feeac6d38f1c5f52eabe287cb671abecdf",
+        "f67fbd99eacade05581fe44fb839457210385f931b8d85fe8d7db573f6b9d6e6" ) );
+    ( 273,
+      "b6ab1e9b93e1e9fce42f918be7ba286f26c2c5513187a42a8eb666262fc97bed",
+      "936fde66f72aa81e06ba51bdd3a37af67027224825c2e15e1ce9b8551a0996a8\
+       a9b938ec2c5adfc6859130c98324d6893fc88efffb282cf4467f9ba2de739994",
+      ( "8f531cdfb2a12435c136d0509aa452c75fb7ce29698ae36d7b5846d70abe6170",
+        "61952bdb573a651d11728122ee153733fa807b6a4afe3ac0014e72a8661c624e" ),
+      ( "fc2d5936eb42934a9595ee338511954023262fe17746724abe6056cf2dd176bc",
+        "c788ef3044385cf8d2d7745a91344e3b471d4d7d8408306c48b3e9046a361919" ) );
+    ( 1000,
+      "e9612e6ecfc2fc3c9467302e2563d3155906eaf49e0bb663e460791ef2fec839",
+      "842d060a3f1a6d6b80aaf57258f0edb7e1c0abcfa112479ac989b1527d0b0c5e\
+       f6da88b7f6c80cd05a7a1e08d46865bf02620044ded6ef5c21c8902a38d4f909",
+      ( "b0e0c141ce415f44188aa69075387c0af2114a07797fd7ffd9a9afe7257b9ad3",
+        "c81682cc3fb274a9736193329448eb92ade29da6d584e3e01aa8a2baa7ae12a4" ),
+      ( "1f9024b7861ad474ce4d8253ae8b899dec5219a9c5818db284d61b06be35774b",
+        "d140b76d81c39b63b30c524735fb3d343b455ab47f80f506e383c4130a005860" ) ) ]
+
+let kat_pattern n = String.init n (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let test_keccak_kats () =
+  List.iter
+    (fun (n, sha3_256, sha3_512, (s128_head, s128_tail), (s256_head, s256_tail)) ->
+      let m = kat_pattern n in
+      let name what = Printf.sprintf "%s of %d bytes" what n in
+      check_hex (name "sha3-256") sha3_256 (Keccak.sha3_256 m);
+      check_hex (name "sha3-512") sha3_512 (Keccak.sha3_512 m);
+      List.iter
+        (fun (what, shake, head, tail) ->
+          let out = shake m 500 in
+          check_hex (name what) head (String.sub out 0 32);
+          check_hex (name (what ^ " [468,500)")) tail (String.sub out 468 32);
+          check_hex (name (what ^ " 32-byte squeeze")) head (shake m 32))
+        [ ("shake128", Keccak.shake128, s128_head, s128_tail);
+          ("shake256", Keccak.shake256, s256_head, s256_tail) ])
+    keccak_kats
+
 (* ---- MAC / KDF ------------------------------------------------------------ *)
 
 let test_hmac () =
@@ -210,7 +380,23 @@ let test_aes_ctr () =
   let pt = String.init 77 (fun i -> Char.chr (i * 3 mod 256)) in
   let ct = Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') pt in
   Alcotest.(check string) "ctr roundtrip" pt
-    (Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') ct)
+    (Aes.ctr_encrypt key ~nonce:(String.make 12 '\000') ct);
+  (* a stream read in pieces continues where the last read stopped *)
+  let t = Aes.ctr_stream key ~nonce:(String.make 12 '\000') in
+  Alcotest.(check string) "ctr stream pieces" ks
+    (String.concat "" (List.map (Aes.ctr_squeeze t) [ 3; 0; 13; 16; 1; 40; 27 ]));
+  (* the counter fails instead of wrapping: 15 nonce bytes leave one
+     counter byte (256 blocks), 16 leave none (one block) *)
+  let overflow = Invalid_argument "Aes.ctr_squeeze: counter overflow" in
+  Alcotest.(check int) "256 blocks under a 15-byte nonce" 4096
+    (String.length (Aes.ctr_keystream key ~nonce:(String.make 15 'n') 4096));
+  Alcotest.check_raises "block 257 under a 15-byte nonce" overflow (fun () ->
+      ignore (Aes.ctr_keystream key ~nonce:(String.make 15 'n') 4097));
+  Alcotest.(check string) "one block under a 16-byte nonce"
+    (Aes.encrypt_block key (String.make 16 'n'))
+    (Aes.ctr_keystream key ~nonce:(String.make 16 'n') 16);
+  Alcotest.check_raises "block 2 under a 16-byte nonce" overflow (fun () ->
+      ignore (Aes.ctr_keystream key ~nonce:(String.make 16 'n') 17))
 
 let test_gcm () =
   (* NIST GCM test case 1/2 and 4 *)
@@ -308,6 +494,22 @@ let squeeze_split_prop (xof, one_shot) (m, splits) =
   let parts = List.map (Keccak.Xof.squeeze x) splits in
   String.concat "" parts = one_shot m (List.fold_left ( + ) 0 splits)
 
+(* parts that are empty, short and odd, one lane longer or shorter
+   than the SHAKE256 rate, or arbitrary, so that parts start at every
+   lane alignment and straddle the 136-byte rate boundary *)
+let parts_case =
+  let open QCheck.Gen in
+  let part_len =
+    oneof [ return 0; int_range 1 9; oneofl [ 135; 136; 137 ]; int_range 0 300 ]
+  in
+  let part = part_len >>= fun n -> string_size ~gen:char (return n) in
+  QCheck.make
+    ~print:(fun (ps, n) ->
+      Printf.sprintf "parts=[%s] n=%d"
+        (String.concat ";" (List.map (fun p -> string_of_int (String.length p)) ps))
+        n)
+    (pair (list_size (int_range 0 8) part) (int_range 0 300))
+
 let prop_tests =
   [ qc "hex roundtrip" QCheck.string (fun s -> Bytesx.of_hex (Bytesx.to_hex s) = s);
     qc "xor involution"
@@ -331,6 +533,9 @@ let prop_tests =
       (squeeze_split_prop (Keccak.Xof.shake128, Keccak.shake128));
     qc "shake256 split squeeze = one-shot" sponge_case
       (squeeze_split_prop (Keccak.Xof.shake256, Keccak.shake256));
+    qc "shake256_parts = shake256 of the concatenation" parts_case
+      (fun (ps, n) ->
+        Keccak.shake256_parts ps n = Keccak.shake256 (String.concat "" ps) n);
     qc "sha256 distinct on distinct inputs (no trivial collisions)"
       QCheck.(pair small_string small_string)
       (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b);
@@ -364,6 +569,7 @@ let suites =
         Alcotest.test_case "sha3/shake vectors" `Quick test_sha3;
         Alcotest.test_case "shake incremental" `Quick test_shake_incremental;
         Alcotest.test_case "sha3/shake multi-block" `Quick test_sha3_multi_block;
+        Alcotest.test_case "sha3/shake known answers" `Quick test_keccak_kats;
         Alcotest.test_case "hmac vectors" `Quick test_hmac;
         Alcotest.test_case "hkdf rfc5869" `Quick test_hkdf;
         Alcotest.test_case "aes fips-197" `Quick test_aes;

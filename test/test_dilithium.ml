@@ -74,6 +74,29 @@ let test_malformed_inputs () =
   Alcotest.(check bool) "corrupt hint counts" false
     (Dilithium.verify p pk ~msg:"msg" (Bytes.to_string bad))
 
+(* The AES-CTR variants from fixed seeds: MD5 of pk ^ sk and of the
+   signature of "pins", recorded when the CTR keystream was regenerated
+   from counter 0 on every read, so they pin the running-counter stream
+   to the same bytes. *)
+let test_aes_pins () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (p, keys, signature) ->
+      let name = Dilithium.name p in
+      let rng = Crypto.Drbg.create ~seed:("pins/" ^ name) in
+      let pk, sk = Dilithium.keygen p rng in
+      let s = Dilithium.sign p sk "pins" in
+      Alcotest.(check (pair string string)) name (keys, signature)
+        (md5 (pk ^ sk), md5 s);
+      Alcotest.(check bool) (name ^ " verifies") true
+        (Dilithium.verify p pk ~msg:"pins" s))
+    [ ( Dilithium.dilithium2_aes, "e0279f8fb04c8a5cf773aa8acf90d1af",
+        "2e5a8ad6bc2b61e70d1a22994da89334" );
+      ( Dilithium.dilithium3_aes, "88523af138a9c3f6fd966fcd343fbd20",
+        "090ebbb343d23363f1bbf36008236b04" );
+      ( Dilithium.dilithium5_aes, "e88e76c638d71d369d1c69ccf880e694",
+        "05edc58b834328c9afe84ff9bf914cda" ) ]
+
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:15 gen prop)
 
 let prop_tests =
@@ -101,5 +124,6 @@ let suites =
         Alcotest.test_case "sign/verify all parameter sets" `Slow test_sign_verify;
         Alcotest.test_case "deterministic signing" `Quick test_deterministic_signing;
         Alcotest.test_case "wrong key" `Quick test_wrong_key;
-        Alcotest.test_case "malformed inputs" `Quick test_malformed_inputs ]
+        Alcotest.test_case "malformed inputs" `Quick test_malformed_inputs;
+        Alcotest.test_case "aes output pins" `Quick test_aes_pins ]
       @ prop_tests ) ]

@@ -79,6 +79,27 @@ let test_cross_params () =
     (Invalid_argument "Kyber.encaps: bad pk") (fun () ->
       ignore (Kyber.encaps Kyber.kyber768 rng pk512))
 
+(* The AES-CTR (90s) variants from fixed seeds: MD5 of pk ^ sk and of
+   ct ^ ss, recorded when the CTR keystream was regenerated from counter
+   0 on every read, so they pin the running-counter stream to the same
+   bytes. *)
+let test_90s_pins () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  List.iter
+    (fun (p, keys, encaps) ->
+      let name = Kyber.name p in
+      let rng = Crypto.Drbg.create ~seed:("pins/" ^ name) in
+      let pk, sk = Kyber.keygen p rng in
+      let ct, ss = Kyber.encaps p rng pk in
+      Alcotest.(check (pair string string)) name (keys, encaps)
+        (md5 (pk ^ sk), md5 (ct ^ ss)))
+    [ ( Kyber.kyber512_90s, "16c450352fb1e2b2a3d144eaecb51fed",
+        "4207f90b690c546135429f265483ea61" );
+      ( Kyber.kyber768_90s, "f3cd03b95e9fbf19e0871e5cc0767853",
+        "38895ca18dea79082026bc5a67e19802" );
+      ( Kyber.kyber1024_90s, "c539bfe34dfadc657133c1639e48ee0f",
+        "3865c9bef313c1d4cabf9fe3fcd943c2" ) ]
+
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:25 gen prop)
 
 let prop_tests =
@@ -101,5 +122,6 @@ let suites =
         Alcotest.test_case "roundtrip all parameter sets" `Quick test_roundtrip;
         Alcotest.test_case "implicit rejection" `Quick test_implicit_rejection;
         Alcotest.test_case "determinism" `Quick test_determinism;
-        Alcotest.test_case "parameter confusion" `Quick test_cross_params ]
+        Alcotest.test_case "parameter confusion" `Quick test_cross_params;
+        Alcotest.test_case "90s output pins" `Quick test_90s_pins ]
       @ prop_tests ) ]

@@ -207,6 +207,116 @@ let test_sim_suites () =
     (Invalid_argument "Sim_suites.kem_encaps: ct too short") (fun () ->
       ignore (Sim_suites.kem_encaps rng ~pk ~ct_len:16 ~ss_len:32))
 
+(* Every registry KA and SA under [mocked], from fixed seeds: the MD5 of
+   the public key, ciphertext and shared secret of each KA (decaps must
+   give the same secret) and of the public key and the signature of
+   "pins" under each SA. They were recorded when the Sim_suites XOF
+   still hashed one concatenated input, so they pin the part-wise
+   absorb to the same bytes. The wire pins reach a few algorithms;
+   these reach all of them. *)
+let kem_pins =
+  [ ( "x25519", "8b7795f935b98b28c751e2b1e1201108",
+      "8887693792648bd90538ada74432a70c", "3e887f9ee11b230d31fe93aae5e0758a" );
+    ( "bikel1", "9708ee7141dc97b8de0311c5b5e635b7",
+      "eb3a2b6debf52b5397eafed71c2d3636", "f24c1c0b9574b570c8fcfa4708ed62dd" );
+    ( "hqc128", "bcde72eaf4cf55a3bf1bb31fd95f3673",
+      "dcf1b0aac6fac43837aa3ca9efcd0229", "7439cb0987b3b0ff3dcb5a7e07875131" );
+    ( "kyber512", "dc537301f15ecc7a1e3195ff93c72d5b",
+      "db8ea5509e7be873a95d044ca912bb80", "856025639836e5b656d64eada813ca61" );
+    ( "kyber90s512", "da7d1d9429d5592ffe32dae793ca1e63",
+      "4937ad640e46e9fcda2613a9ad910de3", "fd20531c1d9f3687dbf69dc3a0c18919" );
+    ( "p256", "5d8369b2bc29efccd0ae53846c1df53e",
+      "f0652344899b9a6d582e1d0e340dee75", "3713227539ba42daf1e59a5a074b3fed" );
+    ( "p256_bikel1", "e0ad528178c4b3383c18617a873556b5",
+      "f8f2f9883e3c60a734b8d9da15b683f0", "2d552a7c69a171f5692304f164c698f0" );
+    ( "p256_hqc128", "eaf30f4f73b6684273540e2b0b985b20",
+      "a6010bd55abc52b1201a646b6373fd87", "207a50a5da89f6d2a49cbc78a201209e" );
+    ( "p256_kyber512", "6271e6e893c73af9577e2b011e62778e",
+      "2fbd385e496f1e1b0a89eefa63d1bcc6", "d864932f73f38c83f65321908e88abd7" );
+    ( "bikel3", "6fdf49d57d508bf1ed789f1ec3047dd6",
+      "5c1715b4a472d3d548da119685cfc8eb", "cca5bcc1bb3f3857925cf48160e1bea1" );
+    ( "hqc192", "882b1e3900bfc0339db9702d24a891c3",
+      "2426aba8122880677f41f2da0cb13e70", "c4b893ec5a3357dd8dd7cbff8b7f2d77" );
+    ( "kyber768", "cebc0ddff6faec39b89d489a4fb36a66",
+      "4c686ebdcd5403eb1d6f01dae812b0c6", "eb2bac7c8a48bf98d1018311a391a462" );
+    ( "kyber90s768", "7f3081b7b3fb43c69b0fb18592f8f511",
+      "cb4b534618fdb42adc312456fb43a34b", "c7ccaae5c060cca82071b716399eba59" );
+    ( "p384", "4ee662443377f7f20bb9d24da4dd7a7c",
+      "59b4108a9f1f7b20f0d862f3f0a718bc", "40adcd994c17b7bbceeba679004d4fe3" );
+    ( "p384_bikel3", "ac886329e1b42f1cf763613ebc893565",
+      "b16048824adb8dc8a3b49947a482443d", "c6a3002b4682ce5db98cdf9d15f5de88" );
+    ( "p384_hqc192", "a3a22bb5c5f57c91492f4ed56ed65298",
+      "d302cbb1ebf778e2c6b9cc2ad5e4484f", "49e329213f08e1b3c86f118756fd97f4" );
+    ( "p384_kyber768", "124dab4e01939d4ba66bd06bc2f0bfdd",
+      "fc6582778627749cb24269b004659897", "aaebce30c11e65c2180c15d4a4bc17ec" );
+    ( "hqc256", "0ee9b3e59f719ff1da435c94e375c260",
+      "b2a21de805be01d9e808448345590b58", "447b7ab781c177e333c4597089ae0dc2" );
+    ( "kyber1024", "464472762da6a8f31219d93eac67ec36",
+      "1705fb4da1352832168fbf395257cd33", "1b04a0d9483efedc581c4ac688811df1" );
+    ( "kyber90s1024", "6d4545836d1bd48234f63bf34e14624e",
+      "4024dd36e625151f38995c0f58d91a5e", "2b87517b1db8efaecb0ba137ec775dc8" );
+    ( "p521", "33c802297cdc62646d1b7555ebf6eab3",
+      "77514ae1b3c943c1216a9833ab731b13", "2a385d1ea7b71ca015e247c69b4db374" );
+    ( "p521_hqc256", "1610b8fa0a4280f4f4603afb9f38eb33",
+      "ed59c40d7f4a448dfa3f3915f6a9254e", "fe3a4bde50924147149addb20d62f343" );
+    ( "p521_kyber1024", "9fb91339918e9345b596d5a4c2a1f4d1",
+      "2289befba8dd8ad477fee22a42321b04", "efbf08f4dba5afac29d3a3e3531f5718" ) ]
+
+let sig_pins =
+  [ ("rsa:1024", "a76143b4aedf66d0bb252284eeddf2b8", "973824d86e886e883899a801612c82ca");
+    ("rsa:2048", "bdc0c053675e515ad30cac383ee1f0c1", "1ed8e2f1e7e1a30a82c5bad22c6cfe19");
+    ("falcon512", "98bf076db2f255108e2c87b45fe879f7", "b4a1411da5efd6b52721eb90c5c7faa2");
+    ("rsa:3072", "0d68181631da1eb36ded8aa55af32e54", "d116467864f8b2ac2bcfe24e9a4cc7ca");
+    ("rsa:4096", "2544a21b6f61652db054b04cfa1e28b3", "3f5913ccf55155529c025fdb58d9f20b");
+    ("sphincs128", "19d2dd5598cc2d5da2bec6559cac19df", "f816522221d6c31b58bac9f934800d09");
+    ("p256_falcon512", "cd0315f4e1327c43f80777971d336bf2", "62c5fe17def2612ba1a132b6eec6fc53");
+    ("p256_sphincs128", "2da0d244770135bceb755955a605f20f", "8d1714748d9380f82fad319372317bd7");
+    ("dilithium2", "a1c911ed174169337a0e0d0b77c8afbd", "47a99a1e9483037e61f96b00297d3987");
+    ("dilithium2_aes", "457d991ad0d39801e4d307bf06eb9c91", "fc1b9d184eb8521fc656c90cf05f695c");
+    ("p256_dilithium2", "0a0e1fafc4ed483cd4df230373ccdfc8", "4c81fe4006e3ea27e805de04c635c36d");
+    ("rsa3072_dilithium2", "19cfba3971d83752af633591f27b5262", "a392335f660dcc882c3b18f268ff8930");
+    ("dilithium3", "3b5c19ab8f5174dd9e76d52714dfde06", "4b2ff89d88e7a0a93db2afbd71829b6f");
+    ("dilithium3_aes", "2290f79241c6e6c0ff5ef80c949a92fe", "66237bebce7d2044e52fd5cfab088a4a");
+    ("sphincs192", "dbf5b32bdd49cda5ef89ba7976ccdc5e", "21c5f64e39d8438896b005d481a23269");
+    ("p384_dilithium3", "f69d11ac471660d2eb9ccf8cd78e7ae0", "f4036255cbdb49529cc79f19b0b6accb");
+    ("p384_sphincs192", "1b47290797e311304befd5dd080d7193", "a4681059004cbbd81476ef5d85cb7627");
+    ("dilithium5", "46e22cfc75dc7d53c79c237710977d29", "097486c671a30888216abdbd23b72008");
+    ("dilithium5_aes", "8cb71354a8dd05ee9edb49b8c1fd1281", "17bcb608e57144c9dd1afed95ba75520");
+    ("falcon1024", "2c43700a0729e812810a65a71a6b8ec7", "fc987600c9c1718c1b27a35254a8d1ad");
+    ("sphincs256", "3798b123e67473479e355cb50d91f9a1", "ee4ba0a68e0ae2461b8a9124640d3025");
+    ("p521_dilithium5", "6039e2a9536c1d20f806464c505dbf18", "c7715792a914adf5041eaea3b7229243");
+    ("p521_falcon1024", "78c8a8cbc32383039664843c53ec029e", "d477d4e657224bd0f866f27f67b8cbe2");
+    ("p521_sphincs256", "38a424a77072ce1d0f1d4f5cbe7865be", "4c57ee6737bb2d351917cd81bde59cf1") ]
+
+let test_mocked_pins () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check (list string)) "every KA pinned"
+    (List.map (fun (k : Kem.t) -> k.Kem.name) Registry.kems)
+    (List.map (fun (name, _, _, _) -> name) kem_pins);
+  Alcotest.(check (list string)) "every SA pinned"
+    (List.map (fun (s : Sigalg.t) -> s.Sigalg.name) Registry.sigs)
+    (List.map (fun (name, _, _) -> name) sig_pins);
+  List.iter
+    (fun (name, pk, ct, ss) ->
+      let kem = Kem.mocked (Registry.find_kem name) in
+      let rng = Crypto.Drbg.create ~seed:("pins/" ^ name) in
+      let kp = kem.Kem.keygen rng in
+      let c, s = kem.Kem.encaps rng kp.Kem.public in
+      Alcotest.(check (list string)) name [ pk; ct; ss; ss ]
+        [ md5 kp.Kem.public; md5 c; md5 s; md5 (kem.Kem.decaps kp.Kem.secret c) ])
+    kem_pins;
+  List.iter
+    (fun (name, pk, signature) ->
+      let sa = Sigalg.mocked (Registry.find_sig name) in
+      let rng = Crypto.Drbg.create ~seed:("pins/" ^ name) in
+      let kp = sa.Sigalg.keygen rng in
+      let s = sa.Sigalg.sign rng ~secret:kp.Sigalg.secret "pins" in
+      Alcotest.(check (pair string string)) name (pk, signature)
+        (md5 kp.Sigalg.public, md5 s);
+      Alcotest.(check bool) (name ^ " verifies") true
+        (sa.Sigalg.verify ~public:kp.Sigalg.public ~msg:"pins" s))
+    sig_pins
+
 let suites =
   [ ( "pqc-zoo",
       [ Alcotest.test_case "registry counts and spellings" `Quick test_registry_counts;
@@ -217,4 +327,5 @@ let suites =
         Alcotest.test_case "mocked wrappers" `Quick test_mocked_wrappers;
         Alcotest.test_case "cost table coverage" `Quick test_costs_total;
         Alcotest.test_case "level grouping" `Quick test_levels;
-        Alcotest.test_case "sim suites" `Quick test_sim_suites ] ) ]
+        Alcotest.test_case "sim suites" `Quick test_sim_suites;
+        Alcotest.test_case "mocked output pins" `Quick test_mocked_pins ] ) ]
