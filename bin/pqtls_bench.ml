@@ -21,7 +21,7 @@ let jobs_arg =
   in
   Arg.(
     value
-    & opt int (Core.Exec.default_jobs ())
+    & opt int (Core.Pool.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let cache_arg =
@@ -51,6 +51,26 @@ let keep_going_arg =
           "Exit 0 even when cells failed after retries. Reports always \
            render, with failed cells marked; without this flag a failed \
            cell makes the run exit 1.")
+
+(* KA, SA and scenario names: an unknown one is a usage error listing the
+   valid names *)
+let kem_conv =
+  Arg.enum (List.map (fun (k : Pqc.Kem.t) -> (k.name, k)) Pqc.Registry.kems)
+
+let sig_conv =
+  Arg.enum
+    (List.map (fun (s : Pqc.Sigalg.t) -> (s.name, s)) Pqc.Registry.sigs)
+
+let scenario_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           (List.map (fun (s : Core.Scenario.t) -> (s.name, s))
+              Core.Scenario.all))
+        Core.Scenario.no_emulation
+    & info [ "scenario" ] ~docv:"SC"
+        ~doc:"Network scenario: none, loss, bandwidth, delay, lte-m, 5g.")
 
 (* ---- list ---------------------------------------------------------------- *)
 
@@ -270,9 +290,15 @@ let run_cmd =
   let run seed jobs cache_dir quiet retries keep_going out_dir trace_out
       metrics_out experiments =
     let store = Option.map (fun _ -> Trace.Store.create ()) trace_out in
+    (* fault injection for tests and CI; unset or empty injects nothing *)
+    let fail_cell =
+      match Sys.getenv_opt "PQTLS_FAIL_CELL" with
+      | None | Some "" -> None
+      | needle -> needle
+    in
     let exec =
       Core.Exec.create ~jobs ?cache_dir ~progress:(not quiet) ~retries
-        ?trace:store ()
+        ?fail_cell ?trace:store ()
     in
     List.iter
       (fun name ->
@@ -431,16 +457,14 @@ let compare_cmd =
 
 let handshake_cmd =
   let kem_arg =
-    Arg.(value & opt string "kyber768" & info [ "kem" ] ~docv:"KA"
-           ~doc:"Key agreement (paper spelling, e.g. p256_kyber512).")
+    Arg.(value & opt kem_conv (Pqc.Registry.find_kem "kyber768")
+         & info [ "kem" ] ~docv:"KA"
+             ~doc:"Key agreement (paper spelling, e.g. p256_kyber512).")
   in
   let sig_arg =
-    Arg.(value & opt string "dilithium3" & info [ "sig" ] ~docv:"SA"
-           ~doc:"Signature algorithm (e.g. rsa:2048, p384_dilithium3).")
-  in
-  let scenario_arg =
-    Arg.(value & opt string "none" & info [ "scenario" ] ~docv:"SC"
-           ~doc:"Network scenario: none, loss, bandwidth, delay, lte-m, 5g.")
+    Arg.(value & opt sig_conv (Pqc.Registry.find_sig "dilithium3")
+         & info [ "sig" ] ~docv:"SA"
+             ~doc:"Signature algorithm (e.g. rsa:2048, p384_dilithium3).")
   in
   let real_arg =
     Arg.(value & flag & info [ "real" ]
@@ -454,20 +478,7 @@ let handshake_cmd =
     Arg.(value & opt (some string) None & info [ "pcap" ] ~docv:"FILE"
            ~doc:"Also capture a single handshake to a pcap file (opens in Wireshark).")
   in
-  let run seed kem_name sig_name scenario_name real default_buffering pcap =
-    let kem =
-      try Pqc.Registry.find_kem kem_name
-      with Not_found ->
-        Printf.eprintf "unknown KA %s\n" kem_name;
-        exit 1
-    in
-    let sig_alg =
-      try Pqc.Registry.find_sig sig_name
-      with Not_found ->
-        Printf.eprintf "unknown SA %s\n" sig_name;
-        exit 1
-    in
-    let scenario = Core.Scenario.find scenario_name in
+  let run seed kem sig_alg scenario real default_buffering pcap =
     let buffering =
       if default_buffering then Tls.Config.Default_buffered
       else Tls.Config.Optimized_push
@@ -486,7 +497,7 @@ let handshake_cmd =
       \  handshakes / 60s  %8d\n\
       \  client sent       %8d B   server sent %8d B\n\
       \  CPU / handshake   client %.2f ms, server %.2f ms\n"
-      kem_name sig_name scenario.Core.Scenario.label
+      kem.Pqc.Kem.name sig_alg.Pqc.Sigalg.name scenario.Core.Scenario.label
       (if real then "real" else "mocked")
       (if default_buffering then "default" else "optimized")
       (m (fun s -> s.Core.Experiment.part_a_ms))
@@ -538,20 +549,16 @@ let trace_cmd =
   let kem_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some kem_conv) None
       & info [] ~docv:"KA"
           ~doc:"Key agreement (paper spelling, e.g. p256_kyber512).")
   in
   let sig_arg =
     Arg.(
       required
-      & pos 1 (some string) None
+      & pos 1 (some sig_conv) None
       & info [] ~docv:"SA"
           ~doc:"Signature algorithm (e.g. rsa:2048, dilithium2).")
-  in
-  let scenario_arg =
-    Arg.(value & opt string "none" & info [ "scenario" ] ~docv:"SC"
-           ~doc:"Network scenario: none, loss, bandwidth, delay, lte-m, 5g.")
   in
   let format_arg =
     let formats =
@@ -578,20 +585,7 @@ let trace_cmd =
     Arg.(value & opt (some int) None & info [ "max-samples" ] ~docv:"N"
            ~doc:"Stop the cell after $(docv) handshake iterations.")
   in
-  let run seed kem_name sig_name scenario_name format out max_samples =
-    let kem =
-      try Pqc.Registry.find_kem kem_name
-      with Not_found ->
-        Printf.eprintf "unknown KA %s\n" kem_name;
-        exit 1
-    in
-    let sig_alg =
-      try Pqc.Registry.find_sig sig_name
-      with Not_found ->
-        Printf.eprintf "unknown SA %s\n" sig_name;
-        exit 1
-    in
-    let scenario = Core.Scenario.find scenario_name in
+  let run seed kem sig_alg scenario format out max_samples =
     let spec =
       Core.Experiment.spec ~seed ~scenario ?max_samples kem sig_alg
     in

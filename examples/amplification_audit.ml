@@ -11,7 +11,9 @@ let () =
   print_endline "PQ TLS amplification / CPU-asymmetry audit (section 5.5)";
   print_endline
     "(QUIC mandates an anti-amplification limit of 3x for comparison)\n";
-  let rows = Amplification.survey ~seed:"audit" () in
+  let rows =
+    Amplification.survey ~seed:"audit" ~exec:(Exec.create ~jobs:1 ()) ()
+  in
   Printf.printf "%-16s %-20s %10s %14s\n" "KA" "SA" "CPU s/c" "amplification";
   print_endline (String.make 64 '-');
   List.iter

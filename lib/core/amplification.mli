@@ -12,9 +12,9 @@ type row = {
   amplification : float;  (** server bytes sent / client bytes sent *)
 }
 
-val measure : ?seed:string -> Pqc.Kem.t -> Pqc.Sigalg.t -> row
+val measure : seed:string -> Pqc.Kem.t -> Pqc.Sigalg.t -> row
 
-val survey : ?seed:string -> ?exec:Exec.t -> unit -> row list
+val survey : seed:string -> exec:Exec.t -> unit -> row list
 (** Every SA against the x25519 baseline plus the white-box pairs;
     sorted by amplification, worst first. *)
 

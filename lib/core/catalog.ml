@@ -100,7 +100,8 @@ let table3 ~seed exec =
   buf_table "Table 3: white-box measurements"
     (Printf.sprintf "L %-14s %-15s %5s | %11s | %7s | %s" "KA" "SA" "HS/s"
        "CPU srv/cli" "pkt s/c" "library distribution")
-    (List.map2 row Whitebox.paper_pairs (Whitebox.table ~seed ~exec ()))
+    (List.map2 row Whitebox.paper_pairs
+       (Whitebox.rows ~seed ~exec Whitebox.paper_pairs))
 
 let perf_report level ~seed exec =
   let pairs = List.filter (fun (l, _, _) -> l = level) Whitebox.paper_pairs in
@@ -791,7 +792,7 @@ let find name =
   | Some e -> e
   | None -> invalid_arg ("Catalog: unknown experiment " ^ name)
 
-let run ~seed ?(exec = Exec.sequential ()) name =
+let run ~seed ~exec name =
   let _, _, render = find name in
   render ~seed exec
 

@@ -24,9 +24,9 @@ val aliases : (string * string) list
 val resolve : string -> string
 (** Canonical name of an alias; identity for everything else. *)
 
-val run : seed:string -> ?exec:Exec.t -> string -> string
-(** Run a campaign through [exec] (default a fresh {!Exec.sequential});
-    the report is bit-identical for any [exec.jobs].
+val run : seed:string -> exec:Exec.t -> string -> string
+(** Run a campaign through [exec]; the report is bit-identical for any
+    [exec.jobs].
     @raise Invalid_argument for unknown names. *)
 
 val describe : string -> string

@@ -15,8 +15,7 @@ type grid = {
 
 let total outcome = Experiment.median_of (fun s -> s.Experiment.total_ms) outcome
 
-let analyze ?(buffering = Tls.Config.Optimized_push) ?(seed = "deviation")
-    ?(exec = Exec.sequential ()) level =
+let analyze ?(buffering = Tls.Config.Optimized_push) ~seed ~exec level =
   let kems = Pqc.Registry.level_group level `Kem in
   let sigs = Pqc.Registry.level_group_sigs level in
   let baseline_kem = Pqc.Registry.baseline_kem in

@@ -25,11 +25,11 @@ type grid = {
 }
 
 val analyze :
-  ?buffering:Tls.Config.buffering -> ?seed:string -> ?exec:Exec.t -> int -> grid
-(** [analyze level] runs the full level-group campaign (the paper's
-    [level1]/[level3]/[level5] experiments; [level1-nopush] etc. with
-    [~buffering:Default_buffered]). Each distinct KA x SA pair is
-    measured exactly once, through [exec] (default sequential). *)
+  ?buffering:Tls.Config.buffering -> seed:string -> exec:Exec.t -> int -> grid
+(** [analyze ~seed ~exec level] runs the full level-group campaign (the
+    paper's [level1]/[level3]/[level5] experiments; [level1-nopush] etc.
+    with [~buffering:Default_buffered]). Each distinct KA x SA pair is
+    measured exactly once, through [exec]. *)
 
 val improvement : optimized:grid -> default:grid -> (string * string * float) list
 (** Figure 3c: per-combination latency gain of the optimized push,

@@ -19,48 +19,26 @@ type cell_error = {
 
 type cell_result = (Experiment.outcome, cell_error) result
 
-type counters = {
-  c_ok : int Atomic.t;
-  c_retried : int Atomic.t;
-  c_failed : int Atomic.t;
-  c_started : float;
-}
-
 type t = {
   jobs : int;
   cache : Result_cache.t option;
   progress : bool;
   retries : int;
   fail_cell : string option;
-  counters : counters;
+  started : float;
   trace : Trace.Store.t option;
   metrics : Metrics.t;
 }
 
-let default_jobs = Pool.default_jobs
-
-let fresh_counters () =
-  { c_ok = Atomic.make 0;
-    c_retried = Atomic.make 0;
-    c_failed = Atomic.make 0;
-    c_started = Clock.now_s () }
-
-let sequential () =
-  { jobs = 1; cache = None; progress = false; retries = 1; fail_cell = None;
-    counters = fresh_counters (); trace = None; metrics = Metrics.create () }
-
-let create ?jobs ?cache_dir ?(progress = false) ?(retries = 1) ?fail_cell
+let create ~jobs ?cache_dir ?(progress = false) ?(retries = 1) ?fail_cell
     ?trace () =
   Printexc.record_backtrace true;
-  { jobs = (match jobs with Some j -> max 1 j | None -> default_jobs ());
+  { jobs = max 1 jobs;
     cache = Option.map (fun dir -> Result_cache.create ~dir) cache_dir;
     progress;
     retries = max 0 retries;
-    fail_cell =
-      (match fail_cell with
-      | Some _ -> fail_cell
-      | None -> Sys.getenv_opt "PQTLS_FAIL_CELL");
-    counters = fresh_counters ();
+    fail_cell;
+    started = Clock.now_s ();
     trace;
     metrics = Metrics.create () }
 
@@ -94,14 +72,14 @@ let run_cell t (kind : _ Cell.kind) ?trace spec =
       kind.Cell.run ?trace (attempt_spec kind spec k)
     with
     | o ->
-      Atomic.incr t.counters.c_ok;
-      if k > 0 then Atomic.incr t.counters.c_retried;
+      Metrics.incr t.metrics "cells_ok";
+      if k > 0 then Metrics.incr t.metrics "cells_retried";
       Ok o
     | exception e ->
       let bt = Printexc.get_backtrace () in
       if k < t.retries then attempt (k + 1)
       else begin
-        Atomic.incr t.counters.c_failed;
+        Metrics.incr t.metrics "cells_failed";
         Error
           { ce_message = Printexc.to_string e;
             ce_backtrace = bt;
@@ -135,7 +113,7 @@ let grid t (kind : _ Cell.kind) record specs =
         let k = Result_cache.kind_key c kind spec in
         match Result_cache.kind_find c kind k with
         | Some o ->
-          Atomic.incr t.counters.c_ok;
+          Metrics.incr t.metrics "cells_ok";
           (Ok o, `Hit)
         | None ->
           let r = run_cell t kind ?trace spec in
@@ -200,15 +178,16 @@ type farm_cell_result = (Experiment.farm_outcome, cell_error) result
 
 let farm_cells t = grid t Cell.farm Metrics.record_farm_cell
 
-let ok_count t = Atomic.get t.counters.c_ok
-let retried_count t = Atomic.get t.counters.c_retried
-let failed_count t = Atomic.get t.counters.c_failed
+let ok_count t = Metrics.counter t.metrics "cells_ok"
+let retried_count t = Metrics.counter t.metrics "cells_retried"
+let failed_count t = Metrics.counter t.metrics "cells_failed"
 
 let cache_summary t =
   Option.map
-    (fun c ->
+    (fun _ ->
       Printf.sprintf "cache: %d cells reused, %d executed"
-        (Result_cache.hits c) (Result_cache.misses c))
+        (Metrics.counter t.metrics "cells_from_cache")
+        (Metrics.counter t.metrics "cells_executed"))
     t.cache
 
 let health_summary t =
@@ -220,7 +199,7 @@ let health_summary t =
      cells: %d fresh, %d cached; cell wall %.1f s total, %.1f s max"
     (ok_count t) (retried_count t) (failed_count t)
     (match cache_summary t with None -> "" | Some line -> "; " ^ line)
-    (Clock.elapsed_s t.counters.c_started)
+    (Clock.elapsed_s t.started)
     (Metrics.counter t.metrics "cells_executed")
     (Metrics.counter t.metrics "cells_from_cache")
     total_wall max_wall

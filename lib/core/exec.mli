@@ -1,8 +1,8 @@
 (** Campaign execution context: domain count, optional result cache,
     per-cell retry budget, and progress narration. Every campaign in
-    {!Catalog}, {!Deviation}, {!Whitebox} and {!Amplification} accepts
-    one; the default, a fresh {!sequential} context per call, reproduces
-    the historical single-core behaviour bit for bit.
+    {!Catalog}, {!Deviation}, {!Whitebox} and {!Amplification} runs
+    through one, built by {!create}; [create ~jobs:1 ()] reproduces the
+    historical single-core behaviour bit for bit.
 
     Every {!Cell.kind} runs through one grid runner: {!cells} and
     {!farm_cells} instantiate it for the two kinds.
@@ -23,15 +23,6 @@ type cell_error = {
 
 type cell_result = (Experiment.outcome, cell_error) result
 
-type counters = {
-  c_ok : int Atomic.t;
-  c_retried : int Atomic.t;
-  c_failed : int Atomic.t;
-  c_started : float;
-}
-(** Campaign health, accumulated across every {!cells} call on this
-    context (domain-safe). *)
-
 type t = {
   jobs : int;  (** domains used per grid, including the caller's *)
   cache : Result_cache.t option;
@@ -40,8 +31,8 @@ type t = {
   fail_cell : string option;
       (** fault injection for tests/CI: any cell whose
           {!Cell.kind} label contains this substring raises on every
-          attempt. Defaults from [PQTLS_FAIL_CELL]. *)
-  counters : counters;
+          attempt. *)
+  started : float;  (** host clock at {!create}, for {!health_summary} *)
   trace : Trace.Store.t option;
       (** when set, every executed cell of a traced {!Cell.kind}
           records its trace into a per-cell buffer; buffers are merged
@@ -52,21 +43,14 @@ type t = {
       (** always-on observability: per-cell distribution summaries
           recorded in spec order after each {!cells} call (deduplicated
           on the spec fingerprint, so the artifact is bit-identical
-          whatever [jobs]), plus volatile self-telemetry — the
-          [cells_executed] / [cells_from_cache] counters and the
-          [cell_wall_s] series feeding {!health_summary}. *)
+          whatever [jobs]), plus volatile self-telemetry, the campaign's
+          only counters: [cells_ok], [cells_retried], [cells_failed],
+          [cells_executed] and [cells_from_cache], and the [cell_wall_s]
+          series, all feeding {!health_summary}. *)
 }
 
-val sequential : unit -> t
-(** A fresh context with [jobs = 1], no cache, silent, one retry, no
-    fault injection — the default everywhere. Each call has its own
-    metrics registry and health counters. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], at least 1. *)
-
 val create :
-  ?jobs:int ->
+  jobs:int ->
   ?cache_dir:string ->
   ?progress:bool ->
   ?retries:int ->
@@ -74,11 +58,12 @@ val create :
   ?trace:Trace.Store.t ->
   unit ->
   t
-(** [jobs] defaults to {!default_jobs}; [cache_dir] opens (creating if
+(** [jobs] is clamped to at least 1; [cache_dir] opens (creating if
     needed) a {!Result_cache} there; [progress] defaults to [false];
-    [retries] defaults to [1]; [fail_cell] defaults to the
-    [PQTLS_FAIL_CELL] environment variable (unset = no injection);
-    [trace] collects per-cell traces (see the field doc). *)
+    [retries] defaults to [1]; [fail_cell] defaults to no injection;
+    [trace] collects per-cell traces (see the field doc). Each call has
+    its own metrics registry. Turns on backtrace recording, for
+    {!cell_error}. *)
 
 val cells : t -> Experiment.spec list -> cell_result list
 (** Evaluate a grid: each cell is served from the cache when possible,

@@ -16,13 +16,7 @@ type sample = {
 }
 
 type outcome = {
-  kem_name : string;
-  sig_name : string;
-  scenario_name : string;
-  mix_name : string;
-  chain_name : string;
   chain_levels : (string * string * int * float) list;
-  buffering : Tls.Config.buffering;
   samples : sample list;
   handshakes_per_minute : int;
   client_cpu_ms : float;
@@ -301,13 +295,7 @@ let run_spec_traced sp =
     else int_of_float (float_of_int !count *. 60. /. duration_s)
   in
   let n = float_of_int !count in
-  { kem_name = kem.Pqc.Kem.name;
-    sig_name = sig_alg.Pqc.Sigalg.name;
-    scenario_name = scenario.Scenario.name;
-    mix_name = mix.Mix.name;
-    chain_name = chain.Tls.Chain_profile.name;
-    chain_levels;
-    buffering;
+  { chain_levels;
     samples;
     handshakes_per_minute = per_minute;
     client_cpu_ms = Netsim.Host.total_cpu_ms client_host /. n;
@@ -352,13 +340,6 @@ type farm_spec = {
 }
 
 type farm_outcome = {
-  fo_kem_name : string;
-  fo_sig_name : string;
-  fo_scenario_name : string;
-  fo_profile : string;
-  fo_policy : string;
-  fo_servers : int;
-  fo_utilization : float;
   fo_capacity_hs_s : float;
   fo_offered_rate : float;
   fo_window_s : float;
@@ -372,7 +353,6 @@ type farm_outcome = {
   fo_server_busy : float;
   fo_server_ledger : (string * float) list;
   fo_per_server_completed : int list;
-  fo_mix_name : string;
   fo_resumed_completed : int;
   fo_early_data_bytes : int;
   fo_adv_launched : int;
@@ -599,14 +579,7 @@ let run_farm_spec sp =
     invalid_arg
       (Printf.sprintf "Experiment.run_farm_spec: no handshake completed for %s"
          (farm_spec_label sp));
-  { fo_kem_name = sp.fa_kem.Pqc.Kem.name;
-    fo_sig_name = sp.fa_sig.Pqc.Sigalg.name;
-    fo_scenario_name = sp.fa_scenario.Scenario.name;
-    fo_profile = sp.fa_profile;
-    fo_policy = sp.fa_policy;
-    fo_servers = sp.fa_servers;
-    fo_utilization = sp.fa_utilization;
-    fo_capacity_hs_s = capacity;
+  { fo_capacity_hs_s = capacity;
     fo_offered_rate = rate;
     fo_window_s = window;
     fo_offered = Netsim.Farm.offered farm;
@@ -621,7 +594,6 @@ let run_farm_spec sp =
     fo_server_ledger = merged_ledger;
     fo_per_server_completed =
       Array.to_list (Netsim.Farm.per_server_completed farm);
-    fo_mix_name = sp.fa_mix.Mix.name;
     fo_resumed_completed = !resumed_completed;
     fo_early_data_bytes = !early_bytes;
     fo_adv_launched = !adv_launched;

@@ -26,16 +26,9 @@ type sample = {
 }
 
 type outcome = {
-  kem_name : string;
-  sig_name : string;
-  scenario_name : string;
-  mix_name : string;  (** {!Mix} this cell ran under ("full" historically) *)
-  chain_name : string;
-      (** {!Tls.Chain_profile} served ("default" = leaf-only) *)
   chain_levels : (string * string * int * float) list;
       (** per-level placement breakdown of the served chain, leaf first:
           (level name, issuing SA, CertificateEntry bytes, verify ms) *)
-  buffering : Tls.Config.buffering;
   samples : sample list;
   handshakes_per_minute : int;
       (** per-minute handshake rate: the raw count scaled by
@@ -158,13 +151,6 @@ type farm_spec = {
 }
 
 type farm_outcome = {
-  fo_kem_name : string;
-  fo_sig_name : string;
-  fo_scenario_name : string;
-  fo_profile : string;
-  fo_policy : string;
-  fo_servers : int;
-  fo_utilization : float;
   fo_capacity_hs_s : float;  (** calibrated farm capacity, handshakes/s *)
   fo_offered_rate : float;  (** mean offered arrival rate, handshakes/s *)
   fo_window_s : float;  (** effective arrival window *)
@@ -179,7 +165,6 @@ type farm_outcome = {
   fo_server_busy : float;  (** fraction of total server core-time busy *)
   fo_server_ledger : (string * float) list;
   fo_per_server_completed : int list;
-  fo_mix_name : string;
   fo_resumed_completed : int;  (** completed connections that resumed *)
   fo_early_data_bytes : int;  (** 0-RTT bytes accepted across the farm *)
   fo_adv_launched : int;

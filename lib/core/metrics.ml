@@ -105,7 +105,7 @@ type cell = {
   m_data : (cell_data, string) result;
 }
 
-let data_of_outcome ~id (o : Experiment.outcome) =
+let data_of_outcome ~id (sp : Experiment.spec) (o : Experiment.outcome) =
   let samples = o.Experiment.samples in
   let d name f =
     dist ~seed:(id ^ "/" ^ name) (List.map f samples)
@@ -113,7 +113,7 @@ let data_of_outcome ~id (o : Experiment.outcome) =
   let di name f = d name (fun s -> float_of_int (f s)) in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 samples in
   let resumption =
-    if o.Experiment.mix_name = "full" then None
+    if Mix.is_full sp.Experiment.sp_mix then None
     else begin
       let resumed, full =
         List.partition (fun s -> s.Experiment.resumed) samples
@@ -345,7 +345,7 @@ let cell_of ~id ~key (sp : Experiment.spec) result =
     m_chain = sp.Experiment.sp_chain.Tls.Chain_profile.name;
     m_buffering = buffering_name sp.Experiment.sp_buffering;
     m_standard = is_standard sp;
-    m_data = Result.map (fun o -> data_of_outcome ~id o) result }
+    m_data = Result.map (data_of_outcome ~id sp) result }
 
 let farm_cell_of ~id ~key (sp : Experiment.farm_spec) result =
   { f_id = id;

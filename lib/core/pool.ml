@@ -1,48 +1,23 @@
-(* A small work-stealing pool over OCaml 5 domains, sized for campaign
-   grids: tasks are coarse (one task = one 60-virtual-second experiment,
-   milliseconds to seconds of host time), so every queue operation can
-   afford a mutex and the scheduler can stay simple and obviously
-   correct.
+(* A small domain pool sized for campaign grids: tasks are coarse (one
+   task = one 60-virtual-second experiment, milliseconds to seconds of
+   host time), so one shared atomic cursor is all the scheduling they
+   need. Every worker claims the next unclaimed index until the cursor
+   passes the end; a worker that draws a long cell simply claims fewer,
+   and one that runs out of indices returns instead of waiting. The
+   caller's domain participates as worker 0, so [jobs = n] uses exactly
+   [n] domains in total.
 
-   Each worker owns a deque seeded round-robin; it pops from the front
-   of its own deque and, when empty, steals from the *back* of the
-   busiest other deque, which preserves locality of the initial shard
-   and balances stragglers. The caller's domain participates as worker
-   0, so [jobs = n] uses exactly [n] domains in total.
-
-   A raising task abandons the rest of the map and re-raises in the
-   caller — a backstop only: campaign cells are wrapped into [result]
-   values by [Exec] before they get here, so a failing cell degrades
-   one grid entry instead of killing the whole campaign. *)
+   A raising task stops every worker from claiming more and re-raises in
+   the caller once the tasks in flight finish — a backstop only:
+   campaign cells are wrapped into [result] values by [Exec] before they
+   get here, so a failing cell degrades one grid entry instead of
+   killing the whole campaign. *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count ())
 
-type deque = { lock : Mutex.t; mutable tasks : int list }
-
-let pop_front d =
-  Mutex.protect d.lock (fun () ->
-      match d.tasks with
-      | [] -> None
-      | i :: rest ->
-        d.tasks <- rest;
-        Some i)
-
-let steal_back d =
-  Mutex.protect d.lock (fun () ->
-      match List.rev d.tasks with
-      | [] -> None
-      | i :: rest ->
-        d.tasks <- List.rev rest;
-        Some i)
-
-let length d = Mutex.protect d.lock (fun () -> List.length d.tasks)
-
-let map ?jobs ?on_done f inputs =
+let map ~jobs ?on_done f inputs =
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
   let progress = Mutex.create () in
   let completed = ref 0 in
   let finish i result elapsed =
@@ -60,63 +35,25 @@ let map ?jobs ?on_done f inputs =
     let r = f inputs.(i) in
     finish i r (Clock.elapsed_s t0)
   in
-  if jobs = 1 || n <= 1 then Array.to_list (Array.init n timed)
+  if jobs <= 1 || n <= 1 then Array.to_list (Array.init n timed)
   else begin
-    let workers = min jobs n in
     let results = Array.make n None in
-    let remaining = Atomic.make n in
+    let next = Atomic.make 0 in
     let failure = Atomic.make None in
-    let deques =
-      Array.init workers (fun _ -> { lock = Mutex.create (); tasks = [] })
+    let rec worker () =
+      if Atomic.get failure = None then begin
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          (try results.(i) <- Some (timed i)
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+          worker ()
+        end
+      end
     in
-    for i = n - 1 downto 0 do
-      let d = deques.(i mod workers) in
-      d.tasks <- i :: d.tasks
-    done;
-    let try_steal me =
-      let victim = ref None and best = ref 0 in
-      Array.iteri
-        (fun w d ->
-          if w <> me then begin
-            let l = length d in
-            if l > !best then begin
-              best := l;
-              victim := Some d
-            end
-          end)
-        deques;
-      Option.bind !victim steal_back
-    in
-    let exec i =
-      (try results.(i) <- Some (timed i)
-       with e ->
-         let bt = Printexc.get_raw_backtrace () in
-         ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-      Atomic.decr remaining
-    in
-    let rec worker me =
-      if Atomic.get failure = None then
-        match pop_front deques.(me) with
-        | Some i ->
-          exec i;
-          worker me
-        | None -> (
-          match try_steal me with
-          | Some i ->
-            exec i;
-            worker me
-          | None ->
-            (* nothing queued; other workers may still push nothing new,
-               so just wait for in-flight tasks to drain *)
-            if Atomic.get remaining > 0 then begin
-              Domain.cpu_relax ();
-              worker me
-            end)
-    in
-    let domains =
-      List.init (workers - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
-    in
-    worker 0;
+    let domains = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     List.iter Domain.join domains;
     (match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt

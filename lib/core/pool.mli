@@ -1,17 +1,17 @@
-(** Work-stealing domain pool for campaign grids.
+(** Domain pool for campaign grids.
 
     Tasks are coarse (one task = one experiment cell), so the pool
-    favours simplicity: per-worker deques seeded round-robin, idle
-    workers steal from the back of the fullest other deque. Results come
-    back in input order, so a parallel map is a drop-in replacement for
-    [List.map] whenever [f] is pure — which experiment cells are (each
-    builds its own engine, RNG and hosts from a derived seed). *)
+    favours simplicity: workers claim task indices from one shared
+    atomic cursor until it passes the end. Results come back in input
+    order, so a parallel map is a drop-in replacement for [List.map]
+    whenever [f] is pure — which experiment cells are (each builds its
+    own engine, RNG and hosts from a derived seed). *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], at least 1. *)
 
 val map :
-  ?jobs:int ->
+  jobs:int ->
   ?on_done:
     (index:int ->
     completed:int ->
@@ -23,17 +23,17 @@ val map :
   ('a -> 'b) ->
   'a list ->
   'b list
-(** [map ~jobs f xs] is [List.map f xs] evaluated on [jobs] domains
-    (including the calling one). [jobs] defaults to {!default_jobs};
-    [jobs = 1] runs sequentially in the caller with no domain spawned.
+(** [map ~jobs f xs] is [List.map f xs] evaluated on [min jobs n]
+    domains (including the calling one); [jobs <= 1] runs sequentially
+    in the caller with no domain spawned.
 
     [on_done] fires after each task under an internal lock (safe to
     print from): input index, completion count, total, the input, the
     result, and the task's host-time seconds.
 
-    If a task raises, remaining queued tasks are abandoned, in-flight
-    ones drain, and the first exception is re-raised in the caller.
-    This is a backstop for genuine bugs: the campaign layer ({!Exec})
-    catches per-cell failures into [(_, _) result] values before they
-    reach the pool, so one failing experiment cell cannot abandon the
-    rest of a grid. *)
+    If a task raises, no further task is claimed, in-flight ones drain,
+    and the first exception is re-raised in the caller with its
+    backtrace. This is a backstop for genuine bugs: the campaign layer
+    ({!Exec}) catches per-cell failures into [(_, _) result] values
+    before they reach the pool, so one failing experiment cell cannot
+    abandon the rest of a grid. *)

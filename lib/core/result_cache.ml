@@ -17,17 +17,7 @@
 
 let magic (kind : _ Cell.kind) = "pqtls-cache-2/" ^ kind.Cell.tag
 
-type t = {
-  dir : string;
-  code_fingerprint : string;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-}
-
-let hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+type t = { dir : string; code_fingerprint : string }
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -41,13 +31,10 @@ let create ~dir =
     try Digest.to_hex (Digest.file Sys.executable_name)
     with Sys_error _ -> "no-executable"
   in
-  { dir;
-    code_fingerprint;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0 }
+  { dir; code_fingerprint }
 
 let kind_key t (kind : _ Cell.kind) spec =
-  hex
+  Crypto.Bytesx.to_hex
     (Crypto.Sha256.digest
        (kind.Cell.fingerprint spec ^ "|code=" ^ t.code_fingerprint))
 
@@ -62,11 +49,7 @@ let kind_find (type o) t (kind : (_, o) Cell.kind) k : o option =
         let m, (o : o) = Marshal.from_channel ic in
         if m <> magic kind then None else Some o)
   in
-  let r = try read () with Sys_error _ | End_of_file | Failure _ -> None in
-  (match r with
-  | Some _ -> Atomic.incr t.hits
-  | None -> Atomic.incr t.misses);
-  r
+  try read () with Sys_error _ | End_of_file | Failure _ -> None
 
 let kind_store (type o) t (kind : (_, o) Cell.kind) k (o : o) =
   let final = path t kind k in
@@ -86,6 +69,3 @@ let store t = kind_store t Cell.standard
 let farm_key t = kind_key t Cell.farm
 let find_farm t = kind_find t Cell.farm
 let store_farm t = kind_store t Cell.farm
-
-let hits t = Atomic.get t.hits
-let misses t = Atomic.get t.misses

@@ -26,7 +26,8 @@ val kind_key : t -> ('spec, _) Cell.kind -> 'spec -> string
 (** Hex cache key of a cell under this cache's code fingerprint. *)
 
 val kind_find : t -> (_, 'outcome) Cell.kind -> string -> 'outcome option
-(** Lookup by {!kind_key}; counts a hit or a miss. *)
+(** Lookup by {!kind_key}; a missing, corrupt or alien entry is
+    [None]. *)
 
 val kind_store : t -> (_, 'outcome) Cell.kind -> string -> 'outcome -> unit
 
@@ -38,9 +39,3 @@ val store : t -> string -> Experiment.outcome -> unit
 val farm_key : t -> Experiment.farm_spec -> string
 val find_farm : t -> string -> Experiment.farm_outcome option
 val store_farm : t -> string -> Experiment.farm_outcome -> unit
-
-val hits : t -> int
-(** Lookups served from disk since [create]. *)
-
-val misses : t -> int
-(** Lookups that had to execute since [create]. *)

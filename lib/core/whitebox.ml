@@ -21,7 +21,7 @@ let paper_pairs =
     (3, "kyber768", "dilithium3");
     (5, "kyber1024", "dilithium5") ]
 
-let spec_of ?(seed = "whitebox") (_, kem_name, sa_name) =
+let spec_of ~seed (_, kem_name, sa_name) =
   Experiment.spec ~seed
     (Pqc.Registry.find_kem kem_name)
     (Pqc.Registry.find_sig sa_name)
@@ -39,15 +39,13 @@ let row_of (level, kem_name, sa_name) o =
     server_libs = o.Experiment.server_ledger;
     client_libs = o.Experiment.client_ledger }
 
-let rows ?seed ?(exec = Exec.sequential ()) pairs =
-  let results = Exec.cells exec (List.map (spec_of ?seed) pairs) in
+let rows ~seed ~exec pairs =
+  let results = Exec.cells exec (List.map (spec_of ~seed) pairs) in
   List.map2
     (fun p r -> match r with Ok o -> Some (row_of p o) | Error _ -> None)
     pairs results
 
-let measure ?seed pair = row_of pair (Experiment.run_spec (spec_of ?seed pair))
-
-let table ?seed ?exec () = rows ?seed ?exec paper_pairs
+let measure ~seed pair = row_of pair (Experiment.run_spec (spec_of ~seed pair))
 
 (* Trace-vs-ledger cross-check: the ledger is written by Host.charge and
    every charge also emits exactly one cpu span tagged with its library,

@@ -19,17 +19,14 @@ type row = {
 val paper_pairs : (int * string * string) list
 (** The eight pairs shown in the paper's Table 3. *)
 
-val measure : ?seed:string -> int * string * string -> row
+val measure : seed:string -> int * string * string -> row
 
 val rows :
-  ?seed:string -> ?exec:Exec.t -> (int * string * string) list ->
+  seed:string -> exec:Exec.t -> (int * string * string) list ->
   row option list
-(** Measure the given pairs through [exec] (default sequential). The
-    result is aligned with the input: [None] marks a pair whose cell
-    failed (after retries), so renderers can still show the rest. *)
-
-val table : ?seed:string -> ?exec:Exec.t -> unit -> row option list
-(** All of [paper_pairs]. *)
+(** Measure the given pairs through [exec]. The result is aligned with
+    the input: [None] marks a pair whose cell failed (after retries), so
+    renderers can still show the rest. *)
 
 (** {1 Trace cross-check}
 

@@ -239,7 +239,7 @@ let test_whitebox_shapes () =
   Alcotest.(check int) "eight paper pairs" 8 (List.length Whitebox.paper_pairs)
 
 let test_deviation_analysis () =
-  let g = Deviation.analyze ~seed:"test" 5 in
+  let g = Deviation.analyze ~seed:"test" ~exec:(Exec.create ~jobs:1 ()) 5 in
   Alcotest.(check int) "level-5 grid = 4 KAs x 4 SAs" 16
     (List.length g.Deviation.cells);
   (* the baseline combination predicts itself: deviations are bounded *)
@@ -251,7 +251,10 @@ let test_deviation_analysis () =
         (Float.abs c.Deviation.deviation_ms < 12.))
     g.Deviation.cells;
   (* optimized push must not be slower overall than default buffering *)
-  let d = Deviation.analyze ~seed:"test" ~buffering:Tls.Config.Default_buffered 5 in
+  let d =
+    Deviation.analyze ~seed:"test" ~exec:(Exec.create ~jobs:1 ())
+      ~buffering:Tls.Config.Default_buffered 5
+  in
   let gains = Deviation.improvement ~optimized:g ~default:d in
   Alcotest.(check int) "improvement covers the grid" 16 (List.length gains);
   let mean_gain = Stats.mean (List.map (fun (_, _, g) -> g) gains) in
@@ -300,7 +303,9 @@ let test_scenarios_and_catalog () =
   Alcotest.(check int) "twenty-seven experiments" 27 (List.length Catalog.names);
   List.iter (fun n -> ignore (Catalog.describe n)) Catalog.names;
   (* one cheap catalog entry end-to-end *)
-  let report = Catalog.run ~seed:"test" "level5-perf" in
+  let report =
+    Catalog.run ~seed:"test" ~exec:(Exec.create ~jobs:1 ()) "level5-perf"
+  in
   let contains hay needle =
     let n = String.length needle in
     let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in

@@ -126,9 +126,11 @@ let test_failures_are_not_cached () =
   (match Exec.cells second specs with
   | [ Ok _; Error _ ] -> ()
   | _ -> Alcotest.fail "expected [Ok; Error] on the warm run");
-  let c = Option.get second.Exec.cache in
-  Alcotest.(check int) "only the successful cell hit" 1 (Result_cache.hits c);
-  Alcotest.(check int) "the failed cell re-executed" 1 (Result_cache.misses c)
+  let counter = Metrics.counter second.Exec.metrics in
+  Alcotest.(check int) "only the successful cell hit" 1
+    (counter "cells_from_cache");
+  Alcotest.(check int) "the failed cell re-executed" 1
+    (counter "cells_executed")
 
 let test_health_summary_counts () =
   let exec = Exec.create ~jobs:1 ~retries:0 () in
@@ -141,6 +143,23 @@ let test_health_summary_counts () =
   let line = Exec.health_summary exec in
   Alcotest.(check bool) "summary lists ok and failed counts" true
     (contains "1 cells ok" line && contains "1 failed" line)
+
+(* fault injection is the CLI's business: a context built without
+   [~fail_cell] runs every cell, whatever the environment says *)
+let test_library_reads_no_environment () =
+  let spec =
+    Experiment.spec ~seed:"failures-env" ~max_samples:2 (kem "x25519")
+      (sa "rsa:2048")
+  in
+  Unix.putenv "PQTLS_FAIL_CELL" (Experiment.spec_label spec);
+  let results =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "PQTLS_FAIL_CELL" "")
+      (fun () -> Exec.cells (Exec.create ~jobs:1 ()) [ spec ])
+  in
+  match results with
+  | [ Ok _ ] -> ()
+  | _ -> Alcotest.fail "the environment injected a failure"
 
 let suites =
   [ ( "failures",
@@ -155,4 +174,6 @@ let suites =
         Alcotest.test_case "failures are not cached" `Quick
           test_failures_are_not_cached;
         Alcotest.test_case "health summary counts" `Quick
-          test_health_summary_counts ] ) ]
+          test_health_summary_counts;
+        Alcotest.test_case "library reads no environment" `Quick
+          test_library_reads_no_environment ] ) ]

@@ -1,7 +1,7 @@
-(* The parallel campaign layer: the work-stealing pool must be a
-   drop-in List.map, the parallel runner must be bit-identical to the
-   sequential one, and the result cache must serve re-runs without
-   re-executing a single cell. *)
+(* The parallel campaign layer: the pool must be a drop-in List.map,
+   the parallel runner must be bit-identical to the sequential one, and
+   the result cache must serve re-runs without re-executing a single
+   cell. *)
 
 open Core
 
@@ -12,7 +12,7 @@ let sa = Pqc.Registry.find_sig
 
 let test_pool_matches_map () =
   let xs = List.init 50 Fun.id in
-  (* uneven task sizes so stealing actually happens *)
+  (* uneven task sizes, so workers claim unequal shares of the cursor *)
   let f x =
     let acc = ref 0 in
     for i = 0 to (x mod 7) * 10_000 do
@@ -79,14 +79,17 @@ let oks results =
 
 let test_parallel_bit_identical () =
   let specs = subgrid "pool-determinism" in
-  let seq = oks (Exec.cells (Exec.sequential ()) specs) in
-  let par = oks (Exec.cells { (Exec.sequential ()) with Exec.jobs = 4 } specs) in
+  let seq = oks (Exec.cells (Exec.create ~jobs:1 ()) specs) in
+  let par = oks (Exec.cells (Exec.create ~jobs:4 ()) specs) in
   Alcotest.(check bool)
     "3x3 grid byte-identical across jobs=1/jobs=4" true
     (String.equal (marshal_bytes seq) (marshal_bytes par))
 
 let test_catalog_report_bit_identical () =
-  let seq = Catalog.run ~seed:"pool-report" "all-sphincs" in
+  let seq =
+    Catalog.run ~seed:"pool-report" ~exec:(Exec.create ~jobs:1 ())
+      "all-sphincs"
+  in
   let par =
     Catalog.run ~seed:"pool-report"
       ~exec:(Exec.create ~jobs:4 ()) "all-sphincs"
@@ -108,18 +111,18 @@ let test_cache_roundtrip () =
   let specs = subgrid "pool-cache" in
   let first = Exec.create ~jobs:2 ~cache_dir:dir () in
   let cold = oks (Exec.cells first specs) in
-  let c1 = Option.get first.Exec.cache in
+  let counter exec = Metrics.counter exec.Exec.metrics in
   Alcotest.(check int) "cold run misses everything" (List.length specs)
-    (Result_cache.misses c1);
-  Alcotest.(check int) "cold run hits nothing" 0 (Result_cache.hits c1);
+    (counter first "cells_executed");
+  Alcotest.(check int) "cold run hits nothing" 0
+    (counter first "cells_from_cache");
   (* a fresh context over the same directory: all cells reload *)
   let second = Exec.create ~jobs:2 ~cache_dir:dir () in
   let warm = oks (Exec.cells second specs) in
-  let c2 = Option.get second.Exec.cache in
   Alcotest.(check int) "warm run executes zero cells" 0
-    (Result_cache.misses c2);
+    (counter second "cells_executed");
   Alcotest.(check int) "warm run hits everything" (List.length specs)
-    (Result_cache.hits c2);
+    (counter second "cells_from_cache");
   (* marshal bytes are not comparable across a disk round-trip (string
      sharing between outcomes is lost), so compare structurally — floats
      included, which is exact *)
@@ -173,10 +176,10 @@ let test_cache_corrupt_entry_is_miss () =
   let _, executed3 = run () in
   Alcotest.(check int) "repaired entry now hits" 0 executed3
 
-(* the default context is created per call: two of them never share a
-   metrics registry or health counters *)
+(* every context has its own registry: two of them never share
+   recorded cells or health counters *)
 let test_sequential_contexts_independent () =
-  let a = Exec.sequential () and b = Exec.sequential () in
+  let a = Exec.create ~jobs:1 () and b = Exec.create ~jobs:1 () in
   let spec k = Experiment.spec ~seed:"pool-seq" ~max_samples:2 (kem k) (sa "rsa:2048") in
   ignore (oks (Exec.cells a [ spec "x25519" ]));
   ignore (oks (Exec.cells b [ spec "kyber512"; spec "kyber768" ]));

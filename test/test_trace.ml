@@ -65,7 +65,10 @@ let test_outcome_unchanged_by_tracing () =
 let test_report_unchanged_by_tracing () =
   (* a whole catalog campaign renders byte-identically with a trace
      store attached *)
-  let plain = Core.Catalog.run ~seed:"tt" ~exec:(Core.Exec.sequential ()) "level5-perf" in
+  let plain =
+    Core.Catalog.run ~seed:"tt" ~exec:(Core.Exec.create ~jobs:1 ())
+      "level5-perf"
+  in
   let store = Trace.Store.create () in
   let exec = Core.Exec.create ~jobs:1 ~trace:store () in
   let traced = Core.Catalog.run ~seed:"tt" ~exec "level5-perf" in
