@@ -1,6 +1,6 @@
 (* pqtls-lint — the determinism & constant-time analysis gate.
 
-     pqtls-lint check                 # lib bin bench test, text report
+     pqtls-lint check                 # lib bin bench examples test, text report
      pqtls-lint check lib/crypto --rule C1
      pqtls-lint check --format json   # CI artifact
      pqtls-lint check --format sarif  # GitHub code scanning
@@ -12,11 +12,11 @@
 
 open Cmdliner
 
-let default_paths = [ "lib"; "bin"; "bench"; "test" ]
+let default_paths = [ "lib"; "bin"; "bench"; "examples"; "test" ]
 
 let paths_arg =
   let doc =
-    "Files or directories to check (default: lib bin bench test)."
+    "Files or directories to check (default: lib bin bench examples test)."
   in
   Arg.(value & pos_all string default_paths & info [] ~docv:"PATH" ~doc)
 
@@ -157,8 +157,8 @@ let graph_cmd =
   Cmd.v
     (Cmd.info "graph"
        ~doc:
-         "Dump the call graph the dataflow rules (C2, S2) compute, for \
-          debugging the analysis.")
+         "Dump the call graph the dataflow rules (C2, S2, M2) compute, \
+          for debugging the analysis.")
     Term.(const run $ paths_arg $ dot_arg)
 
 let () =

@@ -16,9 +16,6 @@ let row_of kem sa (o : Experiment.outcome) =
       med (fun s -> s.Experiment.server_bytes)
       /. med (fun s -> s.Experiment.client_bytes) }
 
-let measure ~seed kem sa =
-  row_of kem sa (Experiment.run_spec (Experiment.spec ~seed kem sa))
-
 let survey ~seed ~exec () =
   let pairs =
     List.map (fun sa -> (Pqc.Registry.baseline_kem, sa)) Pqc.Registry.sigs

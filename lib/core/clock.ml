@@ -10,8 +10,3 @@ let now_s () =
                                            a deterministic artifact"])
 
 let elapsed_s t0 = now_s () -. t0
-
-let time_ms f =
-  let t0 = now_s () in
-  f ();
-  (now_s () -. t0) *. 1000.

@@ -20,7 +20,3 @@ val now_s : unit -> float
 
 val elapsed_s : float -> float
 (** [elapsed_s t0] is [now_s () -. t0] — host seconds since [t0]. *)
-
-val time_ms : (unit -> unit) -> float
-(** [time_ms f] runs [f] once and returns its wall-clock duration in
-    milliseconds — the micro-benchmark primitive behind {!Profile}. *)

@@ -169,11 +169,6 @@ let grid t (kind : _ Cell.kind) record specs =
 
 let cells t = grid t Cell.standard Metrics.record_cell
 
-let cell t spec =
-  match cells t [ spec ] with
-  | [ r ] -> r
-  | _ -> assert false
-
 type farm_cell_result = (Experiment.farm_outcome, cell_error) result
 
 let farm_cells t = grid t Cell.farm Metrics.record_farm_cell

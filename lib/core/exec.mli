@@ -76,8 +76,6 @@ val cells : t -> Experiment.spec list -> cell_result list
     Summaries are recorded through {!Metrics.record_cell} in spec
     order. *)
 
-val cell : t -> Experiment.spec -> cell_result
-
 type farm_cell_result = (Experiment.farm_outcome, cell_error) result
 
 val farm_cells : t -> Experiment.farm_spec list -> farm_cell_result list

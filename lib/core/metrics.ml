@@ -367,10 +367,6 @@ let record_farm_cell =
   record Cell.farm farm_cell_of (fun t c ->
       t.farm_cells_rev <- c :: t.farm_cells_rev)
 
-let cell_count t =
-  locked t (fun () ->
-      List.length t.cells_rev + List.length t.farm_cells_rev)
-
 (* ---- the artifact -------------------------------------------------------- *)
 
 let schema_version = "pqtls-bench-metrics/1"

@@ -186,9 +186,6 @@ val record_farm_cell :
   unit
 (** Summarize one finished {!Cell.farm} cell, under the same rules. *)
 
-val cell_count : t -> int
-(** Recorded cells of both kinds. *)
-
 (** {1 The artifact} *)
 
 val schema_version : string

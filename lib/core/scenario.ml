@@ -31,8 +31,3 @@ let five_g =
         jitter_s = 0.; rate_bps = 880e6 } }
 
 let all = [ no_emulation; high_loss; low_bandwidth; high_delay; lte_m; five_g ]
-
-let find name =
-  match List.find_opt (fun s -> s.name = name) all with
-  | Some s -> s
-  | None -> invalid_arg ("Scenario.find: unknown scenario " ^ name)

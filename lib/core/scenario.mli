@@ -25,5 +25,3 @@ val five_g : t
 
 val all : t list
 (** Table 4 column order. *)
-
-val find : string -> t

@@ -45,8 +45,6 @@ let rows ~seed ~exec pairs =
     (fun p r -> match r with Ok o -> Some (row_of p o) | Error _ -> None)
     pairs results
 
-let measure ~seed pair = row_of pair (Experiment.run_spec (spec_of ~seed pair))
-
 (* Trace-vs-ledger cross-check: the ledger is written by Host.charge and
    every charge also emits exactly one cpu span tagged with its library,
    so the two per-library CPU shares must agree to float rounding. A

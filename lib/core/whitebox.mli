@@ -19,8 +19,6 @@ type row = {
 val paper_pairs : (int * string * string) list
 (** The eight pairs shown in the paper's Table 3. *)
 
-val measure : seed:string -> int * string * string -> row
-
 val rows :
   seed:string -> exec:Exec.t -> (int * string * string) list ->
   row option list

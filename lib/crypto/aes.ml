@@ -173,6 +173,3 @@ let ctr_squeeze t n =
   Bytes.unsafe_to_string out
 
 let ctr_keystream key ~nonce n = ctr_squeeze (ctr_stream key ~nonce) n
-
-let ctr_encrypt key ~nonce msg =
-  Bytesx.xor msg (ctr_keystream key ~nonce (String.length msg))

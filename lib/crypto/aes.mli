@@ -33,6 +33,3 @@ val ctr_squeeze : ctr -> int -> string
 val ctr_keystream : key -> nonce:string -> int -> string
 (** [ctr_keystream key ~nonce n] is the first [n] bytes of a fresh
     [ctr_stream key ~nonce]. *)
-
-val ctr_encrypt : key -> nonce:string -> string -> string
-(** XOR of the input with [ctr_keystream]. *)

@@ -325,7 +325,6 @@ let to_bytes_be ?len a =
     else String.make (l - nbytes) '\000' ^ s
 
 let of_hex h = of_bytes_be (Bytesx.of_hex (if String.length h mod 2 = 1 then "0" ^ h else h))
-let to_hex a = Bytesx.to_hex (to_bytes_be a)
 
 let random rng ~bits =
   if bits <= 0 then zero
@@ -413,5 +412,3 @@ let gen_prime rng ~bits =
     if is_probable_prime rng cand then cand else go ()
   in
   go ()
-
-let pp fmt a = Format.pp_print_string fmt ("0x" ^ to_hex a)

@@ -18,7 +18,6 @@ val to_int : t -> int
 (** @raise Failure if the value does not fit in a native int. *)
 
 val of_hex : string -> t
-val to_hex : t -> string
 
 val of_bytes_be : string -> t
 val to_bytes_be : ?len:int -> t -> string
@@ -72,5 +71,3 @@ val is_probable_prime : ?rounds:int -> Drbg.t -> t -> bool
 val gen_prime : Drbg.t -> bits:int -> t
 (** A random probable prime with the top two bits set (so products of two
     such primes have exactly [2*bits] bits, as RSA needs). *)
-
-val pp : Format.formatter -> t -> unit

@@ -91,25 +91,12 @@ let set_u32_be b off v =
   Bytes.set b (off + 2) (Char.chr ((v lsr 8) land 0xff));
   Bytes.set b (off + 3) (Char.chr (v land 0xff))
 
-let set_u32_le b off v =
-  Bytes.set b off (Char.chr (v land 0xff));
-  Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 2) (Char.chr ((v lsr 16) land 0xff));
-  Bytes.set b (off + 3) (Char.chr ((v lsr 24) land 0xff))
-
 let set_u64_be b off v =
   set_u32_be b off (Int64.to_int (Int64.shift_right_logical v 32) land 0xffffffff);
   set_u32_be b (off + 4) (Int64.to_int v land 0xffffffff)
 
-let set_u64_le b off v =
-  set_u32_le b off (Int64.to_int v land 0xffffffff);
-  set_u32_le b (off + 4) (Int64.to_int (Int64.shift_right_logical v 32) land 0xffffffff)
-
 let u16_be v =
   String.init 2 (fun i -> Char.chr ((v lsr (8 * (1 - i))) land 0xff))
-
-let u24_be v =
-  String.init 3 (fun i -> Char.chr ((v lsr (8 * (2 - i))) land 0xff))
 
 let u32_be v =
   String.init 4 (fun i -> Char.chr ((v lsr (8 * (3 - i))) land 0xff))
@@ -120,5 +107,3 @@ let u64_be v =
   Bytes.unsafe_to_string b
 
 let concat = String.concat ""
-let repeat c n = String.make n c
-let sub = String.sub

@@ -1,8 +1,8 @@
 (** Byte-string utilities shared by every primitive in this library.
 
     All values are immutable [string]s used as byte vectors; the helpers
-    here cover hex conversion, integer load/store in both endiannesses,
-    XOR, and constant-time comparison. *)
+    here cover hex conversion, integer loads in both endiannesses and
+    big-endian stores, XOR, and constant-time comparison. *)
 
 val to_hex : string -> string
 (** [to_hex s] is the lowercase hexadecimal rendering of [s]. *)
@@ -24,21 +24,12 @@ val get_u64_be : string -> int -> int64
 val get_u64_le : string -> int -> int64
 
 val set_u32_be : Bytes.t -> int -> int -> unit
-val set_u32_le : Bytes.t -> int -> int -> unit
 val set_u64_be : Bytes.t -> int -> int64 -> unit
-val set_u64_le : Bytes.t -> int -> int64 -> unit
 
 val u16_be : int -> string
-val u24_be : int -> string
 val u32_be : int -> string
 val u64_be : int64 -> string
 (** Big-endian encodings of small integers as fresh strings. *)
 
 val concat : string list -> string
 (** Alias of [String.concat ""]. *)
-
-val repeat : char -> int -> string
-(** [repeat c n] is [n] copies of [c]. *)
-
-val sub : string -> int -> int -> string
-(** [sub s off len] with the usual bounds checks. *)

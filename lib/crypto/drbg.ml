@@ -2,7 +2,6 @@ type t = { seed : string; xof : Keccak.Xof.t }
 
 let create ~seed = { seed; xof = Keccak.Xof.shake256 ("drbg:" ^ seed) }
 let generate t n = Keccak.Xof.squeeze t.xof n
-let byte t = Char.code (generate t 1).[0]
 
 (* sample 30-bit words, reject at or above [limit], the largest multiple
    of n below 2^30; toplevel so a draw allocates no closure *)

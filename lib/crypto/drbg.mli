@@ -12,9 +12,6 @@ val create : seed:string -> t
 val generate : t -> int -> string
 (** [generate t n] produces the next [n] bytes. *)
 
-val byte : t -> int
-(** Next byte as 0..255. *)
-
 val uniform : t -> int -> int
 (** [uniform t n] is a uniform integer in [0, n) (rejection sampled).
     @raise Invalid_argument if [n <= 0]. *)

@@ -11,22 +11,9 @@ let sha256_parts parts =
   List.iter (Sha256.feed c) parts;
   Sha256.get c
 
-let sha512_parts init parts =
-  let c = init () in
-  List.iter (Sha512.feed c) parts;
-  Sha512.get c
-
 let sha256 =
   { name = "SHA-256"; digest_size = 32; block_size = 64;
     digest = Sha256.digest; digest_parts = sha256_parts }
-
-let sha384 =
-  { name = "SHA-384"; digest_size = 48; block_size = 128;
-    digest = Sha512.digest_384; digest_parts = sha512_parts Sha512.init_384 }
-
-let sha512 =
-  { name = "SHA-512"; digest_size = 64; block_size = 128;
-    digest = Sha512.digest; digest_parts = sha512_parts Sha512.init }
 
 (* the key, zero-extended to one block, XORed with [byte] *)
 let pad h key byte =

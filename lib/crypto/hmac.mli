@@ -9,11 +9,9 @@ type hash = {
       (** [digest_parts ps] is [digest (String.concat "" ps)], fed part by
           part into one context instead of concatenated first. *)
 }
-(** A one-shot hash description; see {!sha256} and {!sha384}. *)
+(** A one-shot hash description; see {!sha256}. *)
 
 val sha256 : hash
-val sha384 : hash
-val sha512 : hash
 
 val hmac : hash -> key:string -> string -> string
 (** [hmac h ~key msg] is HMAC-H(key, msg). *)

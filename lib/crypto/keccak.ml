@@ -197,6 +197,8 @@ let hash rate pad_byte msg out_len =
 let sha3_256 msg = hash 136 0x06 msg 32
 let sha3_512 msg = hash 72 0x06 msg 64
 let shake128 msg n = hash 168 0x1f msg n
+[@@lint.allow "M2" "test: crypto shake128 split squeeze = one-shot and the \
+                    SHAKE128 vectors: the one-shot reference for Xof.shake128"]
 let shake256 msg n = hash 136 0x1f msg n
 
 let shake256_parts parts n =

@@ -1,4 +1,4 @@
-(* FIPS 180-4 SHA-256/224. 32-bit words live in native ints masked to
+(* FIPS 180-4 SHA-256. 32-bit words live in native ints masked to
    [0, 2^32).
 
    Performance note: [compress] loads the sixteen block words with one
@@ -40,7 +40,7 @@ type ctx = {
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
-  out_len : int; (* 32 for SHA-256, 28 for SHA-224 *)
+  out_len : int; (* digest bytes: 32 *)
   w : int array; (* message schedule scratch *)
 }
 
@@ -48,16 +48,11 @@ let iv_256 =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
      0x1f83d9ab; 0x5be0cd19 |]
 
-let iv_224 =
-  [| 0xc1059ed8; 0x367cd507; 0x3070dd17; 0xf70e5939; 0xffc00b31; 0x68581511;
-     0x64f98fa7; 0xbefa4fa4 |]
-
 let make iv out_len =
   { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0; out_len;
     w = Array.make 64 0 }
 
 let init () = make iv_256 32
-let init_224 () = make iv_224 28
 
 let mask = 0xffffffff
 
@@ -161,14 +156,13 @@ let get ctx =
   done;
   Bytes.unsafe_to_string out
 
-type state = { s_h : int array; s_pending : string; s_total : int; s_out_len : int }
+type state = { s_h : int array; s_pending : string; s_total : int }
 
 let save c =
   { s_h = Array.copy c.h; s_pending = Bytes.sub_string c.buf 0 c.buf_len;
-    s_total = c.total; s_out_len = c.out_len }
+    s_total = c.total }
 
 let restore c s =
-  if c.out_len <> s.s_out_len then invalid_arg "Sha256.restore";
   Array.blit s.s_h 0 c.h 0 8;
   Bytes.blit_string s.s_pending 0 c.buf 0 (String.length s.s_pending);
   c.buf_len <- String.length s.s_pending;
@@ -176,10 +170,5 @@ let restore c s =
 
 let digest s =
   let c = init () in
-  feed c s;
-  get c
-
-let digest_224 s =
-  let c = init_224 () in
   feed c s;
   get c

@@ -46,17 +46,11 @@ let iv_512 =
      0xa54ff53a5f1d36f1L; 0x510e527fade682d1L; 0x9b05688c2b3e6c1fL;
      0x1f83d9abfb41bd6bL; 0x5be0cd19137e2179L |]
 
-let iv_384 =
-  [| 0xcbbb9d5dc1059ed8L; 0x629a292a367cd507L; 0x9159015a3070dd17L;
-     0x152fecd8f70e5939L; 0x67332667ffc00b31L; 0x8eb44a8768581511L;
-     0xdb0c2e0d64f98fa7L; 0x47b5481dbefa4fa4L |]
-
 let make iv out_len =
   { h = Array.copy iv; buf = Bytes.create 128; buf_len = 0; total = 0;
     out_len; w = Array.make 80 0L }
 
 let init () = make iv_512 64
-let init_384 () = make iv_384 48
 
 let copy c =
   { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 80 0L }
@@ -157,10 +151,5 @@ let get ctx =
 
 let digest s =
   let c = init () in
-  feed c s;
-  get c
-
-let digest_384 s =
-  let c = init_384 () in
   feed c s;
   get c

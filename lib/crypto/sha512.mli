@@ -1,12 +1,9 @@
-(** SHA-512 and SHA-384 (FIPS 180-4), built on [Int64] lanes. *)
+(** SHA-512 (FIPS 180-4), built on [Int64] lanes. *)
 
 type ctx
 
 val init : unit -> ctx
 (** SHA-512 context (64-byte output). *)
-
-val init_384 : unit -> ctx
-(** SHA-384 context (48-byte output). *)
 
 val feed : ctx -> string -> unit
 val get : ctx -> string
@@ -14,6 +11,3 @@ val copy : ctx -> ctx
 
 val digest : string -> string
 (** One-shot SHA-512. *)
-
-val digest_384 : string -> string
-(** One-shot SHA-384. *)

@@ -4,9 +4,6 @@
 [@@@lint.kernel
   "all buffers are fixed 32-byte keys allocated locally; unsafe_to_string covers bytes that never escape mutably"]
 
-
-let key_size = 32
-
 module B = Bignum
 
 let p = B.sub (B.shift_left B.one 255) (B.of_int 19)

@@ -1,8 +1,5 @@
 (** X25519 Diffie-Hellman (RFC 7748). *)
 
-val key_size : int
-(** 32 bytes for scalars, public keys and shared secrets. *)
-
 val base_point : string
 (** The canonical u = 9 base point encoding. *)
 

@@ -2,35 +2,42 @@ open Parsetree
 
 type t = { cg_edges : (string, string list) Hashtbl.t }
 
-(* Every identifier occurrence in the body counts as an edge, not just
-   application heads: a function passed as a value to [Pool.map] or
-   [List.iter] is still called. *)
-let def_callees syms (d : Symtab.def) =
+(* Every identifier occurrence counts as a use, not just application
+   heads: a function passed as a value to [Pool.map] or [List.iter] is
+   still called. So does every binding operator: a [let*] applies the
+   [( let* )] in scope. *)
+let uses syms ~file ?scope e =
   let acc = ref [] in
+  let edge dotted =
+    match Symtab.resolve syms ~file ?scope (Walk.strip_stdlib dotted) with
+    | Some q -> acc := q :: !acc
+    | None -> ()
+  in
   let super = Ast_iterator.default_iterator in
   let iter =
     { super with
       expr =
         (fun self e ->
           (match e.pexp_desc with
-          | Pexp_ident { txt; _ } -> (
-            let dotted =
-              Walk.strip_stdlib (String.concat "." (Longident.flatten txt))
-            in
-            match Symtab.resolve syms ~file:d.Symtab.d_file dotted with
-            | Some q when q <> d.Symtab.d_qual -> acc := q :: !acc
-            | _ -> ())
+          | Pexp_ident { txt; _ } ->
+            edge (String.concat "." (Longident.flatten txt))
+          | Pexp_letop { let_; ands; _ } ->
+            List.iter
+              (fun b -> edge b.pbop_op.Asttypes.txt)
+              (let_ :: ands)
           | _ -> ());
           super.expr self e) }
   in
-  iter.Ast_iterator.expr iter d.Symtab.d_body;
+  iter.Ast_iterator.expr iter e;
   List.sort_uniq String.compare !acc
 
 let build syms =
   let cg = { cg_edges = Hashtbl.create 512 } in
   List.iter
     (fun (d : Symtab.def) ->
-      Hashtbl.replace cg.cg_edges d.Symtab.d_qual (def_callees syms d))
+      uses syms ~file:d.Symtab.d_file ~scope:d.Symtab.d_scope d.Symtab.d_body
+      |> List.filter (fun q -> q <> d.Symtab.d_qual)
+      |> Hashtbl.replace cg.cg_edges d.Symtab.d_qual)
     (Symtab.defs syms);
   cg
 

@@ -9,6 +9,13 @@ type t
 
 val build : Symtab.t -> t
 
+val uses :
+  Symtab.t -> file:string -> ?scope:string -> Parsetree.expression ->
+  string list
+(** Sorted, duplicate-free definitions an expression of [file] refers
+    to, resolved as {!Symtab.resolve} does: the edges {!build} draws
+    from a definition's body. *)
+
 val callees : t -> string -> string list
 (** Sorted, duplicate-free callee list (empty for unknown callers). *)
 

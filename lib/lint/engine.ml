@@ -6,7 +6,8 @@ let rules =
     Rule_global_state.rule;
     Rule_domain_race.rule;
     Rule_unsafe.rule;
-    Rule_interfaces.rule ]
+    Rule_interfaces.rule;
+    Rule_unreachable.rule ]
 
 let find_rule name =
   List.find_opt (fun (r : Rule.t) -> r.Rule.name = name) rules

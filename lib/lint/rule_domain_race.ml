@@ -84,7 +84,8 @@ let check sources =
           match Walk.ident e with
           | Some dotted -> (
             match
-              Symtab.resolve syms ~file:d.Symtab.d_file dotted
+              Symtab.resolve syms ~file:d.Symtab.d_file
+                ~scope:d.Symtab.d_scope dotted
             with
             | Some q when Hashtbl.mem mutables q -> Some q
             | _ -> None)

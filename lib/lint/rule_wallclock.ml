@@ -10,8 +10,8 @@ let banned =
    profiling artifact, but banned inside the simulation stack, which
    must stay a pure function of spec and seed. *)
 let clock_reads =
-  [ "Clock.now_s"; "Clock.elapsed_s"; "Clock.time_ms";
-    "Core.Clock.now_s"; "Core.Clock.elapsed_s"; "Core.Clock.time_ms" ]
+  [ "Clock.now_s"; "Clock.elapsed_s"; "Core.Clock.now_s";
+    "Core.Clock.elapsed_s" ]
 
 let sim_dirs =
   [ "lib/crypto"; "lib/pqc"; "lib/tls"; "lib/netsim"; "lib/trace";

@@ -5,6 +5,7 @@ type def = {
   d_lib : string;
   d_module : string;
   d_name : string;
+  d_scope : string;
   d_params : string list;
   d_body : expression;
   d_loc : Location.t;
@@ -14,6 +15,7 @@ type def = {
 type t = {
   t_defs : (string, def) Hashtbl.t;
   t_aliases : (string, (string, string) Hashtbl.t) Hashtbl.t;
+  t_opens : (string, string list) Hashtbl.t; (* latest first *)
   t_libs : (string, unit) Hashtbl.t;
   t_file_scope : (string, string * string) Hashtbl.t;
 }
@@ -59,6 +61,7 @@ let add_source t (src : Source.t) =
     if lib <> "" then Hashtbl.replace t.t_libs lib ();
     let amap = Hashtbl.create 8 in
     Hashtbl.replace t.t_aliases src.Source.path amap;
+    let opens = ref [] in
     let prefix = if lib = "" then modname else lib ^ "." ^ modname in
     let rec items pfx l = List.iter (item pfx) l
     and item pfx it =
@@ -74,6 +77,7 @@ let add_source t (src : Source.t) =
                   d_lib = lib;
                   d_module = modname;
                   d_name = txt;
+                  d_scope = pfx;
                   d_params = params;
                   d_body = body;
                   d_loc = vb.pvb_loc;
@@ -94,14 +98,19 @@ let add_source t (src : Source.t) =
             Hashtbl.replace amap sub
               (String.concat "." (Longident.flatten lid))
           | _ -> ()))
+      | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }
+        when pfx = prefix ->
+        opens := String.concat "." (Longident.flatten txt) :: !opens
       | _ -> ()
     in
-    items prefix str
+    items prefix str;
+    Hashtbl.replace t.t_opens src.Source.path !opens
 
 let build sources =
   let t =
     { t_defs = Hashtbl.create 512;
       t_aliases = Hashtbl.create 64;
+      t_opens = Hashtbl.create 64;
       t_libs = Hashtbl.create 8;
       t_file_scope = Hashtbl.create 64 }
   in
@@ -114,17 +123,33 @@ let defs t =
   Hashtbl.fold (fun _ d acc -> d :: acc) t.t_defs []
   |> List.sort (fun a b -> String.compare a.d_qual b.d_qual)
 
-let resolve t ~file dotted =
+let resolve t ~file ?scope dotted =
   let lib, modname =
     match Hashtbl.find_opt t.t_file_scope file with
     | Some x -> x
     | None -> ("", module_name_of_file file)
   in
   let local_prefix = if lib = "" then modname else lib ^ "." ^ modname in
+  let in_lib m = (if lib = "" then [] else [ lib ^ "." ^ m ]) @ [ m ] in
+  (* the enclosing module paths, innermost first, out to the file's own
+     module (a nested module sees its own and its ancestors' bindings),
+     then the modules the file opens, the latest first *)
+  let rec outward s =
+    s
+    ::
+    (match String.rindex_opt s '.' with
+    | Some i when s <> local_prefix -> outward (String.sub s 0 i)
+    | _ -> [])
+  in
+  let scopes =
+    outward (Option.value ~default:local_prefix scope)
+    @ List.concat_map in_lib
+        (Option.value ~default:[] (Hashtbl.find_opt t.t_opens file))
+  in
   let try_ q = if Hashtbl.mem t.t_defs q then Some q else None in
   match String.split_on_char '.' dotted with
   | [] -> None
-  | [ name ] -> try_ (local_prefix ^ "." ^ name)
+  | [ name ] -> List.find_map (fun s -> try_ (s ^ "." ^ name)) scopes
   | first :: rest ->
     let expanded =
       match Hashtbl.find_opt t.t_aliases file with
@@ -135,10 +160,8 @@ let resolve t ~file dotted =
         | None -> None)
     in
     let candidates =
-      (match expanded with
-      | Some e -> (if lib = "" then [] else [ lib ^ "." ^ e ]) @ [ e ]
-      | None -> [])
-      @ [ local_prefix ^ "." ^ dotted ]
+      (match expanded with Some e -> in_lib e | None -> [])
+      @ List.map (fun s -> s ^ "." ^ dotted) scopes
       @ (if lib = "" then [] else [ lib ^ "." ^ dotted ])
       @ (if Hashtbl.mem t.t_libs first then [ dotted ] else [])
     in

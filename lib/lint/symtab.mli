@@ -3,8 +3,9 @@
     Maps every toplevel [let] in every parsed structure to a qualified
     name ([Lib.Module.name], following dune's wrapped-library layout
     where [lib/tls/handshake.ml] is the module [Tls.Handshake]), records
-    per-file [module K = Key_schedule] aliases, and resolves dotted
-    identifier occurrences back to definitions. Resolution is purely
+    per-file [module K = Key_schedule] aliases and toplevel opens, and
+    resolves dotted identifier occurrences back to definitions.
+    Resolution is purely
     syntactic — shadowing by local bindings is the caller's concern —
     and unresolved names are treated as external (stdlib) by the rules
     built on top. *)
@@ -14,6 +15,7 @@ type def = {
   d_lib : string; (* "Tls"; "" outside lib/ *)
   d_module : string; (* "Handshake" *)
   d_name : string; (* "open_ticket" *)
+  d_scope : string; (* enclosing module path: "Tls.Handshake" *)
   d_params : string list; (* fun-chain parameter names, "_" if complex *)
   d_body : Parsetree.expression; (* body with the fun chain stripped *)
   d_loc : Location.t;
@@ -30,12 +32,15 @@ val find : t -> string -> def option
 val defs : t -> def list
 (** All definitions, sorted by qualified name (deterministic). *)
 
-val resolve : t -> file:string -> string -> string option
-(** [resolve t ~file "K.hash"] — the qualified definition a dotted
-    identifier occurring in [file] refers to, trying (in order) the
-    file's module aliases, the file's own nested modules, sibling
-    modules of the same library, and cross-library wrapped names.
-    [None] means "not defined in the tree" (stdlib or external). *)
+val resolve : t -> file:string -> ?scope:string -> string -> string option
+(** [resolve t ~file ~scope "K.hash"] — the qualified definition a
+    dotted identifier occurring in [file], inside the module path
+    [scope] (the referencing definition's [d_scope]; the file's own
+    module by default), refers to. It tries, in order, the file's
+    module aliases, the enclosing modules innermost first, the modules
+    the file opens at toplevel, sibling modules of the same library,
+    and cross-library wrapped names. [None] means "not defined in the
+    tree" (stdlib or external). *)
 
 val lib_of_path : string -> string option
 (** Wrapped-library toplevel module implied by a path, e.g.

@@ -86,6 +86,7 @@ type ctx = {
   c_syms : Symtab.t;
   c_summaries : (string, summary) Hashtbl.t;
   c_file : string;
+  c_scope : string;
   c_symbol : string;
   c_emit : bool;
   mutable c_diags : Diag.t list;
@@ -155,7 +156,9 @@ and eval_desc ctx env e =
     match String.split_on_char '.' dotted with
     | [ name ] when List.mem_assoc name env -> List.assoc name env
     | _ -> (
-      match Symtab.resolve ctx.c_syms ~file:ctx.c_file dotted with
+      match
+        Symtab.resolve ctx.c_syms ~file:ctx.c_file ~scope:ctx.c_scope dotted
+      with
       | Some q -> (
         match Symtab.find ctx.c_syms q with
         | Some d when d.Symtab.d_params = [] ->
@@ -345,7 +348,9 @@ and eval_apply ctx env f args =
         let resolved =
           match parts with
           | [ n ] when List.mem_assoc n env -> None
-          | _ -> Symtab.resolve ctx.c_syms ~file:ctx.c_file name
+          | _ ->
+            Symtab.resolve ctx.c_syms ~file:ctx.c_file ~scope:ctx.c_scope
+              name
         in
         (match resolved with
         | Some q ->
@@ -389,6 +394,7 @@ let analyse syms =
           { c_syms = syms;
             c_summaries = summaries;
             c_file = d.Symtab.d_file;
+            c_scope = d.Symtab.d_scope;
             c_symbol = d.Symtab.d_name;
             c_emit = false;
             c_diags = [] }
@@ -419,12 +425,15 @@ let analyse syms =
   { a_syms = syms; a_summaries = summaries }
 
 let summary t qual = Hashtbl.find_opt t.a_summaries qual
+[@@lint.allow "M2" "test: lint taint summaries: the per-definition summaries \
+                    C2 computes to fixpoint"]
 
 let check_def t (d : Symtab.def) =
   let ctx =
     { c_syms = t.a_syms;
       c_summaries = t.a_summaries;
       c_file = d.Symtab.d_file;
+      c_scope = d.Symtab.d_scope;
       c_symbol = d.Symtab.d_name;
       c_emit = true;
       c_diags = [] }

@@ -5,16 +5,10 @@
 
 type policy = Round_robin | Least_connections
 
-let policy_name = function
-  | Round_robin -> "round-robin"
-  | Least_connections -> "least-connections"
-
 let policy_of_name = function
   | "round-robin" -> Round_robin
   | "least-connections" -> Least_connections
   | name -> invalid_arg ("Balancer.policy_of_name: unknown policy " ^ name)
-
-let policies = [ Round_robin; Least_connections ]
 
 type t = { policy : policy; servers : int; mutable cursor : int }
 

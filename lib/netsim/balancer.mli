@@ -2,14 +2,10 @@
 
 type policy = Round_robin | Least_connections
 
-val policy_name : policy -> string
-(** ["round-robin"] / ["least-connections"] — the spelling used in farm
-    spec fingerprints and the CLI. *)
-
 val policy_of_name : string -> policy
-(** @raise Invalid_argument for unknown policy names. *)
-
-val policies : policy list
+(** ["round-robin"] / ["least-connections"] — the spelling used in farm
+    spec fingerprints and the CLI.
+    @raise Invalid_argument for unknown policy names. *)
 
 type t
 

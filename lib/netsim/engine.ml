@@ -103,3 +103,5 @@ let pending t =
     if not t.heap.(i).handle.cancelled then incr live
   done;
   !live
+[@@lint.allow "M2" "test: netsim engine cancel/until and engine pending \
+                    excludes cancelled: cancelled events are not live work"]

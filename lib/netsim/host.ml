@@ -56,4 +56,3 @@ let ledger t =
 let total_cpu_ms t =
   List.fold_left (fun acc (_, ms) -> acc +. ms) 0. (ledger t)
 let charge_count t = t.charges
-let reset_ledger t = Hashtbl.reset t.ledger

@@ -29,6 +29,3 @@ val charge_count : t -> int
 (** Number of CPU charge events ({!charge} plus {!charge_async}) since
     creation — a cheap proxy for scheduler pressure in the metrics
     artifact. *)
-
-val reset_ledger : t -> unit
-(** Clears the per-library ledger; {!charge_count} is unaffected. *)

@@ -17,12 +17,11 @@ type t = {
   netem : netem;
   tap : float -> Packet.t -> unit;
   paths : (string, path) Hashtbl.t; (* keyed by src host *)
-  mutable delivered : int;
   mutable lost : int;
 }
 
 let create engine rng netem ~tap =
-  { engine; rng; netem; tap; paths = Hashtbl.create 4; delivered = 0; lost = 0 }
+  { engine; rng; netem; tap; paths = Hashtbl.create 4; lost = 0 }
 
 let path_for t src =
   match Hashtbl.find_opt t.paths src with
@@ -53,7 +52,6 @@ let send t packet ~deliver =
         now
   end
   else begin
-    t.delivered <- t.delivered + 1;
     let serialization =
       float_of_int (8 * Packet.wire_bytes packet) /. t.netem.rate_bps
     in
@@ -80,5 +78,6 @@ let send t packet ~deliver =
     Engine.schedule_at t.engine ~time:arrival (fun () -> deliver packet)
   end
 
-let stats_delivered t = t.delivered
 let stats_lost t = t.lost
+[@@lint.allow "M2" "test: netsim link loss: the drop count equals the \
+                    packets never delivered"]

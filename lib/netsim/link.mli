@@ -34,5 +34,4 @@ val send : t -> Packet.t -> deliver:(Packet.t -> unit) -> unit
 (** Queue a packet in the direction implied by its src/dst; [deliver]
     fires at arrival time unless the packet is lost. *)
 
-val stats_delivered : t -> int
 val stats_lost : t -> int

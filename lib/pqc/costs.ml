@@ -162,6 +162,5 @@ let parse_server_flight = relabel "parse server flight" (ssl 0.05)
 let build_client_finished = relabel "build client flight" (ssl 0.035)
 let key_schedule_derive = relabel "key schedule" (crypto 0.012)
 let aead_per_kilobyte = relabel "aead" (crypto 0.004)
-let kernel_per_packet = { ms = 0.009; lib = Kernel; label = "kernel packet" }
 let connection_setup = { ms = 0.05; lib = Kernel; label = "connection setup" }
 let harness_gap_ms = 0.85

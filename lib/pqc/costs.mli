@@ -50,7 +50,6 @@ val key_schedule_derive : op
 (** One HKDF extract/expand stage. *)
 
 val aead_per_kilobyte : op
-val kernel_per_packet : op
 val connection_setup : op
 (** accept(2)/socket bookkeeping per handshake, charged to the kernel. *)
 

@@ -56,6 +56,3 @@ val entry_overhead : int
 val levels : t -> level_stat list
 val wire_bytes : t -> int
 (** Sum of entry bytes — the Certificate-message payload the chain adds. *)
-
-val verify_ms : t -> float
-(** Total full-chain verification CPU in virtual ms. *)

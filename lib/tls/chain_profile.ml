@@ -70,7 +70,3 @@ let is_default p = p.name = default.name
 
 (* root + intermediates + leaf *)
 let depth p = 2 + List.length p.intermediates
-
-let level_names p =
-  let ints = List.mapi (fun i _ -> Printf.sprintf "int%d" (i + 1)) p.intermediates in
-  ("leaf" :: ints) @ [ "root" ]

@@ -39,6 +39,3 @@ val is_default : t -> bool
 
 val depth : t -> int
 (** Number of hierarchy levels including the unsent root (leaf-only = 2). *)
-
-val level_names : t -> string list
-(** ["leaf"; "int1"; ...; "root"], wire order then anchor. *)

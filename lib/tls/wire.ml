@@ -12,6 +12,8 @@ let prefix24 len = prefix ~width:3 len
 let vec8 s = prefix ~width:1 (String.length s) ^ s
 let vec16 s = prefix16 (String.length s) ^ s
 let vec24 s = prefix24 (String.length s) ^ s
+[@@lint.allow "M2" "test: tls wire vectors: the 24-bit length prefix that \
+                    Certificate entries carry through prefix24"]
 let parts_length parts = List.fold_left (fun n s -> n + String.length s) 0 parts
 
 module Content_type = struct

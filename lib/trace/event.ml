@@ -35,8 +35,3 @@ let time = function
   | Span s -> s.s_begin
   | Instant i -> i.i_ts
   | Counter c -> c.c_ts
-
-let track = function
-  | Span s -> s.s_track
-  | Instant i -> i.i_track
-  | Counter c -> c.c_track

@@ -34,5 +34,3 @@ type t = Span of span | Instant of instant | Counter of counter
 val time : t -> float
 (** The event's timestamp: a span's start, an instant's or counter's
     instant. *)
-
-val track : t -> string

@@ -4,7 +4,10 @@
 open Crypto
 module B = Bignum
 
-let b = Alcotest.testable (Fmt.of_to_string B.to_hex) B.equal
+let b =
+  Alcotest.testable
+    (Fmt.of_to_string (fun x -> Bytesx.to_hex (B.to_bytes_be x)))
+    B.equal
 
 let test_basics () =
   Alcotest.check b "of_int/to_int" (B.of_int 123456789) (B.of_hex "75bcd15");

@@ -213,12 +213,20 @@ let test_finding_delay_dominates_realistic () =
     (total lte > 200. && total lte < 320.)
 
 let test_attack_asymmetries () =
-  let row = Amplification.measure ~seed:"test" (kem "x25519") (sa "sphincs256") in
+  let survey =
+    Amplification.survey ~seed:"test" ~exec:(Exec.create ~jobs:2 ()) ()
+  in
+  let measure s =
+    List.find
+      (fun r -> r.Amplification.kem = "x25519" && r.Amplification.sa = s)
+      survey
+  in
+  let row = measure "sphincs256" in
   Alcotest.(check bool) "sphincs amplification huge" true
     (row.Amplification.amplification > 50.);
   Alcotest.(check bool) "exceeds QUIC limit" true
     (row.Amplification.amplification > Amplification.quic_limit);
-  let base = Amplification.measure ~seed:"test" (kem "x25519") (sa "rsa:2048") in
+  let base = measure "rsa:2048" in
   Alcotest.(check bool) "baseline modest" true (base.Amplification.amplification < 3.);
   let sp = run "kyber512" "sphincs128" in
   Alcotest.(check bool) "server-heavy CPU skew" true
@@ -226,13 +234,18 @@ let test_attack_asymmetries () =
 
 let test_whitebox_shapes () =
   (* Table 3's qualitative observations *)
-  let row = Whitebox.measure ~seed:"test" (1, "bikel1", "dilithium2") in
+  let measure pair =
+    match Whitebox.rows ~seed:"test" ~exec:(Exec.create ~jobs:1 ()) [ pair ] with
+    | [ Some row ] -> row
+    | _ -> Alcotest.fail "white-box cell failed"
+  in
+  let row = measure (1, "bikel1", "dilithium2") in
   let client_libssl = List.assoc_opt "libssl" row.Whitebox.client_libs in
   let client_libcrypto = List.assoc_opt "libcrypto" row.Whitebox.client_libs in
   Alcotest.(check bool) "bike client dominated by libssl" true
     (Option.value ~default:0. client_libssl
     > Option.value ~default:0. client_libcrypto);
-  let sp = Whitebox.measure ~seed:"test" (1, "kyber512", "sphincs128") in
+  let sp = measure (1, "kyber512", "sphincs128") in
   Alcotest.(check bool) "sphincs server >90% libcrypto" true
     (Option.value ~default:0. (List.assoc_opt "libcrypto" sp.Whitebox.server_libs)
     > 0.9);
@@ -296,10 +309,6 @@ let test_ranking () =
 
 let test_scenarios_and_catalog () =
   Alcotest.(check int) "six scenarios" 6 (List.length Scenario.all);
-  Alcotest.(check bool) "lookup" true (Scenario.find "lte-m" == Scenario.lte_m);
-  Alcotest.check_raises "unknown scenario"
-    (Invalid_argument "Scenario.find: unknown scenario mars") (fun () ->
-      ignore (Scenario.find "mars"));
   Alcotest.(check int) "twenty-seven experiments" 27 (List.length Catalog.names);
   List.iter (fun n -> ignore (Catalog.describe n)) Catalog.names;
   (* one cheap catalog entry end-to-end *)

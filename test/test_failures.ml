@@ -23,14 +23,14 @@ let good_spec seed = Experiment.spec ~seed (kem "x25519") (sa "rsa:2048")
 
 let test_error_records_attempts () =
   let exec = Exec.create ~jobs:1 ~retries:2 () in
-  match Exec.cell exec (failing_spec "failures-attempts") with
-  | Ok _ -> Alcotest.fail "a zero-sample spec cannot succeed"
-  | Error e ->
+  match Exec.cells exec [ failing_spec "failures-attempts" ] with
+  | [ Error e ] ->
     Alcotest.(check int) "initial try plus two retries" 3 e.Exec.ce_attempts;
     Alcotest.(check bool) "message mentions the cell" true
       (String.length e.Exec.ce_message > 0);
     Alcotest.(check int) "counted as failed" 1 (Exec.failed_count exec);
     Alcotest.(check int) "not counted as ok" 0 (Exec.ok_count exec)
+  | _ -> Alcotest.fail "a zero-sample spec cannot succeed"
 
 let test_lossy_underbudget_cell_fails () =
   (* a 10%-loss cell with a zero time budget: no handshake can finish,
@@ -41,9 +41,9 @@ let test_lossy_underbudget_cell_fails () =
       ~duration_s:0. ~max_samples:1
       (kem "kyber512") (sa "sphincs128")
   in
-  match Exec.cell (Exec.create ~jobs:1 ~retries:1 ()) spec with
-  | Error e -> Alcotest.(check int) "retried once" 2 e.Exec.ce_attempts
-  | Ok _ -> Alcotest.fail "no handshake fits in zero virtual time"
+  match Exec.cells (Exec.create ~jobs:1 ~retries:1 ()) [ spec ] with
+  | [ Error e ] -> Alcotest.(check int) "retried once" 2 e.Exec.ce_attempts
+  | _ -> Alcotest.fail "no handshake fits in zero virtual time"
 
 let test_mixed_grid_order_and_determinism () =
   let specs =

@@ -284,6 +284,24 @@ let test_callgraph () =
     (Hashtbl.mem reach "Core.Cg_a.r");
   Alcotest.(check (list string)) "Pool.map sites are roots" [ "Core.Cg_a.r" ]
     (Lint.Callgraph.pool_roots syms);
+  (* inside a nested module, an unqualified name is tried in that module
+     first, and a [let*] is an edge to the ( let* ) in scope *)
+  let nested =
+    Lint.Symtab.build
+      [ parse "lib/core/cg_n.ml"
+          "let ( let* ) = Result.bind\n\
+           module Inner = struct\n\
+          \  let digit c = Ok c\n\
+          \  let pair a b =\n\
+          \    let* x = digit a in\n\
+          \    let* y = digit b in\n\
+          \    Ok (x, y)\n\
+           end" ]
+  in
+  Alcotest.(check (list string)) "nested sibling and binding-operator edges"
+    [ "Core.Cg_n.Inner.digit"; "Core.Cg_n.let*" ]
+    (Lint.Callgraph.callees (Lint.Callgraph.build nested)
+       "Core.Cg_n.Inner.pair");
   Alcotest.(check bool) "dot rendering is graphviz" true
     (contains (Lint.Callgraph.to_dot cg) "digraph")
 
@@ -347,6 +365,35 @@ let test_s2 () =
     []
     (fired "lib/core/s2c.ml" no_pool)
 
+let test_m2 () =
+  let m2 = [ rule "M2" ] in
+  let lib =
+    parse "lib/fixture/m2.ml"
+      "let used x = x + 1\n\
+       let dead_helper x = x * 2\n\
+       let dead x = dead_helper x\n\
+       let test_helper x = x - 1\n\
+       let tested x = test_helper x [@@lint.allow \"M2\" \"test: kept\"]"
+  in
+  let bin = parse "bin/main.ml" "let main () = Fixture.M2.used 1" in
+  let test = parse "test/t.ml" "let t () = Fixture.M2.dead 0" in
+  let flagged srcs =
+    List.map (fun d -> d.Lint.Diag.symbol) (run ~rules:m2 srcs)
+  in
+  Alcotest.(check (list string)) "unreached definitions fire, one each"
+    [ "dead_helper"; "dead" ]
+    (flagged [ lib; bin; test ]);
+  Alcotest.(check (list string)) "a tree without a root file is skipped" []
+    (flagged [ lib; test ]);
+  (* an example is one [let ()], calling into a module it opens *)
+  let example =
+    parse "examples/demo.ml" "open Fixture\nlet () = print_int (M2.dead 1)"
+  in
+  Alcotest.(check (list string)) "what an example's let () uses is live" []
+    (flagged [ lib; bin; example ]);
+  Alcotest.(check (list string)) "roots pair with lib files by tree" []
+    (flagged [ lib; parse "other/bin/main.ml" "let main () = ()" ])
+
 let test_sarif () =
   let diags = run [ parse "lib/fixture/sa_bad.ml" "let t = Sys.time ()" ] in
   let sarif =
@@ -373,7 +420,7 @@ let test_rule_metadata () =
         (String.length r.Lint.Rule.doc > 40))
     Lint.Engine.rules;
   Alcotest.(check (list string)) "catalog order"
-    [ "D1"; "D2"; "C1"; "C2"; "S1"; "S2"; "U1"; "M1" ]
+    [ "D1"; "D2"; "C1"; "C2"; "S1"; "S2"; "U1"; "M1"; "M2" ]
     (List.map (fun (r : Lint.Rule.t) -> r.Lint.Rule.name) Lint.Engine.rules);
   Alcotest.(check string) "severity vocabulary" "error"
     (Lint.Rule.severity_string Lint.Rule.Error)
@@ -404,7 +451,8 @@ let test_repo_clean () =
   | None -> print_endline "no checkout found; skipping repo-wide lint"
   | Some root ->
     let paths =
-      List.map (Filename.concat root) [ "lib"; "bin"; "bench"; "test" ]
+      List.map (Filename.concat root)
+        [ "lib"; "bin"; "bench"; "examples"; "test" ]
     in
     let sources, errors = Lint.Source.load_paths paths in
     Alcotest.(check (list (pair string string))) "everything parses" []
@@ -429,7 +477,7 @@ let test_fixture_corpus () =
     let dir = Filename.concat root "test/lint_fixtures" in
     let sources, errors = Lint.Source.load_paths [ dir ] in
     Alcotest.(check (list (pair string string))) "fixtures parse" [] errors;
-    Alcotest.(check int) "fixture corpus size" 9 (List.length sources);
+    Alcotest.(check int) "fixture corpus size" 11 (List.length sources);
     List.iter
       (fun (name, expected) ->
         let diags = run ~rules:[ rule name ] sources in
@@ -441,7 +489,7 @@ let test_fixture_corpus () =
             Alcotest.(check string) "only the selected rule fires" name
               d.Lint.Diag.rule)
           diags)
-      [ ("C2", 5); ("U1", 3); ("S2", 1) ];
+      [ ("C2", 5); ("U1", 3); ("S2", 1); ("M2", 2) ];
     (* recursive scans skip the corpus, so the repo-wide clean run and
        the blocking CI lint job never see these deliberate findings *)
     let scanned = Lint.Source.scan [ Filename.concat root "test" ] in
@@ -462,6 +510,7 @@ let suites =
         Alcotest.test_case "S2 domain race" `Quick test_s2;
         Alcotest.test_case "U1 unsafe confinement" `Quick test_u1;
         Alcotest.test_case "M1 interfaces" `Quick test_m1;
+        Alcotest.test_case "M2 unreachable definitions" `Quick test_m2;
         Alcotest.test_case "attribute suppression" `Quick
           test_attribute_suppression;
         Alcotest.test_case "allowlist file" `Quick test_allowlist_file;

@@ -227,7 +227,8 @@ let test_cell_identity_rules () =
   let o = Experiment.run_spec sp in
   Metrics.record_cell m sp (Ok o);
   Metrics.record_cell m sp (Ok o);
-  Alcotest.(check int) "same fingerprint records once" 1 (Metrics.cell_count m);
+  Alcotest.(check int) "same fingerprint records once" 1
+    (List.length (Metrics.artifact m ~seed:"id").Metrics.a_cells);
   (* same label, different knob: both recorded, keys disambiguated *)
   let sp2 = Experiment.spec ~seed:"id" ~buffer_limit:8192 (kem "x25519") (sa "rsa:2048") in
   Metrics.record_cell m sp2 (Ok (Experiment.run_spec sp2));

@@ -186,7 +186,8 @@ let test_sequential_contexts_independent () =
   Alcotest.(check (pair int int)) "cells ok per context" (1, 2)
     (Exec.ok_count a, Exec.ok_count b);
   Alcotest.(check (pair int int)) "cells recorded per context" (1, 2)
-    (Metrics.cell_count a.Exec.metrics, Metrics.cell_count b.Exec.metrics);
+    ( List.length (Metrics.artifact a.Exec.metrics ~seed:"").Metrics.a_cells,
+      List.length (Metrics.artifact b.Exec.metrics ~seed:"").Metrics.a_cells );
   Alcotest.(check int) "executed counter per context" 1
     (Metrics.counter a.Exec.metrics "cells_executed")
 
