@@ -262,9 +262,13 @@ let list_cmd =
 (* ---- run ----------------------------------------------------------------- *)
 
 let run_cmd =
+  (* every name is checked before any cell runs: an unknown one is a
+     usage error listing the valid names *)
   let experiments =
     let doc = "Experiments to run (see $(b,list))." in
-    Arg.(non_empty & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
+    let names = Core.Catalog.names @ List.map fst Core.Catalog.aliases in
+    let names = Arg.enum (List.map (fun n -> (n, n)) names) in
+    Arg.(non_empty & pos_all names [] & info [] ~docv:"EXPERIMENT" ~doc)
   in
   let out_dir =
     let doc = "Write each experiment's report to $(docv)/<name>.txt instead of stdout." in
@@ -309,12 +313,7 @@ let run_cmd =
             (match cache_dir with
             | Some d -> ", cache " ^ d
             | None -> "");
-        let report =
-          try Core.Catalog.run ~seed ~exec name
-          with Invalid_argument m ->
-            Printf.eprintf "error: %s\n" m;
-            exit 1
-        in
+        let report = Core.Catalog.run ~seed ~exec name in
         match out_dir with
         | None -> print_string report
         | Some dir ->

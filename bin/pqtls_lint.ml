@@ -30,16 +30,8 @@ let rule_arg =
   in
   Arg.(value & opt_all string [] & info [ "r"; "rule" ] ~docv:"RULE" ~doc)
 
-let allowlist_arg =
-  let doc =
-    "Checked-in allowlist file of audited exceptions (RULE PATH SYMBOL \
-     REASON per line)."
-  in
-  Arg.(
-    value & opt string "lint.allow" & info [ "allowlist" ] ~docv:"FILE" ~doc)
-
 let check_cmd =
-  let run paths format rule_names allowlist =
+  let run paths format rule_names =
     match Lint.Report.format_of_string format with
     | None ->
       Printf.eprintf
@@ -75,8 +67,7 @@ let check_cmd =
           | rs -> rs
         in
         let sources, parse_errors = Lint.Source.load_paths paths in
-        let entries, allow_diags = Lint.Allow.load_file allowlist in
-        let diags = allow_diags @ Lint.Engine.run ~entries ~rules sources in
+        let diags = Lint.Engine.run ~rules sources in
         print_string
           (Lint.Report.render fmt ~rules
              ~files:(List.length sources)
@@ -90,7 +81,7 @@ let check_cmd =
        ~doc:
          "Parse every .ml/.mli under the given paths and run the \
           determinism / constant-time / state-discipline rules.")
-    Term.(const run $ paths_arg $ format_arg $ rule_arg $ allowlist_arg)
+    Term.(const run $ paths_arg $ format_arg $ rule_arg)
 
 let rules_cmd =
   let json_arg =

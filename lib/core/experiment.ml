@@ -324,18 +324,12 @@ let median_bytes f outcome =
 type farm_spec = {
   fa_kem : Pqc.Kem.t;
   fa_sig : Pqc.Sigalg.t;
-  fa_scenario : Scenario.t;
   fa_profile : string;
-  fa_policy : string;
   fa_servers : int;
-  fa_max_concurrent : int;
-  fa_accept_queue : int;
   fa_utilization : float;
   fa_duration_s : float;
   fa_max_connections : int;
   fa_adv_fraction : float;
-  fa_adv_kem : Pqc.Kem.t;
-  fa_mix : Mix.t;
   fa_seed : string;
 }
 
@@ -353,8 +347,6 @@ type farm_outcome = {
   fo_server_busy : float;
   fo_server_ledger : (string * float) list;
   fo_per_server_completed : int list;
-  fo_resumed_completed : int;
-  fo_early_data_bytes : int;
   fo_adv_launched : int;
   fo_adv_completed : int;
   fo_adv_client_bytes : int;
@@ -366,84 +358,70 @@ type farm_outcome = {
   fo_cal_adv_server_cpu_ms : float;
 }
 
-let farm_spec ?(scenario = Scenario.no_emulation) ?(profile = "poisson")
-    ?(policy = "least-connections") ?(servers = 3) ?(max_concurrent = 64)
-    ?(accept_queue = 128) ?(utilization = 0.9) ?(duration_s = 1.)
-    ?(max_connections = 1200) ?(adv_fraction = 0.)
-    ?(adv_kem = Pqc.Registry.baseline_kem) ?(mix = Mix.full) ?(seed = "pqtls")
-    kem sig_alg =
+(* Every farm cell runs on the ideal link (scenario "none"), admits 64
+   handshakes in service plus 128 waiting per server, and arms its
+   adversaries with the x25519 baseline, the smallest client flight. The
+   fingerprint, label and root seed spell these out as text. *)
+let farm_netem = Netsim.Link.ideal
+let farm_adv_kem = Pqc.Registry.baseline_kem
+
+let farm_config ~servers =
+  { Netsim.Farm.servers; max_concurrent = 64; accept_queue = 128 }
+
+let farm_spec ?(profile = "poisson") ?(servers = 3) ?(utilization = 0.9)
+    ?(duration_s = 1.) ?(max_connections = 1200) ?(adv_fraction = 0.)
+    ?(seed = "pqtls") kem sig_alg =
   (* validate eagerly so a typo fails at grid-build time, not mid-cell *)
   ignore (Netsim.Workload.find profile);
-  ignore (Netsim.Balancer.policy_of_name policy);
   { fa_kem = kem;
     fa_sig = sig_alg;
-    fa_scenario = scenario;
     fa_profile = profile;
-    fa_policy = policy;
     fa_servers = servers;
-    fa_max_concurrent = max_concurrent;
-    fa_accept_queue = accept_queue;
     fa_utilization = utilization;
     fa_duration_s = duration_s;
     fa_max_connections = max_connections;
     fa_adv_fraction = adv_fraction;
-    fa_adv_kem = adv_kem;
-    fa_mix = mix;
     fa_seed = seed }
 
 let farm_spec_label sp =
-  Printf.sprintf "farm %s x %s @ %s/%s u=%.2f%s%s" sp.fa_kem.Pqc.Kem.name
-    sp.fa_sig.Pqc.Sigalg.name sp.fa_scenario.Scenario.name sp.fa_profile
-    sp.fa_utilization
+  Printf.sprintf "farm %s x %s @ none/%s u=%.2f%s" sp.fa_kem.Pqc.Kem.name
+    sp.fa_sig.Pqc.Sigalg.name sp.fa_profile sp.fa_utilization
     (if sp.fa_adv_fraction > 0. then
        Printf.sprintf " adv=%.0f%%" (100. *. sp.fa_adv_fraction)
      else "")
-    (if Mix.is_full sp.fa_mix then ""
-     else Printf.sprintf " [%s]" sp.fa_mix.Mix.label)
 
 let farm_spec_fingerprint sp =
-  let netem = sp.fa_scenario.Scenario.netem in
+  let config = farm_config ~servers:sp.fa_servers in
   Printf.sprintf
-    "farm-v1|kem=%s|sig=%s|scenario=%s|loss=%h|loss_towards=%s|delay=%h|jitter=%h|rate=%h|profile=%s|policy=%s|servers=%d|conc=%d|queue=%d|util=%h|duration=%h|maxconn=%d|adv=%h|advkem=%s|seed=%s%s"
+    "farm-v1|kem=%s|sig=%s|scenario=none|loss=%h|loss_towards=-|delay=%h|jitter=%h|rate=%h|profile=%s|policy=least-connections|servers=%d|conc=%d|queue=%d|util=%h|duration=%h|maxconn=%d|adv=%h|advkem=%s|seed=%s"
     sp.fa_kem.Pqc.Kem.name sp.fa_sig.Pqc.Sigalg.name
-    sp.fa_scenario.Scenario.name netem.Netsim.Link.loss
-    (Option.value ~default:"-" netem.Netsim.Link.loss_towards)
-    netem.Netsim.Link.delay_s netem.Netsim.Link.jitter_s
-    netem.Netsim.Link.rate_bps sp.fa_profile sp.fa_policy sp.fa_servers
-    sp.fa_max_concurrent sp.fa_accept_queue sp.fa_utilization
-    sp.fa_duration_s sp.fa_max_connections sp.fa_adv_fraction
-    sp.fa_adv_kem.Pqc.Kem.name sp.fa_seed
-    (if Mix.is_full sp.fa_mix then ""
-     else Printf.sprintf "|mix=%s" sp.fa_mix.Mix.name)
+    farm_netem.Netsim.Link.loss farm_netem.Netsim.Link.delay_s
+    farm_netem.Netsim.Link.jitter_s farm_netem.Netsim.Link.rate_bps
+    sp.fa_profile sp.fa_servers
+    config.Netsim.Farm.max_concurrent config.Netsim.Farm.accept_queue
+    sp.fa_utilization sp.fa_duration_s sp.fa_max_connections
+    sp.fa_adv_fraction farm_adv_kem.Pqc.Kem.name sp.fa_seed
 
 (* per-iteration harness charges of the closed-loop calibration run that
    a farm server never pays: measurement-loop python + libc plus the nic
    driver touch (see [run_spec_traced]) *)
 let harness_overhead_ms = harness_python_ms +. harness_libc_ms +. 0.06
 
-(* per-handshake CPU of one side under this KA x SA x scenario, from a
-   short closed-loop run with the harness overhead removed — the service
-   rate behind "sustainable capacity" *)
-let calibrate sp ~kem ~mix ~seed =
-  let o =
-    run_spec
-      (spec ~scenario:sp.fa_scenario ~duration_s:30. ~max_samples:8 ~seed ~mix
-         kem sp.fa_sig)
-  in
+(* per-handshake CPU of one side under this KA x SA on the ideal link,
+   from a short closed-loop run with the harness overhead removed — the
+   service rate behind "sustainable capacity" *)
+let calibrate sp ~kem ~seed =
+  let o = run_spec (spec ~duration_s:30. ~max_samples:8 ~seed kem sp.fa_sig) in
   ( Float.max 0.001 (o.client_cpu_ms -. harness_overhead_ms),
     Float.max 0.001 (o.server_cpu_ms -. harness_overhead_ms) )
 
 let run_farm_spec sp =
-  (* benign capacity is calibrated under the cell's workload mix, so a
-     90%-resumed farm is offered the (higher) steady-state rate its
-     cheaper handshakes sustain; adversarial clients never resume *)
   let cal_client, cal_server =
-    calibrate sp ~kem:sp.fa_kem ~mix:sp.fa_mix ~seed:(sp.fa_seed ^ "/cal")
+    calibrate sp ~kem:sp.fa_kem ~seed:(sp.fa_seed ^ "/cal")
   in
   let _, cal_adv_server =
     if sp.fa_adv_fraction > 0. then
-      calibrate sp ~kem:sp.fa_adv_kem ~mix:Mix.full
-        ~seed:(sp.fa_seed ^ "/cal-adv")
+      calibrate sp ~kem:farm_adv_kem ~seed:(sp.fa_seed ^ "/cal-adv")
     else (cal_client, cal_server)
   in
   (* one core per server: CPU-sustainable capacity of the whole farm *)
@@ -458,9 +436,8 @@ let run_farm_spec sp =
   let root_rng =
     Crypto.Drbg.create
       ~seed:
-        (Printf.sprintf "%s/farm/%s/%s/%s/%s/%s" sp.fa_seed
-           sp.fa_kem.Pqc.Kem.name sp.fa_sig.Pqc.Sigalg.name
-           sp.fa_scenario.Scenario.name sp.fa_profile sp.fa_policy)
+        (Printf.sprintf "%s/farm/%s/%s/none/%s/least-connections" sp.fa_seed
+           sp.fa_kem.Pqc.Kem.name sp.fa_sig.Pqc.Sigalg.name sp.fa_profile)
   in
   let profile = Netsim.Workload.find sp.fa_profile in
   let arrivals =
@@ -473,31 +450,13 @@ let run_farm_spec sp =
         Netsim.Host.create engine ~name:(Printf.sprintf "server%d" i))
   in
   let benign_config = Tls.Config.mocked sp.fa_kem sp.fa_sig in
-  let adv_config = Tls.Config.mocked sp.fa_adv_kem sp.fa_sig in
+  let adv_config = Tls.Config.mocked farm_adv_kem sp.fa_sig in
   let adv_launched = ref 0 and adv_completed = ref 0 in
   let adv_cb = ref 0 and adv_sb = ref 0 in
   let ben_cb = ref 0 and ben_sb = ref 0 in
-  let resumed_completed = ref 0 and early_bytes = ref 0 in
-  (* the whole client population shares one pre-minted ticket (every
-     server holds the same STEK), so resumption needs no issuing
-     handshake and no per-connection ticket state *)
-  let mixing = sp.fa_mix.Mix.resumed > 0. in
-  let ticket_key = sp.fa_seed ^ "/stek" in
-  let shared_session =
-    if mixing then
-      Some
-        (Tls.Handshake.mint_session ~config:benign_config ~ticket_key
-           ~rng:(Crypto.Drbg.fork root_rng "stek"))
-    else None
-  in
-  let farm_config =
-    { Netsim.Farm.servers = sp.fa_servers;
-      max_concurrent = sp.fa_max_concurrent;
-      accept_queue = sp.fa_accept_queue;
-      policy = Netsim.Balancer.policy_of_name sp.fa_policy }
-  in
   let farm =
-    Netsim.Farm.create ~engine ~config:farm_config ~arrivals
+    Netsim.Farm.create ~engine ~config:(farm_config ~servers:sp.fa_servers)
+      ~arrivals
       ~launch:(fun ~server ~conn ~finished ->
         let rng = Crypto.Drbg.fork root_rng (string_of_int conn) in
         let adversarial =
@@ -507,28 +466,18 @@ let run_farm_spec sp =
         if adversarial then incr adv_launched;
         let server_host = server_hosts.(server) in
         (* every client is its own machine: one fresh single-core host
-           per connection, all named "client" so directional netem loss
-           ([loss_towards]) applies exactly as in the single-pair cells *)
+           per connection *)
         let client_host = Netsim.Host.create engine ~name:"client" in
         let link =
           Netsim.Link.create engine
             (Crypto.Drbg.fork rng "link")
-            sp.fa_scenario.Scenario.netem
+            farm_netem
             ~tap:(fun _ _ -> ())
         in
         Netsim.Host.charge_async server_host
           ~op:Pqc.Costs.connection_setup.Pqc.Costs.label
           ~ms:Pqc.Costs.connection_setup.Pqc.Costs.ms ~lib:"kernel";
-        let resume =
-          if
-            (not adversarial) && mixing
-            && Crypto.Drbg.float rng < sp.fa_mix.Mix.resumed
-          then shared_session
-          else None
-        in
-        Tls.Handshake.run ?resume
-          ~early_data:(resume <> None && sp.fa_mix.Mix.early_data)
-          ~ticket_key ~engine ~link ~tcp_config:Netsim.Tcp.default_config
+        Tls.Handshake.run ~engine ~link ~tcp_config:Netsim.Tcp.default_config
           ~client_host ~server_host
           ~config:(if adversarial then adv_config else benign_config)
           ~rng
@@ -544,8 +493,6 @@ let run_farm_spec sp =
               ben_cb := !ben_cb + cb;
               ben_sb := !ben_sb + sb
             end;
-            if r.Tls.Handshake.resumed then incr resumed_completed;
-            early_bytes := !early_bytes + r.Tls.Handshake.early_data_bytes;
             Netsim.Tcp.close r.Tls.Handshake.client_tcp;
             Netsim.Tcp.close r.Tls.Handshake.server_tcp;
             finished ())
@@ -594,8 +541,6 @@ let run_farm_spec sp =
     fo_server_ledger = merged_ledger;
     fo_per_server_completed =
       Array.to_list (Netsim.Farm.per_server_completed farm);
-    fo_resumed_completed = !resumed_completed;
-    fo_early_data_bytes = !early_bytes;
     fo_adv_launched = !adv_launched;
     fo_adv_completed = !adv_completed;
     fo_adv_client_bytes = !adv_cb;

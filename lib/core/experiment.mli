@@ -119,21 +119,22 @@ val median_bytes : (sample -> int) -> outcome -> int
 
     Open-loop N-client x M-server campaigns: arrivals from a
     {!Netsim.Workload} profile at a rate set as a fraction
-    ([fa_utilization]) of the farm's CPU-sustainable capacity, dispatched
-    by a {!Netsim.Balancer} policy across [fa_servers] single-core hosts
-    with per-server admission control. Capacity is calibrated per cell
-    from a short closed-loop run of the same KA x SA x scenario with the
-    measurement-harness overhead removed. *)
+    ([fa_utilization]) of the farm's CPU-sustainable capacity, each
+    handed to the least-loaded of [fa_servers] single-core hosts with
+    per-server admission control. Capacity is calibrated per cell from a
+    short closed-loop run of the same KA x SA with the
+    measurement-harness overhead removed.
+
+    Every farm cell has the same fixed shape: the ideal link (scenario
+    [none]), least-connections balancing, 64 in-service plus 128 queued
+    connections per server, adversarial clients negotiating
+    {!Pqc.Registry.baseline_kem}, and no resumption. *)
 
 type farm_spec = {
   fa_kem : Pqc.Kem.t;
   fa_sig : Pqc.Sigalg.t;
-  fa_scenario : Scenario.t;
   fa_profile : string;  (** {!Netsim.Workload} name *)
-  fa_policy : string;  (** {!Netsim.Balancer} policy name *)
   fa_servers : int;
-  fa_max_concurrent : int;
-  fa_accept_queue : int;
   fa_utilization : float;  (** offered rate / calibrated capacity *)
   fa_duration_s : float;
   fa_max_connections : int;
@@ -141,12 +142,7 @@ type farm_spec = {
           profile shape is preserved *)
   fa_adv_fraction : float;
       (** section 5.5 at scale: fraction of arrivals that are
-          adversarial clients negotiating [fa_adv_kem] *)
-  fa_adv_kem : Pqc.Kem.t;
-  fa_mix : Mix.t;
-      (** workload mix: benign arrivals resume (with a shared pre-minted
-          ticket) at the mix's resumed fraction; capacity is calibrated
-          under the same mix. Adversarial arrivals never resume. *)
+          adversarial clients negotiating the x25519 baseline *)
   fa_seed : string;
 }
 
@@ -165,8 +161,6 @@ type farm_outcome = {
   fo_server_busy : float;  (** fraction of total server core-time busy *)
   fo_server_ledger : (string * float) list;
   fo_per_server_completed : int list;
-  fo_resumed_completed : int;  (** completed connections that resumed *)
-  fo_early_data_bytes : int;  (** 0-RTT bytes accepted across the farm *)
   fo_adv_launched : int;
   fo_adv_completed : int;
   fo_adv_client_bytes : int;
@@ -179,33 +173,24 @@ type farm_outcome = {
 }
 
 val farm_spec :
-  ?scenario:Scenario.t ->
   ?profile:string ->
-  ?policy:string ->
   ?servers:int ->
-  ?max_concurrent:int ->
-  ?accept_queue:int ->
   ?utilization:float ->
   ?duration_s:float ->
   ?max_connections:int ->
   ?adv_fraction:float ->
-  ?adv_kem:Pqc.Kem.t ->
-  ?mix:Mix.t ->
   ?seed:string ->
   Pqc.Kem.t ->
   Pqc.Sigalg.t ->
   farm_spec
-(** Defaults: no emulation, poisson arrivals, least-connections over 3
-    servers, 64 in-service + 128 queued per server, 90 % utilization,
-    a 1 s window capped at 1200 connections, no adversarial mix (the
-    adversarial KEM defaults to the x25519 baseline — smallest client
-    flight, maximal amplification).
-    @raise Invalid_argument for unknown profile or policy names. *)
+(** Defaults: poisson arrivals over 3 servers, 90 % utilization, a 1 s
+    window capped at 1200 connections, no adversarial clients.
+    @raise Invalid_argument for an unknown profile name. *)
 
 val run_farm_spec : farm_spec -> farm_outcome
 (** Execute one farm cell. Deterministic in the spec alone, like
-    {!run_spec}: arrivals, balancing, per-connection crypto and netem
-    draws all derive from DRBG forks of [fa_seed].
+    {!run_spec}: arrivals, per-connection crypto and link draws all
+    derive from DRBG forks of [fa_seed].
     @raise Invalid_argument if not a single handshake completed. *)
 
 val farm_spec_label : farm_spec -> string

@@ -43,9 +43,9 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
-let to_string ?(indent = 2) v =
+let to_string v =
   let b = Buffer.create 4096 in
-  let pad depth = Buffer.add_string b (String.make (depth * indent) ' ') in
+  let pad depth = Buffer.add_string b (String.make (depth * 2) ' ') in
   let rec go depth = function
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (if x then "true" else "false")

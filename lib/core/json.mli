@@ -16,8 +16,8 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_string : ?indent:int -> t -> string
-(** Pretty, newline-terminated, deterministic rendering. *)
+val to_string : t -> string
+(** Pretty (two-space indent), newline-terminated, deterministic rendering. *)
 
 val float_repr : float -> string
 (** The shortest ["%.*g"] rendering that round-trips through

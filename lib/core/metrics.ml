@@ -209,8 +209,6 @@ type farm_cell_data = {
   fd_cal_client_cpu_ms : float;
   fd_cal_server_cpu_ms : float;
   fd_cal_adv_server_cpu_ms : float;
-  fd_resumed_completed : int;
-  fd_early_data_bytes : int;
 }
 
 type farm_cell = {
@@ -218,12 +216,9 @@ type farm_cell = {
   f_key : string;
   f_kem : string;
   f_sig : string;
-  f_scenario : string;
   f_profile : string;
-  f_policy : string;
   f_utilization : float;
   f_adv_fraction : float;
-  f_mix : string;
   f_data : (farm_cell_data, string) result;
 }
 
@@ -256,9 +251,7 @@ let data_of_farm_outcome ~id (o : Experiment.farm_outcome) =
     fd_benign_server_bytes = o.Experiment.fo_benign_server_bytes;
     fd_cal_client_cpu_ms = o.Experiment.fo_cal_client_cpu_ms;
     fd_cal_server_cpu_ms = o.Experiment.fo_cal_server_cpu_ms;
-    fd_cal_adv_server_cpu_ms = o.Experiment.fo_cal_adv_server_cpu_ms;
-    fd_resumed_completed = o.Experiment.fo_resumed_completed;
-    fd_early_data_bytes = o.Experiment.fo_early_data_bytes }
+    fd_cal_adv_server_cpu_ms = o.Experiment.fo_cal_adv_server_cpu_ms }
 
 (* ---- the registry -------------------------------------------------------- *)
 
@@ -287,10 +280,10 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let incr ?(by = 1) t name =
+let incr t name =
   locked t (fun () ->
       Hashtbl.replace t.counters name
-        (by + Option.value ~default:0 (Hashtbl.find_opt t.counters name)))
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.counters name)))
 
 let counter t name =
   locked t (fun () ->
@@ -352,12 +345,9 @@ let farm_cell_of ~id ~key (sp : Experiment.farm_spec) result =
     f_key = key;
     f_kem = sp.Experiment.fa_kem.Pqc.Kem.name;
     f_sig = sp.Experiment.fa_sig.Pqc.Sigalg.name;
-    f_scenario = sp.Experiment.fa_scenario.Scenario.name;
     f_profile = sp.Experiment.fa_profile;
-    f_policy = sp.Experiment.fa_policy;
     f_utilization = sp.Experiment.fa_utilization;
     f_adv_fraction = sp.Experiment.fa_adv_fraction;
-    f_mix = sp.Experiment.fa_mix.Mix.name;
     f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
 
 let record_cell =
@@ -498,14 +488,15 @@ let json_of_cell c =
       else [ ("chain", json_of_chain_levels d.cd_chain_levels) ])
     c.m_data
 
+(* every farm cell runs on the ideal link under least-connections (see
+   [Experiment.farm_spec]); the artifact still names both *)
 let json_of_farm_cell c =
   json_of_frame ~id:c.f_id ~key:c.f_key ~kem:c.f_kem ~sig_:c.f_sig
-    ~scenario:c.f_scenario
-    ([ ("profile", Json.String c.f_profile);
-       ("policy", Json.String c.f_policy);
-       ("utilization", Json.Float c.f_utilization);
-       ("adv_fraction", Json.Float c.f_adv_fraction) ]
-    @ if c.f_mix = "full" then [] else [ ("mix", Json.String c.f_mix) ])
+    ~scenario:"none"
+    [ ("profile", Json.String c.f_profile);
+      ("policy", Json.String "least-connections");
+      ("utilization", Json.Float c.f_utilization);
+      ("adv_fraction", Json.Float c.f_adv_fraction) ]
     (fun d ->
       [ ( "load",
           Json.Obj
@@ -547,15 +538,7 @@ let json_of_farm_cell c =
             [ ("client_cpu_ms", Json.Float d.fd_cal_client_cpu_ms);
               ("server_cpu_ms", Json.Float d.fd_cal_server_cpu_ms);
               ( "adv_server_cpu_ms",
-                Json.Float d.fd_cal_adv_server_cpu_ms ) ] ) ]
-      @
-      if c.f_mix = "full" then []
-      else
-        [ ( "resumption",
-            Json.Obj
-              [ ("completed", Json.Int d.fd_resumed_completed);
-                ("early_data_bytes", Json.Int d.fd_early_data_bytes)
-              ] ) ])
+                Json.Float d.fd_cal_adv_server_cpu_ms ) ] ) ])
     c.f_data
 
 let to_json_string a =

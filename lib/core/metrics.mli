@@ -130,8 +130,6 @@ type farm_cell_data = {
   fd_cal_client_cpu_ms : float;
   fd_cal_server_cpu_ms : float;
   fd_cal_adv_server_cpu_ms : float;
-  fd_resumed_completed : int;  (** completed connections that resumed *)
-  fd_early_data_bytes : int;  (** 0-RTT bytes accepted across the farm *)
 }
 
 type farm_cell = {
@@ -139,12 +137,9 @@ type farm_cell = {
   f_key : string;
   f_kem : string;
   f_sig : string;
-  f_scenario : string;
   f_profile : string;
-  f_policy : string;
   f_utilization : float;
   f_adv_fraction : float;
-  f_mix : string;  (** {!Mix} name; ["full"] for pre-mix cells *)
   f_data : (farm_cell_data, string) result;
 }
 
@@ -154,8 +149,8 @@ type t
 
 val create : unit -> t
 
-val incr : ?by:int -> t -> string -> unit
-(** Bump a named counter (created at 0 on first use). Domain-safe. *)
+val incr : t -> string -> unit
+(** Bump a named counter by one (created at 0 on first use). Domain-safe. *)
 
 val counter : t -> string -> int
 

@@ -78,7 +78,7 @@ let percentiles ps xs =
    the resampled percentiles fill another: a metrics campaign runs this
    for every distribution of every cell, and boxed-float lists here made
    it the campaign's largest source of allocation and promotion. *)
-let bootstrap_ci ?(resamples = 200) ?(confidence = 0.95) ~seed p = function
+let bootstrap_ci ~seed p = function
   | [] -> invalid_arg "Stats.bootstrap_ci: empty"
   | [ x ] -> (x, x)
   | xs ->
@@ -87,7 +87,7 @@ let bootstrap_ci ?(resamples = 200) ?(confidence = 0.95) ~seed p = function
     let rng = Crypto.Drbg.create ~seed:("stats-bootstrap/" ^ seed) in
     let r = Array.make n 0. in
     let stats =
-      Array.init resamples (fun _ ->
+      Array.init 200 (fun _ ->
           for i = 0 to n - 1 do
             r.(i) <- a.(Crypto.Drbg.uniform rng n)
           done;
@@ -95,5 +95,6 @@ let bootstrap_ci ?(resamples = 200) ?(confidence = 0.95) ~seed p = function
           interpolate p r)
     in
     sort_floats stats;
-    let alpha = (1. -. confidence) /. 2. in
+    (* a 95 % interval *)
+    let alpha = (1. -. 0.95) /. 2. in
     (interpolate alpha stats, interpolate (1. -. alpha) stats)

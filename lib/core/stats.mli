@@ -19,16 +19,10 @@ val percentiles : float list -> float list -> float list
     sort of [xs] — the same linear interpolation as {!percentile}, for
     the full p5..p99 ladder of a metrics distribution. *)
 
-val bootstrap_ci :
-  ?resamples:int ->
-  ?confidence:float ->
-  seed:string ->
-  float ->
-  float list ->
-  float * float
+val bootstrap_ci : seed:string -> float -> float list -> float * float
 (** [bootstrap_ci ~seed p xs] is a deterministic percentile-bootstrap
     confidence interval for the [p]-th percentile of [xs] (as
     {!percentile}; [0.5] is the median): resampling indices come from a
     {!Crypto.Drbg} seeded with [seed], so the same inputs give the same
-    interval on every machine and domain. Defaults: 200 resamples, 95 %
+    interval on every machine and domain: 200 resamples, 95 %
     confidence. A singleton collapses to [(v, v)]. *)

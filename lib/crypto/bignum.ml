@@ -351,7 +351,7 @@ let small_primes =
     149; 151; 157; 163; 167; 173; 179; 181; 191; 193; 197; 199; 211; 223;
     227; 229; 233; 239; 241; 251 ]
 
-let is_probable_prime ?(rounds = 20) rng n =
+let is_probable_prime rng n =
   if compare n two < 0 then false
   else if compare n (of_int 4) < 0 then true (* 2 and 3 *)
   else if is_even n then false
@@ -398,7 +398,7 @@ let is_probable_prime ?(rounds = 20) rng n =
           if witness a then false else rounds_left (k - 1)
         end
       in
-      rounds_left rounds
+      rounds_left 20
     end
   end
 

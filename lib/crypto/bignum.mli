@@ -65,8 +65,8 @@ val random : Drbg.t -> bits:int -> t
 val random_below : Drbg.t -> t -> t
 (** Uniform in [0, n) by rejection. *)
 
-val is_probable_prime : ?rounds:int -> Drbg.t -> t -> bool
-(** Trial division by small primes, then Miller-Rabin. *)
+val is_probable_prime : Drbg.t -> t -> bool
+(** Trial division by small primes, then 20 Miller-Rabin rounds. *)
 
 val gen_prime : Drbg.t -> bits:int -> t
 (** A random probable prime with the top two bits set (so products of two

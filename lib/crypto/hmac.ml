@@ -1,5 +1,4 @@
 type hash = {
-  name : string;
   digest_size : int;
   block_size : int;
   digest : string -> string;
@@ -12,7 +11,7 @@ let sha256_parts parts =
   Sha256.get c
 
 let sha256 =
-  { name = "SHA-256"; digest_size = 32; block_size = 64;
+  { digest_size = 32; block_size = 64;
     digest = Sha256.digest; digest_parts = sha256_parts }
 
 (* the key, zero-extended to one block, XORed with [byte] *)

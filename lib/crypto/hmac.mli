@@ -1,7 +1,6 @@
 (** HMAC (RFC 2104) over a pluggable hash. *)
 
 type hash = {
-  name : string;
   digest_size : int;
   block_size : int;
   digest : string -> string;

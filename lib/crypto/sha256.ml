@@ -40,7 +40,6 @@ type ctx = {
   buf : Bytes.t; (* 64-byte block buffer *)
   mutable buf_len : int;
   mutable total : int; (* total bytes absorbed *)
-  out_len : int; (* digest bytes: 32 *)
   w : int array; (* message schedule scratch *)
 }
 
@@ -48,11 +47,9 @@ let iv_256 =
   [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
      0x1f83d9ab; 0x5be0cd19 |]
 
-let make iv out_len =
-  { h = Array.copy iv; buf = Bytes.create 64; buf_len = 0; total = 0; out_len;
+let init () =
+  { h = Array.copy iv_256; buf = Bytes.create 64; buf_len = 0; total = 0;
     w = Array.make 64 0 }
-
-let init () = make iv_256 32
 
 let mask = 0xffffffff
 
@@ -150,8 +147,8 @@ let get ctx =
   Bytesx.set_u32_be block 56 ((bits lsr 32) land mask);
   Bytesx.set_u32_be block 60 (bits land mask);
   compress h ctx.w (Bytes.unsafe_to_string block) 0;
-  let out = Bytes.create ctx.out_len in
-  for i = 0 to (ctx.out_len / 4) - 1 do
+  let out = Bytes.create 32 in
+  for i = 0 to 7 do
     Bytesx.set_u32_be out (4 * i) h.(i)
   done;
   Bytes.unsafe_to_string out

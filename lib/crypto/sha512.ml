@@ -37,7 +37,6 @@ type ctx = {
   buf : Bytes.t; (* 128-byte block *)
   mutable buf_len : int;
   mutable total : int;
-  out_len : int;
   w : int64 array;
 }
 
@@ -46,11 +45,9 @@ let iv_512 =
      0xa54ff53a5f1d36f1L; 0x510e527fade682d1L; 0x9b05688c2b3e6c1fL;
      0x1f83d9abfb41bd6bL; 0x5be0cd19137e2179L |]
 
-let make iv out_len =
-  { h = Array.copy iv; buf = Bytes.create 128; buf_len = 0; total = 0;
-    out_len; w = Array.make 80 0L }
-
-let init () = make iv_512 64
+let init () =
+  { h = Array.copy iv_512; buf = Bytes.create 128; buf_len = 0; total = 0;
+    w = Array.make 80 0L }
 
 let copy c =
   { c with h = Array.copy c.h; buf = Bytes.copy c.buf; w = Array.make 80 0L }
@@ -143,8 +140,8 @@ let get ctx =
   Bytesx.set_u64_be pad (pad_len - 8) bit_len;
   feed c (Bytes.unsafe_to_string pad);
   assert (c.buf_len = 0);
-  let out = Bytes.create c.out_len in
-  for i = 0 to (c.out_len / 8) - 1 do
+  let out = Bytes.create 64 in
+  for i = 0 to 7 do
     Bytesx.set_u64_be out (8 * i) c.h.(i)
   done;
   Bytes.unsafe_to_string out

@@ -8,13 +8,6 @@ type scope = {
   s_reason : string;
 }
 
-type entry = {
-  e_rule : string;
-  e_path : string;
-  e_symbol : string;
-  e_reason : string;
-}
-
 let attr_name = "lint.allow"
 
 (* [@lint.allow "RULE" "reason"] — the payload parses as the string
@@ -95,62 +88,7 @@ let scopes_of_source (src : Source.t) =
   | Source.Signature sg -> iter.Ast_iterator.signature iter sg);
   (!scopes, !bad)
 
-let split_ws line =
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun s -> s <> "")
-
-let parse_entries ~path text =
-  let entries = ref [] and bad = ref [] in
-  List.iteri
-    (fun i line ->
-      let line =
-        match String.index_opt line '#' with
-        | Some j -> String.sub line 0 j
-        | None -> line
-      in
-      match split_ws line with
-      | [] -> ()
-      | rule :: file :: symbol :: (_ :: _ as reason) ->
-        entries :=
-          { e_rule = rule;
-            e_path = file;
-            e_symbol = symbol;
-            e_reason = String.concat " " reason }
-          :: !entries
-      | _ ->
-        bad :=
-          { Diag.rule = "LINT";
-            file = path;
-            line = i + 1;
-            col = 0;
-            symbol = "";
-            message =
-              "malformed allowlist line (want: RULE PATH SYMBOL REASON...)" }
-          :: !bad)
-    (String.split_on_char '\n' text);
-  (List.rev !entries, List.rev !bad)
-
-let load_file path =
-  if not (Sys.file_exists path) then ([], [])
-  else begin
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    parse_entries ~path text
-  end
-
-let path_matches ~pattern file =
-  pattern = file
-  ||
-  let suffix = "/" ^ pattern in
-  let n = String.length suffix and m = String.length file in
-  m >= n && String.sub file (m - n) n = suffix
-
-let suppressed ~scopes ~entries (d : Diag.t) =
+let suppressed ~scopes (d : Diag.t) =
   List.exists
     (fun s ->
       (s.s_rule = "*" || s.s_rule = d.Diag.rule)
@@ -158,9 +96,3 @@ let suppressed ~scopes ~entries (d : Diag.t) =
       && d.Diag.line >= s.s_line_start
       && d.Diag.line <= s.s_line_end)
     scopes
-  || List.exists
-       (fun e ->
-         (e.e_rule = "*" || e.e_rule = d.Diag.rule)
-         && path_matches ~pattern:e.e_path d.Diag.file
-         && (e.e_symbol = "*" || e.e_symbol = d.Diag.symbol))
-       entries

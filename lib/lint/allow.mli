@@ -1,14 +1,9 @@
-(** The two suppression channels, both carrying a mandatory reason so
-    every exception to a rule is auditable:
-
-    - in-source attributes — [[@lint.allow "RULE" "reason"]] on an
-      expression or [[@@lint.allow "RULE" "reason"]] on a binding
-      scopes the exception to that node; a floating
-      [[@@@lint.allow "RULE" "reason"]] covers the whole file;
-    - the checked-in allowlist file — whitespace-separated lines
-      [RULE PATH SYMBOL REASON...] where [SYMBOL] is the enclosing
-      toplevel binding ([*] for any), keeping exceptions for files we
-      prefer not to annotate (tests, vendored code) in one place.
+(** The suppression channel: in-source attributes, each carrying a
+    mandatory reason so every exception to a rule is auditable.
+    [[@lint.allow "RULE" "reason"]] on an expression or
+    [[@@lint.allow "RULE" "reason"]] on a binding scopes the exception
+    to that node; a floating [[@@@lint.allow "RULE" "reason"]] covers
+    the whole file.
 
     A [lint.allow] attribute with a missing or empty reason is itself a
     violation (rule [LINT]). *)
@@ -21,22 +16,9 @@ type scope = {
   s_reason : string;
 }
 
-type entry = {
-  e_rule : string;
-  e_path : string; (* repo-relative; suffix-matched against diag files *)
-  e_symbol : string; (* "*" for any *)
-  e_reason : string;
-}
-
 val scopes_of_source : Source.t -> scope list * Diag.t list
 (** Collect attribute scopes; malformed [lint.allow] attributes come
     back as [LINT] diagnostics. *)
 
-val parse_entries : path:string -> string -> entry list * Diag.t list
-(** Parse allowlist-file text ([#] comments, blank lines ignored).
-    Malformed lines come back as [LINT] diagnostics against [path]. *)
-
-val load_file : string -> entry list * Diag.t list
-(** [parse_entries] over a file on disk; missing file = no entries. *)
-
-val suppressed : scopes:scope list -> entries:entry list -> Diag.t -> bool
+val suppressed : scopes:scope list -> Diag.t -> bool
+(** Does an attribute scope cover the finding? *)

@@ -8,8 +8,8 @@ type t = { cg_edges : (string, string list) Hashtbl.t }
    [( let* )] in scope. *)
 let uses syms ~file ?scope e =
   let acc = ref [] in
-  let edge dotted =
-    match Symtab.resolve syms ~file ?scope (Walk.strip_stdlib dotted) with
+  let edge loc dotted =
+    match Symtab.resolve syms ~file ?scope ~loc (Walk.strip_stdlib dotted) with
     | Some q -> acc := q :: !acc
     | None -> ()
   in
@@ -19,11 +19,11 @@ let uses syms ~file ?scope e =
       expr =
         (fun self e ->
           (match e.pexp_desc with
-          | Pexp_ident { txt; _ } ->
-            edge (String.concat "." (Longident.flatten txt))
+          | Pexp_ident { txt; loc } ->
+            edge loc (String.concat "." (Longident.flatten txt))
           | Pexp_letop { let_; ands; _ } ->
             List.iter
-              (fun b -> edge b.pbop_op.Asttypes.txt)
+              (fun b -> edge b.pbop_op.loc b.pbop_op.Asttypes.txt)
               (let_ :: ands)
           | _ -> ());
           super.expr self e) }

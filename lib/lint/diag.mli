@@ -1,7 +1,6 @@
 (** A single finding: one rule firing at one source location. The
-    [symbol] is the enclosing toplevel binding (or module) name, used by
-    the allowlist file to pin exceptions to a definition rather than a
-    line number, so entries survive unrelated edits. *)
+    [symbol] is the enclosing toplevel binding (or module) name, which
+    the reports print next to the message. *)
 
 type t = {
   rule : string; (* "D1", "C1", ... *)

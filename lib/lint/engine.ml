@@ -12,7 +12,7 @@ let rules =
 let find_rule name =
   List.find_opt (fun (r : Rule.t) -> r.Rule.name = name) rules
 
-let run ?(entries = []) ?(rules = rules) sources =
+let run ?(rules = rules) sources =
   let scopes, malformed =
     List.fold_left
       (fun (scopes, bad) src ->
@@ -24,8 +24,6 @@ let run ?(entries = []) ?(rules = rules) sources =
     List.concat_map (fun (r : Rule.t) -> r.Rule.check sources) rules
   in
   let kept =
-    List.filter
-      (fun d -> not (Allow.suppressed ~scopes ~entries d))
-      findings
+    List.filter (fun d -> not (Allow.suppressed ~scopes d)) findings
   in
   List.sort Diag.compare (malformed @ kept)

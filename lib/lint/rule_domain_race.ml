@@ -54,12 +54,6 @@ let write_target_index parts =
   | [ ("Queue" | "Stack"); ("pop" | "take" | "clear") ] -> Some 0
   | _ -> None
 
-let within (outer : Location.t) (inner : Location.t) =
-  inner.Location.loc_start.Lexing.pos_cnum
-  >= outer.Location.loc_start.Lexing.pos_cnum
-  && inner.Location.loc_end.Lexing.pos_cnum
-     <= outer.Location.loc_end.Lexing.pos_cnum
-
 let check sources =
   let syms = Symtab.build sources in
   let cg = Callgraph.build syms in
@@ -85,7 +79,7 @@ let check sources =
           | Some dotted -> (
             match
               Symtab.resolve syms ~file:d.Symtab.d_file
-                ~scope:d.Symtab.d_scope dotted
+                ~scope:d.Symtab.d_scope ~loc:e.pexp_loc dotted
             with
             | Some q when Hashtbl.mem mutables q -> Some q
             | _ -> None)
@@ -133,7 +127,7 @@ let check sources =
         iter.Ast_iterator.expr iter d.Symtab.d_body;
         List.rev !writes
         |> List.filter_map (fun (loc, q) ->
-               if List.exists (fun g -> within g loc) !guards then None
+               if List.exists (fun g -> Walk.within g loc) !guards then None
                else
                  Some
                    (Diag.make ~rule:"S2" ~file:d.Symtab.d_file

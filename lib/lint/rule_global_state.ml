@@ -93,5 +93,5 @@ let rule =
        follows the call graph to catch unguarded writes.";
     synopsis =
       "module-level mutable state in lib/ (ref, Hashtbl.create, \
-       Array.make, ...) must be guarded or explicitly allowlisted";
+       Array.make, ...) must be guarded or carry an audited lint.allow";
     check }

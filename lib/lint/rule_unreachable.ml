@@ -59,7 +59,7 @@ let check_tree sources =
       (fun (d : Symtab.def) ->
         if
           (not (in_lib d.Symtab.d_file))
-          || Allow.suppressed ~scopes ~entries:[] (diag d)
+          || Allow.suppressed ~scopes (diag d)
         then Some d.Symtab.d_qual
         else None)
       (Symtab.defs syms)

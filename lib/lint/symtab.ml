@@ -16,6 +16,7 @@ type t = {
   t_defs : (string, def) Hashtbl.t;
   t_aliases : (string, (string, string) Hashtbl.t) Hashtbl.t;
   t_opens : (string, string list) Hashtbl.t; (* latest first *)
+  t_local_opens : (string, (Location.t * string) list) Hashtbl.t;
   t_libs : (string, unit) Hashtbl.t;
   t_file_scope : (string, string * string) Hashtbl.t;
 }
@@ -104,13 +105,31 @@ let add_source t (src : Source.t) =
       | _ -> ()
     in
     items prefix str;
-    Hashtbl.replace t.t_opens src.Source.path !opens
+    Hashtbl.replace t.t_opens src.Source.path !opens;
+    (* [let open M in e], [M.(e)] and [M.[...]], innermost first *)
+    let local = ref [] in
+    let super = Ast_iterator.default_iterator in
+    let iter =
+      { super with
+        expr =
+          (fun self e ->
+            (match e.pexp_desc with
+            | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident m; _ }; _ }, _)
+              ->
+              let m = String.concat "." (Longident.flatten m.txt) in
+              local := (e.pexp_loc, m) :: !local
+            | _ -> ());
+            super.expr self e) }
+    in
+    iter.Ast_iterator.structure iter str;
+    Hashtbl.replace t.t_local_opens src.Source.path !local
 
 let build sources =
   let t =
     { t_defs = Hashtbl.create 512;
       t_aliases = Hashtbl.create 64;
       t_opens = Hashtbl.create 64;
+      t_local_opens = Hashtbl.create 64;
       t_libs = Hashtbl.create 8;
       t_file_scope = Hashtbl.create 64 }
   in
@@ -123,7 +142,7 @@ let defs t =
   Hashtbl.fold (fun _ d acc -> d :: acc) t.t_defs []
   |> List.sort (fun a b -> String.compare a.d_qual b.d_qual)
 
-let resolve t ~file ?scope dotted =
+let resolve t ~file ?scope ?loc dotted =
   let lib, modname =
     match Hashtbl.find_opt t.t_file_scope file with
     | Some x -> x
@@ -131,8 +150,9 @@ let resolve t ~file ?scope dotted =
   in
   let local_prefix = if lib = "" then modname else lib ^ "." ^ modname in
   let in_lib m = (if lib = "" then [] else [ lib ^ "." ^ m ]) @ [ m ] in
-  (* the enclosing module paths, innermost first, out to the file's own
-     module (a nested module sees its own and its ancestors' bindings),
+  (* the modules opened locally around the occurrence, innermost first;
+     the enclosing module paths, innermost first, out to the file's own
+     module (a nested module sees its own and its ancestors' bindings);
      then the modules the file opens, the latest first *)
   let rec outward s =
     s
@@ -141,8 +161,20 @@ let resolve t ~file ?scope dotted =
     | Some i when s <> local_prefix -> outward (String.sub s 0 i)
     | _ -> [])
   in
+  let enclosing = outward (Option.value ~default:local_prefix scope) in
+  let opens =
+    match (loc, Hashtbl.find_opt t.t_local_opens file) with
+    | Some l, Some local ->
+      List.filter_map
+        (fun (o, m) -> if Walk.within o l then Some m else None)
+        local
+    | _ -> []
+  in
   let scopes =
-    outward (Option.value ~default:local_prefix scope)
+    List.concat_map
+      (fun m -> List.map (fun s -> s ^ "." ^ m) enclosing @ in_lib m)
+      opens
+    @ enclosing
     @ List.concat_map in_lib
         (Option.value ~default:[] (Hashtbl.find_opt t.t_opens file))
   in

@@ -4,11 +4,10 @@
     name ([Lib.Module.name], following dune's wrapped-library layout
     where [lib/tls/handshake.ml] is the module [Tls.Handshake]), records
     per-file [module K = Key_schedule] aliases and toplevel opens, and
-    resolves dotted identifier occurrences back to definitions.
-    Resolution is purely
-    syntactic — shadowing by local bindings is the caller's concern —
-    and unresolved names are treated as external (stdlib) by the rules
-    built on top. *)
+    resolves dotted identifier occurrences back to definitions, local
+    opens included. Resolution is purely syntactic — shadowing by local
+    bindings is the caller's concern — and unresolved names are treated
+    as external (stdlib) by the rules built on top. *)
 
 type def = {
   d_qual : string; (* "Tls.Handshake.open_ticket" *)
@@ -32,15 +31,19 @@ val find : t -> string -> def option
 val defs : t -> def list
 (** All definitions, sorted by qualified name (deterministic). *)
 
-val resolve : t -> file:string -> ?scope:string -> string -> string option
-(** [resolve t ~file ~scope "K.hash"] — the qualified definition a
-    dotted identifier occurring in [file], inside the module path
-    [scope] (the referencing definition's [d_scope]; the file's own
-    module by default), refers to. It tries, in order, the file's
-    module aliases, the enclosing modules innermost first, the modules
-    the file opens at toplevel, sibling modules of the same library,
-    and cross-library wrapped names. [None] means "not defined in the
-    tree" (stdlib or external). *)
+val resolve :
+  t -> file:string -> ?scope:string -> ?loc:Location.t -> string ->
+  string option
+(** [resolve t ~file ~scope ~loc "K.hash"] — the qualified definition a
+    dotted identifier occurring at [loc] in [file], inside the module
+    path [scope] (the referencing definition's [d_scope]; the file's
+    own module by default), refers to. It tries, in order, the file's
+    module aliases, the modules opened locally around [loc] ([let open
+    M in], [M.(e)], [M.[...]]) innermost first, the enclosing modules
+    innermost first, the modules the file opens at toplevel, sibling
+    modules of the same library, and cross-library wrapped names.
+    Without [loc] no local open applies. [None] means "not defined in
+    the tree" (stdlib or external). *)
 
 val lib_of_path : string -> string option
 (** Wrapped-library toplevel module implied by a path, e.g.

@@ -157,7 +157,8 @@ and eval_desc ctx env e =
     | [ name ] when List.mem_assoc name env -> List.assoc name env
     | _ -> (
       match
-        Symtab.resolve ctx.c_syms ~file:ctx.c_file ~scope:ctx.c_scope dotted
+        Symtab.resolve ctx.c_syms ~file:ctx.c_file ~scope:ctx.c_scope
+          ~loc:e.pexp_loc dotted
       with
       | Some q -> (
         match Symtab.find ctx.c_syms q with
@@ -350,7 +351,7 @@ and eval_apply ctx env f args =
           | [ n ] when List.mem_assoc n env -> None
           | _ ->
             Symtab.resolve ctx.c_syms ~file:ctx.c_file ~scope:ctx.c_scope
-              name
+              ~loc:f.pexp_loc name
         in
         (match resolved with
         | Some q ->

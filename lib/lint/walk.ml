@@ -15,6 +15,12 @@ let ident e =
 let app_head e =
   match e.pexp_desc with Pexp_apply (f, _) -> ident f | _ -> ident e
 
+let within (outer : Location.t) (inner : Location.t) =
+  inner.Location.loc_start.Lexing.pos_cnum
+  >= outer.Location.loc_start.Lexing.pos_cnum
+  && inner.Location.loc_end.Lexing.pos_cnum
+     <= outer.Location.loc_end.Lexing.pos_cnum
+
 let string_const e =
   match e.pexp_desc with
   | Pexp_constant (Pconst_string (s, _, _)) -> Some s

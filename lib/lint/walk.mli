@@ -1,7 +1,7 @@
 (** Small shared helpers over the compiler-libs Parsetree: dotted-path
     extraction, application heads, and an expression iterator that
     tracks the enclosing toplevel binding name (the [symbol] reported in
-    diagnostics and matched by the allowlist). *)
+    diagnostics). *)
 
 val strip_stdlib : string -> string
 (** Drop a leading ["Stdlib."] from a dotted path, so explicit and
@@ -15,6 +15,9 @@ val ident : Parsetree.expression -> string option
 val app_head : Parsetree.expression -> string option
 (** [ident] of the function position of an application, or of the
     expression itself when it is a bare identifier. *)
+
+val within : Location.t -> Location.t -> bool
+(** [within outer inner]: does [inner] lie inside [outer] (same file)? *)
 
 val string_const : Parsetree.expression -> string option
 (** The value of a string-literal expression, if it is one. *)

@@ -1,6 +1,7 @@
-(* The N-client x M-server farm: open-loop arrivals are admitted to
-   servers through a balancer, subject to a per-server concurrency limit
-   and a bounded accept queue. The farm itself never touches TLS — the
+(* The N-client x M-server farm: open-loop arrivals go to the
+   least-loaded server (fewest in-flight plus queued connections, ties
+   to the lowest index), subject to a per-server concurrency limit and a
+   bounded accept queue. The farm itself never touches TLS — the
    caller supplies [launch], which runs one handshake against the chosen
    server and signals completion — so the module stays protocol-agnostic
    and free of dependency cycles.
@@ -12,12 +13,7 @@
    [max_concurrent] wait in the accept queue, and arrivals that find the
    queue full are dropped — the overload phenomena of Table 5. *)
 
-type config = {
-  servers : int;
-  max_concurrent : int;
-  accept_queue : int;
-  policy : Balancer.policy;
-}
+type config = { servers : int; max_concurrent : int; accept_queue : int }
 
 type conn = {
   id : int;
@@ -30,7 +26,6 @@ type conn = {
 type t = {
   engine : Engine.t;
   config : config;
-  balancer : Balancer.t;
   launch : server:int -> conn:int -> finished:(unit -> unit) -> unit;
   conns : conn array; (* indexed by connection id = arrival order *)
   in_flight : int array;
@@ -52,11 +47,16 @@ let rec admit t (c : conn) server =
       if not (Queue.is_empty t.queues.(server)) then
         admit t (Queue.pop t.queues.(server)) server)
 
+let least_loaded t =
+  let load s = t.in_flight.(s) + Queue.length t.queues.(s) in
+  let best = ref 0 in
+  for s = 1 to t.config.servers - 1 do
+    if load s < load !best then best := s
+  done;
+  !best
+
 let arrive t c =
-  let server =
-    Balancer.pick t.balancer ~load:(fun s ->
-        t.in_flight.(s) + Queue.length t.queues.(s))
-  in
+  let server = least_loaded t in
   if t.in_flight.(server) < t.config.max_concurrent then admit t c server
   else if Queue.length t.queues.(server) < t.config.accept_queue then begin
     c.server <- server;
@@ -78,7 +78,6 @@ let create ~engine ~config ~arrivals ~launch =
   let t =
     { engine;
       config;
-      balancer = Balancer.create config.policy ~servers:config.servers;
       launch;
       conns;
       in_flight = Array.make config.servers 0;

@@ -1,5 +1,6 @@
-(** N-client x M-server farm orchestration: open-loop arrivals, a
-    balancer, per-server concurrency limits and a bounded accept queue.
+(** N-client x M-server farm orchestration: open-loop arrivals,
+    least-connections balancing, per-server concurrency limits and a
+    bounded accept queue.
 
     The farm schedules one event per arrival on the engine at creation
     time and tracks admission / completion; the caller supplies [launch]
@@ -12,7 +13,6 @@ type config = {
   servers : int;
   max_concurrent : int;  (** in-service handshakes per server *)
   accept_queue : int;  (** waiting connections per server; beyond = drop *)
-  policy : Balancer.policy;
 }
 
 type t
@@ -25,6 +25,9 @@ val create :
   t
 (** [arrivals] are virtual instants (from {!Workload.arrivals}); [conn]
     is the arrival index, the caller's key for per-connection seeds.
+    Each arrival goes to the server with the fewest in-flight plus
+    queued connections, ties to the lowest index, so the assignment
+    stream is a pure function of the arrival stream.
     @raise Invalid_argument on a non-positive server count or limit. *)
 
 val offered : t -> int

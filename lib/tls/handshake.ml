@@ -77,13 +77,6 @@ let open_ticket ~config ~ticket_key ticket =
     String.sub pt 0 K.hash.Crypto.Hmac.digest_size
   | _ -> raise (Wire.Decode_error "ticket decryption failed")
 
-let mint_session ~config ~ticket_key ~rng =
-  (* a session exactly as a prior full handshake would have issued it,
-     without running one: the farm pre-mints its shared session this way *)
-  let psk = Crypto.Drbg.generate rng K.hash.Crypto.Hmac.digest_size in
-  { psk; ticket = seal_ticket ~config ~ticket_key psk; age_add = 0;
-    max_early_data = default_max_early_data }
-
 (* HelloRetryRequest: a ServerHello whose random is the RFC 8446 magic *)
 let hrr_random =
   Crypto.Bytesx.of_hex

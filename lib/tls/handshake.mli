@@ -51,12 +51,6 @@ type session = {
 }
 (** Client-side resumption state distilled from one NewSessionTicket. *)
 
-val mint_session :
-  config:Config.t -> ticket_key:string -> rng:Crypto.Drbg.t -> session
-(** A session exactly as a prior full handshake (against a server using
-    [ticket_key]) would have issued: lets campaigns seed resumption
-    without running the issuing handshake. *)
-
 val default_max_early_data : int
 (** max_early_data_size advertised on issued tickets (bytes). *)
 

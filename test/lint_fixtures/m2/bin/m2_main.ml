@@ -3,6 +3,6 @@
 let main () =
   match Fixture.M2_lib.run Sys.argv.(1) with
   | Ok n -> print_int n
-  | Error c -> prerr_char c
+  | Error c -> prerr_string Fixture.M2_lib.(quoted c)
 
 let () = main ()

@@ -16,6 +16,9 @@ end
 
 let run s = Parse.pair s
 
+(* reached only from a local open in bin/m2_main.ml *)
+let quoted c = Printf.sprintf "'%c'" c
+
 (* reached from nothing *)
 let dead_helper x = x * 2
 let dead x = dead_helper x + 1

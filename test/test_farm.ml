@@ -1,5 +1,6 @@
-(* The server-farm layer: arrival-stream generators, the balancer, farm
-   admission control, and the farm campaign's determinism contract
+(* The server-farm layer: arrival-stream generators, least-connections
+   balancing, farm admission control, the fixed farm shape's identity
+   strings, and the farm campaign's determinism contract
    (byte-identical metrics artifacts for any [jobs], cache states and
    retry budgets included). *)
 
@@ -66,24 +67,31 @@ let test_workload_degenerate () =
     (fun () ->
       ignore (Netsim.Workload.find "diurnal"))
 
-(* ---- Balancer --------------------------------------------------------------- *)
+(* ---- least-connections balancing ----------------------------------------- *)
 
-let test_balancer_round_robin () =
-  let b = Netsim.Balancer.create Netsim.Balancer.Round_robin ~servers:3 in
-  let picks = List.init 7 (fun _ -> Netsim.Balancer.pick b ~load:(fun _ -> 0)) in
-  Alcotest.(check (list int)) "cycles" [ 0; 1; 2; 0; 1; 2; 0 ] picks
-
+(* One slot per server; server 0 serves in 0.1 s, the others in 1 s.
+   Three idle servers take the first three simultaneous arrivals in
+   index order. The fourth finds load 1 everywhere and goes to server 0;
+   the fifth finds [2; 1; 1] and goes to server 1, so queued connections
+   count. At 0.5 s server 0 has drained while servers 1 and 2 hold 2 and
+   1, so the last arrival goes to server 0. *)
 let test_balancer_least_connections () =
-  let b = Netsim.Balancer.create Netsim.Balancer.Least_connections ~servers:3 in
-  let load = [| 2; 0; 1 |] in
-  Alcotest.(check int) "least loaded" 1
-    (Netsim.Balancer.pick b ~load:(fun s -> load.(s)));
-  let tied = [| 1; 1; 1 |] in
-  Alcotest.(check int) "tie toward lowest index" 0
-    (Netsim.Balancer.pick b ~load:(fun s -> tied.(s)));
-  Alcotest.check_raises "bad policy name"
-    (Invalid_argument "Balancer.policy_of_name: unknown policy random")
-    (fun () -> ignore (Netsim.Balancer.policy_of_name "random"))
+  let engine = Netsim.Engine.create () in
+  let assigned = ref [] in
+  let _farm =
+    Netsim.Farm.create ~engine
+      ~config:
+        { Netsim.Farm.servers = 3; max_concurrent = 1; accept_queue = 4 }
+      ~arrivals:[ 0.; 0.; 0.; 0.; 0.; 0.5 ]
+      ~launch:(fun ~server ~conn ~finished ->
+        assigned := (conn, server) :: !assigned;
+        Netsim.Engine.schedule engine
+          ~delay:(if server = 0 then 0.1 else 1.)
+          finished)
+  in
+  Netsim.Engine.run engine;
+  Alcotest.(check (list int)) "server per arrival" [ 0; 1; 2; 0; 1; 0 ]
+    (List.map snd (List.sort compare !assigned))
 
 (* ---- Farm admission control ------------------------------------------------- *)
 
@@ -95,9 +103,7 @@ let run_farm ~servers ~max_concurrent ~accept_queue ~arrivals ~service =
   let in_service = Array.make servers 0 in
   let farm =
     Netsim.Farm.create ~engine
-      ~config:
-        { Netsim.Farm.servers; max_concurrent; accept_queue;
-          policy = Netsim.Balancer.Least_connections }
+      ~config:{ Netsim.Farm.servers; max_concurrent; accept_queue }
       ~arrivals
       ~launch:(fun ~server ~conn:_ ~finished ->
         in_service.(server) <- in_service.(server) + 1;
@@ -138,8 +144,7 @@ let test_farm_unfinished () =
   let farm =
     Netsim.Farm.create ~engine
       ~config:
-        { Netsim.Farm.servers = 1; max_concurrent = 4; accept_queue = 4;
-          policy = Netsim.Balancer.Round_robin }
+        { Netsim.Farm.servers = 1; max_concurrent = 4; accept_queue = 4 }
       ~arrivals:[ 0.; 0.5 ]
       ~launch:(fun ~server:_ ~conn:_ ~finished ->
         Netsim.Engine.schedule engine ~delay:1. (fun () -> finished ()))
@@ -151,6 +156,34 @@ let test_farm_unfinished () =
     (Netsim.Farm.unfinished farm)
 
 (* ---- the farm campaign ------------------------------------------------------ *)
+
+(* The fingerprint is both the artifact id and the cache-key pre-image,
+   and the label keys the artifact; both still spell out the farm's fixed
+   shape (ideal link "none", least-connections, 64 + 128 per server, an
+   x25519 adversary). One attack and one capacity cell of farm-smoke. *)
+let test_farm_spec_identity () =
+  let spec ?profile ?adv_fraction ~max_connections k s =
+    Experiment.farm_spec ~seed:"pqtls" ?profile ~utilization:0.90
+      ?adv_fraction ~servers:2 ~duration_s:0.4 ~max_connections (kem k) (sa s)
+  in
+  let attack =
+    spec ~adv_fraction:0.3 ~max_connections:200 "kyber512" "sphincs128"
+  in
+  let capacity =
+    spec ~profile:"flash-crowd" ~max_connections:240 "x25519" "rsa:2048"
+  in
+  Alcotest.(check string) "attack fingerprint"
+    "farm-v1|kem=kyber512|sig=sphincs128|scenario=none|loss=0x0p+0|loss_towards=-|delay=0x1.0c6f7a0b5ed8dp-20|jitter=0x0p+0|rate=0x1.2a05f2p+33|profile=poisson|policy=least-connections|servers=2|conc=64|queue=128|util=0x1.ccccccccccccdp-1|duration=0x1.999999999999ap-2|maxconn=200|adv=0x1.3333333333333p-2|advkem=x25519|seed=pqtls"
+    (Experiment.farm_spec_fingerprint attack);
+  Alcotest.(check string) "attack label"
+    "farm kyber512 x sphincs128 @ none/poisson u=0.90 adv=30%"
+    (Experiment.farm_spec_label attack);
+  Alcotest.(check string) "capacity fingerprint"
+    "farm-v1|kem=x25519|sig=rsa:2048|scenario=none|loss=0x0p+0|loss_towards=-|delay=0x1.0c6f7a0b5ed8dp-20|jitter=0x0p+0|rate=0x1.2a05f2p+33|profile=flash-crowd|policy=least-connections|servers=2|conc=64|queue=128|util=0x1.ccccccccccccdp-1|duration=0x1.999999999999ap-2|maxconn=240|adv=0x0p+0|advkem=x25519|seed=pqtls"
+    (Experiment.farm_spec_fingerprint capacity);
+  Alcotest.(check string) "capacity label"
+    "farm x25519 x rsa:2048 @ none/flash-crowd u=0.90"
+    (Experiment.farm_spec_label capacity)
 
 let farm_grid seed =
   List.concat_map
@@ -296,14 +329,14 @@ let suites =
           test_workload_shape;
         Alcotest.test_case "workload degenerate inputs" `Quick
           test_workload_degenerate;
-        Alcotest.test_case "balancer round-robin" `Quick
-          test_balancer_round_robin;
         Alcotest.test_case "balancer least-connections" `Quick
           test_balancer_least_connections;
         Alcotest.test_case "farm admission accounting" `Quick
           test_farm_accounting;
         Alcotest.test_case "farm unfinished at horizon" `Quick
           test_farm_unfinished;
+        Alcotest.test_case "farm spec identity strings" `Quick
+          test_farm_spec_identity;
         Alcotest.test_case "farm campaign jobs identity" `Slow
           test_farm_jobs_identity;
         Alcotest.test_case "farm outcome sanity" `Slow

@@ -1,11 +1,11 @@
 (* pqtls-lint: one bad and one good fixture per rule (each rule fires
-   exactly on its bad fixture and stays quiet on the good one), the two
-   suppression channels, and a repo-wide clean-run assertion — the same
+   exactly on its bad fixture and stays quiet on the good one), the
+   lint.allow attribute, and a repo-wide clean-run assertion — the same
    invariant CI enforces with the real binary. *)
 
 let parse path text = Lint.Source.parse_string ~path Lint.Source.Ml text
 
-let run ?entries ?rules srcs = Lint.Engine.run ?entries ?rules srcs
+let run ?rules srcs = Lint.Engine.run ?rules srcs
 
 let rules_fired diags =
   List.sort_uniq String.compare
@@ -141,33 +141,6 @@ let test_attribute_suppression () =
     [ "D1" ]
     (rules_fired (run_with_mli "lib/fixture/attr_wrong.ml" wrong_rule))
 
-let test_allowlist_file () =
-  let entries, bad =
-    Lint.Allow.parse_entries ~path:"lint.allow"
-      "# comment\n\n\
-       D1  lib/fixture/al.ml  stamp  health telemetry only\n\
-       S1  lib/fixture/al.ml  *      legacy state, tracked in #42\n\
-       garbage-line-without-enough-fields\n"
-  in
-  Alcotest.(check int) "two entries parsed" 2 (List.length entries);
-  Alcotest.(check int) "malformed line reported" 1 (List.length bad);
-  let text =
-    "let stamp () = Unix.gettimeofday ()\nlet cache = Hashtbl.create 8\n\
-     let other () = Sys.time ()"
-  in
-  let diags = run ~entries (with_mli "lib/fixture/al.ml"
-                              [ parse "lib/fixture/al.ml" text ]) in
-  (* stamp's D1 and any S1 are allowlisted; other's D1 survives *)
-  Alcotest.(check (list string)) "entries suppress by rule+path+symbol"
-    [ "D1" ] (rules_fired diags);
-  Alcotest.(check string) "the surviving site is the un-listed one" "other"
-    (List.hd diags).Lint.Diag.symbol;
-  (* suffix path matching: absolute paths match repo-relative entries *)
-  let abs = "/root/anywhere/lib/fixture/al.ml" in
-  let diags = run ~entries (with_mli abs [ parse abs text ]) in
-  Alcotest.(check (list string)) "entries match absolute paths by suffix"
-    [ "D1" ] (rules_fired diags)
-
 let test_rule_selection () =
   let text = "let stamp () = Unix.gettimeofday ()\nlet c = Hashtbl.create 8" in
   let d1 = Option.get (Lint.Engine.find_rule "D1") in
@@ -302,6 +275,27 @@ let test_callgraph () =
     [ "Core.Cg_n.Inner.digit"; "Core.Cg_n.let*" ]
     (Lint.Callgraph.callees (Lint.Callgraph.build nested)
        "Core.Cg_n.Inner.pair");
+  (* a name under [let open M in], [M.(e)] or [M.[...]] resolves in M
+     first, M named as a wrapped path or as a module of the same library *)
+  let opened =
+    Lint.Symtab.build
+      [ parse "lib/core/cg_j.ml" "let to_string v = v
+let null = 0";
+        parse "lib/core/cg_k.ml" "let row v = Cg_j.(to_string v)";
+        parse "bin/cg_main.ml"
+          "let to_string v = v
+           let emit v = let open Core.Cg_j in to_string v
+           let pair () = Core.Cg_j.[ null ]" ]
+  in
+  let ocg = Lint.Callgraph.build opened in
+  Alcotest.(check (list (pair string (list string))))
+    "local-open edges"
+    [ ("Cg_main.emit", [ "Core.Cg_j.to_string" ]);
+      ("Cg_main.pair", [ "Core.Cg_j.null" ]);
+      ("Core.Cg_k.row", [ "Core.Cg_j.to_string" ]) ]
+    (List.map
+       (fun v -> (v, Lint.Callgraph.callees ocg v))
+       [ "Cg_main.emit"; "Cg_main.pair"; "Core.Cg_k.row" ]);
   Alcotest.(check bool) "dot rendering is graphviz" true
     (contains (Lint.Callgraph.to_dot cg) "digraph")
 
@@ -426,7 +420,7 @@ let test_rule_metadata () =
     (Lint.Rule.severity_string Lint.Rule.Error)
 
 (* The invariant CI enforces with the installed binary: the tree itself
-   is clean under the checked-in allowlist. Locate the repo root by
+   is clean. Locate the repo root by
    walking up out of _build; skip (rather than fail) when the test runs
    detached from a checkout. *)
 let repo_root () =
@@ -459,11 +453,7 @@ let test_repo_clean () =
       errors;
     Alcotest.(check bool) "the tree is there" true
       (List.length sources > 100);
-    let entries, bad =
-      Lint.Allow.load_file (Filename.concat root "lint.allow")
-    in
-    Alcotest.(check int) "allowlist parses" 0 (List.length bad);
-    let diags = run ~entries sources in
+    let diags = run sources in
     Alcotest.(check (list string)) "repo-wide clean run" []
       (List.map Lint.Diag.to_string diags)
 
@@ -513,7 +503,6 @@ let suites =
         Alcotest.test_case "M2 unreachable definitions" `Quick test_m2;
         Alcotest.test_case "attribute suppression" `Quick
           test_attribute_suppression;
-        Alcotest.test_case "allowlist file" `Quick test_allowlist_file;
         Alcotest.test_case "rule selection" `Quick test_rule_selection;
         Alcotest.test_case "json report" `Quick test_report_json;
         Alcotest.test_case "sarif report" `Quick test_sarif;
