@@ -367,7 +367,10 @@ let run_cmd =
 
 let compare_cmd =
   let files =
-    let doc = "Metrics artifacts written by $(b,run --metrics)." in
+    let doc =
+      "Campaign artifacts written by $(b,run --metrics), or profile \
+       artifacts written by $(b,profile --format json)."
+    in
     Arg.(non_empty & pos_all file [] & info [] ~docv:"ARTIFACT" ~doc)
   in
   let against_paper_arg =
@@ -375,27 +378,33 @@ let compare_cmd =
       value & flag
       & info [ "against-paper" ]
           ~doc:
-            "Judge each artifact's standard cells against the embedded \
-             paper tables (2a/2b medians, bytes and handshake rates; \
-             4a/4b scenario medians) instead of diffing two artifacts.")
+            "Judge each campaign artifact's standard cells against the \
+             embedded paper tables (2a/2b medians, bytes and handshake \
+             rates; 4a/4b scenario medians) instead of diffing two \
+             artifacts.")
   in
   let rel_tol_arg =
     let doc =
-      "Per-metric relative tolerance for artifact diffs, as a fraction \
-       (default 0 = bit-exact numbers)."
+      "Per-metric relative tolerance for artifact diffs, as a fraction. \
+       Defaults from the schema: 0 (bit-exact, every leaf) for campaign \
+       artifacts, 0.25 on the median time and minor allocation rate of \
+       profiles."
     in
-    Arg.(value & opt float 0. & info [ "rel-tol" ] ~docv:"FRACTION" ~doc)
+    Arg.(
+      value & opt (some float) None & info [ "rel-tol" ] ~docv:"FRACTION" ~doc)
   in
   let run against_paper rel_tol files =
+    let fail msg =
+      Printf.eprintf "error: %s\n" msg;
+      exit 2
+    in
     let load path =
       let ic = open_in_bin path in
       let contents = really_input_string ic (in_channel_length ic) in
       close_in ic;
       match Core.Metrics.of_json_string contents with
       | Ok a -> a
-      | Error e ->
-        Printf.eprintf "error: %s: %s\n" path e;
-        exit 2
+      | Error e -> fail (path ^ ": " ^ e)
     in
     let show path issues ok_line =
       if issues = [] then print_endline ok_line
@@ -411,16 +420,25 @@ let compare_cmd =
         List.fold_left
           (fun acc path ->
             let a = load path in
-            let checked, issues = Core.Metrics.against_paper a in
+            let checked, issues =
+              try Core.Metrics.against_paper a
+              with Invalid_argument e -> fail (path ^ ": " ^ e)
+            in
             let drift =
               show path issues
                 (Printf.sprintf "%s: %d paper comparison%s ok" path checked
                    (if checked = 1 then "" else "s"))
             in
-            (* zero comparisons on an artifact with cells means the gate
-               is miswired (e.g. only non-standard cells): fail loudly
-               rather than vacuously pass *)
-            if checked = 0 && a.Core.Metrics.p_cells <> [] then begin
+            (* zero comparisons on an artifact with campaign cells (farm
+               cells carry no buffering) means the gate is miswired
+               (e.g. only non-standard cells): fail loudly rather than
+               vacuously pass *)
+            if
+              checked = 0
+              && List.exists
+                   (fun r -> r.Core.Metrics.p_buffering <> "")
+                   a.Core.Metrics.p_rows
+            then begin
               Printf.printf
                 "%s: no cell was comparable to the paper tables\n" path;
               true
@@ -431,25 +449,33 @@ let compare_cmd =
         match files with
         | [ base; cand ] ->
           let b = load base in
-          let issues = Core.Metrics.diff ~rel_tol b (load cand) in
+          let issues =
+            try Core.Metrics.diff ?rel_tol b (load cand)
+            with Invalid_argument e -> fail (base ^ " vs " ^ cand ^ ": " ^ e)
+          in
           show (base ^ " vs " ^ cand) issues
-            (Printf.sprintf "%s and %s agree (%d cells)" base cand
-               (List.length b.Core.Metrics.p_cells
-               + List.length b.Core.Metrics.p_farm_cells))
+            (Printf.sprintf "%s and %s agree (%d %s)" base cand
+               (List.length b.Core.Metrics.p_rows)
+               (if b.Core.Metrics.p_schema = Core.Metrics.schema_version
+                then "cells"
+                else "ops"))
         | _ ->
-          Printf.eprintf
-            "error: compare takes exactly two artifacts (or any number \
-             with --against-paper)\n";
-          exit 2
+          fail
+            "compare takes exactly two artifacts (or any number with \
+             --against-paper)"
     in
     if drifted then exit 1
   in
   Cmd.v
     (Cmd.info "compare"
        ~doc:
-         "Diff two metrics artifacts cell by cell, or gate artifacts \
-          against the paper's tables with $(b,--against-paper). Exits 1 \
-          on drift, 2 on unreadable artifacts.")
+         "Diff two artifacts of one schema row by row — campaign \
+          artifacts cell by cell, profiles op by op — or gate campaign \
+          artifacts against the paper's tables with \
+          $(b,--against-paper). Exits 1 on drift, 2 on unreadable \
+          artifacts or artifacts of different schemas. Profile timings \
+          are machine-dependent: only compare profiles from comparable \
+          machines.")
     Term.(const run $ against_paper_arg $ rel_tol_arg $ files)
 
 (* ---- handshake ------------------------------------------------------------ *)
@@ -696,62 +722,6 @@ let profile_cmd =
           design; the artifact's shape is deterministic.")
     Term.(const run $ seed_arg $ jobs_arg $ ops_arg $ format_arg $ out_arg)
 
-(* ---- compare-profile ------------------------------------------------------- *)
-
-let compare_profile_cmd =
-  let files =
-    let doc = "Profile artifacts written by $(b,profile --format json -o)." in
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"ARTIFACT" ~doc)
-  in
-  let rel_tol_arg =
-    let doc =
-      "Per-op relative tolerance on the judged metrics (median time, \
-       minor allocation rate), as a fraction."
-    in
-    Arg.(value & opt float 0.25 & info [ "rel-tol" ] ~docv:"FRACTION" ~doc)
-  in
-  let run rel_tol files =
-    let load path =
-      let ic = open_in_bin path in
-      let contents = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match Core.Profile.of_json_string contents with
-      | Ok a -> a
-      | Error e ->
-        Printf.eprintf "error: %s: %s\n" path e;
-        exit 2
-    in
-    match files with
-    | [ base; cand ] ->
-      let b = load base in
-      let issues = Core.Profile.diff ~rel_tol b (load cand) in
-      if issues = [] then begin
-        Printf.printf "%s and %s agree (%d ops, tol %.0f%%)\n" base cand
-          (List.length b.Core.Profile.q_ops)
-          (rel_tol *. 100.);
-        exit 0
-      end
-      else begin
-        Printf.printf "%s vs %s: %d issue%s:\n" base cand
-          (List.length issues)
-          (if List.length issues = 1 then "" else "s");
-        List.iter (fun i -> Printf.printf "  %s\n" i) issues;
-        exit 1
-      end
-    | _ ->
-      Printf.eprintf "error: compare-profile takes exactly two artifacts\n";
-      exit 2
-  in
-  Cmd.v
-    (Cmd.info "compare-profile"
-       ~doc:
-         "Diff two profile artifacts op by op: shape changes (op set, \
-          iteration plans) and drift beyond $(b,--rel-tol) on median \
-          time and minor allocation rate are issues. Exits 1 on drift, \
-          2 on unreadable artifacts. Timings are machine-dependent — \
-          only compare artifacts from comparable machines.")
-    Term.(const run $ rel_tol_arg $ files)
-
 (* ---- algorithms ------------------------------------------------------------ *)
 
 let algorithms_cmd =
@@ -784,4 +754,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; compare_cmd; handshake_cmd; trace_cmd;
-            profile_cmd; compare_profile_cmd; algorithms_cmd ]))
+            profile_cmd; algorithms_cmd ]))

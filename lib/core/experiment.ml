@@ -37,11 +37,6 @@ let mark_time ?after tap label =
   | Some e -> e.Netsim.Tap.time
   | None -> nan
 
-let normalize_ledger ledger =
-  let total = List.fold_left (fun acc (_, ms) -> acc +. ms) 0. ledger in
-  if total <= 0. then []
-  else List.map (fun (lib, ms) -> (lib, ms /. total)) ledger
-
 type spec = {
   sp_buffering : Tls.Config.buffering;
   sp_scenario : Scenario.t;
@@ -300,8 +295,8 @@ let run_spec_traced sp =
     handshakes_per_minute = per_minute;
     client_cpu_ms = Netsim.Host.total_cpu_ms client_host /. n;
     server_cpu_ms = Netsim.Host.total_cpu_ms server_host /. n;
-    client_ledger = normalize_ledger (Netsim.Host.ledger client_host);
-    server_ledger = normalize_ledger (Netsim.Host.ledger server_host);
+    client_ledger = Trace.Summary.shares (Netsim.Host.ledger client_host);
+    server_ledger = Trace.Summary.shares (Netsim.Host.ledger server_host);
     client_cpu_charges = Netsim.Host.charge_count client_host;
     server_cpu_charges = Netsim.Host.charge_count server_host }
 
@@ -517,10 +512,7 @@ let run_farm_spec sp =
               (ms +. Option.value ~default:0. (Hashtbl.find_opt tbl lib)))
           (Netsim.Host.ledger h))
       server_hosts;
-    Hashtbl.fold (fun lib ms acc -> (lib, ms) :: acc) tbl []
-    |> List.sort (fun (la, a) (lb, b) ->
-           match Float.compare b a with 0 -> String.compare la lb | c -> c)
-    |> normalize_ledger
+    Trace.Summary.shares (Trace.Summary.per_lib tbl)
   in
   if Netsim.Farm.completed farm = 0 then
     invalid_arg

@@ -52,7 +52,7 @@ let to_string v =
     | Int i -> Buffer.add_string b (string_of_int i)
     | Float f ->
       (* JSON has no NaN/inf; they only arise from illegible paper cells
-         and read back as null -> nan *)
+         and the artifact reader reads null back as nan *)
       if Float.is_finite f then Buffer.add_string b (float_repr f)
       else Buffer.add_string b "null"
     | String s -> escape_string b s
@@ -260,14 +260,7 @@ let parse s =
 
 let member k = function Obj fields -> List.assoc_opt k fields | _ -> None
 
-let to_float = function
-  | Some (Float f) -> Some f
-  | Some (Int i) -> Some (float_of_int i)
-  | Some Null -> Some nan
-  | _ -> None
-
 let to_int = function Some (Int i) -> Some i | _ -> None
 let to_str = function Some (String s) -> Some s | _ -> None
 let to_bool = function Some (Bool b) -> Some b | _ -> None
 let to_list = function Some (List xs) -> Some xs | _ -> None
-let to_obj = function Some (Obj fields) -> Some fields | _ -> None

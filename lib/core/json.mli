@@ -4,8 +4,8 @@
     order and floats print as the shortest decimal that parses back to
     the same bit pattern, so serializing a value is a pure function —
     the property behind the byte-identical [--metrics] artifacts. NaN
-    and infinities (illegible paper cells) serialize as [null] and read
-    back as [nan]. *)
+    and infinities (illegible paper cells) serialize as [null], which
+    the artifact reader reads back as [nan]. *)
 
 type t =
   | Null
@@ -30,11 +30,7 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 
-val to_float : t option -> float option
-(** Accepts [Int], [Float] and [Null] (as [nan]). *)
-
 val to_int : t option -> int option
 val to_str : t option -> string option
 val to_bool : t option -> bool option
 val to_list : t option -> t list option
-val to_obj : t option -> (string * t) list option

@@ -559,24 +559,23 @@ let to_json_string a =
 
 (* ---- the parsed (comparison) side ---------------------------------------- *)
 
-type p_cell = {
+(* [Profile.to_json_string] writes the other artifact this reader and
+   differ serve, so its version tag lives here *)
+let profile_schema_version = "pqtls-bench-profile/1"
+
+type p_row = {
   p_id : string;
   p_key : string;
+  p_error : string option;
   p_kem : string;
   p_sig : string;
   p_scenario : string;
   p_buffering : string;
   p_standard : bool;
-  p_error : string option;
-  p_metrics : (string * float) list; (* flattened numeric leaves, in order *)
+  p_leaves : (string * float) list; (* flattened numeric leaves, in order *)
 }
 
-type p_artifact = {
-  p_seed : string;
-  p_experiments : string list;
-  p_cells : p_cell list;
-  p_farm_cells : p_cell list;
-}
+type p_artifact = { p_schema : string; p_seed : string; p_rows : p_row list }
 
 let rec flatten prefix j acc =
   let join k = if prefix = "" then k else prefix ^ "." ^ k in
@@ -595,17 +594,40 @@ let rec flatten prefix j acc =
 
 let ( let* ) = Result.bind
 
-let req what o =
-  match o with
-  | Some v -> Ok v
-  | None -> Error ("metrics artifact: missing or ill-typed " ^ what)
+(* every field a gate reads is required; [path] names it in the error,
+   e.g. "cells[3].standard" *)
+let req path o =
+  match o with Some v -> Ok v | None -> Error ("missing or ill-typed " ^ path)
 
-(* both kinds parse into [p_cell]; a farm cell carries its own identity
-   keys instead of buffering/standard and is never standard, so
-   [against_paper] cannot judge it *)
-let parse_cell ~farm j =
-  let what = if farm then "farm cell " else "cell " in
-  let str k = req (what ^ k) (Json.to_str (Json.member k j)) in
+let get conv at k j =
+  req (if at = "" then k else at ^ "." ^ k) (conv (Json.member k j))
+
+(* the numeric leaves of the object under [k], in order *)
+let leaves at k =
+  get
+    (function
+      | Some (Json.Obj _ as o) -> Some (List.rev (flatten k o []))
+      | _ -> None)
+    at k
+
+(* the list under [k], each element read by [row] at its indexed path;
+   the first bad element fails the whole document *)
+let rows_of row k j =
+  let* xs = get Json.to_list "" k j in
+  let rec go i = function
+    | [] -> Ok []
+    | x :: rest ->
+      let* r = row (Printf.sprintf "%s[%d]" k i) x in
+      let* rs = go (i + 1) rest in
+      Ok (r :: rs)
+  in
+  go 0 xs
+
+(* both cell kinds read into [p_row]; a farm cell carries its own
+   identity keys instead of buffering/standard and is never standard,
+   so [against_paper] cannot judge it *)
+let cell_row ~farm at j =
+  let str k = get Json.to_str at k j in
   let* id = str "id" in
   let* key = str "key" in
   let* kem = str "kem" in
@@ -618,77 +640,82 @@ let parse_cell ~farm j =
       Ok ("", false)
     else
       let* buffering = str "buffering" in
-      let* standard =
-        req (what ^ "standard") (Json.to_bool (Json.member "standard" j))
-      in
+      let* standard = get Json.to_bool at "standard" j in
       Ok (buffering, standard)
   in
-  let metrics =
-    match Json.member "data" j with
-    | Some (Json.Obj _ as data) -> List.rev (flatten "data" data [])
-    | _ -> []
+  let* error, data =
+    match Json.to_str (Json.member "error" j) with
+    | Some e -> Ok (Some e, [])
+    | None -> Result.map (fun data -> (None, data)) (leaves at "data" j)
   in
   Ok
     { p_id = id;
       p_key = key;
+      p_error = error;
       p_kem = kem;
       p_sig = sig_;
       p_scenario = scenario;
       p_buffering = buffering;
       p_standard = standard;
-      p_error = Json.to_str (Json.member "error" j);
-      p_metrics = metrics }
+      p_leaves = data }
 
-let rec collect_cells ~farm = function
-  | [] -> Ok []
-  | j :: rest ->
-    let* c = parse_cell ~farm j in
-    let* cs = collect_cells ~farm rest in
-    Ok (c :: cs)
+let campaign_rows j =
+  let* _ =
+    rows_of (fun at e -> req at (Json.to_str (Some e))) "experiments" j
+  in
+  let* cells = rows_of (cell_row ~farm:false) "cells" j in
+  (* absent for every pre-farm artifact; never required *)
+  let* farm_cells =
+    match Json.member "farm_cells" j with
+    | None -> Ok []
+    | Some _ -> rows_of (cell_row ~farm:true) "farm_cells" j
+  in
+  Ok (cells @ farm_cells)
+
+(* an op's identity and iteration plan are its row identity, so a
+   changed plan reads as one op gone and another new *)
+let op_row at j =
+  let str k = get Json.to_str at k j and int k = get Json.to_int at k j in
+  let* name = str "name" in
+  let* group = str "group" in
+  let* alg = str "alg" in
+  let* kind = str "kind" in
+  let* samples = int "samples" in
+  let* batch = int "batch" in
+  let* warmup = int "warmup" in
+  let* time = leaves at "time_ms" j in
+  let* gc = leaves at "gc" j in
+  let id =
+    Printf.sprintf "op %S (%s/%s/%s, %dx%d warmup %d)" name group alg kind
+      samples batch warmup
+  in
+  Ok
+    { p_id = id;
+      p_key = id;
+      p_error = None;
+      p_kem = "";
+      p_sig = "";
+      p_scenario = "";
+      p_buffering = "";
+      p_standard = false;
+      p_leaves = time @ gc }
 
 let of_json_string s =
   let* j = Json.parse s in
-  let* schema = req "schema" (Json.to_str (Json.member "schema" j)) in
-  if schema <> schema_version then
-    Error
-      (Printf.sprintf "unsupported metrics schema %S (this build reads %S)"
-         schema schema_version)
-  else
-    let* seed = req "seed" (Json.to_str (Json.member "seed" j)) in
-    let* experiments = req "experiments" (Json.to_list (Json.member "experiments" j)) in
-    let* experiments =
-      List.fold_left
-        (fun acc e ->
-          let* acc = acc in
-          let* name = req "experiment name" (Json.to_str (Some e)) in
-          Ok (name :: acc))
-        (Ok []) experiments
-      |> Result.map List.rev
-    in
-    let* cells = req "cells" (Json.to_list (Json.member "cells" j)) in
-    let* cells = collect_cells ~farm:false cells in
-    (* absent for every pre-farm artifact; never required *)
-    let* farm_cells =
-      match Json.member "farm_cells" j with
-      | None -> Ok []
-      | Some fj ->
-        let* items = req "farm_cells" (Json.to_list (Some fj)) in
-        collect_cells ~farm:true items
-    in
-    Ok
-      { p_seed = seed;
-        p_experiments = experiments;
-        p_cells = cells;
-        p_farm_cells = farm_cells }
+  let* schema = get Json.to_str "" "schema" j in
+  let* rows =
+    if schema = schema_version then Ok campaign_rows
+    else if schema = profile_schema_version then Ok (rows_of op_row "ops")
+    else
+      Error
+        (Printf.sprintf "unsupported schema %S (this build reads %S and %S)"
+           schema schema_version profile_schema_version)
+  in
+  let* seed = get Json.to_str "" "seed" j in
+  let* rows = rows j in
+  Ok { p_schema = schema; p_seed = seed; p_rows = rows }
 
 (* ---- the keyed leaf comparison ------------------------------------------- *)
-
-type row = {
-  row_id : string;
-  row_key : string;
-  row_error : string option;
-  row_leaves : (string * float) list;
-}
 
 let rel_delta a b =
   if (Float.is_nan a && Float.is_nan b) || a = b then 0.
@@ -696,29 +723,47 @@ let rel_delta a b =
     Float.abs (a -. b)
     /. Float.max (Float.max (Float.abs a) (Float.abs b)) 1e-9
 
-let diff_rows ?judged ~rel_tol base cand =
+let diff ?rel_tol base cand =
+  if base.p_schema <> cand.p_schema then
+    invalid_arg
+      (Printf.sprintf "different schemas %S and %S" base.p_schema
+         cand.p_schema);
+  (* A campaign artifact is judged on every leaf, bit-exact by default.
+     Of a profile's measured leaves only the run-stable ones are: the
+     median (robust to scheduler spikes, unlike mean/p99 over a handful
+     of samples) and the minor allocation rate (a pure function of the
+     code path), within 25 % by default, since wall-clock medians jitter
+     run to run even on one machine. *)
+  let judged, default_tol =
+    if base.p_schema = profile_schema_version then
+      (Some [ "time_ms.p50"; "gc.minor_words" ], 0.25)
+    else (None, 0.)
+  in
+  let rel_tol = Option.value ~default:default_tol rel_tol in
   let issues = ref [] in
   let issue fmt = Printf.ksprintf (fun s -> issues := s :: !issues) fmt in
+  if base.p_seed <> cand.p_seed then
+    issue "seed mismatch: %S vs %S" base.p_seed cand.p_seed;
   let leaves r =
     match judged with
-    | None -> r.row_leaves
-    | Some keys -> List.filter (fun (k, _) -> List.mem k keys) r.row_leaves
+    | None -> r.p_leaves
+    | Some keys -> List.filter (fun (k, _) -> List.mem k keys) r.p_leaves
   in
   let index rows =
     let h = Hashtbl.create (List.length rows) in
-    List.iter (fun r -> Hashtbl.replace h r.row_id r) rows;
+    List.iter (fun r -> Hashtbl.replace h r.p_id r) rows;
     h
   in
-  let cand_rows = index cand and base_rows = index base in
+  let cand_rows = index cand.p_rows and base_rows = index base.p_rows in
   List.iter
     (fun b ->
-      match Hashtbl.find_opt cand_rows b.row_id with
-      | None -> issue "%s: missing from candidate" b.row_key
+      match Hashtbl.find_opt cand_rows b.p_id with
+      | None -> issue "%s: missing from candidate" b.p_key
       | Some c -> (
-        match (b.row_error, c.row_error) with
+        match (b.p_error, c.p_error) with
         | Some _, Some _ -> () (* both failed; messages may differ *)
-        | Some _, None -> issue "%s: failed in baseline, ok in candidate" b.row_key
-        | None, Some _ -> issue "%s: ok in baseline, failed in candidate" b.row_key
+        | Some _, None -> issue "%s: failed in baseline, ok in candidate" b.p_key
+        | None, Some _ -> issue "%s: ok in baseline, failed in candidate" b.p_key
         | None, None ->
           let b_leaves = leaves b and c_leaves = leaves c in
           let cm = Hashtbl.create (List.length c_leaves) in
@@ -726,40 +771,26 @@ let diff_rows ?judged ~rel_tol base cand =
           List.iter
             (fun (k, bv) ->
               match Hashtbl.find_opt cm k with
-              | None -> issue "%s: metric %s missing from candidate" b.row_key k
+              | None -> issue "%s: metric %s missing from candidate" b.p_key k
               | Some cv ->
                 let rel = rel_delta bv cv in
                 if not (rel <= rel_tol) then
-                  issue "%s: %s %s vs %s (%.2f%% apart, tol %.2f%%)" b.row_key
+                  issue "%s: %s %s vs %s (%.2f%% apart, tol %.2f%%)" b.p_key
                     k (Json.float_repr bv) (Json.float_repr cv) (100. *. rel)
                     (100. *. rel_tol))
             b_leaves;
           List.iter
             (fun (k, _) ->
               if not (List.mem_assoc k b_leaves) then
-                issue "%s: metric %s missing from baseline" b.row_key k)
+                issue "%s: metric %s missing from baseline" b.p_key k)
             c_leaves))
-    base;
+    base.p_rows;
   List.iter
     (fun c ->
-      if not (Hashtbl.mem base_rows c.row_id) then
-        issue "%s: missing from baseline" c.row_key)
-    cand;
+      if not (Hashtbl.mem base_rows c.p_id) then
+        issue "%s: missing from baseline" c.p_key)
+    cand.p_rows;
   List.rev !issues
-
-let diff ?(rel_tol = 0.) base cand =
-  let rows a =
-    List.map
-      (fun c ->
-        { row_id = c.p_id;
-          row_key = c.p_key;
-          row_error = c.p_error;
-          row_leaves = c.p_metrics })
-      (a.p_cells @ a.p_farm_cells)
-  in
-  (if base.p_seed = cand.p_seed then []
-   else [ Printf.sprintf "seed mismatch: %S vs %S" base.p_seed cand.p_seed ])
-  @ diff_rows ~rel_tol (rows base) (rows cand)
 
 (* ---- the paper-drift gate ------------------------------------------------ *)
 
@@ -796,6 +827,10 @@ let t4_col (r : Paper_data.t4_row) = function
   | _ -> None
 
 let against_paper a =
+  if a.p_schema <> schema_version then
+    invalid_arg
+      (Printf.sprintf "the paper gate reads %S artifacts, not %S"
+         schema_version a.p_schema);
   let checked = ref 0 in
   let issues = ref [] in
   let check c ~tol ~what ~paper sim =
@@ -809,7 +844,7 @@ let against_paper a =
           :: !issues
     end
   in
-  let get c name = Option.value ~default:nan (List.assoc_opt name c.p_metrics) in
+  let get c name = Option.value ~default:nan (List.assoc_opt name c.p_leaves) in
   List.iter
     (fun c ->
       if c.p_standard && c.p_buffering = "push" && c.p_error = None then begin
@@ -865,5 +900,5 @@ let against_paper a =
             (get c "data.latency_ms.total.p50")
         | None -> ())
       end)
-    a.p_cells;
+    a.p_rows;
   (!checked, List.rev !issues)

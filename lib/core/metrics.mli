@@ -198,56 +198,56 @@ val to_json_string : artifact -> string
 (** Deterministic serialization (see {!Json.to_string}): equal
     artifacts render byte-identically. *)
 
-(** {1 Comparison} *)
+val json_of_dist : dist -> Json.t
+(** The distribution encoder both artifacts share ([n], [mean],
+    [stddev], percentiles, bootstrap CI, in that order). *)
 
-(** A parsed artifact: per-cell identity plus the flattened numeric
-    leaves, which is all the gates need — re-reading a file someone
-    else's build wrote never loses precision this way. *)
+(** {1 Comparison}
 
-type p_cell = {
-  p_id : string;
-  p_key : string;
-  p_kem : string;
+    One strict reader and one differ serve both versioned artifacts:
+    campaign artifacts and {!Profile} artifacts. A parsed artifact is
+    its keyed rows (campaign cells then farm cells, or profile ops),
+    each with its identity and dotted numeric leaves, which is all the
+    gates need. *)
+
+val profile_schema_version : string
+(** ["pqtls-bench-profile/1"]. *)
+
+type p_row = {
+  p_id : string;  (** what rows match on *)
+  p_key : string;  (** how issues name the row *)
+  p_error : string option;  (** [Some] for a failed cell *)
+  p_kem : string;  (** [""] for profile ops *)
   p_sig : string;
   p_scenario : string;
-  p_buffering : string;  (** [""] for farm cells *)
-  p_standard : bool;  (** always [false] for farm cells *)
-  p_error : string option;
-  p_metrics : (string * float) list;
-      (** dotted-path numeric leaves, e.g.
-          ["data.latency_ms.total.p50"], in serialization order *)
+  p_buffering : string;  (** [""] for farm cells and profile ops *)
+  p_standard : bool;
+  p_leaves : (string * float) list;
+      (** in file order, e.g. ["data.latency_ms.total.p50"], ["time_ms.p50"] *)
 }
 
-type p_artifact = {
-  p_seed : string;
-  p_experiments : string list;
-  p_cells : p_cell list;
-  p_farm_cells : p_cell list;  (** [[]] for pre-farm artifacts *)
-}
+type p_artifact = { p_schema : string; p_seed : string; p_rows : p_row list }
 
 val of_json_string : string -> (p_artifact, string) result
-(** Rejects other schema versions and malformed documents. *)
-
-type row = {
-  row_id : string;  (** what rows match on *)
-  row_key : string;  (** how issues name the row *)
-  row_error : string option;  (** [Some] for a failed row *)
-  row_leaves : (string * float) list;  (** dotted numeric leaves *)
-}
-
-val diff_rows :
-  ?judged:string list -> rel_tol:float -> row list -> row list -> string list
-(** The keyed leaf comparison behind {!diff} and {!Profile.diff}:
-    human-readable issues between baseline and candidate rows, empty
-    when they agree. Rows match on [row_id]; unmatched rows, ok/failed
-    flips (two failed rows agree whatever their messages) and leaves
-    missing on either side are issues. [rel_tol] bounds
-    [|a - b| / max(|a|, |b|)] per leaf, NaN equal to NaN. [judged]
-    restricts the comparison to those leaves (default: all). *)
+(** Every field a gate reads is required: [schema], [seed]; a campaign
+    artifact's [experiments], [cells] (each with [id key kem sig
+    scenario buffering standard] and its [data] object unless it has an
+    [error]) and optional [farm_cells] (with [profile] and [policy]
+    instead of [buffering standard]); a profile's [ops] (each with
+    [name group alg kind samples batch warmup] and the [time_ms] and
+    [gc] objects). An op's row id is [op "<name>"
+    (<group>/<alg>/<kind>, <samples>x<batch> warmup <warmup>)]. A
+    missing or ill-typed field or an unknown schema is an [Error] naming
+    it. *)
 
 val diff : ?rel_tol:float -> p_artifact -> p_artifact -> string list
-(** {!diff_rows} over every cell of both kinds, matched on [p_id], plus
-    a seed mismatch issue. [rel_tol] defaults to [0.] (exact). *)
+(** Issues between a baseline and a candidate, empty when they agree: a
+    seed mismatch, unmatched rows, ok/failed flips and judged leaves
+    missing or more than [rel_tol] apart ([|a - b| / max(|a|, |b|)],
+    NaN equal to NaN). The schema picks the judged leaves and the
+    default [rel_tol]: every leaf at [0.] for campaign artifacts,
+    [time_ms.p50] and [gc.minor_words] at [0.25] for profiles.
+    @raise Invalid_argument when the schemas differ. *)
 
 val against_paper : p_artifact -> int * string list
 (** Judge every standard, push-buffered, completed cell against the
@@ -258,4 +258,5 @@ val against_paper : p_artifact -> int * string list
     calibration assertions (30 % latency, 10-25 % bytes, 45 % on
     reciprocal-of-latency handshake counts and Table 4 medians);
     illegible (NaN) paper cells and the random-loss scenario columns
-    are skipped. *)
+    are skipped.
+    @raise Invalid_argument on a profile. *)

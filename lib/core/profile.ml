@@ -330,34 +330,14 @@ let run ?(jobs = 1) ?ops_filter ~seed () =
 
 (* --- serialization ------------------------------------------------ *)
 
-let schema_version = "pqtls-bench-profile/1"
-
-(* [shape_only] zeroes every volatile leaf: what remains is a pure
-   function of the registries and the attribution spec, asserted
-   byte-identical across [--jobs] by test_profile.ml. *)
-let json_of ~shape_only a =
-  let vf v = Json.Float (if shape_only then 0. else v) in
-  let dist (d : Metrics.dist) =
-    Json.Obj
-      [ ("n", Json.Int d.d_n);
-        ("mean", vf d.d_mean);
-        ("stddev", vf d.d_stddev);
-        ("p5", vf d.d_p5);
-        ("p25", vf d.d_p25);
-        ("p50", vf d.d_p50);
-        ("p75", vf d.d_p75);
-        ("p95", vf d.d_p95);
-        ("p99", vf d.d_p99);
-        ("ci95_lo", vf d.d_ci_lo);
-        ("ci95_hi", vf d.d_ci_hi) ]
-  in
+let to_json_string a =
   let gc g =
     Json.Obj
-      [ ("minor_words", vf g.g_minor_words);
-        ("promoted_words", vf g.g_promoted_words);
-        ("major_words", vf g.g_major_words);
-        ("minor_collections", vf g.g_minor_collections);
-        ("major_collections", vf g.g_major_collections) ]
+      [ ("minor_words", Json.Float g.g_minor_words);
+        ("promoted_words", Json.Float g.g_promoted_words);
+        ("major_words", Json.Float g.g_major_words);
+        ("minor_collections", Json.Float g.g_minor_collections);
+        ("major_collections", Json.Float g.g_major_collections) ]
   in
   let op m =
     Json.Obj
@@ -369,15 +349,14 @@ let json_of ~shape_only a =
         ("batch", Json.Int m.p_op.op_batch);
         ("warmup", Json.Int m.p_op.op_warmup);
         ("iters", Json.Int (m.p_op.op_samples * m.p_op.op_batch));
-        ("time_ms", dist m.p_time);
+        ("time_ms", Metrics.json_of_dist m.p_time);
         ("gc", gc m.p_gc) ]
   in
   let attr r =
     let real, total =
       match r.at_real_ms with
-      | Some v when not shape_only ->
-          (Json.Float v, Json.Float (v *. float_of_int r.at_count))
-      | _ -> (Json.Null, Json.Null)
+      | Some v -> (Json.Float v, Json.Float (v *. float_of_int r.at_count))
+      | None -> (Json.Null, Json.Null)
     in
     Json.Obj
       [ ("lib", Json.String r.at_lib);
@@ -387,22 +366,18 @@ let json_of ~shape_only a =
         ("real_ms_per_op", real);
         ("real_ms_total", total) ]
   in
-  Json.Obj
-    [ ("schema", Json.String schema_version);
-      ("seed", Json.String a.pa_seed);
-      ("budget_ms", Json.Float budget_ms);
-      ( "attribution_cell",
-        Json.Obj
-          [ ("kem", Json.String a.pa_attr_kem);
-            ("sig", Json.String a.pa_attr_sig);
-            ("scenario", Json.String a.pa_attr_scenario) ] );
-      ("ops", Json.List (List.map op a.pa_ops));
-      ("attribution", Json.List (List.map attr a.pa_attribution)) ]
-
-let to_json_string a = Json.to_string (json_of ~shape_only:false a)
-let shape_json_string a = Json.to_string (json_of ~shape_only:true a)
-[@@lint.allow "M2" "test: profile artifact shape deterministic across jobs: \
-                    the zeroed shape is byte-identical at jobs 1 and 4"]
+  Json.to_string
+    (Json.Obj
+       [ ("schema", Json.String Metrics.profile_schema_version);
+         ("seed", Json.String a.pa_seed);
+         ("budget_ms", Json.Float budget_ms);
+         ( "attribution_cell",
+           Json.Obj
+             [ ("kem", Json.String a.pa_attr_kem);
+               ("sig", Json.String a.pa_attr_sig);
+               ("scenario", Json.String a.pa_attr_scenario) ] );
+         ("ops", Json.List (List.map op a.pa_ops));
+         ("attribution", Json.List (List.map attr a.pa_attribution)) ])
 
 (* --- rendering ---------------------------------------------------- *)
 
@@ -504,88 +479,3 @@ let folded a =
           span (group_name g) g0 !t)
     [ Ka; Sa; Kernel ];
   Trace.Export.folded [ buf ]
-
-(* --- comparison --------------------------------------------------- *)
-
-type p_op = {
-  q_name : string;
-  q_group : string;
-  q_alg : string;
-  q_kind : string;
-  q_samples : int;
-  q_batch : int;
-  q_warmup : int;
-  q_metrics : (string * float) list;
-}
-
-type p_artifact = { q_seed : string; q_ops : p_op list }
-
-let of_json_string s =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok j -> (
-      match Json.to_str (Json.member "schema" j) with
-      | Some v when v = schema_version ->
-          let seed =
-            Option.value ~default:"" (Json.to_str (Json.member "seed" j))
-          in
-          let parse_op o =
-            let str k =
-              Option.value ~default:"" (Json.to_str (Json.member k o))
-            in
-            let int k =
-              Option.value ~default:0 (Json.to_int (Json.member k o))
-            in
-            let leaves prefix =
-              match Json.to_obj (Json.member prefix o) with
-              | None -> []
-              | Some fields ->
-                  List.filter_map
-                    (fun (k, v) ->
-                      Option.map
-                        (fun f -> (prefix ^ "." ^ k, f))
-                        (Json.to_float (Some v)))
-                    fields
-            in
-            { q_name = str "name";
-              q_group = str "group";
-              q_alg = str "alg";
-              q_kind = str "kind";
-              q_samples = int "samples";
-              q_batch = int "batch";
-              q_warmup = int "warmup";
-              q_metrics = leaves "time_ms" @ leaves "gc" }
-          in
-          let ops =
-            Option.value ~default:[] (Json.to_list (Json.member "ops" j))
-          in
-          Ok { q_seed = seed; q_ops = List.map parse_op ops }
-      | Some v ->
-          Error
-            (Printf.sprintf "unsupported schema %S (expected %S)" v
-               schema_version)
-      | None -> Error "missing schema field")
-
-(* Of the measured leaves only the run-stable ones are judged: the
-   median (robust to scheduler spikes, unlike mean/p99 over a handful of
-   samples) and the minor allocation rate (a pure function of the code
-   path, the most regression-sensitive signal here). *)
-let judged = [ "time_ms.p50"; "gc.minor_words" ]
-
-(* An op's identity and iteration plan are part of its row identity, so
-   a changed plan reads as one op missing and another appearing. *)
-let diff ?(rel_tol = 0.25) a b =
-  let rows p =
-    List.map
-      (fun q ->
-        let key =
-          Printf.sprintf "op %S (%s/%s/%s, %dx%d warmup %d)" q.q_name q.q_group
-            q.q_alg q.q_kind q.q_samples q.q_batch q.q_warmup
-        in
-        { Metrics.row_id = key;
-          row_key = key;
-          row_error = None;
-          row_leaves = q.q_metrics })
-      p.q_ops
-  in
-  Metrics.diff_rows ~judged ~rel_tol (rows a) (rows b)

@@ -12,12 +12,12 @@
     - a {e deterministic shape} — the op registry, per-op iteration
       counts, JSON schema and key order, and the attribution rows'
       identities, counts and virtual costs, all pure functions of the
-      registries and the planning table ({!shape_json_string} is
-      asserted byte-identical across [--jobs] by the tests); from
+      registries and the planning table, identical across [--jobs]; from
     - {e nondeterministic values} — the measured millisecond
       distributions, GC deltas and real-attribution columns, which
       depend on the machine and the moment and are compared only with a
-      relative tolerance ([pqtls-bench compare-profile]). *)
+      relative tolerance ([pqtls-bench compare], through
+      {!Metrics.of_json_string} and {!Metrics.diff}). *)
 
 type group = Ka | Sa | Kernel
 
@@ -98,9 +98,6 @@ type artifact = {
           order; the renderer re-sorts by real ms for display *)
 }
 
-val schema_version : string
-(** ["pqtls-bench-profile/1"]; bump when the JSON shape changes. *)
-
 val measure : op -> Metrics.dist * gc_delta
 (** Micro-benchmark one op on the calling domain: warmup, then
     [op_samples] timed batches with {!Clock}, with one [Gc.quick_stat]
@@ -115,10 +112,8 @@ val run : ?jobs:int -> ?ops_filter:string -> seed:string -> unit -> artifact
     @raise Invalid_argument when the filter matches nothing. *)
 
 val to_json_string : artifact -> string
-val shape_json_string : artifact -> string
-(** The artifact with every volatile leaf (times, GC deltas, real
-    attribution columns) zeroed out: what must be byte-identical across
-    [--jobs] settings and repeated runs. *)
+(** The versioned {!Metrics.profile_schema_version} artifact; its
+    [time_ms] blocks use {!Metrics.json_of_dist}. *)
 
 val render_table : artifact -> string
 (** Plain-text per-op table followed by {!render_attribution}. *)
@@ -130,33 +125,3 @@ val render_attribution : artifact -> string
 val folded : artifact -> string
 (** Folded stacks ([group;alg;kind <self-us>]) weighted by median real
     time, via the {!Trace.Export} flamegraph exporter. *)
-
-(** {1 Comparison} — the regression gate behind
-    [pqtls-bench compare-profile]. *)
-
-type p_op = {
-  q_name : string;
-  q_group : string;
-  q_alg : string;
-  q_kind : string;
-  q_samples : int;
-  q_batch : int;
-  q_warmup : int;
-  q_metrics : (string * float) list;
-      (** dotted numeric leaves ("time_ms.p50", "gc.minor_words", ...)
-          in serialization order *)
-}
-
-type p_artifact = { q_seed : string; q_ops : p_op list }
-
-val of_json_string : string -> (p_artifact, string) result
-(** Rejects other schema versions and malformed documents. *)
-
-val diff : ?rel_tol:float -> p_artifact -> p_artifact -> string list
-(** Per-op regression issues between a baseline and a candidate, empty
-    when they agree, via {!Metrics.diff_rows}. Ops match on name,
-    identity and iteration plan, so unmatched ops and shape changes are
-    always issues. Of the measured values only the stable ones are
-    judged — median time and minor allocated words per op — each within
-    [rel_tol] (default [0.25]; wall-clock medians jitter run to run even
-    on one machine). *)

@@ -73,13 +73,15 @@ let pool_roots syms =
           expr =
             (fun self e ->
               (match e.pexp_desc with
-              | Pexp_apply (f, _) -> (
-                match Walk.ident f with
-                | Some path -> (
-                  match List.rev (String.split_on_char '.' path) with
-                  | "map" :: "Pool" :: _ -> found := true
-                  | _ -> ())
-                | None -> ())
+              | Pexp_apply (f, _) ->
+                if
+                  List.exists
+                    (fun h ->
+                      match List.rev (String.split_on_char '.' h) with
+                      | "map" :: "Pool" :: _ -> true
+                      | _ -> false)
+                    (Symtab.heads syms ~file:d.Symtab.d_file f)
+                then found := true
               | _ -> ());
               super.expr self e) }
       in

@@ -8,6 +8,7 @@ let banned_idents =
 let poly_compare = [ "="; "<>"; "=="; "!="; "compare" ]
 
 let check sources =
+  let syms = Symtab.build sources in
   List.concat_map
     (fun (src : Source.t) ->
       let in_scope =
@@ -22,21 +23,21 @@ let check sources =
           out := Diag.make ~rule:"C1" ~file:src.Source.path ~symbol loc msg
                  :: !out
         in
+        let among = Symtab.head_in syms ~file:src.Source.path in
         Walk.iter_expressions str (fun ~symbol e ->
             match e.pexp_desc with
             | Pexp_ident _ -> (
-              match Walk.ident e with
-              | Some path when List.mem path banned_idents ->
+              match among banned_idents e with
+              | Some path ->
                 diag ~symbol e.pexp_loc
                   (path
                  ^ " short-circuits on the first differing byte; use \
                     Bytesx.equal_ct for anything secret-adjacent")
-              | _ -> ())
+              | None -> ())
             | Pexp_apply (op, args) -> (
-              match Walk.ident op with
+              match among poly_compare op with
               | Some name
-                when List.mem name poly_compare
-                     && List.exists
+                when List.exists
                           (fun (_, a) -> Walk.string_const a <> None)
                           args ->
                 diag ~symbol op.pexp_loc

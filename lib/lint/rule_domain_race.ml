@@ -19,7 +19,7 @@ let creators =
     "Queue.create";
     "Stack.create" ]
 
-let allocates_mutable body =
+let allocates_mutable syms (d : Symtab.def) =
   let found = ref false in
   let super = Ast_iterator.default_iterator in
   let iter =
@@ -29,13 +29,12 @@ let allocates_mutable body =
           match e.pexp_desc with
           | Pexp_fun _ | Pexp_function _ | Pexp_lazy _ -> ()
           | Pexp_apply (f, _) ->
-            (match Walk.ident f with
-            | Some p when List.mem p creators -> found := true
-            | _ -> ());
+            if Symtab.head_in syms ~file:d.Symtab.d_file creators f <> None
+            then found := true;
             super.expr self e
           | _ -> super.expr self e) }
   in
-  iter.Ast_iterator.expr iter body;
+  iter.Ast_iterator.expr iter d.Symtab.d_body;
   !found
 
 (* [head parts -> index of the mutated positional argument] *)
@@ -64,7 +63,7 @@ let check sources =
       if
         d.Symtab.d_params = []
         && Walk.in_dir ~dir:"lib" d.Symtab.d_file
-        && allocates_mutable d.Symtab.d_body
+        && allocates_mutable syms d
       then Hashtbl.replace mutables d.Symtab.d_qual ())
     (Symtab.defs syms);
   List.concat_map
@@ -93,27 +92,30 @@ let check sources =
               (fun self e ->
                 (match e.pexp_desc with
                 | Pexp_apply (f, args) -> (
-                  match Walk.ident f with
-                  | Some path -> (
-                    let parts = String.split_on_char '.' path in
-                    (match List.rev parts with
-                    | "protect" :: "Mutex" :: _ ->
-                      guards := e.pexp_loc :: !guards
-                    | _ -> ());
-                    match write_target_index parts with
-                    | Some i -> (
-                      let positional =
-                        List.filter_map
-                          (function
-                            | Asttypes.Nolabel, a -> Some a
-                            | _ -> None)
-                          args
-                      in
-                      match List.nth_opt positional i with
-                      | Some target -> (
-                        match resolve_target target with
-                        | Some q -> writes := (e.pexp_loc, q) :: !writes
-                        | None -> ())
+                  let heads =
+                    List.map
+                      (String.split_on_char '.')
+                      (Symtab.heads syms ~file:d.Symtab.d_file f)
+                  in
+                  if
+                    List.exists
+                      (fun parts ->
+                        match List.rev parts with
+                        | "protect" :: "Mutex" :: _ -> true
+                        | _ -> false)
+                      heads
+                  then guards := e.pexp_loc :: !guards;
+                  match List.find_map write_target_index heads with
+                  | Some i -> (
+                    let positional =
+                      List.filter_map
+                        (function Asttypes.Nolabel, a -> Some a | _ -> None)
+                        args
+                    in
+                    match List.nth_opt positional i with
+                    | Some target -> (
+                      match resolve_target target with
+                      | Some q -> writes := (e.pexp_loc, q) :: !writes
                       | None -> ())
                     | None -> ())
                   | None -> ())

@@ -18,6 +18,7 @@ let creators =
    initializes: stop at function/lazy abstractions, whose bodies run
    per call. *)
 let check sources =
+  let syms = Symtab.build sources in
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with
@@ -40,10 +41,9 @@ let check sources =
           | _ ->
             (match e.pexp_desc with
             | Pexp_apply (f, _) -> (
-              match Walk.ident f with
-              | Some path when List.mem path creators ->
-                diag ~symbol e.pexp_loc path
-              | _ -> ())
+              match Symtab.head_in syms ~file:src.Source.path creators f with
+              | Some path -> diag ~symbol e.pexp_loc path
+              | None -> ())
             | _ -> ());
             let sub = Ast_iterator.default_iterator in
             let prune =

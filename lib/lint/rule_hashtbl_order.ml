@@ -1,58 +1,47 @@
 open Parsetree
 
-let is_enumerator = function
-  | Some ("Hashtbl.iter" | "Hashtbl.fold") -> true
-  | _ -> false
+let enumerators = [ "Hashtbl.iter"; "Hashtbl.fold" ]
 
-let is_sort = function
-  | Some
-      ( "List.sort" | "List.stable_sort" | "List.fast_sort"
-      | "List.sort_uniq" | "Array.sort" | "Array.stable_sort" ) ->
-    true
-  | _ -> false
+let sorts =
+  [ "List.sort"; "List.stable_sort"; "List.fast_sort"; "List.sort_uniq";
+    "Array.sort"; "Array.stable_sort" ]
 
 (* A fold is fine when a sort consumes it in the same expression; we
    mark those call sites in a first pass, then flag every unmarked
    enumeration. *)
 let check sources =
+  let syms = Symtab.build sources in
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with
       | Source.Signature _ -> []
       | Source.Structure str ->
+        let among = Symtab.head_in syms ~file:src.Source.path in
+        (* an application's head, or the expression itself *)
+        let app e = match e.pexp_desc with Pexp_apply (f, _) -> f | _ -> e in
         let sorted = ref [] in
         let mark e =
-          if is_enumerator (Walk.app_head e) then
+          if among enumerators (app e) <> None then
             sorted := e.pexp_loc :: !sorted
         in
         Walk.iter_expressions str (fun ~symbol:_ e ->
             match e.pexp_desc with
-            | Pexp_apply (f, args) when is_sort (Walk.ident f) ->
+            | Pexp_apply (f, args) when among sorts f <> None ->
               List.iter (fun (_, a) -> mark a) args
             | Pexp_apply (op, [ (_, lhs); (_, rhs) ]) -> (
               match Walk.ident op with
-              | Some "|>" when is_sort (Walk.app_head rhs) -> mark lhs
-              | Some "@@" when is_sort (Walk.app_head lhs) -> mark rhs
+              | Some "|>" when among sorts (app rhs) <> None -> mark lhs
+              | Some "@@" when among sorts (app lhs) <> None -> mark rhs
               | _ -> ())
             | _ -> ());
         let out = ref [] in
         Walk.iter_expressions str (fun ~symbol e ->
-            match Walk.ident e with
-            | Some (("Hashtbl.iter" | "Hashtbl.fold") as path) ->
-              let consumed =
-                (* the enumerator ident sits inside a marked (sorted)
-                   application *)
-                List.exists
-                  (fun loc ->
-                    String.equal loc.Location.loc_start.Lexing.pos_fname
-                      e.pexp_loc.Location.loc_start.Lexing.pos_fname
-                    && loc.Location.loc_start.Lexing.pos_cnum
-                       <= e.pexp_loc.Location.loc_start.Lexing.pos_cnum
-                    && e.pexp_loc.Location.loc_end.Lexing.pos_cnum
-                       <= loc.Location.loc_end.Lexing.pos_cnum)
-                  !sorted
-              in
-              if not consumed then
+            match among enumerators e with
+            | Some path ->
+              (* consumed when the enumerator ident sits inside a
+                 marked (sorted) application *)
+              if not (List.exists (fun l -> Walk.within l e.pexp_loc) !sorted)
+              then
                 out :=
                   Diag.make ~rule:"D2" ~file:src.Source.path ~symbol
                     e.pexp_loc
@@ -61,7 +50,7 @@ let check sources =
                       where it is produced (… |> List.sort cmp) or \
                       suppress with a reason if order cannot escape")
                   :: !out
-            | _ -> ());
+            | None -> ());
         !out)
     sources
 

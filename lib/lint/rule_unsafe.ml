@@ -63,6 +63,7 @@ let kernel_reason str =
     str
 
 let check sources =
+  let syms = Symtab.build sources in
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with
@@ -71,15 +72,12 @@ let check sources =
       | Source.Structure str ->
         let uses = ref [] in
         Walk.iter_expressions str (fun ~symbol e ->
-            match e.pexp_desc with
-            | Pexp_ident { txt; _ } ->
-              let path =
-                Walk.strip_stdlib
-                  (String.concat "." (Longident.flatten txt))
-              in
-              if unsafe_ident path then
-                uses := (symbol, e.pexp_loc, path) :: !uses
-            | _ -> ());
+            match
+              List.find_opt unsafe_ident
+                (Symtab.heads syms ~file:src.Source.path e)
+            with
+            | Some path -> uses := (symbol, e.pexp_loc, path) :: !uses
+            | None -> ());
         let uses =
           List.rev !uses
           @ List.map

@@ -20,6 +20,7 @@ let sim_dirs =
 let in_sim path = List.exists (fun dir -> Walk.in_dir ~dir path) sim_dirs
 
 let check sources =
+  let syms = Symtab.build sources in
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with
@@ -33,14 +34,14 @@ let check sources =
             :: !out
         in
         Walk.iter_expressions str (fun ~symbol e ->
-            match Walk.ident e with
-            | Some path when List.mem path banned ->
+            let hit names = Symtab.head_in syms ~file:src.Source.path names e in
+            match (hit banned, hit clock_reads) with
+            | Some path, _ ->
               diag ~symbol e
                 (path
                ^ " reads the wall clock; campaign results must depend \
                   only on virtual time and the seed")
-            | Some path
-              when List.mem path clock_reads && in_sim src.Source.path ->
+            | None, Some path when in_sim src.Source.path ->
               diag ~symbol e
                 (path
                ^ " reads host time inside the simulation stack; only the \

@@ -142,6 +142,24 @@ let defs t =
   Hashtbl.fold (fun _ d acc -> d :: acc) t.t_defs []
   |> List.sort (fun a b -> String.compare a.d_qual b.d_qual)
 
+(* the modules opened locally around [loc] in [file], innermost first *)
+let local_opens t ~file loc =
+  List.filter_map
+    (fun (o, m) -> if Walk.within o loc then Some m else None)
+    (Option.value ~default:[] (Hashtbl.find_opt t.t_local_opens file))
+
+let heads t ~file e =
+  match Walk.ident e with
+  | None -> []
+  | Some name ->
+    name
+    :: List.map
+         (fun m -> Walk.strip_stdlib (m ^ "." ^ name))
+         (local_opens t ~file e.pexp_loc)
+
+let head_in t ~file names e =
+  List.find_opt (fun h -> List.mem h names) (heads t ~file e)
+
 let resolve t ~file ?scope ?loc dotted =
   let lib, modname =
     match Hashtbl.find_opt t.t_file_scope file with
@@ -163,12 +181,7 @@ let resolve t ~file ?scope ?loc dotted =
   in
   let enclosing = outward (Option.value ~default:local_prefix scope) in
   let opens =
-    match (loc, Hashtbl.find_opt t.t_local_opens file) with
-    | Some l, Some local ->
-      List.filter_map
-        (fun (o, m) -> if Walk.within o l then Some m else None)
-        local
-    | _ -> []
+    match loc with Some l -> local_opens t ~file l | None -> []
   in
   let scopes =
     List.concat_map

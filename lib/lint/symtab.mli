@@ -45,6 +45,18 @@ val resolve :
     Without [loc] no local open applies. [None] means "not defined in
     the tree" (stdlib or external). *)
 
+val heads : t -> file:string -> Parsetree.expression -> string list
+(** The stdlib names an identifier expression in [file] may denote: its
+    spelling (see {!Walk.ident}), then that name qualified by each
+    module opened locally around it, innermost first — so
+    [Hashtbl.(replace c k v)] heads ["replace"; "Hashtbl.replace"].
+    [[]] for any other expression. Every rule matches its stdlib heads
+    against this list, so a local open hides no call. *)
+
+val head_in :
+  t -> file:string -> string list -> Parsetree.expression -> string option
+(** The first of {!heads} that is in the list. *)
+
 val lib_of_path : string -> string option
 (** Wrapped-library toplevel module implied by a path, e.g.
     [lib/pqc/kyber.ml -> Some "Pqc"]. *)

@@ -63,12 +63,6 @@ let declassify_reason attrs =
 let dotted_of_lid lid =
   Walk.strip_stdlib (String.concat "." (Longident.flatten lid))
 
-let head_parts e =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (String.split_on_char '.' (dotted_of_lid txt))
-  | Pexp_field (_, { txt; _ }) -> Some [ Longident.last txt ]
-  | _ -> None
-
 let banned_compare =
   [ "String.equal"; "String.compare"; "Bytes.equal"; "Bytes.compare";
     "="; "<>"; "=="; "!="; "compare" ]
@@ -97,6 +91,16 @@ let diag ctx loc msg =
     ctx.c_diags <-
       Diag.make ~rule:"C2" ~file:ctx.c_file ~symbol:ctx.c_symbol loc msg
       :: ctx.c_diags
+
+(* the names an applied function may denote, split on dots: an
+   identifier's {!Symtab.heads}, a field access [r.f]'s [f] (e.g.
+   [(kem cfg).encaps rng pk]), none for a computed function *)
+let head_parts ctx e =
+  match e.pexp_desc with
+  | Pexp_field (_, { txt; _ }) -> [ [ Longident.last txt ] ]
+  | _ ->
+    List.map (String.split_on_char '.')
+      (Symtab.heads ctx.c_syms ~file:ctx.c_file e)
 
 let summary_of ctx q =
   Option.value ~default:{ s_ret = false; s_arg_to_ret = false }
@@ -278,10 +282,11 @@ and eval_case ctx env sv (c : case) =
   eval ctx env' c.pc_rhs
 
 and eval_apply ctx env f args =
-  match (head_parts f, args) with
-  | Some [ "@@" ], [ (_, g); (_, x) ] ->
+  let heads = head_parts ctx f in
+  match (heads, args) with
+  | [ "@@" ] :: _, [ (_, g); (_, x) ] ->
     eval_app_expr ctx env g [ (Asttypes.Nolabel, x) ]
-  | Some [ "|>" ], [ (_, x); (_, g) ] ->
+  | [ "|>" ] :: _, [ (_, x); (_, g) ] ->
     eval_app_expr ctx env g [ (Asttypes.Nolabel, x) ]
   | _ ->
     let argvs = List.map (fun (lbl, a) -> (lbl, a, eval ctx env a)) args in
@@ -297,45 +302,49 @@ and eval_apply ctx env f args =
       | "length" -> Some Pure
       | _ -> None
     in
-    (match head_parts f with
-    | None -> (
-      (* computed function: a closure or a record of operations, e.g.
-         [(kem cfg).encaps rng pk] *)
+    (match heads with
+    | [] ->
+      (* computed function, e.g. a closure *)
       ignore (eval ctx env f);
-      match f.pexp_desc with
-      | Pexp_field (_, { txt; _ }) -> (
-        match by_last_name (Longident.last txt) with
-        | Some v -> v
-        | None -> collapse join_args)
-      | _ -> collapse join_args)
-    | Some parts -> (
+      collapse join_args
+    | parts :: _ ->
       let name = String.concat "." parts in
       let last = List.nth parts (List.length parts - 1) in
-      match List.rev parts with
-      | "extract" :: "Hkdf" :: _ | "expand" :: "Hkdf" :: _ -> Tainted
-      | "equal_ct" :: _ -> Pure
-      | _ ->
-        if ctx.c_emit then begin
-          if List.mem name banned_compare && any_tainted then
-            diag ctx f.pexp_loc
-              (Printf.sprintf
-                 "secret-derived data reaches variable-time comparison \
-                  %s; use Crypto.Bytesx.equal_ct"
-                 name);
-          (match parts with
-          | ("Printf" | "Format") :: _ when any_tainted ->
+      let any p = List.exists p heads in
+      let names = List.map (String.concat ".") heads in
+      let among l = List.find_opt (fun n -> List.mem n l) names in
+      if
+        any (fun h ->
+            match List.rev h with
+            | ("extract" | "expand") :: "Hkdf" :: _ -> true
+            | _ -> false)
+      then Tainted
+      else if last = "equal_ct" then Pure
+      else begin
+        if ctx.c_emit && any_tainted then begin
+          Option.iter
+            (fun n ->
+              diag ctx f.pexp_loc
+                (Printf.sprintf
+                   "secret-derived data reaches variable-time comparison \
+                    %s; use Crypto.Bytesx.equal_ct"
+                   n))
+            (among banned_compare);
+          if any (function ("Printf" | "Format") :: _ -> true | _ -> false)
+          then
             diag ctx f.pexp_loc
               "secret-derived data reaches Printf/Format output"
-          | _ ->
-            if List.mem name format_heads && any_tainted then
-              diag ctx f.pexp_loc
-                "secret-derived data reaches terminal output");
-          if List.mem name raise_heads && any_tainted then
+          else if among format_heads <> None then
+            diag ctx f.pexp_loc "secret-derived data reaches terminal output";
+          if among raise_heads <> None then
             diag ctx f.pexp_loc
               "secret-derived data in an exception payload escapes the \
                constant-time boundary";
-          (match parts with
-          | [ "Hashtbl"; op ] when List.mem op hashtbl_key_ops -> (
+          if
+            any (function
+              | [ "Hashtbl"; op ] -> List.mem op hashtbl_key_ops
+              | _ -> false)
+          then (
             match
               List.filter (fun (l, _, _) -> l = Asttypes.Nolabel) argvs
             with
@@ -344,7 +353,6 @@ and eval_apply ctx env f args =
                 "secret-derived data used as a Hashtbl key (hashing \
                  time and bucket layout are observable)"
             | _ -> ())
-          | _ -> ())
         end;
         let resolved =
           match parts with
@@ -353,7 +361,7 @@ and eval_apply ctx env f args =
             Symtab.resolve ctx.c_syms ~file:ctx.c_file ~scope:ctx.c_scope
               ~loc:f.pexp_loc name
         in
-        (match resolved with
+        match resolved with
         | Some q ->
           let s = summary_of ctx q in
           if s.s_ret || (s.s_arg_to_ret && any_tainted) then Tainted
@@ -361,7 +369,8 @@ and eval_apply ctx env f args =
         | None -> (
           match by_last_name last with
           | Some v -> v
-          | None -> collapse join_args))))
+          | None -> collapse join_args)
+      end)
 
 and eval_app_expr ctx env g extra =
   match g.pexp_desc with

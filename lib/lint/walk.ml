@@ -12,9 +12,6 @@ let ident e =
     Some (strip_stdlib (String.concat "." (Longident.flatten txt)))
   | _ -> None
 
-let app_head e =
-  match e.pexp_desc with Pexp_apply (f, _) -> ident f | _ -> ident e
-
 let within (outer : Location.t) (inner : Location.t) =
   inner.Location.loc_start.Lexing.pos_cnum
   >= outer.Location.loc_start.Lexing.pos_cnum

@@ -1,5 +1,5 @@
 (** Small shared helpers over the compiler-libs Parsetree: dotted-path
-    extraction, application heads, and an expression iterator that
+    extraction, location containment, and an expression iterator that
     tracks the enclosing toplevel binding name (the [symbol] reported in
     diagnostics). *)
 
@@ -11,10 +11,6 @@ val ident : Parsetree.expression -> string option
 (** Dotted path of an identifier expression ("Unix.gettimeofday"), with
     any leading "Stdlib." stripped so [Stdlib.compare] and [compare]
     normalize to the same name. *)
-
-val app_head : Parsetree.expression -> string option
-(** [ident] of the function position of an application, or of the
-    expression itself when it is a bare identifier. *)
 
 val within : Location.t -> Location.t -> bool
 (** [within outer inner]: does [inner] lie inside [outer] (same file)? *)

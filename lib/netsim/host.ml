@@ -45,13 +45,10 @@ let charge_async ?(op = "") t ~ms ~lib =
   account t lib ms;
   cpu_span t ~op ~lib start finish
 
-(* Sorted at the producer: biggest spender first, ties broken by name,
-   so neither the rendering nor the float sum below can see hash-bucket
-   order (float addition is not associative). *)
-let ledger t =
-  Hashtbl.fold (fun lib ms acc -> (lib, ms) :: acc) t.ledger []
-  |> List.sort (fun (la, a) (lb, b) ->
-         match Float.compare b a with 0 -> String.compare la lb | c -> c)
+(* Sorted at the producer, so neither the rendering nor the float sum
+   below can see hash-bucket order (float addition is not
+   associative). *)
+let ledger t = Trace.Summary.per_lib t.ledger
 
 let total_cpu_ms t =
   List.fold_left (fun acc (_, ms) -> acc +. ms) 0. (ledger t)

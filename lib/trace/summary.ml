@@ -4,9 +4,9 @@
    and both emit one cpu span carrying its library bucket — so these
    sums must agree with the Host ledgers to float rounding. *)
 
-(* Sorted at the producer — biggest spender first, ties by name — the
-   same order contract as Netsim.Host.ledger, so consumers never see
-   (or depend on re-sorting away) hash-bucket order. *)
+(* Sorted at the producer — biggest spender first, ties by name — so
+   consumers never see (or depend on re-sorting away) hash-bucket
+   order. Netsim.Host.ledger and the merged farm ledger are this too. *)
 let per_lib h =
   Hashtbl.fold (fun lib ms acc -> (lib, ms) :: acc) h []
   |> List.sort (fun (la, a) (lb, b) ->

@@ -8,7 +8,7 @@
 val per_lib : (string, float) Hashtbl.t -> (string * float) list
 (** Extract a per-library ms table in the canonical artifact order —
     descending cost, ties by name — so hash-bucket order never escapes
-    the producer. Same order contract as [Netsim.Host.ledger]. *)
+    the producer. [Netsim.Host.ledger] is this over a host's table. *)
 
 val cpu_ms_by_lib : Buf.t -> (string * (string * float) list) list
 (** Per track (host), total CPU milliseconds per library, descending by

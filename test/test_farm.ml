@@ -214,17 +214,17 @@ let test_farm_jobs_identity () =
   Alcotest.(check string) "jobs=1 and jobs=4 byte-identical" a1 a4;
   let p = parse_artifact a1 in
   Alcotest.(check int) "four farm cells" 4
-    (List.length p.Metrics.p_farm_cells);
+    (List.length p.Metrics.p_rows);
   Alcotest.(check (list string)) "self-diff is clean" []
     (Metrics.diff p (parse_artifact a4));
-  let first = List.hd p.Metrics.p_farm_cells in
+  let first = List.hd p.Metrics.p_rows in
   Alcotest.(check string) "spec order preserved"
     "farm x25519 x rsa:2048 @ none/poisson u=0.90" first.Metrics.p_key;
   Alcotest.(check bool) "farm leaves present" true
-    (List.mem_assoc "data.latency_ms.handshake.p99" first.Metrics.p_metrics
-    && List.mem_assoc "data.latency_ms.p999" first.Metrics.p_metrics
-    && List.mem_assoc "data.load.capacity_hs_s" first.Metrics.p_metrics
-    && List.mem_assoc "data.servers.busy" first.Metrics.p_metrics)
+    (List.mem_assoc "data.latency_ms.handshake.p99" first.Metrics.p_leaves
+    && List.mem_assoc "data.latency_ms.p999" first.Metrics.p_leaves
+    && List.mem_assoc "data.load.capacity_hs_s" first.Metrics.p_leaves
+    && List.mem_assoc "data.servers.busy" first.Metrics.p_leaves)
 
 let test_farm_outcome_sanity () =
   let o =

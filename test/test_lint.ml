@@ -29,6 +29,15 @@ let test_d1 () =
     (List.map (fun d -> d.Lint.Diag.rule) diags);
   Alcotest.(check string) "symbol is the enclosing binding" "stamp"
     (List.hd diags).Lint.Diag.symbol;
+  let opened =
+    "let stamp () = Unix.(gettimeofday ())\n\
+     let t = let open Unix in gettimeofday ()"
+  in
+  Alcotest.(check (list string)) "wall-clock reads under a local open fire"
+    [ "D1"; "D1" ]
+    (List.map
+       (fun d -> d.Lint.Diag.rule)
+       (run_with_mli "lib/fixture/d1_open.ml" opened));
   let good = "let stamp engine = Engine.now engine" in
   Alcotest.(check (list string)) "virtual time is clean" []
     (rules_fired (run_with_mli "lib/fixture/d1_good.ml" good))
@@ -211,6 +220,12 @@ let test_c2 () =
     (fired "lib/tls/c2f.ml"
        "let f ~ticket_key =\n\
        \  match (ticket_key [@lint.declassify]) with \"\" -> 0 | _ -> 1");
+  Alcotest.(check (list string)) "String.equal under a local open fires"
+    [ "C2" ]
+    (fired "lib/tls/c2h.ml" "let check ~psk other = String.(equal psk other)");
+  Alcotest.(check (list string)) "Printf under a local open fires" [ "C2" ]
+    (fired "lib/tls/c2i.ml"
+       "let show client_secret = Printf.(printf \"%s\" client_secret)");
   Alcotest.(check (list string)) "C2 scope stops at the crypto layers" []
     (fired "lib/netsim/c2g.ml"
        "let check ~psk other = String.equal psk other")
@@ -343,6 +358,14 @@ let test_s2 () =
   Alcotest.(check (list string)) "pool-reachable unguarded write fires"
     [ "S2" ]
     (fired "lib/core/s2a.ml" unmutexed);
+  let opened =
+    "let cache = Hashtbl.create 16\n\
+     let paren x = Hashtbl.(replace cache x x)\n\
+     let let_open x = let open Hashtbl in replace cache x x\n\
+     let run xs = Pool.map (fun x -> paren x; let_open x) xs"
+  in
+  Alcotest.(check int) "writes under a local open fire" 2
+    (List.length (run ~rules:s2 [ parse "lib/core/s2d.ml" opened ]));
   let mutexed =
     "let cache = Hashtbl.create 16\n\
      let lock = Mutex.create ()\n\

