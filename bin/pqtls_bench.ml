@@ -424,26 +424,21 @@ let compare_cmd =
               try Core.Metrics.against_paper a
               with Invalid_argument e -> fail (path ^ ": " ^ e)
             in
+            (* an artifact with no comparable cell (farm cells, mixes,
+               non-standard cells) has nothing to pass: the gate fails
+               rather than passing vacuously *)
             let drift =
-              show path issues
-                (Printf.sprintf "%s: %d paper comparison%s ok" path checked
-                   (if checked = 1 then "" else "s"))
+              if checked = 0 then begin
+                Printf.printf
+                  "%s: no cell was comparable to the paper tables\n" path;
+                true
+              end
+              else
+                show path issues
+                  (Printf.sprintf "%s: %d paper comparison%s ok" path checked
+                     (if checked = 1 then "" else "s"))
             in
-            (* zero comparisons on an artifact with campaign cells (farm
-               cells carry no buffering) means the gate is miswired
-               (e.g. only non-standard cells): fail loudly rather than
-               vacuously pass *)
-            if
-              checked = 0
-              && List.exists
-                   (fun r -> r.Core.Metrics.p_buffering <> "")
-                   a.Core.Metrics.p_rows
-            then begin
-              Printf.printf
-                "%s: no cell was comparable to the paper tables\n" path;
-              true
-            end
-            else acc || drift)
+            acc || drift)
           false files
       else
         match files with

@@ -1,3 +1,6 @@
+[@@@lint.kernel
+  "pad's buffer is created locally, and unsafe_to_string takes it after its last write"]
+
 type hash = {
   digest_size : int;
   block_size : int;
@@ -16,9 +19,11 @@ let sha256 =
 
 (* the key, zero-extended to one block, XORed with [byte] *)
 let pad h key byte =
-  let n = String.length key in
-  String.init h.block_size (fun i ->
-      Char.chr (if i < n then Char.code key.[i] lxor byte else byte))
+  let b = Bytes.make h.block_size (Char.chr byte) in
+  for i = 0 to String.length key - 1 do
+    Bytes.set b i (Char.chr (Char.code key.[i] lxor byte))
+  done;
+  Bytes.unsafe_to_string b
 
 let hmac h ~key msg =
   let key =

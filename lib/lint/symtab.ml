@@ -17,6 +17,7 @@ type t = {
   t_aliases : (string, (string, string) Hashtbl.t) Hashtbl.t;
   t_opens : (string, string list) Hashtbl.t; (* latest first *)
   t_local_opens : (string, (Location.t * string) list) Hashtbl.t;
+  t_local_aliases : (string, (Location.t * string * string) list) Hashtbl.t;
   t_libs : (string, unit) Hashtbl.t;
   t_file_scope : (string, string * string) Hashtbl.t;
 }
@@ -106,8 +107,9 @@ let add_source t (src : Source.t) =
     in
     items prefix str;
     Hashtbl.replace t.t_opens src.Source.path !opens;
-    (* [let open M in e], [M.(e)] and [M.[...]], innermost first *)
-    let local = ref [] in
+    (* [let open M in e], [M.(e)] and [M.[...]], and [let module A = M
+       in e], innermost first *)
+    let local = ref [] and aliases = ref [] in
     let super = Ast_iterator.default_iterator in
     let iter =
       { super with
@@ -118,11 +120,18 @@ let add_source t (src : Source.t) =
               ->
               let m = String.concat "." (Longident.flatten m.txt) in
               local := (e.pexp_loc, m) :: !local
+            | Pexp_letmodule
+                ( { txt = Some a; _ },
+                  { pmod_desc = Pmod_ident { txt = m; _ }; _ },
+                  _ ) ->
+              let m = String.concat "." (Longident.flatten m) in
+              aliases := (e.pexp_loc, a, m) :: !aliases
             | _ -> ());
             super.expr self e) }
     in
     iter.Ast_iterator.structure iter str;
-    Hashtbl.replace t.t_local_opens src.Source.path !local
+    Hashtbl.replace t.t_local_opens src.Source.path !local;
+    Hashtbl.replace t.t_local_aliases src.Source.path !aliases
 
 let build sources =
   let t =
@@ -130,6 +139,7 @@ let build sources =
       t_aliases = Hashtbl.create 64;
       t_opens = Hashtbl.create 64;
       t_local_opens = Hashtbl.create 64;
+      t_local_aliases = Hashtbl.create 64;
       t_libs = Hashtbl.create 8;
       t_file_scope = Hashtbl.create 64 }
   in
@@ -196,13 +206,25 @@ let resolve t ~file ?scope ?loc dotted =
   | [] -> None
   | [ name ] -> List.find_map (fun s -> try_ (s ^ "." ^ name)) scopes
   | first :: rest ->
-    let expanded =
-      match Hashtbl.find_opt t.t_aliases file with
+    (* a [let module] alias around the occurrence, innermost first,
+       then the file's toplevel aliases *)
+    let local_alias =
+      match loc with
       | None -> None
-      | Some amap -> (
-        match Hashtbl.find_opt amap first with
-        | Some target -> Some (String.concat "." (target :: rest))
-        | None -> None)
+      | Some l ->
+        List.find_map
+          (fun (o, a, m) -> if a = first && Walk.within o l then Some m else None)
+          (Option.value ~default:[] (Hashtbl.find_opt t.t_local_aliases file))
+    in
+    let expanded =
+      Option.map
+        (fun target -> String.concat "." (target :: rest))
+        (match local_alias with
+        | Some _ -> local_alias
+        | None -> (
+          match Hashtbl.find_opt t.t_aliases file with
+          | None -> None
+          | Some amap -> Hashtbl.find_opt amap first))
     in
     let candidates =
       (match expanded with Some e -> in_lib e | None -> [])

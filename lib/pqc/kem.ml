@@ -6,6 +6,7 @@ type t = {
   hybrid : bool;
   pq : bool;
   mocked : bool;
+  sim_suites : bool;
   public_key_bytes : int;
   ciphertext_bytes : int;
   shared_secret_bytes : int;
@@ -20,6 +21,7 @@ let of_kyber params ~level =
     hybrid = false;
     pq = true;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = Kyber.public_key_bytes params;
     ciphertext_bytes = Kyber.ciphertext_bytes params;
     shared_secret_bytes = Kyber.shared_secret_bytes;
@@ -36,6 +38,7 @@ let x25519 =
     hybrid = false;
     pq = false;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = 32;
     ciphertext_bytes = 32;
     shared_secret_bytes = 32;
@@ -64,6 +67,7 @@ let of_ec_curve curve ~name ~level =
     hybrid = false;
     pq = false;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = point_bytes;
     ciphertext_bytes = point_bytes;
     shared_secret_bytes = curve.Crypto.Ec.byte_size;
@@ -80,28 +84,35 @@ let of_ec_curve curve ~name ~level =
       (fun secret ct ->
         Crypto.Ec.ecdh curve (Crypto.Bignum.of_bytes_be secret) (decode_point ct)) }
 
+(* Sim_suites' keygen, encaps and decaps at the given sizes, each call
+   under the memo [memo ()] returns *)
+let sim_ops memo ~public_key_bytes:pk_len ~ciphertext_bytes:ct_len
+    ~shared_secret_bytes:ss_len =
+  ( (fun rng ->
+      let public, secret = Sim_suites.kem_keygen (memo ()) rng ~pk_len in
+      { public; secret }),
+    (fun rng pk -> Sim_suites.kem_encaps (memo ()) rng ~pk ~ct_len ~ss_len),
+    fun secret ct ->
+      Sim_suites.kem_decaps (memo ()) ~sk:secret ~ct ~pk_len ~ct_len ~ss_len )
+
 let simulated ~name ~level ~public_key_bytes ~ciphertext_bytes
     ~shared_secret_bytes =
+  let keygen, encaps, decaps =
+    sim_ops Crypto.Memo.create ~public_key_bytes ~ciphertext_bytes
+      ~shared_secret_bytes
+  in
   { name;
     level;
     hybrid = false;
     pq = true;
     mocked = false;
+    sim_suites = true;
     public_key_bytes;
     ciphertext_bytes;
     shared_secret_bytes;
-    keygen =
-      (fun rng ->
-        let public, secret = Sim_suites.kem_keygen rng ~pk_len:public_key_bytes in
-        { public; secret });
-    encaps =
-      (fun rng pk ->
-        Sim_suites.kem_encaps rng ~pk ~ct_len:ciphertext_bytes
-          ~ss_len:shared_secret_bytes);
-    decaps =
-      (fun secret ct ->
-        Sim_suites.kem_decaps ~sk:secret ~ct ~pk_len:public_key_bytes
-          ~ss_len:shared_secret_bytes) }
+    keygen;
+    encaps;
+    decaps }
 
 (* draft-ietf-tls-hybrid-design: fixed-width concatenation of shares,
    ciphertexts and shared secrets. *)
@@ -118,6 +129,7 @@ let hybrid classical pq_kem =
     hybrid = true;
     pq = pq_kem.pq;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = classical.public_key_bytes + pq_kem.public_key_bytes;
     ciphertext_bytes = classical.ciphertext_bytes + pq_kem.ciphertext_bytes;
     shared_secret_bytes =
@@ -142,22 +154,16 @@ let hybrid classical pq_kem =
         let ct_a, ct_b = split_ct ct in
         classical.decaps sk_a ct_a ^ pq_kem.decaps sk_b ct_b) }
 
+(* [k]'s operations on Sim_suites, each call under [memo ()] *)
+let on_sim_suites memo k =
+  let keygen, encaps, decaps =
+    sim_ops memo ~public_key_bytes:k.public_key_bytes
+      ~ciphertext_bytes:k.ciphertext_bytes
+      ~shared_secret_bytes:k.shared_secret_bytes
+  in
+  { k with sim_suites = true; keygen; encaps; decaps }
+
 let mocked k =
-  if k.mocked then k
-  else
-    { k with
-      mocked = true;
-      keygen =
-        (fun rng ->
-          let public, secret =
-            Sim_suites.kem_keygen rng ~pk_len:k.public_key_bytes
-          in
-          { public; secret });
-      encaps =
-        (fun rng pk ->
-          Sim_suites.kem_encaps rng ~pk ~ct_len:k.ciphertext_bytes
-            ~ss_len:k.shared_secret_bytes);
-      decaps =
-        (fun secret ct ->
-          Sim_suites.kem_decaps ~sk:secret ~ct ~pk_len:k.public_key_bytes
-            ~ss_len:k.shared_secret_bytes) }
+  if k.mocked then k else on_sim_suites Crypto.Memo.create { k with mocked = true }
+
+let share memo k = if k.sim_suites then on_sim_suites (fun () -> memo) k else k

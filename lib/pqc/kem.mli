@@ -20,6 +20,9 @@ type t = {
   hybrid : bool;
   pq : bool;  (** has a post-quantum component *)
   mocked : bool;  (** size-exact stand-in implementation (see {!mocked}) *)
+  sim_suites : bool;
+      (** the operations run on {!Sim_suites}: simulated and mocked
+          algorithms, which {!share} rebinds *)
   public_key_bytes : int;
   ciphertext_bytes : int;
   shared_secret_bytes : int;
@@ -54,3 +57,11 @@ val mocked : t -> t
     quantity (sizes, virtual CPU, latency) is unchanged; the real
     implementations are exercised by the test suite, the examples and
     the microbenchmarks. Idempotent. *)
+
+val share : Crypto.Memo.t -> t -> t
+(** [share memo k] runs [k]'s {!Sim_suites} operations under [memo], so
+    that the two endpoints of one connection, each holding [share memo
+    k] for the memo they share, derive each XOF output once (see
+    {!Crypto.Memo}). Every output is the same bytes as [k]'s. Any other
+    algorithm is returned unchanged. A shared algorithm belongs to its
+    connection: nothing process-wide may hold it. *)

@@ -6,6 +6,7 @@ type t = {
   hybrid : bool;
   pq : bool;
   mocked : bool;
+  sim_suites : bool;
   public_key_bytes : int;
   signature_bytes : int;
   keygen : Crypto.Drbg.t -> keypair;
@@ -25,6 +26,7 @@ let rsa ~bits ~level =
     hybrid = false;
     pq = false;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = String.length example_pub;
     signature_bytes = modulus;
     keygen =
@@ -50,6 +52,7 @@ let ecdsa curve ~name ~level =
     hybrid = false;
     pq = false;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = 1 + (2 * coord);
     signature_bytes = 2 * coord;
     keygen =
@@ -76,6 +79,7 @@ let of_dilithium params ~level =
     hybrid = false;
     pq = true;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = Dilithium.public_key_bytes params;
     signature_bytes = Dilithium.signature_bytes params;
     keygen =
@@ -93,6 +97,7 @@ let of_slh params ~level =
     hybrid = false;
     pq = true;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = Slh.public_key_bytes params;
     signature_bytes = Slh.signature_bytes params;
     keygen =
@@ -102,24 +107,32 @@ let of_slh params ~level =
     sign = (fun _rng ~secret msg -> Slh.sign params secret msg);
     verify = (fun ~public ~msg signature -> Slh.verify params public ~msg signature) }
 
+(* Sim_suites' keygen, sign and verify at the given sizes, each call
+   under the memo [memo ()] returns *)
+let sim_ops memo ~public_key_bytes:pk_len ~signature_bytes:sig_len =
+  ( (fun rng ->
+      let public, secret = Sim_suites.sig_keygen (memo ()) rng ~pk_len in
+      { public; secret }),
+    (fun _rng ~secret msg ->
+      Sim_suites.sig_sign (memo ()) ~sk:secret ~msg ~sig_len ~pk_len),
+    fun ~public ~msg signature ->
+      Sim_suites.sig_verify (memo ()) ~pk:public ~msg ~sig_len signature )
+
 let simulated ~name ~level ~public_key_bytes ~signature_bytes =
+  let keygen, sign, verify =
+    sim_ops Crypto.Memo.create ~public_key_bytes ~signature_bytes
+  in
   { name;
     level;
     hybrid = false;
     pq = true;
     mocked = false;
+    sim_suites = true;
     public_key_bytes;
     signature_bytes;
-    keygen =
-      (fun rng ->
-        let public, secret = Sim_suites.sig_keygen rng ~pk_len:public_key_bytes in
-        { public; secret });
-    sign =
-      (fun _rng ~secret msg ->
-        Sim_suites.sig_sign ~sk:secret ~msg ~sig_len:signature_bytes
-          ~pk_len:public_key_bytes);
-    verify =
-      (fun ~public ~msg signature -> Sim_suites.sig_verify ~pk:public ~msg signature) }
+    keygen;
+    sign;
+    verify }
 
 (* Composite signatures (draft-ounsworth-pq-composite-sigs flavour):
    both components sign the same message; a 2-byte prefix records the
@@ -135,6 +148,7 @@ let hybrid classical pq_alg =
     hybrid = true;
     pq = pq_alg.pq;
     mocked = false;
+    sim_suites = false;
     public_key_bytes = 2 + classical.public_key_bytes + pq_alg.public_key_bytes;
     signature_bytes = 2 + classical.signature_bytes + pq_alg.signature_bytes;
     keygen =
@@ -154,21 +168,15 @@ let hybrid classical pq_alg =
           && pq_alg.verify ~public:pk_b ~msg sig_b
         | exception _ -> false) }
 
+(* [s]'s operations on Sim_suites, each call under [memo ()] *)
+let on_sim_suites memo s =
+  let keygen, sign, verify =
+    sim_ops memo ~public_key_bytes:s.public_key_bytes
+      ~signature_bytes:s.signature_bytes
+  in
+  { s with sim_suites = true; keygen; sign; verify }
+
 let mocked s =
-  if s.mocked then s
-  else
-    { s with
-      mocked = true;
-      keygen =
-        (fun rng ->
-          let public, secret =
-            Sim_suites.sig_keygen rng ~pk_len:s.public_key_bytes
-          in
-          { public; secret });
-      sign =
-        (fun _rng ~secret msg ->
-          Sim_suites.sig_sign ~sk:secret ~msg ~sig_len:s.signature_bytes
-            ~pk_len:s.public_key_bytes);
-      verify =
-        (fun ~public ~msg signature ->
-          Sim_suites.sig_verify ~pk:public ~msg signature) }
+  if s.mocked then s else on_sim_suites Crypto.Memo.create { s with mocked = true }
+
+let share memo s = if s.sim_suites then on_sim_suites (fun () -> memo) s else s

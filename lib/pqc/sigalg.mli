@@ -10,6 +10,9 @@ type t = {
   hybrid : bool;
   pq : bool;
   mocked : bool;  (** size-exact stand-in implementation (see {!mocked}) *)
+  sim_suites : bool;
+      (** the operations run on {!Sim_suites}: simulated and mocked
+          algorithms, which {!share} rebinds *)
   public_key_bytes : int;
   signature_bytes : int;
   keygen : Crypto.Drbg.t -> keypair;
@@ -38,3 +41,8 @@ val hybrid : t -> t -> t
 
 val mocked : t -> t
 (** Size- and name-identical {!Sim_suites} stand-in; see {!Kem.mocked}. *)
+
+val share : Crypto.Memo.t -> t -> t
+(** [share memo s] runs [s]'s {!Sim_suites} operations under [memo];
+    see {!Kem.share}. Certificate chains and credentials are
+    process-wide, so they never hold a shared algorithm. *)

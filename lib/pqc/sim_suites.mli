@@ -12,15 +12,34 @@
     verify, corrupted inputs are rejected, and every artifact has exactly
     the right length. They offer NO security. *)
 
+(** Each operation takes a {!Crypto.Memo.t}. Key generation,
+    encapsulation and signing put the XOF outputs a checker re-derives;
+    decapsulation and verification take them when their inputs are
+    equal and derive them otherwise, putting nothing. The two endpoints
+    of one connection pass the memo they share; any other caller passes
+    a fresh one. Outputs are the same bytes either way. *)
+
 val kem_keygen :
-  Crypto.Drbg.t -> pk_len:int -> (* pk *) string * (* sk *) string
+  Crypto.Memo.t -> Crypto.Drbg.t -> pk_len:int -> (* pk *) string * (* sk *) string
 
 val kem_encaps :
-  Crypto.Drbg.t -> pk:string -> ct_len:int -> ss_len:int -> string * string
+  Crypto.Memo.t ->
+  Crypto.Drbg.t ->
+  pk:string ->
+  ct_len:int ->
+  ss_len:int ->
+  string * string
 
-val kem_decaps : sk:string -> ct:string -> pk_len:int -> ss_len:int -> string
-(** Implicit rejection: corrupted ciphertexts give a pseudorandom secret. *)
+val kem_decaps :
+  Crypto.Memo.t -> sk:string -> ct:string -> pk_len:int -> ct_len:int -> ss_len:int -> string
+(** Implicit rejection: a corrupted ciphertext, or one that is not
+    [ct_len] bytes long, gives a pseudorandom secret. *)
 
-val sig_keygen : Crypto.Drbg.t -> pk_len:int -> string * string
-val sig_sign : sk:string -> msg:string -> sig_len:int -> pk_len:int -> string
-val sig_verify : pk:string -> msg:string -> string -> bool
+val sig_keygen : Crypto.Memo.t -> Crypto.Drbg.t -> pk_len:int -> string * string
+
+val sig_sign :
+  Crypto.Memo.t -> sk:string -> msg:string -> sig_len:int -> pk_len:int -> string
+
+val sig_verify :
+  Crypto.Memo.t -> pk:string -> msg:string -> sig_len:int -> string -> bool
+(** [false] also for a signature that is not [sig_len] bytes long. *)

@@ -9,6 +9,7 @@ type result = {
   server_tcp : Netsim.Tcp.t;
   resumed : bool;
   early_data_bytes : int;
+  memo_left : int;
 }
 
 type session = {
@@ -27,15 +28,15 @@ let charge host op k = charge_n host op 1 k
 
 let ccs_record = Wire.record Wire.Content_type.Change_cipher_spec "\x01"
 
-let make_record cfg traffic_secret =
+let make_record ?memo cfg traffic_secret =
   if cfg.Config.null_records then Record.create_null ()
-  else Record.create (K.traffic_keys traffic_secret)
+  else Record.create (K.traffic_keys ?memo traffic_secret)
 
 (* 0-RTT protection, the same on both sides: the client early traffic
    keys, derived over the ClientHello alone *)
-let early_record cfg ~early_secret ch_msg =
-  make_record cfg
-    (K.client_early_traffic ~early_secret
+let early_record cfg ~memo ~early_secret ch_msg =
+  make_record ~memo cfg
+    (K.client_early_traffic ~memo ~early_secret
        ~client_hello_hash:(K.hash.Crypto.Hmac.digest ch_msg))
 
 (* ---- session tickets (stateless STEK sealing) --------------------------- *)
@@ -90,18 +91,6 @@ let encode_hrr ~session_id ~group =
 let is_hrr (sh : M.server_hello) =
   Crypto.Bytesx.equal_ct sh.M.sh_random hrr_random
 
-(* RFC 8446 section 4.2.11.2, for the client building its offer and the
-   server checking it: [k ~early_secret binder] gets the early secret and
-   the binder MAC over [ch] truncated before its binders list *)
-let psk_binder host ~psk ch k =
-  charge_n host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-  let early_secret = K.early_secret ~psk () in
-  let binder_key = K.binder_key ~early_secret in
-  k ~early_secret
-    (K.binder_mac ~binder_key
-       ~truncated_transcript_hash:
-         (K.hash.Crypto.Hmac.digest (M.truncated_client_hello ch)))
-
 (* ---- per-peer plumbing -------------------------------------------------- *)
 
 type peer = {
@@ -109,15 +98,16 @@ type peer = {
   tcp : Netsim.Tcp.t;
   inbound : Codec.Inbound.t;
   transcript : Transcript.t;
+  memo : Crypto.Memo.t;  (* the connection's, shared with the other peer *)
   mutable busy : bool;
   mutable done_ : bool;
   mutable dispatch : peer -> string -> unit;
   mutable on_app : peer -> string -> unit;
 }
 
-let rec make_peer host tcp transcript =
+let rec make_peer host tcp transcript memo =
   let p =
-    { host; tcp; inbound = Codec.Inbound.create (); transcript;
+    { host; tcp; inbound = Codec.Inbound.create (); transcript; memo;
       busy = false; done_ = false;
       dispatch = (fun _ _ -> ());
       on_app =
@@ -166,13 +156,26 @@ let finish_step p =
   p.busy <- false;
   step p
 
+(* RFC 8446 section 4.2.11.2, for the client building its offer and the
+   server checking it: [k ~early_secret binder] gets the early secret and
+   the binder MAC over [ch] truncated before its binders list *)
+let psk_binder (p : peer) ~psk ch k =
+  charge_n p.host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
+  let memo = p.memo in
+  let early_secret = K.early_secret ~memo ~psk () in
+  let binder_key = K.binder_key ~memo ~early_secret in
+  k ~early_secret
+    (K.binder_mac ~memo ~binder_key
+       ~truncated_transcript_hash:
+         (K.hash.Crypto.Hmac.digest (M.truncated_client_hello ch)))
+
 (* Section 4.6.1, the same on both sides: the PSK a NewSessionTicket
    binds, under the res master over the transcript through the client
    Finished *)
 let ticket_psk (p : peer) (secrets : K.secrets) ~nonce =
-  K.resumption_psk
+  K.resumption_psk ~memo:p.memo
     ~resumption_master:
-      (K.resumption_master ~master:secrets.K.master
+      (K.resumption_master ~memo:p.memo ~master:secrets.K.master
          ~finished_transcript_hash:(Transcript.current p.transcript))
     ~ticket_nonce:nonce
 
@@ -289,7 +292,8 @@ type server_ctx = {
 (* The client's Finished arrives under its handshake traffic keys. *)
 let server_await_finished ctx (p : peer) keys =
   Codec.Inbound.enable_decryption p.inbound
-    (make_record ctx.s_cfg keys.secrets.K.client_handshake_traffic);
+    (make_record ~memo:p.memo ctx.s_cfg
+       keys.secrets.K.client_handshake_traffic);
   ctx.s_state <- S_client_finished keys;
   finish_step p
 
@@ -297,7 +301,7 @@ let server_await_finished ctx (p : peer) keys =
 let server_await_early_data ctx (p : peer) ~early_secret ch_msg keys =
   charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
   Codec.Inbound.enable_decryption p.inbound
-    (early_record ctx.s_cfg ~early_secret ch_msg);
+    (early_record ctx.s_cfg ~memo:p.memo ~early_secret ch_msg);
   p.on_app <-
     (fun p frag ->
       charge p.host (aead_cost (String.length frag)) @@ fun () ->
@@ -332,12 +336,14 @@ let server_flight ctx (p : peer) msg (ch : M.client_hello) ?psk k =
   charge p.host Pqc.Costs.build_server_flight @@ fun () ->
   charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
   let secrets =
-    K.handshake_secrets ?psk ~shared_secret
+    K.handshake_secrets ~memo:p.memo ?psk ~shared_secret
       ~hello_transcript_hash:(Transcript.current p.transcript) ()
   in
   flight_emit flight ~label:"SH" (Codec.fragment_plaintext sh);
   flight_emit flight ccs_record;
-  let write = make_record cfg secrets.K.server_handshake_traffic in
+  let write =
+    make_record ~memo:p.memo cfg secrets.K.server_handshake_traffic
+  in
   let send label m =
     Transcript.add p.transcript m;
     flight_emit flight ~label (Codec.fragment_encrypted write m)
@@ -372,8 +378,9 @@ let server_flight ctx (p : peer) msg (ch : M.client_hello) ?psk k =
   charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
   send "FIN"
     (M.encode_finished
-       (K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
-          ~transcript_hash:(Transcript.current p.transcript)));
+       (K.verify_data ~memo:p.memo
+          ~base_key:secrets.K.server_handshake_traffic
+          (Transcript.current p.transcript)));
   let sfin_hash = Transcript.current p.transcript in
   flight_flush flight;
   k { secrets; sfin_hash }
@@ -395,7 +402,7 @@ let server_on_client_hello ctx (p : peer) msg =
     let psk =
       open_ticket ~config:cfg ~ticket_key:ctx.s_ticket_key offer.M.psk_identity
     in
-    psk_binder p.host ~psk ch @@ fun ~early_secret binder ->
+    psk_binder p ~psk ch @@ fun ~early_secret binder ->
     if not (Crypto.Bytesx.equal_ct offer.M.psk_binder binder) then
       raise (Wire.Decode_error "PSK binder mismatch");
     server_flight ctx p msg ch ~psk
@@ -415,8 +422,8 @@ let server_on_client_hello ctx (p : peer) msg =
 let server_on_client_finished ctx (p : peer) msg { secrets; sfin_hash } =
   charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
   let expected =
-    K.finished_mac ~traffic_secret:secrets.K.client_handshake_traffic
-      ~transcript_hash:(Transcript.current p.transcript)
+    K.verify_data ~memo:p.memo ~base_key:secrets.K.client_handshake_traffic
+      (Transcript.current p.transcript)
   in
   if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
     raise (Wire.Decode_error "client Finished MAC mismatch");
@@ -426,9 +433,9 @@ let server_on_client_finished ctx (p : peer) msg { secrets; sfin_hash } =
        traffic keys; its PSK rides STEK-sealed so the server stays
        stateless. The server has finished before the ticket goes out. *)
     charge_n p.host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
-    let _c_app, s_app =
-      K.application_secrets ~master:secrets.K.master
-        ~finished_transcript_hash:sfin_hash
+    let s_app =
+      K.server_application_traffic ~memo:p.memo ~master:secrets.K.master
+        sfin_hash
     in
     let nonce = "\x00" in
     let psk = ticket_psk p secrets ~nonce in
@@ -442,7 +449,7 @@ let server_on_client_finished ctx (p : peer) msg { secrets; sfin_hash } =
             seal_ticket ~config:ctx.s_cfg ~ticket_key:ctx.s_ticket_key psk;
           nst_max_early_data = default_max_early_data }
     in
-    let crypt = make_record ctx.s_cfg s_app in
+    let crypt = make_record ~memo:p.memo ctx.s_cfg s_app in
     Netsim.Tcp.write p.tcp ~marks:[ (0, "NST") ]
       (Codec.fragment_encrypted crypt nst)
   end;
@@ -514,13 +521,13 @@ let client_hello ctx (p : peer) ~group ~share =
               psk_binder = binder };
         early_data = ctx.c_early_data }
     in
-    psk_binder p.host ~psk:s.psk (offer (String.make 32 '\000'))
+    psk_binder p ~psk:s.psk (offer (String.make 32 '\000'))
     @@ fun ~early_secret binder ->
     let ch = M.encode_client_hello (offer binder) in
     send_plain p "CH" ch;
     if ctx.c_early_data then begin
       charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
-      let crypt = early_record ctx.c_cfg ~early_secret ch in
+      let crypt = early_record ctx.c_cfg ~memo:p.memo ~early_secret ch in
       ctx.c_early_write <- Some crypt;
       let payload = String.make (min early_data_size s.max_early_data) 'e' in
       charge p.host (aead_cost (String.length payload)) @@ fun () ->
@@ -560,13 +567,13 @@ let client_on_server_hello ctx (p : peer) msg (sh : M.server_hello) keypair =
   Transcript.add p.transcript msg;
   charge_n p.host Pqc.Costs.key_schedule_derive 4 @@ fun () ->
   let secrets =
-    K.handshake_secrets
+    K.handshake_secrets ~memo:p.memo
       ?psk:(Option.map (fun s -> s.psk) ctx.c_resume)
       ~shared_secret
       ~hello_transcript_hash:(Transcript.current p.transcript) ()
   in
   Codec.Inbound.enable_decryption p.inbound
-    (make_record cfg secrets.K.server_handshake_traffic);
+    (make_record ~memo:p.memo cfg secrets.K.server_handshake_traffic);
   ctx.c_state <- C_encrypted_extensions secrets;
   finish_step p
 
@@ -620,8 +627,8 @@ let client_on_finished ctx (p : peer) msg secrets =
   let cfg = ctx.c_cfg in
   charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->
   let expected =
-    K.finished_mac ~traffic_secret:secrets.K.server_handshake_traffic
-      ~transcript_hash:(Transcript.current p.transcript)
+    K.verify_data ~memo:p.memo ~base_key:secrets.K.server_handshake_traffic
+      (Transcript.current p.transcript)
   in
   if not (Crypto.Bytesx.equal_ct (M.decode_finished msg) expected) then
     raise (Wire.Decode_error "server Finished MAC mismatch");
@@ -640,24 +647,26 @@ let client_on_finished ctx (p : peer) msg secrets =
   charge p.host Pqc.Costs.build_client_finished @@ fun () ->
   let fin =
     M.encode_finished
-      (K.finished_mac ~traffic_secret:secrets.K.client_handshake_traffic
-         ~transcript_hash:(Transcript.current p.transcript))
+      (K.verify_data ~memo:p.memo ~base_key:secrets.K.client_handshake_traffic
+         (Transcript.current p.transcript))
   in
   Transcript.add p.transcript fin;
-  let crypt = make_record cfg secrets.K.client_handshake_traffic in
+  let crypt = make_record ~memo:p.memo cfg secrets.K.client_handshake_traffic in
   Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ]
     (String.concat ""
        [ eoed_records; ccs_record; Codec.fragment_encrypted crypt fin ]);
-  (* application traffic secrets, as OpenSSL derives them eagerly *)
+  (* both application traffic secrets are charged, as OpenSSL derives
+     them eagerly; only the server's protects anything here *)
   charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->
-  let _c_app, s_app =
-    K.application_secrets ~master:secrets.K.master
-      ~finished_transcript_hash:sfin_hash
+  let s_app =
+    K.server_application_traffic ~memo:p.memo ~master:secrets.K.master
+      sfin_hash
   in
   if ctx.c_await_ticket then begin
     (* stay up for the post-handshake NewSessionTicket, which arrives
        under the server application traffic keys *)
-    Codec.Inbound.enable_decryption p.inbound (make_record cfg s_app);
+    Codec.Inbound.enable_decryption p.inbound
+      (make_record ~memo:p.memo cfg s_app);
     ctx.c_state <- C_ticket secrets;
     finish_step p
   end
@@ -702,12 +711,23 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
       ~server:server_host
   in
   (* one transcript memo per connection: each handshake byte is hashed
-     once, by whichever endpoint absorbs it first *)
+     once, by whichever endpoint absorbs it first. Likewise one memo of
+     derived values: each mocked KEM or signature output and each
+     key-schedule secret or MAC that both endpoints need is derived
+     once, and the other endpoint takes it (see Crypto.Memo). *)
   let client_transcript, server_transcript = Transcript.create_pair () in
-  let client_peer = make_peer client_host client_tcp client_transcript in
-  let server_peer = make_peer server_host server_tcp server_transcript in
+  let memo = Crypto.Memo.create () in
+  let client_peer = make_peer client_host client_tcp client_transcript memo in
+  let server_peer = make_peer server_host server_tcp server_transcript memo in
+  (* credentials are process-wide, so they keep the unshared algorithm;
+     the peers run on algorithms rebound to this connection's memo *)
   let creds =
     Credentials.get ~profile:config.Config.chain_profile config.Config.sig_alg
+  in
+  let config =
+    { config with
+      Config.kem = Pqc.Kem.share memo config.Config.kem;
+      sig_alg = Pqc.Sigalg.share memo config.Config.sig_alg }
   in
   let client_done_at = ref nan and server_done_at = ref nan in
   let early_data_bytes = ref 0 in
@@ -719,7 +739,8 @@ let run ?resume ?(early_data = false) ?(issue_ticket = false)
           client_tcp;
           server_tcp;
           resumed = resume <> None;
-          early_data_bytes = !early_data_bytes }
+          early_data_bytes = !early_data_bytes;
+          memo_left = Crypto.Memo.length memo }
   in
   let server_ctx =
     { s_cfg = config; s_creds = creds; s_rng = Crypto.Drbg.fork rng "server";

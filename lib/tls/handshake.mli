@@ -41,6 +41,10 @@ type result = {
   resumed : bool;  (** this run offered (and used) a resumption PSK *)
   early_data_bytes : int;
       (** 0-RTT application bytes the server accepted *)
+  memo_left : int;
+      (** entries left in the connection's memo when both sides had
+          finished: values one side derived that the other never needed
+          (see {!Crypto.Memo}) *)
 }
 
 type session = {
@@ -74,7 +78,11 @@ val run :
   unit ->
   unit
 (** Creates a fresh connection, runs one handshake and reports both
-    completion times. [?resume] offers the session's PSK (psk_dhe_ke);
+    completion times. The two endpoints share the connection's memos:
+    each handshake byte is hashed once, and each mocked KEM or
+    signature output and key-schedule secret or MAC that both need is
+    derived once ({!Pqc.Kem.share}, {!Pqc.Sigalg.share}). Outputs,
+    virtual time and every check are as if each side derived alone. [?resume] offers the session's PSK (psk_dhe_ke);
     [?early_data] additionally sends 0-RTT data (needs [?resume]);
     [?issue_ticket] has the server send a NewSessionTicket after the
     handshake, delivered to [?on_ticket] — the client then counts as

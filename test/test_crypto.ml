@@ -432,6 +432,32 @@ let test_drbg () =
   Alcotest.(check bool) "fork independent" true
     (Drbg.generate child 32 <> Drbg.generate (Drbg.create ~seed:"s") 32)
 
+(* A taken entry is gone, and an entry answers only a lookup with its
+   tag, its output length and every one of its parts. *)
+let test_memo () =
+  let m = Memo.create () in
+  let key = String.make 32 'k' in
+  Memo.put m ~tag:"t" [ key; "ctx" ] (String.make 32 'o');
+  let miss what tag parts len =
+    Alcotest.(check (option string)) what None (Memo.take m ~tag parts len)
+  in
+  miss "other tag" "u" [ key; "ctx" ] 32;
+  miss "other output length" "t" [ key; "ctx" ] 16;
+  miss "other first part" "t" [ String.make 32 'j'; "ctx" ] 32;
+  miss "other last part" "t" [ key; "ctY" ] 32;
+  miss "fewer parts" "t" [ key ] 32;
+  miss "more parts" "t" [ key; "ctx"; "" ] 32;
+  Alcotest.(check int) "misses keep the entry" 1 (Memo.length m);
+  Alcotest.(check (option string)) "hit" (Some (String.make 32 'o'))
+    (Memo.take m ~tag:"t" [ key; "ctx" ] 32);
+  miss "taken once" "t" [ key; "ctx" ] 32;
+  let calls = ref 0 in
+  let derive () = incr calls; String.make 8 'd' in
+  let a = Memo.once m ~tag:"o" [ "x" ] 8 derive in
+  let b = Memo.once m ~tag:"o" [ "x" ] 8 derive in
+  Alcotest.(check (pair string int)) "once: derive, then take" (a, 1) (b, !calls);
+  Alcotest.(check int) "once leaves nothing behind" 0 (Memo.length m)
+
 (* ---- property tests --------------------------------------------------------- *)
 
 let qc name gen prop = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:200 gen prop)
@@ -531,5 +557,6 @@ let suites =
         Alcotest.test_case "aes fips-197" `Quick test_aes;
         Alcotest.test_case "aes ctr" `Quick test_aes_ctr;
         Alcotest.test_case "aes-gcm vectors + tamper" `Quick test_gcm;
-        Alcotest.test_case "drbg" `Quick test_drbg ]
+        Alcotest.test_case "drbg" `Quick test_drbg;
+        Alcotest.test_case "memo take-once" `Quick test_memo ]
       @ prop_tests ) ]

@@ -300,17 +300,19 @@ let null = 0";
         parse "bin/cg_main.ml"
           "let to_string v = v
            let emit v = let open Core.Cg_j in to_string v
-           let pair () = Core.Cg_j.[ null ]" ]
+           let pair () = Core.Cg_j.[ null ]
+           let aliased v = let module J = Core.Cg_j in J.to_string v" ]
   in
   let ocg = Lint.Callgraph.build opened in
   Alcotest.(check (list (pair string (list string))))
-    "local-open edges"
+    "local-open and local-alias edges"
     [ ("Cg_main.emit", [ "Core.Cg_j.to_string" ]);
       ("Cg_main.pair", [ "Core.Cg_j.null" ]);
+      ("Cg_main.aliased", [ "Core.Cg_j.to_string" ]);
       ("Core.Cg_k.row", [ "Core.Cg_j.to_string" ]) ]
     (List.map
        (fun v -> (v, Lint.Callgraph.callees ocg v))
-       [ "Cg_main.emit"; "Cg_main.pair"; "Core.Cg_k.row" ]);
+       [ "Cg_main.emit"; "Cg_main.pair"; "Cg_main.aliased"; "Core.Cg_k.row" ]);
   Alcotest.(check bool) "dot rendering is graphviz" true
     (contains (Lint.Callgraph.to_dot cg) "digraph")
 

@@ -268,15 +268,18 @@ let test_levels () =
 
 let test_sim_suites () =
   let rng = Crypto.Drbg.create ~seed:"sim" in
-  let pk, sk = Sim_suites.kem_keygen rng ~pk_len:100 in
+  let fresh = Crypto.Memo.create in
+  let pk, sk = Sim_suites.kem_keygen (fresh ()) rng ~pk_len:100 in
   Alcotest.(check int) "sim pk len" 100 (String.length pk);
-  let ct, ss = Sim_suites.kem_encaps rng ~pk ~ct_len:200 ~ss_len:64 in
+  let ct, ss = Sim_suites.kem_encaps (fresh ()) rng ~pk ~ct_len:200 ~ss_len:64 in
   Alcotest.(check string) "sim kem roundtrip"
     (Crypto.Bytesx.to_hex ss)
-    (Crypto.Bytesx.to_hex (Sim_suites.kem_decaps ~sk ~ct ~pk_len:100 ~ss_len:64));
+    (Crypto.Bytesx.to_hex
+       (Sim_suites.kem_decaps (fresh ()) ~sk ~ct ~pk_len:100 ~ct_len:200
+          ~ss_len:64));
   Alcotest.(check_raises) "ct too small"
     (Invalid_argument "Sim_suites.kem_encaps: ct too short") (fun () ->
-      ignore (Sim_suites.kem_encaps rng ~pk ~ct_len:16 ~ss_len:32))
+      ignore (Sim_suites.kem_encaps (fresh ()) rng ~pk ~ct_len:16 ~ss_len:32))
 
 (* Every registry KA and SA under [mocked], from fixed seeds: the MD5 of
    the public key, ciphertext and shared secret of each KA (decaps must
@@ -387,6 +390,120 @@ let test_mocked_pins () =
         (sa.Sigalg.verify ~public:kp.Sigalg.public ~msg:"pins" s))
     sig_pins
 
+(* The same pins through one memo per algorithm, shared by keygen,
+   encaps and decaps (sign and verify) as a connection shares it: the
+   checker takes every output the producer put, so the memo ends empty,
+   and every byte is the unshared one. *)
+let test_shared_memo_pins () =
+  List.iter
+    (fun (name, pk, ct, ss) ->
+      let memo = Crypto.Memo.create () in
+      let kem = Kem.share memo (Kem.mocked (Registry.find_kem name)) in
+      let rng = Crypto.Drbg.create ~seed:("pins/" ^ name) in
+      let kp = kem.Kem.keygen rng in
+      let c, s = kem.Kem.encaps rng kp.Kem.public in
+      (* pk, then the mask, the ciphertext tail and the secret *)
+      Alcotest.(check int) (name ^ ": producer entries") 4
+        (Crypto.Memo.length memo);
+      Alcotest.(check (list string)) name [ pk; ct; ss; ss ]
+        [ md5 kp.Kem.public; md5 c; md5 s; md5 (kem.Kem.decaps kp.Kem.secret c) ];
+      Alcotest.(check int) (name ^ ": decaps took every entry") 0
+        (Crypto.Memo.length memo))
+    kem_pins;
+  List.iter
+    (fun (name, pk, signature) ->
+      let memo = Crypto.Memo.create () in
+      let sa = Sigalg.share memo (Sigalg.mocked (Registry.find_sig name)) in
+      let rng = Crypto.Drbg.create ~seed:("pins/" ^ name) in
+      let kp = sa.Sigalg.keygen rng in
+      let s = sa.Sigalg.sign rng ~secret:kp.Sigalg.secret "pins" in
+      (* signing took keygen's pk and put the tag and the tail *)
+      Alcotest.(check int) (name ^ ": producer entries") 2
+        (Crypto.Memo.length memo);
+      Alcotest.(check (pair string string)) name (pk, signature)
+        (md5 kp.Sigalg.public, md5 s);
+      Alcotest.(check bool) (name ^ " verifies") true
+        (sa.Sigalg.verify ~public:kp.Sigalg.public ~msg:"pins" s);
+      Alcotest.(check int) (name ^ ": verify took every entry") 0
+        (Crypto.Memo.length memo))
+    sig_pins
+
+(* one flipped byte (first, middle, last) or a truncation *)
+let tampered s =
+  let flip i =
+    let b = Bytes.of_string s in
+    Bytes.set b i (Char.chr (Char.code s.[i] lxor 0x01));
+    Bytes.to_string b
+  in
+  let n = String.length s in
+  [ ("first byte", flip 0); ("middle byte", flip (n / 2));
+    ("last byte", flip (n - 1)); ("truncated", String.sub s 0 (n - 1)) ]
+
+(* A tampered ciphertext or signature, checked against the memo its
+   producer filled, gets what it gets alone: the implicit-rejection
+   secret, or false. *)
+let test_shared_memo_tampering () =
+  List.iter
+    (fun (k : Kem.t) ->
+      let name = k.Kem.name in
+      let alone = Kem.mocked k in
+      let rng = Crypto.Drbg.create ~seed:("tamper/" ^ name) in
+      let kp = alone.Kem.keygen rng in
+      let ct, ss = alone.Kem.encaps rng kp.Kem.public in
+      List.iter
+        (fun (what, bad) ->
+          (* the producer's entries, as the server leaves them *)
+          let memo = Crypto.Memo.create () in
+          let shared = Kem.share memo alone in
+          let rng = Crypto.Drbg.create ~seed:("tamper/" ^ name) in
+          let kp' = shared.Kem.keygen rng in
+          ignore (shared.Kem.encaps rng kp'.Kem.public);
+          let got = shared.Kem.decaps kp.Kem.secret bad in
+          Alcotest.(check string) (name ^ ", " ^ what ^ ": rejection secret")
+            (md5 (alone.Kem.decaps kp.Kem.secret bad)) (md5 got);
+          Alcotest.(check bool) (name ^ ", " ^ what ^ ": not the secret") false
+            (got = ss))
+        (tampered ct))
+    Registry.kems;
+  List.iter
+    (fun (sa : Sigalg.t) ->
+      let name = sa.Sigalg.name in
+      let alone = Sigalg.mocked sa in
+      let kp = alone.Sigalg.keygen (Crypto.Drbg.create ~seed:("tamper/" ^ name)) in
+      let sign memo =
+        (Sigalg.share memo alone).Sigalg.sign
+          (Crypto.Drbg.create ~seed:"unused") ~secret:kp.Sigalg.secret "m"
+      in
+      List.iter
+        (fun (what, bad) ->
+          let memo = Crypto.Memo.create () in
+          ignore (sign memo);
+          Alcotest.(check bool) (name ^ ", " ^ what ^ ": rejected") false
+            ((Sigalg.share memo alone).Sigalg.verify ~public:kp.Sigalg.public
+               ~msg:"m" bad))
+        (tampered (sign (Crypto.Memo.create ()))))
+    Registry.sigs
+
+(* A checker that finds nothing derives alone and puts nothing. *)
+let test_shared_memo_misses () =
+  let memo = Crypto.Memo.create () in
+  let rng = Crypto.Drbg.create ~seed:"misses" in
+  let kem = Kem.mocked (Registry.find_kem "hqc128") in
+  let kp = kem.Kem.keygen rng in
+  let ct, ss = kem.Kem.encaps rng kp.Kem.public in
+  Alcotest.(check string) "decaps on an empty memo" ss
+    ((Kem.share memo kem).Kem.decaps kp.Kem.secret ct);
+  let sa = Sigalg.mocked (Registry.find_sig "falcon512") in
+  let skp = sa.Sigalg.keygen rng in
+  let s = sa.Sigalg.sign rng ~secret:skp.Sigalg.secret "m" in
+  Alcotest.(check bool) "verify on an empty memo" true
+    ((Sigalg.share memo sa).Sigalg.verify ~public:skp.Sigalg.public ~msg:"m" s);
+  Alcotest.(check int) "the memo stays empty" 0 (Crypto.Memo.length memo);
+  (* only algorithms on Sim_suites are rebound *)
+  let real = Registry.find_kem "kyber512" in
+  Alcotest.(check bool) "a real KEM is returned as it is" true
+    (Kem.share memo real == real)
+
 let suites =
   [ ( "pqc-zoo",
       [ Alcotest.test_case "registry counts and spellings" `Quick test_registry_counts;
@@ -398,4 +515,10 @@ let suites =
         Alcotest.test_case "cost table coverage" `Quick test_costs_total;
         Alcotest.test_case "level grouping" `Quick test_levels;
         Alcotest.test_case "sim suites" `Quick test_sim_suites;
-        Alcotest.test_case "mocked output pins" `Quick test_mocked_pins ] ) ]
+        Alcotest.test_case "mocked output pins" `Quick test_mocked_pins;
+        Alcotest.test_case "shared memo: output pins" `Quick
+          test_shared_memo_pins;
+        Alcotest.test_case "shared memo: tampering rejected" `Quick
+          test_shared_memo_tampering;
+        Alcotest.test_case "shared memo: misses put nothing" `Quick
+          test_shared_memo_misses ] ) ]

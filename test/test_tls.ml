@@ -319,9 +319,10 @@ let test_binder_mac () =
   let rng = Crypto.Drbg.create ~seed:"tls-binder" in
   let psk = Crypto.Drbg.generate rng 32 in
   let binder_of psk ch =
-    let early = Tls.Key_schedule.early_secret ~psk () in
-    Tls.Key_schedule.binder_mac
-      ~binder_key:(Tls.Key_schedule.binder_key ~early_secret:early)
+    let memo = Crypto.Memo.create () in
+    let early = Tls.Key_schedule.early_secret ~memo ~psk () in
+    Tls.Key_schedule.binder_mac ~memo
+      ~binder_key:(Tls.Key_schedule.binder_key ~memo ~early_secret:early)
       ~truncated_transcript_hash:
         (Crypto.Sha256.digest (Tls.Messages.truncated_client_hello ch))
   in
@@ -644,7 +645,7 @@ let test_handshake_sizes_scale () =
    [?resume] a full handshake issues a ticket and a resumed one follows:
    [`Psk] resumes without 0-RTT or a new ticket (the farm's shape),
    [`Psk_0rtt] sends early data and takes a new ticket (the mixes'). *)
-let wire_flow ?(buffering = Tls.Config.Optimized_push) ?(wrong_share = false)
+let flow_results ?(buffering = Tls.Config.Optimized_push) ?(wrong_share = false)
     ?chain_profile ?resume kem_name sig_name =
   let engine = Netsim.Engine.create () in
   let tap = Netsim.Tap.create () in
@@ -679,18 +680,24 @@ let wire_flow ?(buffering = Tls.Config.Optimized_push) ?(wrong_share = false)
     let early = mode = `Psk_0rtt in
     handshake ~resume:s ~early_data:early ~issue_ticket:early
       (Crypto.Drbg.fork rng "resumed"));
-  let entries = Netsim.Tap.entries tap in
+  (Netsim.Tap.entries tap, List.rev !results)
+
+let wire_flow ?buffering ?wrong_share ?chain_profile ?resume kem_name sig_name =
+  let entries, results =
+    flow_results ?buffering ?wrong_share ?chain_profile ?resume kem_name
+      sig_name
+  in
   ( Digest.to_hex (Digest.string (Netsim.Pcap.of_entries entries)),
     String.concat " "
       (List.concat_map
          (fun e -> List.map snd e.Netsim.Tap.packet.Netsim.Packet.marks)
          entries),
     String.concat "; "
-      (List.rev_map
+      (List.map
          (fun r ->
            Printf.sprintf "%h %h %d" r.Tls.Handshake.client_finished_at
              r.Tls.Handshake.server_finished_at r.Tls.Handshake.early_data_bytes)
-         !results) )
+         results) )
 
 let wire_pins =
   let kyber_dilithium ?buffering ?wrong_share ?chain_profile ?resume () =
@@ -742,6 +749,27 @@ let test_wire_pins () =
       Alcotest.(check string) (name ^ ": marks") marks marks';
       Alcotest.(check string) (name ^ ": finished") finished finished')
     wire_pins
+
+(* What each flow leaves in its connection memo: a value one side put
+   and the other never took. Every handshake leaves the client's server
+   application traffic secret unless a ticket makes the server derive
+   it too; the resumed handshakes take the binder and early-traffic
+   derivations the client put. *)
+let test_memo_left () =
+  List.iter
+    (fun (name, run, expected) ->
+      Alcotest.(check (list int)) name expected
+        (List.map (fun r -> r.Tls.Handshake.memo_left) (snd (run ()))))
+    [ ("full", (fun () -> flow_results "kyber768" "dilithium3"), [ 1 ]);
+      ( "hello retry",
+        (fun () -> flow_results ~wrong_share:true "kyber768" "dilithium3"),
+        [ 1 ] );
+      ( "ticket then resumption",
+        (fun () -> flow_results ~resume:`Psk "kyber768" "dilithium3"),
+        [ 0; 1 ] );
+      ( "resumption with 0-RTT",
+        (fun () -> flow_results ~resume:`Psk_0rtt "kyber768" "dilithium3"),
+        [ 0; 0 ] ) ]
 
 let test_codec_inbound () =
   (* records split across arbitrary TCP chunk boundaries *)
@@ -911,6 +939,7 @@ let suites =
         Alcotest.test_case "sizes scale with algorithms" `Quick
           test_handshake_sizes_scale;
         Alcotest.test_case "handshake wire pins" `Quick test_wire_pins;
+        Alcotest.test_case "connection memo left" `Quick test_memo_left;
         QCheck_alcotest.to_alcotest
           (QCheck.Test.make ~name:"shared transcript = unshared" ~count:100
              shared_transcript_case shared_transcript_prop);
