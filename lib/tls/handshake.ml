@@ -28,9 +28,9 @@ let charge host op k = charge_n host op 1 k
 
 let ccs_record = Wire.record Wire.Content_type.Change_cipher_spec "\x01"
 
-let make_record ?memo cfg traffic_secret =
+let make_record ~memo cfg traffic_secret =
   if cfg.Config.null_records then Record.create_null ()
-  else Record.create (K.traffic_keys ?memo traffic_secret)
+  else Record.create (K.traffic_keys ~memo traffic_secret)
 
 (* 0-RTT protection, the same on both sides: the client early traffic
    keys, derived over the ClientHello alone *)
@@ -53,7 +53,7 @@ let early_data_size = 256
 
 let stek_record ~config ~ticket_key =
   let secret = Crypto.Hkdf.extract K.hash ~salt:"pqtls stek" ~ikm:ticket_key in
-  make_record config secret
+  make_record ~memo:(Crypto.Memo.create ()) config secret
 
 let seal_ticket ~config ~ticket_key psk =
   Record.seal
