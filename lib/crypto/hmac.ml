@@ -1,5 +1,6 @@
 [@@@lint.kernel
-  "pad's buffer is created locally, and unsafe_to_string takes it after its last write"]
+  "pad's buffer is created locally, and unsafe_to_string takes it after \
+   its last write"]
 
 type hash = {
   digest_size : int;

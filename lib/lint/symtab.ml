@@ -213,7 +213,8 @@ let resolve t ~file ?scope ?loc dotted =
       | None -> None
       | Some l ->
         List.find_map
-          (fun (o, a, m) -> if a = first && Walk.within o l then Some m else None)
+          (fun (o, a, m) ->
+            if a = first && Walk.within o l then Some m else None)
           (Option.value ~default:[] (Hashtbl.find_opt t.t_local_aliases file))
     in
     let expanded =

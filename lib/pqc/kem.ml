@@ -164,6 +164,7 @@ let on_sim_suites memo k =
   { k with sim_suites = true; keygen; encaps; decaps }
 
 let mocked k =
-  if k.mocked then k else on_sim_suites Crypto.Memo.create { k with mocked = true }
+  if k.mocked then k
+  else on_sim_suites Crypto.Memo.create { k with mocked = true }
 
 let share memo k = if k.sim_suites then on_sim_suites (fun () -> memo) k else k

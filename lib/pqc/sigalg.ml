@@ -177,6 +177,7 @@ let on_sim_suites memo s =
   { s with sim_suites = true; keygen; sign; verify }
 
 let mocked s =
-  if s.mocked then s else on_sim_suites Crypto.Memo.create { s with mocked = true }
+  if s.mocked then s
+  else on_sim_suites Crypto.Memo.create { s with mocked = true }
 
 let share memo s = if s.sim_suites then on_sim_suites (fun () -> memo) s else s

@@ -20,7 +20,10 @@
     a fresh one. Outputs are the same bytes either way. *)
 
 val kem_keygen :
-  Crypto.Memo.t -> Crypto.Drbg.t -> pk_len:int -> (* pk *) string * (* sk *) string
+  Crypto.Memo.t ->
+  Crypto.Drbg.t ->
+  pk_len:int ->
+  (* pk *) string * (* sk *) string
 
 val kem_encaps :
   Crypto.Memo.t ->
@@ -31,14 +34,25 @@ val kem_encaps :
   string * string
 
 val kem_decaps :
-  Crypto.Memo.t -> sk:string -> ct:string -> pk_len:int -> ct_len:int -> ss_len:int -> string
+  Crypto.Memo.t ->
+  sk:string ->
+  ct:string ->
+  pk_len:int ->
+  ct_len:int ->
+  ss_len:int ->
+  string
 (** Implicit rejection: a corrupted ciphertext, or one that is not
     [ct_len] bytes long, gives a pseudorandom secret. *)
 
 val sig_keygen : Crypto.Memo.t -> Crypto.Drbg.t -> pk_len:int -> string * string
 
 val sig_sign :
-  Crypto.Memo.t -> sk:string -> msg:string -> sig_len:int -> pk_len:int -> string
+  Crypto.Memo.t ->
+  sk:string ->
+  msg:string ->
+  sig_len:int ->
+  pk_len:int ->
+  string
 
 val sig_verify :
   Crypto.Memo.t -> pk:string -> msg:string -> sig_len:int -> string -> bool

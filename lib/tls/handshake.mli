@@ -82,7 +82,8 @@ val run :
     each handshake byte is hashed once, and each mocked KEM or
     signature output and key-schedule secret or MAC that both need is
     derived once ({!Pqc.Kem.share}, {!Pqc.Sigalg.share}). Outputs,
-    virtual time and every check are as if each side derived alone. [?resume] offers the session's PSK (psk_dhe_ke);
+    virtual time and every check are as if each side derived alone.
+    [?resume] offers the session's PSK (psk_dhe_ke);
     [?early_data] additionally sends 0-RTT data (needs [?resume]);
     [?issue_ticket] has the server send a NewSessionTicket after the
     handshake, delivered to [?on_ticket] — the client then counts as

@@ -38,12 +38,18 @@ val binder_key : memo:Crypto.Memo.t -> early_secret:string -> string
 (** Derive-Secret(early, "res binder", "") for resumption PSKs. *)
 
 val binder_mac :
-  memo:Crypto.Memo.t -> binder_key:string -> truncated_transcript_hash:string -> string
+  memo:Crypto.Memo.t ->
+  binder_key:string ->
+  truncated_transcript_hash:string ->
+  string
 (** The PskBinderEntry MAC (section 4.2.11.2): a Finished-style HMAC over
     the hash of the ClientHello truncated before the binders list. *)
 
 val client_early_traffic :
-  memo:Crypto.Memo.t -> early_secret:string -> client_hello_hash:string -> string
+  memo:Crypto.Memo.t ->
+  early_secret:string ->
+  client_hello_hash:string ->
+  string
 (** Derive-Secret(early, "c e traffic", CH) — keys 0-RTT application data. *)
 
 val handshake_secrets :
@@ -82,10 +88,16 @@ val application_secrets :
 (** [(client_app_traffic, server_app_traffic)], outside a connection. *)
 
 val resumption_master :
-  memo:Crypto.Memo.t -> master:string -> finished_transcript_hash:string -> string
+  memo:Crypto.Memo.t ->
+  master:string ->
+  finished_transcript_hash:string ->
+  string
 (** Derive-Secret(master, "res master", transcript incl. client Finished). *)
 
 val resumption_psk :
-  memo:Crypto.Memo.t -> resumption_master:string -> ticket_nonce:string -> string
+  memo:Crypto.Memo.t ->
+  resumption_master:string ->
+  ticket_nonce:string ->
+  string
 (** The PSK bound to one NewSessionTicket: HKDF-Expand-Label(res master,
     "resumption", ticket_nonce) (section 4.6.1). *)

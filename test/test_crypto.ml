@@ -455,7 +455,8 @@ let test_memo () =
   let derive () = incr calls; String.make 8 'd' in
   let a = Memo.once m ~tag:"o" [ "x" ] 8 derive in
   let b = Memo.once m ~tag:"o" [ "x" ] 8 derive in
-  Alcotest.(check (pair string int)) "once: derive, then take" (a, 1) (b, !calls);
+  Alcotest.(check (pair string int))
+    "once: derive, then take" (a, 1) (b, !calls);
   Alcotest.(check int) "once leaves nothing behind" 0 (Memo.length m)
 
 (* ---- property tests --------------------------------------------------------- *)
