@@ -1,7 +1,8 @@
 (** A minimal X.509-shaped certificate: a TBS blob (names, validity,
     serial, the subject public key) signed by an issuer. Field framing
     plus a fixed DER-overhead pad keep encoded sizes close to what
-    OpenSSL emits for the same key/signature algorithm. *)
+    OpenSSL emits for the same key/signature algorithm. {!Chain.make}
+    issues every certificate. *)
 
 type t = {
   subject : string;
@@ -12,26 +13,15 @@ type t = {
   signature : string;
 }
 
-type chain = { leaf : t; ca_public_key : string }
-
-val make_chain : Pqc.Sigalg.t -> Crypto.Drbg.t -> chain * Pqc.Sigalg.keypair
-(** Builds a CA keypair and a leaf certificate for a fresh server keypair,
-    both using the given algorithm (the paper's per-SA certificates).
-    Returns the chain and the server's keypair. *)
-
-val encode : t -> string
-
 val encode_parts : t -> string list
-(** [encode] as a list of parts, for a message encoder that concatenates
-    the whole message in one allocation. *)
+(** The encoding as a list of parts ({!Wire.vec8} and friends), for a
+    message encoder that concatenates the whole message once. *)
 
-val decode : string -> t
-
-val verify : chain -> Pqc.Sigalg.t -> bool
-(** Check the leaf signature against the CA public key. *)
+val decode : Wire.Reader.t -> t
+(** Reads one certificate, which must fill the cursor's range (a
+    CertificateEntry's cert_data).
+    @raise Wire.Decode_error on a malformed or trailing field. *)
 
 val tbs : t -> string
 (** The signed portion, for verification. *)
 
-val der_overhead : int
-(** Byte count of the serial/validity/extensions stand-in pad. *)

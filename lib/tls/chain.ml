@@ -3,11 +3,10 @@ type t = {
   issuers : Pqc.Sigalg.t list;
   leaf_alg : Pqc.Sigalg.t;
   anchor_key : string;
-  anchor_alg : string;
-  profile : Chain_profile.t;
 }
 
-let pad () = String.make Certificate.der_overhead '\x5a'
+(* serial, validity, SKI/AKI, basicConstraints etc. in a real DER cert *)
+let der_pad = String.make 10 '\x5a'
 
 let resolve leaf_alg = function
   | Chain_profile.Leaf_alg -> leaf_alg
@@ -16,73 +15,58 @@ let resolve leaf_alg = function
     if leaf_alg.Pqc.Sigalg.mocked then Pqc.Sigalg.mocked a else a
 
 let make profile ~leaf:alg rng =
-  if Chain_profile.is_default profile then
-    (* the pre-chain path, byte for byte: same DRBG draws, same leaf *)
-    let c, server = Certificate.make_chain alg rng in
-    ( { certs = [ c.Certificate.leaf ];
-        issuers = [ alg ];
-        leaf_alg = alg;
-        anchor_key = c.Certificate.ca_public_key;
-        anchor_alg = alg.Pqc.Sigalg.name;
-        profile },
-      server )
-  else
-    let root_alg = resolve alg profile.Chain_profile.root in
-    let int_algs = List.map (resolve alg) profile.Chain_profile.intermediates in
-    let n = List.length int_algs in
-    (* deterministic DRBG stream: root keygen, intermediate keygens
-       top-down, server keygen, then signatures top-down *)
-    let root_kp = root_alg.Pqc.Sigalg.keygen rng in
-    let ints_top_down =
-      List.rev int_algs
-      |> List.mapi (fun i (a : Pqc.Sigalg.t) ->
-             ( Printf.sprintf "ca%d.pqtls.example" (n - i),
-               a,
-               a.Pqc.Sigalg.keygen rng ))
+  let root_alg = resolve alg profile.Chain_profile.root in
+  let int_algs = List.map (resolve alg) profile.Chain_profile.intermediates in
+  let n = List.length int_algs in
+  (* deterministic DRBG stream: root keygen, intermediate keygens
+     top-down, server keygen, then signatures top-down *)
+  let root_kp = root_alg.Pqc.Sigalg.keygen rng in
+  let ints_top_down =
+    List.rev int_algs
+    |> List.mapi (fun i (a : Pqc.Sigalg.t) ->
+           ( Printf.sprintf "ca%d.pqtls.example" (n - i),
+             a,
+             a.Pqc.Sigalg.keygen rng ))
+  in
+  let server = alg.Pqc.Sigalg.keygen rng in
+  let issue (issuer_name, (issuer_alg : Pqc.Sigalg.t), issuer_kp) ~subject
+      ~public =
+    let unsigned =
+      { Certificate.subject;
+        issuer = issuer_name;
+        algorithm = issuer_alg.Pqc.Sigalg.name;
+        public_key = public;
+        tbs_extra = der_pad;
+        signature = "" }
     in
-    let server = alg.Pqc.Sigalg.keygen rng in
-    let issue (issuer_name, (issuer_alg : Pqc.Sigalg.t), issuer_kp) ~subject
-        ~public =
-      let unsigned =
-        { Certificate.subject;
-          issuer = issuer_name;
-          algorithm = issuer_alg.Pqc.Sigalg.name;
-          public_key = public;
-          tbs_extra = pad ();
-          signature = "" }
-      in
-      let signature =
-        issuer_alg.Pqc.Sigalg.sign rng
-          ~secret:issuer_kp.Pqc.Sigalg.secret
-          (Certificate.tbs unsigned)
-      in
-      { unsigned with Certificate.signature }
+    let signature =
+      issuer_alg.Pqc.Sigalg.sign rng
+        ~secret:issuer_kp.Pqc.Sigalg.secret
+        (Certificate.tbs unsigned)
     in
-    (* walk top-down issuing each intermediate; returns the intermediate
-       certificates in wire (leaf-first) order plus the leaf's issuer *)
-    let rec go issuer = function
-      | [] -> (issuer, [])
-      | ((subject, _, kp) as level) :: lower ->
-        let cert =
-          issue issuer ~subject ~public:kp.Pqc.Sigalg.public
-        in
-        let leaf_issuer, below = go level lower in
-        (leaf_issuer, below @ [ cert ])
-    in
-    let leaf_issuer, int_certs =
-      go ("root.pqtls.example", root_alg, root_kp) ints_top_down
-    in
-    let leaf =
-      issue leaf_issuer ~subject:"server.pqtls.example"
-        ~public:server.Pqc.Sigalg.public
-    in
-    ( { certs = leaf :: int_certs;
-        issuers = int_algs @ [ root_alg ];
-        leaf_alg = alg;
-        anchor_key = root_kp.Pqc.Sigalg.public;
-        anchor_alg = root_alg.Pqc.Sigalg.name;
-        profile },
-      server )
+    { unsigned with Certificate.signature }
+  in
+  (* walk top-down issuing each intermediate; returns the intermediate
+     certificates in wire (leaf-first) order plus the leaf's issuer *)
+  let rec go issuer = function
+    | [] -> (issuer, [])
+    | ((subject, _, kp) as level) :: lower ->
+      let cert = issue issuer ~subject ~public:kp.Pqc.Sigalg.public in
+      let leaf_issuer, below = go level lower in
+      (leaf_issuer, below @ [ cert ])
+  in
+  (* a lone CA keeps the leaf-only setup's name *)
+  let root_name = if n = 0 then "ca.pqtls.example" else "root.pqtls.example" in
+  let leaf_issuer, int_certs = go (root_name, root_alg, root_kp) ints_top_down in
+  let leaf =
+    issue leaf_issuer ~subject:"server.pqtls.example"
+      ~public:server.Pqc.Sigalg.public
+  in
+  ( { certs = leaf :: int_certs;
+      issuers = int_algs @ [ root_alg ];
+      leaf_alg = alg;
+      anchor_key = root_kp.Pqc.Sigalg.public },
+    server )
 
 let leaf t = List.hd t.certs
 let wire_certs t = t.certs
@@ -113,9 +97,9 @@ let verify_against ~local received =
   walk received local.issuers
 
 let verify t = verify_against ~local:t t.certs
-[@@lint.allow "M2" "test: tls chain verification and chain default \
-                    identity: a generated hierarchy verifies against its \
-                    own anchor"]
+[@@lint.allow "M2" "test: tls certificate chain, chain verification and \
+                    chain default identity: a generated hierarchy verifies \
+                    against its own anchor"]
 
 type level_stat = {
   lv_name : string;
@@ -138,7 +122,8 @@ let levels t =
       { lv_name = (if i = 0 then "leaf" else Printf.sprintf "int%d" i);
         lv_subject_sa = subject_sa;
         lv_issuer_sa = iss.Pqc.Sigalg.name;
-        lv_bytes = String.length (Certificate.encode c) + entry_overhead;
+        lv_bytes =
+          Wire.parts_length (Certificate.encode_parts c) + entry_overhead;
         lv_verify_ms =
           (Pqc.Costs.sig_ iss.Pqc.Sigalg.name).Pqc.Costs.verify.Pqc.Costs.ms
       })

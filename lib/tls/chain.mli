@@ -4,8 +4,8 @@
 
     The wire carries the leaf plus the intermediates (leaf first, RFC 8446
     section 4.4.2 order); the root stays in the trust store as
-    [anchor_key]. The [default] profile reproduces the pre-chain
-    behaviour exactly — same DRBG draws, same lone leaf certificate. *)
+    [anchor_key]. The [default] profile is a lone CA that signs the leaf:
+    CA keygen, server keygen, one signature. *)
 
 type t = {
   certs : Certificate.t list;  (** wire order, leaf first; root not sent *)
@@ -13,8 +13,6 @@ type t = {
       (** same length as [certs]: the algorithm that signed each one *)
   leaf_alg : Pqc.Sigalg.t;  (** the campaign SA (signs the handshake) *)
   anchor_key : string;  (** trust-anchor public key (root, or lone CA) *)
-  anchor_alg : string;
-  profile : Chain_profile.t;
 }
 
 val make :
@@ -23,7 +21,9 @@ val make :
   Crypto.Drbg.t ->
   t * Pqc.Sigalg.keypair
 (** Deterministically generates every level's keypair and issues the
-    chain top-down; returns the chain and the leaf (server) keypair.
+    chain top-down; returns the chain and the leaf (server) keypair. The
+    root is [ca.pqtls.example] with no intermediates, else
+    [root.pqtls.example].
     CA-level algorithms are wrapped {!Pqc.Sigalg.mocked} whenever the
     leaf algorithm is mocked, keeping mocked==real byte-identity. *)
 
@@ -49,9 +49,6 @@ type level_stat = {
   lv_bytes : int;  (** CertificateEntry bytes incl. per-entry framing *)
   lv_verify_ms : float;  (** Table 3 verify cost for the issuing SA *)
 }
-
-val entry_overhead : int
-(** Per-entry framing bytes: vec24 length prefix + empty extensions. *)
 
 val levels : t -> level_stat list
 val wire_bytes : t -> int

@@ -158,16 +158,16 @@ let finish_step p =
 
 (* RFC 8446 section 4.2.11.2, for the client building its offer and the
    server checking it: [k ~early_secret binder] gets the early secret and
-   the binder MAC over [ch] truncated before its binders list *)
-let psk_binder (p : peer) ~psk ch k =
+   the binder MAC over [truncated], the ClientHello bytes before its
+   binders list *)
+let psk_binder (p : peer) ~psk truncated k =
   charge_n p.host Pqc.Costs.key_schedule_derive 3 @@ fun () ->
   let memo = p.memo in
   let early_secret = K.early_secret ~memo ~psk () in
   let binder_key = K.binder_key ~memo ~early_secret in
   k ~early_secret
     (K.binder_mac ~memo ~binder_key
-       ~truncated_transcript_hash:
-         (K.hash.Crypto.Hmac.digest (M.truncated_client_hello ch)))
+       ~truncated_transcript_hash:(K.hash.Crypto.Hmac.digest truncated))
 
 (* Section 4.6.1, the same on both sides: the PSK a NewSessionTicket
    binds, under the res master over the transcript through the client
@@ -402,7 +402,8 @@ let server_on_client_hello ctx (p : peer) msg =
     let psk =
       open_ticket ~config:cfg ~ticket_key:ctx.s_ticket_key offer.M.psk_identity
     in
-    psk_binder p ~psk ch @@ fun ~early_secret binder ->
+    psk_binder p ~psk (M.truncated_client_hello msg)
+    @@ fun ~early_secret binder ->
     if not (Crypto.Bytesx.equal_ct offer.M.psk_binder binder) then
       raise (Wire.Decode_error "PSK binder mismatch");
     server_flight ctx p msg ch ~psk
@@ -503,8 +504,9 @@ let plain_hello ctx ~group ~share =
     early_data = false }
 
 (* C_init: once TCP is up, the ClientHello with the pre-computed share;
-   when resuming, a psk_dhe_ke offer whose binder covers the CH with a
-   same-length placeholder binder (section 4.2.11.2), then any 0-RTT data *)
+   when resuming, a psk_dhe_ke offer encoded once with a placeholder
+   binder, truncated before its binders list and closed with the binder
+   over those bytes (section 4.2.11.2), then any 0-RTT data *)
 let client_hello ctx (p : peer) ~group ~share =
   charge p.host Pqc.Costs.build_client_finished @@ fun () ->
   ctx.c_session_id <- Crypto.Drbg.generate ctx.c_rng 32;
@@ -512,18 +514,19 @@ let client_hello ctx (p : peer) ~group ~share =
   match ctx.c_resume with
   | None -> send_plain p "CH" (M.encode_client_hello base)
   | Some s ->
-    let offer binder =
-      { base with
-        M.psk_offer =
-          Some
-            { M.psk_identity = s.ticket;
-              psk_obfuscated_age = s.age_add;
-              psk_binder = binder };
-        early_data = ctx.c_early_data }
+    let truncated =
+      M.truncated_client_hello
+        (M.encode_client_hello
+           { base with
+             M.psk_offer =
+               Some
+                 { M.psk_identity = s.ticket;
+                   psk_obfuscated_age = s.age_add;
+                   psk_binder = String.make 32 '\000' };
+             early_data = ctx.c_early_data })
     in
-    psk_binder p ~psk:s.psk (offer (String.make 32 '\000'))
-    @@ fun ~early_secret binder ->
-    let ch = M.encode_client_hello (offer binder) in
+    psk_binder p ~psk:s.psk truncated @@ fun ~early_secret binder ->
+    let ch = M.close_client_hello truncated binder in
     send_plain p "CH" ch;
     if ctx.c_early_data then begin
       charge p.host Pqc.Costs.key_schedule_derive @@ fun () ->

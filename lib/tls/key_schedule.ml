@@ -26,9 +26,9 @@ let hkdf_expand_label ?(memo = Crypto.Memo.create ()) ~secret ~label ~context
   Crypto.Memo.once memo ~tag:"expand-label" [ secret; label; context ] len
     (fun () ->
       let hkdf_label =
-        Crypto.Bytesx.u16_be len
-        ^ Wire.vec8 ("tls13 " ^ label)
-        ^ Wire.vec8 context
+        String.concat ""
+          (Crypto.Bytesx.u16_be len :: Wire.vec8 [ "tls13 "; label ]
+          @ Wire.vec8 [ context ])
       in
       Crypto.Hkdf.expand hash ~prk:secret ~info:hkdf_label len)
 

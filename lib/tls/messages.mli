@@ -1,6 +1,9 @@
 (** TLS 1.3 handshake message codecs (RFC 8446 section 4), carrying the
     fields this study needs and realistic extension framing for the rest
-    so that message sizes track a real OpenSSL handshake. *)
+    so that message sizes track a real OpenSSL handshake. Encoders lay a
+    message out as one list of parts; decoders read it in place through
+    one {!Wire.Reader.t}, read an extension block once and reject a
+    repeated type (section 4.2). Decoders raise only {!Wire.Decode_error}. *)
 
 type psk_offer = {
   psk_identity : string;  (** the opaque (STEK-sealed) ticket *)
@@ -38,20 +41,24 @@ type new_session_ticket = {
 type certificate_verify = { cv_algorithm : string; cv_signature : string }
 
 val encode_client_hello : client_hello -> string
-(** The full handshake message (header included). When a PSK is offered
-    the encoder asserts that pre_shared_key is the last extension
-    (RFC 8446 section 4.2.11) and drops the legacy session_ticket stub. *)
+(** The full handshake message (header included). With a PSK offer the
+    legacy session_ticket stub is dropped and pre_shared_key is appended
+    last (RFC 8446 section 4.2.11); the binder must be 32 bytes. *)
 
 val decode_client_hello : string -> client_hello
 (** @raise Wire.Decode_error if a pre_shared_key extension is present
-    but not last. *)
-
-val truncated_client_hello : client_hello -> string
-(** The encoded ClientHello minus the binders list — the transcript the
-    binder MAC covers (section 4.2.11.2). Only valid with a PSK offer. *)
+    but not last, or if an extension type repeats. *)
 
 val binders_length : int
-(** Wire size of the single-entry binders list the truncation removes. *)
+(** Wire size of the single-entry binders list of a 32-byte binder. *)
+
+val truncated_client_hello : string -> string
+(** An encoded ClientHello with a PSK offer minus its binders list: the
+    bytes the binder MAC covers (section 4.2.11.2). *)
+
+val close_client_hello : string -> string -> string
+(** [close_client_hello truncated binder] appends the binders list of a
+    32-byte binder: the encoding of the same offer with that binder. *)
 
 val encode_server_hello : server_hello -> string
 val decode_server_hello : string -> server_hello
@@ -68,13 +75,6 @@ val encode_certificate_chain : Certificate.t list -> string
 val decode_certificate_chain : string -> Certificate.t list
 (** @raise Wire.Decode_error on an empty certificate_list. *)
 
-val encode_certificate : Certificate.t -> string
-(** [encode_certificate_chain] of the single leaf — byte-identical to the
-    historical single-entry encoding (asserted in tests). *)
-
-val decode_certificate : string -> Certificate.t
-(** @raise Wire.Decode_error unless the list has exactly one entry. *)
-
 val encode_certificate_verify : certificate_verify -> string
 val decode_certificate_verify : string -> certificate_verify
 
@@ -89,8 +89,4 @@ val encode_end_of_early_data : unit -> string
 
 val encode_finished : string -> string
 val decode_finished : string -> string
-
-val body : string -> string
-(** Strip the 4-byte handshake header. *)
-
 val handshake_type : string -> Wire.Handshake_type.t

@@ -1,20 +1,18 @@
 exception Decode_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+let parts_length parts = List.fold_left (fun n s -> n + String.length s) 0 parts
 
-(* the big-endian [width]-byte length prefix of a [len]-byte vector *)
-let prefix ~width len =
+(* the big-endian [width]-byte length prefix, then the parts *)
+let vec ~width parts =
+  let len = parts_length parts in
   if len lsr (8 * width) <> 0 then fail "vec%d overflow" (8 * width);
   String.init width (fun i -> Char.chr ((len lsr (8 * (width - 1 - i))) land 0xff))
+  :: parts
 
-let prefix16 len = prefix ~width:2 len
-let prefix24 len = prefix ~width:3 len
-let vec8 s = prefix ~width:1 (String.length s) ^ s
-let vec16 s = prefix16 (String.length s) ^ s
-let vec24 s = prefix24 (String.length s) ^ s
-[@@lint.allow "M2" "test: tls wire vectors: the 24-bit length prefix that \
-                    Certificate entries carry through prefix24"]
-let parts_length parts = List.fold_left (fun n s -> n + String.length s) 0 parts
+let vec8 parts = vec ~width:1 parts
+let vec16 parts = vec ~width:2 parts
+let vec24 parts = vec ~width:3 parts
 
 module Content_type = struct
   type t = Change_cipher_spec | Alert | Handshake | Application_data
@@ -85,45 +83,41 @@ module Handshake_type = struct
     | Finished -> "FIN"
 end
 
-let handshake_parts ty body =
-  let b = Bytes.create 4 in
-  let len = parts_length body in
-  Bytes.set_uint8 b 0 (Handshake_type.to_byte ty);
-  Bytes.set_uint8 b 1 (len lsr 16);
-  Bytes.set_uint16_be b 2 (len land 0xffff);
-  String.concat "" (Bytes.to_string b :: body)
-
-let handshake ty body = handshake_parts ty [ body ]
+let handshake ty body =
+  String.concat ""
+    (String.make 1 (Char.chr (Handshake_type.to_byte ty)) :: vec24 body)
 
 module Reader = struct
-  type t = { data : string; mutable pos : int }
+  (* the unread bytes are [data.[pos .. stop)] *)
+  type t = { data : string; mutable pos : int; stop : int }
 
-  let of_string data = { data; pos = 0 }
-  let remaining t = String.length t.data - t.pos
+  let of_string data = { data; pos = 0; stop = String.length data }
+  let remaining t = t.stop - t.pos
 
-  let bytes t n =
+  (* the offset of the next [n] bytes, which the cursor moves past *)
+  let take t n =
     if remaining t < n then fail "short read: want %d have %d" n (remaining t);
-    let s = String.sub t.data t.pos n in
-    t.pos <- t.pos + n;
-    s
+    let at = t.pos in
+    t.pos <- at + n;
+    at
 
-  let u8 t = Char.code (bytes t 1).[0]
-
-  let u16 t =
-    let s = bytes t 2 in
-    (Char.code s.[0] lsl 8) lor Char.code s.[1]
+  let u8 t = String.get_uint8 t.data (take t 1)
+  let u16 t = String.get_uint16_be t.data (take t 2)
 
   let u24 t =
-    let s = bytes t 3 in
-    (Char.code s.[0] lsl 16) lor (Char.code s.[1] lsl 8) lor Char.code s.[2]
+    let at = take t 3 in
+    (String.get_uint8 t.data at lsl 16) lor String.get_uint16_be t.data (at + 1)
 
-  let u32 t =
-    let s = bytes t 4 in
-    (Char.code s.[0] lsl 24)
-    lor (Char.code s.[1] lsl 16)
-    lor (Char.code s.[2] lsl 8)
-    lor Char.code s.[3]
+  let u32 t = Crypto.Bytesx.get_u32_be t.data (take t 4)
+  let bytes t n = String.sub t.data (take t n) n
 
+  let sub t n =
+    let at = take t n in
+    { data = t.data; pos = at; stop = at + n }
+
+  let sub8 t = sub t (u8 t)
+  let sub16 t = sub t (u16 t)
+  let sub24 t = sub t (u24 t)
   let vec8 t = bytes t (u8 t)
   let vec16 t = bytes t (u16 t)
   let vec24 t = bytes t (u24 t)

@@ -1,20 +1,16 @@
 (** TLS wire-format helpers: length-prefixed vectors, record and
     handshake-message framing (RFC 8446 section 3-5), and a bounds-checked
-    cursor for parsing. *)
+    cursor for parsing. A message is a list of parts concatenated once,
+    and is read in place. *)
 
 exception Decode_error of string
 
-val vec8 : string -> string
-val vec16 : string -> string
-val vec24 : string -> string
-(** Length-prefixed opaque vectors.
+val vec8 : string list -> string list
+val vec16 : string list -> string list
+val vec24 : string list -> string list
+(** Length-prefixed opaque vectors: [vec16 parts] is the 2-byte length
+    of [parts], then [parts].
     @raise Decode_error if the vector is too long for its prefix. *)
-
-val prefix16 : int -> string
-val prefix24 : int -> string
-(** [prefix16 len] is the length prefix alone of a [len]-byte vector
-    ([vec16 s] is [prefix16 (String.length s) ^ s]), so an encoder can
-    lay a message out as a list of parts and copy each byte once. *)
 
 val parts_length : string list -> int
 (** Total byte count of a list of parts. *)
@@ -51,12 +47,12 @@ module Handshake_type : sig
   val label : t -> string
 end
 
-val handshake : Handshake_type.t -> string -> string
-(** A handshake message with its 4-byte type+length header. *)
+val handshake : Handshake_type.t -> string list -> string
+(** A handshake message with its 4-byte type+length header, built from
+    the body's parts in one allocation. *)
 
-val handshake_parts : Handshake_type.t -> string list -> string
-(** [handshake ty (String.concat "" parts)], built in one allocation. *)
-
+(** A cursor over a range of one string. A read past its end raises
+    [Decode_error "short read: want <n> have <m>"]. *)
 module Reader : sig
   type t
 
@@ -66,7 +62,15 @@ module Reader : sig
   val u16 : t -> int
   val u24 : t -> int
   val u32 : t -> int
+
   val bytes : t -> int -> string
+
+  val sub8 : t -> t
+  val sub16 : t -> t
+  val sub24 : t -> t
+  (** The next vector's body as a cursor over the same bytes; only
+      [bytes] and [vec8]/[vec16]/[vec24] copy. *)
+
   val vec8 : t -> string
   val vec16 : t -> string
   val vec24 : t -> string

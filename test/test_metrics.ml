@@ -456,6 +456,30 @@ let test_against_paper_gate () =
       Alcotest.(check bool) "issue names the cell" true (has "x25519"))
     issues
 
+(* No bench/perf golden runs a resumption mix or a chain profile, so
+   these pin the report and the metrics artifact of the two smoke
+   campaigns that do, at seed "pqtls", as [run <exp> -q --metrics]
+   writes them: the PSK binder, 0-RTT and ticket paths, and every
+   chain profile's Certificate message. *)
+let test_campaign_pins () =
+  List.iter
+    (fun (name, report_md5, artifact_md5) ->
+      let exec = Exec.create ~jobs:1 ~progress:false () in
+      Metrics.note_experiment exec.Exec.metrics (Catalog.resolve name);
+      let report = Catalog.run ~seed:"pqtls" ~exec name in
+      let artifact =
+        Metrics.to_json_string (Metrics.artifact exec.Exec.metrics ~seed:"pqtls")
+      in
+      let md5 s = Digest.to_hex (Digest.string s) in
+      Alcotest.(check string) (name ^ " report") report_md5 (md5 report);
+      Alcotest.(check string) (name ^ " artifact") artifact_md5 (md5 artifact))
+    [ ( "mixes-smoke",
+        "c736295268ce886df0d30aff272ad305",
+        "9f4f712f20900b3fb8456a5486025441" );
+      ( "chains-smoke",
+        "b42c95e3e8b3909629cc7b280dec6e44",
+        "9836f2eabe05510183502d5c45c47e18" ) ]
+
 let test_schema_version_guard () =
   (match Metrics.of_json_string "{\"schema\": \"pqtls-bench-metrics/99\"}" with
   | Error _ -> ()
@@ -490,4 +514,6 @@ let suites =
           test_failed_cells_in_artifact;
         Alcotest.test_case "against-paper gate" `Slow test_against_paper_gate;
         Alcotest.test_case "schema version guard" `Quick
-          test_schema_version_guard ] ) ]
+          test_schema_version_guard;
+        Alcotest.test_case "campaign pins: mixes-smoke, chains-smoke" `Quick
+          test_campaign_pins ] ) ]

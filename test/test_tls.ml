@@ -7,12 +7,19 @@ let sa name = Pqc.Registry.find_sig name
 (* ---- wire ------------------------------------------------------------------ *)
 
 let test_wire_vectors () =
-  Alcotest.(check string) "vec8" "\x03abc" (Tls.Wire.vec8 "abc");
-  Alcotest.(check string) "vec16" "\x00\x03abc" (Tls.Wire.vec16 "abc");
-  Alcotest.(check string) "vec24" "\x00\x00\x03abc" (Tls.Wire.vec24 "abc");
+  let cat = String.concat "" in
+  Alcotest.(check string) "vec8" "\x03abc" (cat (Tls.Wire.vec8 [ "abc" ]));
+  Alcotest.(check string) "vec16" "\x00\x03abc"
+    (cat (Tls.Wire.vec16 [ "a"; "bc" ]));
+  Alcotest.(check string) "vec24" "\x00\x00\x03abc"
+    (cat (Tls.Wire.vec24 [ "abc" ]));
+  Alcotest.(check string) "nested vectors" "\x00\x05\x03abcd"
+    (cat (Tls.Wire.vec16 (Tls.Wire.vec8 [ "abc" ] @ [ "d" ])));
+  Alcotest.check_raises "vec8 overflow" (Tls.Wire.Decode_error "vec8 overflow")
+    (fun () -> ignore (Tls.Wire.vec8 [ String.make 256 'x' ]));
   let r = Tls.Wire.record Tls.Wire.Content_type.Handshake "hi" in
   Alcotest.(check string) "record header" "\x16\x03\x03\x00\x02hi" r;
-  let m = Tls.Wire.handshake Tls.Wire.Handshake_type.Finished "mac!" in
+  let m = Tls.Wire.handshake Tls.Wire.Handshake_type.Finished [ "ma"; "c!" ] in
   Alcotest.(check string) "handshake header" "\x14\x00\x00\x04mac!" m
 
 let test_reader () =
@@ -22,7 +29,20 @@ let test_reader () =
   Alcotest.(check string) "vec8" "abc" (Tls.Wire.Reader.vec8 r);
   Tls.Wire.Reader.expect_end r;
   Alcotest.check_raises "short read" (Tls.Wire.Decode_error "short read: want 4 have 0")
-    (fun () -> ignore (Tls.Wire.Reader.bytes r 4))
+    (fun () -> ignore (Tls.Wire.Reader.bytes r 4));
+  (* a sub-cursor reads one vector's body in place and ends with it *)
+  let r = Tls.Wire.Reader.of_string "\x00\x06\x01\x02\x03\xff\xff\x00!!" in
+  let v = Tls.Wire.Reader.sub16 r in
+  Alcotest.(check int) "u24" 0x010203 (Tls.Wire.Reader.u24 v);
+  Alcotest.check_raises "sub-cursor ends at its vector"
+    (Tls.Wire.Decode_error "short read: want 4 have 3") (fun () ->
+      ignore (Tls.Wire.Reader.u32 v));
+  Alcotest.(check int) "u24 unsigned" 0xffff00 (Tls.Wire.Reader.u24 v);
+  Tls.Wire.Reader.expect_end v;
+  Alcotest.(check string) "outer cursor moved past the vector" "!!"
+    (Tls.Wire.Reader.bytes r 2);
+  Alcotest.(check int) "u32 unsigned" 0xffffff00
+    (Tls.Wire.Reader.u32 (Tls.Wire.Reader.of_string "\xff\xff\xff\x00"))
 
 (* ---- messages ---------------------------------------------------------------- *)
 
@@ -50,6 +70,11 @@ let test_client_hello_roundtrip () =
         dec.Tls.Messages.sig_algs)
     [ "x25519"; "hqc256"; "p521_kyber1024" ]
 
+(* [msg]'s type byte, a 24-bit length [len], then [body] *)
+let frame msg ~len body =
+  String.concat ""
+    [ String.sub msg 0 1; String.sub (Crypto.Bytesx.u32_be len) 1 3; body ]
+
 let test_server_hello_roundtrip () =
   let rng = Crypto.Drbg.create ~seed:"tls-sh" in
   let sh =
@@ -59,23 +84,69 @@ let test_server_hello_roundtrip () =
       sh_key_share = Crypto.Drbg.generate rng 1088;
       sh_psk_selected = false }
   in
-  let dec = Tls.Messages.decode_server_hello (Tls.Messages.encode_server_hello sh) in
-  Alcotest.(check bool) "roundtrip" true (dec = sh)
+  let enc = Tls.Messages.encode_server_hello sh in
+  Alcotest.(check bool) "roundtrip" true (Tls.Messages.decode_server_hello enc = sh);
+  (* the header's 24-bit length must be the body's *)
+  let n = String.length enc - 4 in
+  let with_length len = frame enc ~len (String.sub enc 4 n) in
+  Alcotest.check_raises "header longer than the body"
+    (Tls.Wire.Decode_error (Printf.sprintf "short read: want %d have %d" (n + 1) n))
+    (fun () -> ignore (Tls.Messages.decode_server_hello (with_length (n + 1))));
+  Alcotest.check_raises "header shorter than the body"
+    (Tls.Wire.Decode_error "trailing bytes") (fun () ->
+      ignore (Tls.Messages.decode_server_hello (with_length (n - 1))))
+
+(* A hand-built ClientHello carrying the given extensions in order. The
+   decoder needs two of them: [hand_key_share] (a 32-byte share) and
+   [hand_names] (the group and algorithm names). *)
+let hand_extension ty body = Crypto.Bytesx.u16_be ty :: Tls.Wire.vec16 body
+
+let hand_key_share =
+  hand_extension 51
+    (Tls.Wire.vec16
+       (Crypto.Bytesx.u16_be 0x0199 :: Tls.Wire.vec16 [ String.make 32 'k' ]))
+
+let hand_names =
+  hand_extension 0xfd00 (Tls.Wire.vec8 [ "x25519" ] @ Tls.Wire.vec8 [ "rsa:2048" ])
+
+let hand_hello exts =
+  Tls.Wire.handshake Tls.Wire.Handshake_type.Client_hello
+    ("\x03\x03" :: String.make 32 'r' :: Tls.Wire.vec8 []
+    @ Tls.Wire.vec16 [ "\x13\x01" ]
+    @ Tls.Wire.vec8 [ "\x00" ]
+    @ Tls.Wire.vec16 (List.concat exts))
+
+let test_repeated_extension () =
+  (* RFC 8446 section 4.2: there MUST NOT be more than one extension of
+     the same type in a block. A hand-built ClientHello carrying two
+     key_share extensions is a decode error; without the repeat, the
+     same block decodes. *)
+  let ch = Tls.Messages.decode_client_hello (hand_hello [ hand_key_share; hand_names ]) in
+  Alcotest.(check string) "single key_share decodes" (String.make 32 'k')
+    ch.Tls.Messages.key_share;
+  Alcotest.check_raises "repeated key_share rejected"
+    (Tls.Wire.Decode_error "repeated extension 51") (fun () ->
+      ignore
+        (Tls.Messages.decode_client_hello
+           (hand_hello [ hand_key_share; hand_names; hand_key_share ])))
 
 let test_certificate_roundtrip () =
-  let alg = sa "dilithium2" in
-  let chain, _ = Tls.Certificate.make_chain alg (Crypto.Drbg.create ~seed:"cert") in
-  Alcotest.(check bool) "chain verifies" true (Tls.Certificate.verify chain alg);
-  let enc = Tls.Messages.encode_certificate chain.Tls.Certificate.leaf in
-  let dec = Tls.Messages.decode_certificate enc in
-  Alcotest.(check bool) "certificate roundtrip" true
-    (dec = chain.Tls.Certificate.leaf);
-  (* a tampered TBS must fail chain verification *)
-  let bad = { chain with
-              Tls.Certificate.leaf =
-                { chain.Tls.Certificate.leaf with Tls.Certificate.subject = "evil" } }
+  let chain, _ =
+    Tls.Chain.make Tls.Chain_profile.default ~leaf:(sa "dilithium2")
+      (Crypto.Drbg.create ~seed:"cert")
   in
-  Alcotest.(check bool) "tampered subject" false (Tls.Certificate.verify bad alg)
+  Alcotest.(check bool) "chain verifies" true (Tls.Chain.verify chain);
+  let certs = Tls.Chain.wire_certs chain in
+  let dec =
+    Tls.Messages.decode_certificate_chain
+      (Tls.Messages.encode_certificate_chain certs)
+  in
+  Alcotest.(check bool) "certificate roundtrip" true (dec = certs);
+  (* a tampered TBS must fail chain verification *)
+  let leaf = Tls.Chain.leaf chain in
+  Alcotest.(check bool) "tampered subject" false
+    (Tls.Chain.verify_against ~local:chain
+       [ { leaf with Tls.Certificate.subject = "evil" } ])
 
 (* ---- certificate hierarchies --------------------------------------------------- *)
 
@@ -89,18 +160,11 @@ let test_chain_codec () =
   let enc = Tls.Messages.encode_certificate_chain certs in
   Alcotest.(check bool) "chain codec roundtrip" true
     (Tls.Messages.decode_certificate_chain enc = certs);
-  (* the single-leaf encoder is the 1-entry chain encoder, byte for byte:
-     the default profile's Certificate message cannot move *)
-  let leaf = Tls.Chain.leaf chain in
-  Alcotest.(check string) "leaf encoder == 1-entry chain"
-    (Tls.Messages.encode_certificate_chain [ leaf ])
-    (Tls.Messages.encode_certificate leaf);
-  (* the level accounting matches what actually gets encoded *)
+  (* the level accounting matches what actually gets encoded: the
+     message minus its 4-byte header, the empty request context and the
+     list's 3-byte length *)
   Alcotest.(check int) "wire_bytes matches encoded entries"
-    (List.fold_left
-       (fun a c ->
-         a + String.length (Tls.Certificate.encode c) + Tls.Chain.entry_overhead)
-       0 certs)
+    (String.length enc - 4 - 1 - 3)
     (Tls.Chain.wire_bytes chain);
   Alcotest.check_raises "empty certificate_list rejected"
     (Tls.Wire.Decode_error "Certificate: empty certificate_list") (fun () ->
@@ -137,21 +201,25 @@ let test_chain_verify () =
     (ok (Tls.Chain.wire_certs other))
 
 let test_chain_default_identity () =
-  (* the default profile must reproduce Certificate.make_chain exactly:
-     same DRBG draws, same lone leaf, same anchor, same server keypair *)
-  let alg = sa "dilithium2" in
-  let legacy, legacy_kp =
-    Tls.Certificate.make_chain alg (Crypto.Drbg.create ~seed:"cert")
-  in
+  (* the default profile is a lone CA over the leaf, drawn as CA keygen,
+     server keygen, one signature: the same leaf, anchor and server
+     keypair as the leaf-only builder it replaced, pinned by MD5 *)
   let chain, kp =
-    Tls.Chain.make Tls.Chain_profile.default ~leaf:alg
+    Tls.Chain.make Tls.Chain_profile.default ~leaf:(sa "dilithium2")
       (Crypto.Drbg.create ~seed:"cert")
   in
-  Alcotest.(check bool) "same leaf" true
-    (Tls.Chain.leaf chain = legacy.Tls.Certificate.leaf);
-  Alcotest.(check bool) "same anchor" true
-    (chain.Tls.Chain.anchor_key = legacy.Tls.Certificate.ca_public_key);
-  Alcotest.(check bool) "same server keypair" true (kp = legacy_kp);
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let leaf = Tls.Chain.leaf chain in
+  Alcotest.(check string) "leaf encoding" "5860e2228686f8c6d6950a57a041e55b"
+    (md5 (String.concat "" (Tls.Certificate.encode_parts leaf)));
+  Alcotest.(check string) "CA public key" "02b4467a0933388ac305eeb11035b48d"
+    (md5 chain.Tls.Chain.anchor_key);
+  Alcotest.(check string) "server public key"
+    "04b9dd4e59580bf352ccf6c5bdc535e3" (md5 kp.Pqc.Sigalg.public);
+  Alcotest.(check string) "server secret key"
+    "06a4c4bc718ef72fdd5f275f1c7685a9" (md5 kp.Pqc.Sigalg.secret);
+  Alcotest.(check string) "lone CA name" "ca.pqtls.example"
+    leaf.Tls.Certificate.issuer;
   Alcotest.(check bool) "single wire entry" true
     (List.length (Tls.Chain.wire_certs chain) = 1);
   Alcotest.(check bool) "verifies" true (Tls.Chain.verify chain)
@@ -259,18 +327,19 @@ let test_no_psk_regression () =
 
 (* extension types of an encoded ClientHello, in wire order *)
 let extension_types msg =
-  let r = Tls.Wire.Reader.of_string (Tls.Messages.body msg) in
+  let r = Tls.Wire.Reader.of_string msg in
+  ignore (Tls.Wire.Reader.bytes r 4) (* handshake header *);
   ignore (Tls.Wire.Reader.u16 r) (* legacy_version *);
   ignore (Tls.Wire.Reader.bytes r 32) (* random *);
-  ignore (Tls.Wire.Reader.vec8 r) (* session_id *);
-  ignore (Tls.Wire.Reader.vec16 r) (* cipher_suites *);
-  ignore (Tls.Wire.Reader.vec8 r) (* compression *);
-  let er = Tls.Wire.Reader.of_string (Tls.Wire.Reader.vec16 r) in
+  ignore (Tls.Wire.Reader.sub8 r) (* session_id *);
+  ignore (Tls.Wire.Reader.sub16 r) (* cipher_suites *);
+  ignore (Tls.Wire.Reader.sub8 r) (* compression *);
+  let er = Tls.Wire.Reader.sub16 r in
   let rec loop acc =
     if Tls.Wire.Reader.remaining er = 0 then List.rev acc
     else begin
       let ty = Tls.Wire.Reader.u16 er in
-      ignore (Tls.Wire.Reader.vec16 er);
+      ignore (Tls.Wire.Reader.sub16 er);
       loop (ty :: acc)
     end
   in
@@ -296,6 +365,8 @@ let test_psk_client_hello () =
   (* pre_shared_key (41) last, legacy session_ticket stub (35) dropped,
      early_data (42) present *)
   let tys = extension_types enc in
+  Alcotest.(check (list int)) "extension order"
+    [ 0; 43; 10; 13; 51; 45; 23; 22; 28; 0xfd00; 42; 41 ] tys;
   Alcotest.(check bool) "psk last" true (List.nth tys (List.length tys - 1) = 41);
   Alcotest.(check bool) "session_ticket stub dropped" false (List.mem 35 tys);
   Alcotest.(check bool) "early_data offered" true (List.mem 42 tys);
@@ -305,43 +376,79 @@ let test_psk_client_hello () =
       (Tls.Messages.encode_client_hello
          { ch with Tls.Messages.psk_offer = None; early_data = false })
   in
+  Alcotest.(check (list int)) "full handshake extension order"
+    [ 0; 43; 10; 13; 51; 45; 35; 23; 22; 28; 0xfd00 ] full_tys;
   Alcotest.(check bool) "stub on full handshake" true (List.mem 35 full_tys);
   Alcotest.(check bool) "no psk on full handshake" false (List.mem 41 full_tys);
   (* codec roundtrip preserves the offer *)
   let dec = Tls.Messages.decode_client_hello enc in
   Alcotest.(check bool) "offer roundtrip" true (dec.Tls.Messages.psk_offer = ch.Tls.Messages.psk_offer);
   Alcotest.(check bool) "early_data roundtrip" true dec.Tls.Messages.early_data;
-  (* truncation removes exactly the binders list from the end *)
+  (* truncation removes exactly the binders list from the end, and
+     closing with the same binder restores the message *)
+  let truncated = Tls.Messages.truncated_client_hello enc in
   Alcotest.(check int) "truncation length" (String.length enc - Tls.Messages.binders_length)
-    (String.length (Tls.Messages.truncated_client_hello ch))
+    (String.length truncated);
+  Alcotest.(check string) "close restores the message" enc
+    (Tls.Messages.close_client_hello truncated (String.make 32 '\000'));
+  (* the receiver enforces section 4.2.11: a pre_shared_key followed by
+     another extension is a decode error *)
+  let psk =
+    hand_extension 41
+      (Tls.Wire.vec16 (Tls.Wire.vec16 [ "ticket" ] @ [ "\x00\x00\x00\x00" ])
+      @ Tls.Wire.vec16 (Tls.Wire.vec8 [ String.make 32 'b' ]))
+  in
+  Alcotest.(check bool) "pre_shared_key last decodes" true
+    ((Tls.Messages.decode_client_hello
+        (hand_hello [ hand_key_share; hand_names; psk ]))
+       .Tls.Messages.psk_offer
+    <> None);
+  Alcotest.check_raises "pre_shared_key before another extension"
+    (Tls.Wire.Decode_error "pre_shared_key is not the last extension")
+    (fun () ->
+      ignore
+        (Tls.Messages.decode_client_hello
+           (hand_hello [ hand_key_share; psk; hand_names ])))
 
 let test_binder_mac () =
   let rng = Crypto.Drbg.create ~seed:"tls-binder" in
   let psk = Crypto.Drbg.generate rng 32 in
-  let binder_of psk ch =
+  let binder_of psk msg =
     let memo = Crypto.Memo.create () in
     let early = Tls.Key_schedule.early_secret ~memo ~psk () in
     Tls.Key_schedule.binder_mac ~memo
       ~binder_key:(Tls.Key_schedule.binder_key ~memo ~early_secret:early)
       ~truncated_transcript_hash:
-        (Crypto.Sha256.digest (Tls.Messages.truncated_client_hello ch))
+        (Crypto.Sha256.digest (Tls.Messages.truncated_client_hello msg))
   in
   (* the truncated transcript is independent of the binder value, so the
-     dummy-binder encoding computes the same MAC the final CH carries *)
-  let dummy = make_offer rng () in
+     placeholder-binder encoding computes the same MAC the final CH
+     carries, and closing it gives the encoding with the real binder *)
+  let offer = make_offer rng () in
+  let dummy = Tls.Messages.encode_client_hello offer in
   let mac = binder_of psk dummy in
-  let final = { dummy with Tls.Messages.psk_offer =
-                  Option.map (fun o -> { o with Tls.Messages.psk_binder = mac })
-                    dummy.Tls.Messages.psk_offer }
+  let final =
+    Tls.Messages.close_client_hello (Tls.Messages.truncated_client_hello dummy) mac
   in
   Alcotest.(check bool) "binder independent of binder bytes" true
     (Tls.Messages.truncated_client_hello final
     = Tls.Messages.truncated_client_hello dummy);
+  Alcotest.(check string) "closed == encoded with the binder"
+    (Tls.Messages.encode_client_hello
+       { offer with
+         Tls.Messages.psk_offer =
+           Option.map
+             (fun o -> { o with Tls.Messages.psk_binder = mac })
+             offer.Tls.Messages.psk_offer })
+    final;
   (* negatives: a different PSK, or a different truncated transcript,
      must move the MAC *)
   Alcotest.(check bool) "wrong PSK detected" true
     (binder_of (Crypto.Drbg.generate rng 32) dummy <> mac);
-  let other_ch = make_offer (Crypto.Drbg.create ~seed:"tls-binder-3") () in
+  let other_ch =
+    Tls.Messages.encode_client_hello
+      (make_offer (Crypto.Drbg.create ~seed:"tls-binder-3") ())
+  in
   Alcotest.(check bool) "transcript-sensitive" true (binder_of psk other_ch <> mac)
 
 let test_ticket_roundtrip () =
@@ -774,8 +881,9 @@ let test_memo_left () =
 let test_codec_inbound () =
   (* records split across arbitrary TCP chunk boundaries *)
   let msgs =
-    [ Tls.Wire.handshake Tls.Wire.Handshake_type.Finished (String.make 40 'a');
-      Tls.Wire.handshake Tls.Wire.Handshake_type.Finished (String.make 20000 'b') ]
+    [ Tls.Wire.handshake Tls.Wire.Handshake_type.Finished [ String.make 40 'a' ];
+      Tls.Wire.handshake Tls.Wire.Handshake_type.Finished
+        [ String.make 20000 'b' ] ]
   in
   let stream =
     String.concat ""
@@ -854,6 +962,164 @@ let shared_transcript_prop (seed, msgs, flip) =
       else step b rb msg_b && step a ra msg_a)
     (List.mapi (fun i m -> (i, m)) msgs)
 
+(* ---- decoders: round trip and fail closed -------------------------------- *)
+
+(* Random handshake messages of every kind the codecs speak. *)
+type wire_message =
+  | Ch of Tls.Messages.client_hello
+  | Sh of Tls.Messages.server_hello
+  | Ee of bool
+  | Nst of Tls.Messages.new_session_ticket
+  | Cv of Tls.Messages.certificate_verify
+  | Cert of Tls.Certificate.t list
+  | Fin of string
+
+let encode_message = function
+  | Ch ch -> Tls.Messages.encode_client_hello ch
+  | Sh sh -> Tls.Messages.encode_server_hello sh
+  | Ee early_data_accepted ->
+    Tls.Messages.encode_encrypted_extensions ~early_data_accepted ()
+  | Nst nst -> Tls.Messages.encode_new_session_ticket nst
+  | Cv cv -> Tls.Messages.encode_certificate_verify cv
+  | Cert certs -> Tls.Messages.encode_certificate_chain certs
+  | Fin mac -> Tls.Messages.encode_finished mac
+
+let message_kind = function
+  | Ch _ -> "CH"
+  | Sh _ -> "SH"
+  | Ee _ -> "EE"
+  | Nst _ -> "NST"
+  | Cv _ -> "CV"
+  | Cert _ -> "CERT"
+  | Fin _ -> "FIN"
+
+(* every decoder, by the kind it decodes *)
+let decoders =
+  [ ("CH", fun s -> Ch (Tls.Messages.decode_client_hello s));
+    ("SH", fun s -> Sh (Tls.Messages.decode_server_hello s));
+    ("EE", fun s -> Ee (Tls.Messages.ee_early_data_accepted s));
+    ("NST", fun s -> Nst (Tls.Messages.decode_new_session_ticket s));
+    ("CV", fun s -> Cv (Tls.Messages.decode_certificate_verify s));
+    ("CERT", fun s -> Cert (Tls.Messages.decode_certificate_chain s));
+    ("FIN", fun s -> Fin (Tls.Messages.decode_finished s)) ]
+
+let message_gen =
+  let open QCheck.Gen in
+  let bytes size st =
+    String.init (size st) (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  let name = string_size ~gen:(char_range 'a' 'z') (int_range 1 12) in
+  (* half the large fields are small, so that framing is a large share
+     of the message *)
+  let up_to n = oneof [ int_range 0 64; int_range 0 n ] in
+  let u32 = int_range 0 0xffff_ffff in
+  let client_hello =
+    let* random = bytes (return 32) in
+    let* session_id = bytes (int_range 0 32) in
+    let* group = name in
+    let* key_share = bytes (up_to 20_000) in
+    let* sig_algs = list_size (int_range 1 4) name in
+    let* psk_offer =
+      opt
+        (let* psk_identity = bytes (int_range 0 200) in
+         let* psk_obfuscated_age = u32 in
+         let* psk_binder = bytes (return 32) in
+         return { Tls.Messages.psk_identity; psk_obfuscated_age; psk_binder })
+    in
+    let* early_data = bool in
+    return
+      (Ch
+         { Tls.Messages.random; session_id; group; key_share; sig_algs;
+           psk_offer; early_data })
+  in
+  let server_hello =
+    let* sh_random = bytes (return 32) in
+    let* sh_session_id = bytes (int_range 0 32) in
+    let* sh_group = name in
+    let* sh_key_share = bytes (up_to 20_000) in
+    let* sh_psk_selected = bool in
+    return
+      (Sh
+         { Tls.Messages.sh_random; sh_session_id; sh_group; sh_key_share;
+           sh_psk_selected })
+  in
+  let ticket =
+    let* nst_lifetime = u32 in
+    let* nst_age_add = u32 in
+    let* nst_nonce = bytes (int_range 0 8) in
+    let* nst_ticket = bytes (int_range 0 300) in
+    let* nst_max_early_data = oneof [ return 0; u32 ] in
+    return
+      (Nst
+         { Tls.Messages.nst_lifetime; nst_age_add; nst_nonce; nst_ticket;
+           nst_max_early_data })
+  in
+  let verify =
+    let* cv_algorithm = name in
+    let* cv_signature = bytes (up_to 8_000) in
+    return (Cv { Tls.Messages.cv_algorithm; cv_signature })
+  in
+  let certificate =
+    let* subject = name in
+    let* issuer = name in
+    let* algorithm = name in
+    let* public_key = bytes (up_to 2_000) in
+    let* tbs_extra = bytes (int_range 0 10) in
+    let* signature = bytes (up_to 4_000) in
+    return
+      { Tls.Certificate.subject; issuer; algorithm; public_key; tbs_extra;
+        signature }
+  in
+  oneof
+    [ client_hello; server_hello; map (fun b -> Ee b) bool; ticket; verify;
+      map (fun cs -> Cert cs) (list_size (int_range 1 3) certificate);
+      map (fun mac -> Fin mac) (bytes (return 32)) ]
+
+let print_message m =
+  Printf.sprintf "%s message of %d bytes" (message_kind m)
+    (String.length (encode_message m))
+
+let codec_roundtrip_prop m =
+  List.assoc (message_kind m) decoders (encode_message m) = m
+
+(* A message cut at random points, as sent and with its header's length
+   rewritten to the cut body's so the cut reaches the body's decoder, and
+   with one byte XOR-flipped at random points: whatever the bytes, every
+   decoder returns or raises [Wire.Decode_error], never another
+   exception. *)
+let fail_closed_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (m, cuts, flips) ->
+      Printf.sprintf "%s, cuts [%s], flips [%s]" (print_message m)
+        (String.concat "; " (List.map string_of_int cuts))
+        (String.concat "; "
+           (List.map (fun (at, mask) -> Printf.sprintf "%d xor %d" at mask) flips)))
+    (triple message_gen (list_repeat 4 nat)
+       (list_repeat 16 (pair nat (int_range 1 255))))
+
+let fail_closed_prop (m, cuts, flips) =
+  let msg = encode_message m in
+  let n = String.length msg in
+  let cut c =
+    let body = String.sub msg 4 (c mod (n - 3)) in
+    [ String.sub msg 0 (c mod n); frame msg ~len:(String.length body) body ]
+  in
+  let flip (at, mask) =
+    String.mapi
+      (fun i c -> if i = at mod n then Char.chr (Char.code c lxor mask) else c)
+      msg
+  in
+  List.for_all
+    (fun bytes ->
+      List.for_all
+        (fun (_, decode) ->
+          match decode bytes with
+          | _ -> true
+          | exception Tls.Wire.Decode_error _ -> true)
+        decoders)
+    (List.concat_map cut cuts @ List.map flip flips)
+
 (* ---- byte-path allocation --------------------------------------------------- *)
 
 (* Bytes [f ()] allocates on this domain, minor and major heap, net of
@@ -877,11 +1143,15 @@ let allocated f =
 let test_byte_path_allocation () =
   let creds = Tls.Credentials.get (Pqc.Sigalg.mocked (sa "sphincs256")) in
   let certs = Tls.Chain.wire_certs creds.Tls.Credentials.chain in
-  let within name (out, bytes) =
-    let limit = (2 * String.length out) + 1024 in
+  let check_limit name ~limit ~of_ bytes =
     if bytes > limit then
-      Alcotest.failf "%s: %d bytes allocated for a %d-byte output (limit %d)"
-        name bytes (String.length out) limit
+      Alcotest.failf "%s: %d bytes allocated for %s (limit %d)" name bytes of_
+        limit
+  in
+  let within name (out, bytes) =
+    check_limit name ~limit:((2 * String.length out) + 1024)
+      ~of_:(Printf.sprintf "a %d-byte output" (String.length out))
+      bytes
   in
   let msg, _ as chain =
     allocated (fun () -> Tls.Messages.encode_certificate_chain certs)
@@ -897,7 +1167,51 @@ let test_byte_path_allocation () =
   let _, bytes = allocated (fun () -> Tls.Transcript.current t) in
   if bytes >= 64 * (Sys.word_size / 8) then
     Alcotest.failf "Transcript.current allocated %d bytes: a 64-word schedule"
-      bytes
+      bytes;
+  (* the hello codecs copy a key share a bounded number of times: an
+     encoder about twice the message, a decoder about twice the share *)
+  List.iter
+    (fun kem_name ->
+      let k = Pqc.Kem.mocked (kem kem_name) in
+      let rng = Crypto.Drbg.create ~seed:"tls-alloc" in
+      let kp = k.Pqc.Kem.keygen rng in
+      let ct, _ = k.Pqc.Kem.encaps rng kp.Pqc.Kem.public in
+      let hello name share encode decode =
+        let msg, bytes = allocated encode in
+        check_limit
+          (Printf.sprintf "%s %s encode" kem_name name)
+          ~limit:((2 * String.length msg) + 8192)
+          ~of_:(Printf.sprintf "a %d-byte message" (String.length msg))
+          bytes;
+        let _, bytes = allocated (fun () -> decode msg) in
+        check_limit
+          (Printf.sprintf "%s %s decode" kem_name name)
+          ~limit:((2 * String.length share) + 4096)
+          ~of_:(Printf.sprintf "a %d-byte share" (String.length share))
+          bytes
+      in
+      let ch =
+        { Tls.Messages.random = Crypto.Drbg.generate rng 32;
+          session_id = Crypto.Drbg.generate rng 32;
+          group = kem_name;
+          key_share = kp.Pqc.Kem.public;
+          sig_algs = [ "dilithium3" ];
+          psk_offer = None;
+          early_data = false }
+      and sh =
+        { Tls.Messages.sh_random = Crypto.Drbg.generate rng 32;
+          sh_session_id = Crypto.Drbg.generate rng 32;
+          sh_group = kem_name;
+          sh_key_share = ct;
+          sh_psk_selected = false }
+      in
+      hello "ClientHello" kp.Pqc.Kem.public
+        (fun () -> Tls.Messages.encode_client_hello ch)
+        Tls.Messages.decode_client_hello;
+      hello "ServerHello" ct
+        (fun () -> Tls.Messages.encode_server_hello sh)
+        Tls.Messages.decode_server_hello)
+    [ "hqc256"; "kyber768" ]
 
 let suites =
   [ ( "tls",
@@ -905,6 +1219,8 @@ let suites =
         Alcotest.test_case "reader" `Quick test_reader;
         Alcotest.test_case "client hello codec" `Quick test_client_hello_roundtrip;
         Alcotest.test_case "server hello codec" `Quick test_server_hello_roundtrip;
+        Alcotest.test_case "repeated extension rejected" `Quick
+          test_repeated_extension;
         Alcotest.test_case "certificate chain" `Quick test_certificate_roundtrip;
         Alcotest.test_case "chain codec" `Quick test_chain_codec;
         Alcotest.test_case "chain verification" `Quick test_chain_verify;
@@ -943,5 +1259,12 @@ let suites =
         QCheck_alcotest.to_alcotest
           (QCheck.Test.make ~name:"shared transcript = unshared" ~count:100
              shared_transcript_case shared_transcript_prop);
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"codec round trip" ~count:200
+             (QCheck.make ~print:print_message message_gen)
+             codec_roundtrip_prop);
+        QCheck_alcotest.to_alcotest
+          (QCheck.Test.make ~name:"decoders fail closed" ~count:300
+             fail_closed_case fail_closed_prop);
         Alcotest.test_case "byte path allocation" `Quick
           test_byte_path_allocation ] ) ]
