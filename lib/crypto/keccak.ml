@@ -22,10 +22,13 @@
    at most 192 with its 8 bytes ending by 200: keccak_f's offsets are \
    constants, chi's are o + 8k for k <= 4 with o one of the constants \
    0, 40, 80, 120, 160, and bench_permutation's are 8i for i <= 24; \
-   absorb's are at sp.pos, a multiple of 8 below rate <= 168. The state \
-   is always 200 bytes: keccak_f only ever receives a sponge's st, which \
-   make_sponge creates, or bench_permutation's state. rc has 24 entries \
-   and round runs over 0..23; byte-wise absorb reads msg at \
+   absorb's are at sp.pos, a multiple of 8 below rate <= 168; \
+   shake256_parts_equal's are at sp.pos + j with sp.pos + j + 8 <= \
+   sp.pos + k <= rate, and sp.pos is a multiple of 8 because its sponge \
+   is fresh (pos 0) and only a last step leaves a block unfinished. The \
+   state is always 200 bytes: keccak_f only ever receives a sponge's \
+   st, which make_sponge creates, or bench_permutation's state. rc has \
+   24 entries and round runs over 0..23; byte-wise absorb reads msg at \
    i < String.length msg and writes the state at pos < rate <= 168"]
 
 external ( ^^ ) : int64 -> int64 -> int64 = "%int64_xor"
@@ -173,19 +176,23 @@ let pad sp pad_byte =
   keccak_f sp.st;
   sp.pos <- 0
 
-let squeeze sp n =
-  let out = Bytes.create n in
-  let off = ref 0 in
-  while !off < n do
+(* the next [n] output bytes into [buf] at [off], a block at a time *)
+let squeeze_into sp buf off n =
+  let stop = off + n and off = ref off in
+  while !off < stop do
     if sp.pos = sp.rate then begin
       keccak_f sp.st;
       sp.pos <- 0
     end;
-    let k = Int.min (n - !off) (sp.rate - sp.pos) in
-    Bytes.blit sp.st sp.pos out !off k;
+    let k = Int.min (stop - !off) (sp.rate - sp.pos) in
+    Bytes.blit sp.st sp.pos buf !off k;
     sp.pos <- sp.pos + k;
     off := !off + k
-  done;
+  done
+
+let squeeze sp n =
+  let out = Bytes.create n in
+  squeeze_into sp out 0 n;
   Bytes.unsafe_to_string out
 
 let hash rate pad_byte msg out_len =
@@ -201,11 +208,56 @@ let shake128 msg n = hash 168 0x1f msg n
                     SHAKE128 vectors: the one-shot reference for Xof.shake128"]
 let shake256 msg n = hash 136 0x1f msg n
 
-let shake256_parts parts n =
+let shake256_sponge parts =
   let sp = make_sponge 136 in
   List.iter (absorb sp) parts;
   pad sp 0x1f;
-  squeeze sp n
+  sp
+
+let shake256_parts parts n = squeeze (shake256_sponge parts) n
+
+let in_range ~off ~len n = off >= 0 && len >= 0 && off <= n - len
+
+let shake256_parts_into parts buf off len =
+  if not (in_range ~off ~len (Bytes.length buf)) then
+    invalid_arg "Keccak.shake256_parts_into";
+  squeeze_into (shake256_sponge parts) buf off len
+
+(* The output is compared with [s] as it is squeezed, a block at a time
+   as in [squeeze_into]: whole lanes while 8 bytes remain, then bytes,
+   OR-ing every difference into one word, so the time depends on [len]
+   alone. *)
+let shake256_parts_equal parts s off len =
+  in_range ~off ~len (String.length s)
+  &&
+  let sp = shake256_sponge parts in
+  let diff = ref 0 and i = ref 0 in
+  while !i < len do
+    if sp.pos = sp.rate then begin
+      keccak_f sp.st;
+      sp.pos <- 0
+    end;
+    let k = Int.min (len - !i) (sp.rate - sp.pos) in
+    let j = ref 0 in
+    while !j + 8 <= k do
+      let d =
+        get sp.st (sp.pos + !j) ^^ String.get_int64_le s (off + !i + !j)
+      in
+      diff :=
+        !diff lor Int64.to_int d lor Int64.to_int (Int64.shift_right_logical d 32);
+      j := !j + 8
+    done;
+    while !j < k do
+      diff :=
+        !diff
+        lor (Char.code (Bytes.get sp.st (sp.pos + !j))
+            lxor Char.code s.[off + !i + !j]);
+      incr j
+    done;
+    sp.pos <- sp.pos + k;
+    i := !i + k
+  done;
+  !diff = 0
 
 module Xof = struct
   type t = sponge

@@ -16,6 +16,18 @@ val shake256_parts : string list -> int -> string
 (** [shake256_parts parts n] is [shake256 (String.concat "" parts) n],
     absorbing each part in place instead of building the concatenation. *)
 
+val shake256_parts_into : string list -> Bytes.t -> int -> int -> unit
+(** [shake256_parts_into parts buf off len] writes [shake256_parts parts
+    len] to [buf] at [off], squeezing straight into it; the bytes
+    outside [off, off + len) are untouched.
+    @raise Invalid_argument if the range is not within [buf]. *)
+
+val shake256_parts_equal : string list -> string -> int -> int -> bool
+(** [shake256_parts_equal parts s off len] is [shake256_parts parts len
+    = String.sub s off len], compared block by block as the output is
+    squeezed, so no output is built. Its time depends on [len] only. An
+    [off] or [len] outside [s] gives [false]. *)
+
 module Xof : sig
   type t
 

@@ -23,7 +23,10 @@ type t = {
   mutable on_established : unit -> unit;
   mutable on_data : string -> unit;
   (* sender side *)
-  send_buf : Buffer.t; (* every byte ever written, absolute offsets *)
+  chunks : (int * string) Queue.t;
+      (* the strings written and not yet acknowledged, oldest first,
+         each with the stream offset it starts at *)
+  mutable write_end : int; (* stream offset after the last byte written *)
   mutable out_marks : (int * string) list; (* absolute offset, label *)
   mutable snd_una : int;
   mutable snd_nxt : int;
@@ -32,7 +35,7 @@ type t = {
      window in the paper's section 5.4 *)
   mutable cwnd : float; (* segments *)
   mutable ssthresh : float; (* segments *)
-  mutable seg_ends : int list; (* end seq of each in-flight segment, asc *)
+  mutable seg_ends : int list; (* end seq of each in-flight segment, any order *)
   mutable dupacks : int;
   mutable recover : int; (* NewReno-style recovery point *)
   mutable rto : float;
@@ -64,7 +67,8 @@ type t = {
 let make engine link config host =
   { engine; link; config; host; peer = None; state = Closed;
     on_established = (fun () -> ()); on_data = (fun _ -> ());
-    send_buf = Buffer.create 4096; out_marks = []; snd_una = 0; snd_nxt = 0;
+    chunks = Queue.create (); write_end = 0; out_marks = []; snd_una = 0;
+    snd_nxt = 0;
     cwnd = float_of_int config.init_cwnd_segments;
     ssthresh = 1e9; seg_ends = [];
     dupacks = 0; recover = -1; rto = initial_rto;
@@ -218,31 +222,54 @@ and on_rto t =
 and segment_marks t lo hi =
   List.filter (fun (off, _) -> off >= lo && off < hi) t.out_marks
 
+(* the stream's bytes [lo, lo + len), cut from the chunks, which cover
+   everything from snd_una on: a substring of the chunk holding them
+   all, or else the pieces of each blitted together *)
+and stream_sub t lo len =
+  let hi = lo + len in
+  let holds (base, s) = base <= lo && hi <= base + String.length s in
+  match Seq.find holds (Queue.to_seq t.chunks) with
+  | Some (base, s) -> String.sub s (lo - base) len
+  | None ->
+    let buf = Bytes.create len in
+    Queue.iter
+      (fun (base, s) ->
+        let a = max lo base and b = min hi (base + String.length s) in
+        if a < b then Bytes.blit_string s (a - base) buf (a - lo) (b - a))
+      t.chunks;
+    Bytes.to_string buf
+
+(* nothing below snd_una is read again: retransmissions start there *)
+and drop_acked_chunks t =
+  match Queue.peek_opt t.chunks with
+  | Some (base, s) when base + String.length s <= t.snd_una ->
+    ignore (Queue.pop t.chunks);
+    drop_acked_chunks t
+  | _ -> ()
+
 and retransmit_first t =
-  let len = min t.config.mss (buffer_end t - t.snd_una) in
+  let len = min t.config.mss (t.write_end - t.snd_una) in
   if len > 0 then begin
     t.rtx <- t.rtx + 1;
     t.rtx_fast <- t.rtx_fast + 1;
     note_retransmit t "fast";
-    let payload = Buffer.sub t.send_buf t.snd_una len in
+    let payload = stream_sub t t.snd_una len in
     emit t ~flags:Packet.plain_flags ~payload
       ~marks:(segment_marks t t.snd_una (t.snd_una + len))
       ~seq:t.snd_una ~ack_seq:t.rcv_nxt ()
   end
-
-and buffer_end t = Buffer.length t.send_buf
 
 and try_send t =
   if t.state = Established || t.state = Fin_sent then begin
     let made_progress = ref false in
     let continue = ref true in
     while !continue do
-      let unsent = buffer_end t - t.snd_nxt in
+      let unsent = t.write_end - t.snd_nxt in
       let window_open = float_of_int (in_flight_segs t) < t.cwnd in
       let len = min t.config.mss unsent in
       if len <= 0 || not window_open then continue := false
       else begin
-        let payload = Buffer.sub t.send_buf t.snd_nxt len in
+        let payload = stream_sub t t.snd_nxt len in
         let marks = segment_marks t t.snd_nxt (t.snd_nxt + len) in
         emit t ~flags:Packet.plain_flags ~payload ~marks ~seq:t.snd_nxt
           ~ack_seq:t.rcv_nxt ();
@@ -252,7 +279,7 @@ and try_send t =
           t.sample <- Some (t.snd_nxt + len, Engine.now t.engine);
         t.snd_nxt <- t.snd_nxt + len;
         t.high_water <- max t.high_water t.snd_nxt;
-        t.seg_ends <- t.seg_ends @ [ t.snd_nxt ];
+        t.seg_ends <- t.snd_nxt :: t.seg_ends;
         cancel_delack t;
         cancel_timer t `Agg;
         t.unacked_segs <- 0;
@@ -265,7 +292,7 @@ and try_send t =
   end
 
 and maybe_send_fin t =
-  if t.fin_pending && t.snd_nxt = buffer_end t && t.snd_una = t.snd_nxt
+  if t.fin_pending && t.snd_nxt = t.write_end && t.snd_una = t.snd_nxt
      && t.state = Established
   then begin
     t.state <- Fin_sent;
@@ -295,6 +322,7 @@ and update_rtt t now =
 and handle_ack t (p : Packet.t) =
   if p.ack_seq > t.snd_una then begin
     t.snd_una <- p.ack_seq;
+    drop_acked_chunks t;
     (* a late pre-loss ACK can overtake a go-back-N reset of snd_nxt *)
     if t.snd_nxt < t.snd_una then t.snd_nxt <- t.snd_una;
     (* drop every covered segment record, wherever it sits: retransmitted
@@ -463,8 +491,8 @@ let connect t ~on_established =
 
 let on_receive t f = t.on_data <- f
 
-let write t ?(marks = []) data =
-  let base = Buffer.length t.send_buf in
+let write_parts t ?(marks = []) parts =
+  let base = t.write_end in
   if Trace.Sink.enabled () then
     List.iter
       (fun (_, label) ->
@@ -472,10 +500,18 @@ let write t ?(marks = []) data =
           ~name:("send " ^ label)
           (Engine.now t.engine))
       marks;
-  Buffer.add_string t.send_buf data;
+  List.iter
+    (fun s ->
+      if String.length s > 0 then begin
+        Queue.push (t.write_end, s) t.chunks;
+        t.write_end <- t.write_end + String.length s
+      end)
+    parts;
   t.out_marks <-
     t.out_marks @ List.map (fun (off, label) -> (base + off, label)) marks;
   try_send t
+
+let write t ?marks data = write_parts t ?marks [ data ]
 
 let close t =
   t.fin_pending <- true;

@@ -32,9 +32,15 @@ val connect : t -> on_established:(unit -> unit) -> unit
 val on_receive : t -> (string -> unit) -> unit
 (** In-order application data delivery (byte-stream chunks). *)
 
+val write_parts : t -> ?marks:(int * string) list -> string list -> unit
+(** Queue application data: the concatenation of the parts, sent as one
+    write would send it. The strings themselves are queued, not joined
+    or copied; each segment is cut from them, and a string is let go
+    once every byte of it is acknowledged. [marks] are (offset within
+    the concatenation, TLS message label) pairs for the passive tap. *)
+
 val write : t -> ?marks:(int * string) list -> string -> unit
-(** Queue application data. [marks] are (offset within this write, TLS
-    message label) pairs for the passive tap. *)
+(** [write t ?marks s] is [write_parts t ?marks [ s ]]. *)
 
 val close : t -> unit
 (** Send FIN once all queued data is acknowledged. *)

@@ -12,12 +12,17 @@
     verify, corrupted inputs are rejected, and every artifact has exactly
     the right length. They offer NO security. *)
 
-(** Each operation takes a {!Crypto.Memo.t}. Key generation,
-    encapsulation and signing put the XOF outputs a checker re-derives;
-    decapsulation and verification take them when their inputs are
-    equal and derive them otherwise, putting nothing. The two endpoints
-    of one connection pass the memo they share; any other caller passes
-    a fresh one. Outputs are the same bytes either way. *)
+(** Each operation takes a {!Crypto.Memo.t}. Key generation puts the
+    public key, encapsulation the mask, the whole ciphertext (under the
+    public key and its random draw) and the secret, and signing the
+    whole signature (under the public key and the message).
+    Decapsulation and verification take them when their inputs are
+    equal, putting nothing: a taken ciphertext or signature is compared
+    whole with the one received, and otherwise the received tail is
+    compared with the XOF output block by block, without building it.
+    Ciphertexts and signatures are squeezed into their own buffers. The
+    two endpoints of one connection pass the memo they share; any other
+    caller passes a fresh one. Outputs are the same bytes either way. *)
 
 val kem_keygen :
   Crypto.Memo.t ->

@@ -1,46 +1,90 @@
-(* A byte queue whose unconsumed bytes are [data.[off .. off + len)].
-   Appending moves them, to the front or into a buffer twice as large,
-   only when the tail has no room, so each byte is copied in once and
-   out once, plus an amortized constant. *)
+[@@@lint.kernel
+  "fragment's buffer is created locally at the exact size of its \
+   records, written only by checked blits and sets (Record.seal_into \
+   and fragment_plaintext's header and body), and unsafe_to_string \
+   takes it after its last write; Inbound reads and writes its queues \
+   through checked Bytes operations only"]
+
+(* A queue of frames: a frame is a [header]-byte header whose big-endian
+   [width]-byte integer at [at] is the body length, then the body. The
+   unconsumed bytes are [data.[off .. off + len)]. A frame's header goes
+   in before its body, so the queue knows the frame's size before the
+   body needs room. The bytes move only when the tail has no room.
+   While the front frame is arriving, they move to the front, or into
+   a buffer of exactly that frame's size. Otherwise they move to the
+   front when they are no more than the bytes consumed since the last
+   move, and else into a buffer at least twice as large. So a queue
+   that holds one frame at a time grows once per larger frame, and no
+   byte moves more often than a byte is consumed. *)
 module Consumable = struct
-  type t = { mutable data : Bytes.t; mutable off : int; mutable len : int }
+  type t = {
+    header : int;
+    at : int;
+    width : int;
+    mutable data : Bytes.t;
+    mutable off : int;
+    mutable len : int;
+  }
 
-  let create () = { data = Bytes.create 1024; off = 0; len = 0 }
+  let create ~header ~at ~width =
+    { header; at; width; data = Bytes.create 1024; off = 0; len = 0 }
 
-  let add_sub t s soff n =
-    let cap = Bytes.length t.data in
-    if t.off + t.len + n > cap then begin
+  (* the size of the front frame once its header is in, else 0 *)
+  let frame_size t =
+    if t.len < t.header then 0
+    else begin
+      let body = ref 0 in
+      for i = t.at to t.at + t.width - 1 do
+        body := (!body lsl 8) lor Char.code (Bytes.get t.data (t.off + i))
+      done;
+      t.header + !body
+    end
+
+  (* room at the tail for [n] more bytes *)
+  let reserve t n =
+    let cap = Bytes.length t.data and need = t.len + n in
+    let frame = frame_size t in
+    if t.off + max need frame > cap then begin
       let dst =
-        if 2 * (t.len + n) <= cap then t.data
-        else Bytes.create (max (2 * cap) (t.len + n))
+        if frame > need then if frame <= cap then t.data else Bytes.create frame
+        else if need <= cap && t.len <= t.off then t.data
+        else Bytes.create (max need (2 * cap))
       in
       Bytes.blit t.data t.off dst 0 t.len;
       t.data <- dst;
       t.off <- 0
-    end;
-    Bytes.blit_string s soff t.data (t.off + t.len) n;
-    t.len <- t.len + n
-
-  let add t s = add_sub t s 0 (String.length s)
-
-  (* The size of the frame at the front (a [header]-byte header whose
-     big-endian [width]-byte integer at [at] is the body length), once
-     all of it has arrived. The header is read in place. *)
-  let complete t ~header ~at ~width =
-    if t.len < header then None
-    else begin
-      let body = ref 0 in
-      for i = at to at + width - 1 do
-        body := (!body lsl 8) lor Char.code (Bytes.get t.data (t.off + i))
-      done;
-      if t.len >= header + !body then Some (header + !body) else None
     end
 
-  let take t n =
+  (* append [n] bytes, [blit i dst pos k] copying [k] of them, from the
+     [i]-th on, to [dst] at [pos]; the front frame's header first *)
+  let rec add t blit i n =
+    if n > 0 then begin
+      let k = if t.len < t.header then min n (t.header - t.len) else n in
+      reserve t k;
+      blit i t.data (t.off + t.len) k;
+      t.len <- t.len + k;
+      add t blit (i + k) (n - k)
+    end
+
+  let add_string t s off n =
+    add t (fun i dst pos k -> Bytes.blit_string s (off + i) dst pos k) 0 n
+
+  let add_bytes t b off n =
+    add t (fun i dst pos k -> Bytes.blit b (off + i) dst pos k) 0 n
+
+  (* the size of the front frame, once all of it has arrived *)
+  let complete t =
+    let size = frame_size t in
+    if size > 0 && t.len >= size then Some size else None
+
+  let drop t n =
     assert (t.len >= n);
-    let s = Bytes.sub_string t.data t.off n in
     t.off <- t.off + n;
-    t.len <- t.len - n;
+    t.len <- t.len - n
+
+  let take t n =
+    let s = Bytes.sub_string t.data t.off n in
+    drop t n;
     s
 
   (* a buffer just large enough for the unconsumed bytes *)
@@ -57,18 +101,40 @@ module Inbound = struct
     | Need_more_data
 
   type t = {
-    raw : Consumable.t;
-    hs : Consumable.t;
+    unread : string Queue.t;  (* fed strings, as they arrived *)
+    mutable unread_off : int;  (* bytes of the first already in raw *)
+    raw : Consumable.t;  (* the front record, as far as it has arrived *)
+    hs : Consumable.t;  (* handshake messages *)
     mutable crypt : Record.t option;
     mutable pending_ccs : bool;
     mutable pending_app : string list;  (* arrival order *)
   }
 
   let create () =
-    { raw = Consumable.create (); hs = Consumable.create (); crypt = None;
-      pending_ccs = false; pending_app = [] }
+    { unread = Queue.create (); unread_off = 0;
+      raw = Consumable.create ~header:5 ~at:3 ~width:2;
+      hs = Consumable.create ~header:4 ~at:1 ~width:3;
+      crypt = None; pending_ccs = false; pending_app = [] }
 
-  let feed t s = Consumable.add t.raw s
+  let feed t s = if String.length s > 0 then Queue.push s t.unread
+
+  (* move unread bytes into raw until its front record is complete or
+     nothing is left, so raw holds one record at a time *)
+  let rec fill t =
+    let want =
+      match Consumable.frame_size t.raw with 0 -> 5 | size -> size
+    in
+    match Queue.peek_opt t.unread with
+    | Some s when t.raw.Consumable.len < want ->
+      let n = min (want - t.raw.Consumable.len) (String.length s - t.unread_off) in
+      Consumable.add_string t.raw s t.unread_off n;
+      t.unread_off <- t.unread_off + n;
+      if t.unread_off = String.length s then begin
+        ignore (Queue.pop t.unread);
+        t.unread_off <- 0
+      end;
+      fill t
+    | _ -> ()
 
   let release t =
     Consumable.shrink t.raw;
@@ -76,40 +142,36 @@ module Inbound = struct
 
   let enable_decryption t r = t.crypt <- Some r
 
-  (* consume one full record from raw if available; return true on
-     progress. The record is copied out once, and its fragment once
-     more into the handshake buffer. *)
+  (* Process one full record from raw where it lies, then drop it;
+     return true on progress. A handshake fragment goes from there to
+     the handshake queue, opened in place first if it is protected. *)
   let pull_record t =
-    match Consumable.complete t.raw ~header:5 ~at:3 ~width:2 with
+    fill t;
+    match Consumable.complete t.raw with
     | None -> false
-    | Some size -> (
-      let record = Consumable.take t.raw size in
+    | Some size ->
+      let data = t.raw.Consumable.data and body = t.raw.Consumable.off + 5 in
       let len = size - 5 in
-      match Wire.Content_type.of_byte (Char.code record.[0]) with
-      | Wire.Content_type.Change_cipher_spec ->
-        t.pending_ccs <- true;
-        true
+      (match Wire.Content_type.of_byte (Char.code (Bytes.get data (body - 5))) with
+      | Wire.Content_type.Change_cipher_spec -> t.pending_ccs <- true
       | Wire.Content_type.Alert -> raise (Wire.Decode_error "unexpected alert")
-      | Wire.Content_type.Handshake ->
-        Consumable.add_sub t.hs record 5 len;
-        true
+      | Wire.Content_type.Handshake -> Consumable.add_bytes t.hs data body len
       | Wire.Content_type.Application_data -> (
         match t.crypt with
         | None -> raise (Wire.Decode_error "ciphertext before keys")
         | Some r -> (
-          match Record.open_sub r record 5 len with
+          match Record.open_in_place r data body len with
           | None -> raise (Wire.Decode_error "record authentication failed")
-          | Some (Wire.Content_type.Handshake, s, off, n) ->
-            Consumable.add_sub t.hs s off n;
-            true
-          | Some (Wire.Content_type.Change_cipher_spec, _, _, _) ->
-            t.pending_ccs <- true;
-            true
-          | Some (Wire.Content_type.Application_data, s, off, n) ->
+          | Some (Wire.Content_type.Handshake, n) ->
+            Consumable.add_bytes t.hs data body n
+          | Some (Wire.Content_type.Change_cipher_spec, _) ->
+            t.pending_ccs <- true
+          | Some (Wire.Content_type.Application_data, n) ->
             (* 0-RTT: early application data under the early keys *)
-            t.pending_app <- t.pending_app @ [ String.sub s off n ];
-            true
-          | Some _ -> raise (Wire.Decode_error "unexpected inner type"))))
+            t.pending_app <- t.pending_app @ [ Bytes.sub_string data body n ]
+          | Some _ -> raise (Wire.Decode_error "unexpected inner type"))));
+      Consumable.drop t.raw size;
+      true
 
   let next t =
     let rec go () =
@@ -123,7 +185,7 @@ module Inbound = struct
           t.pending_app <- rest;
           Application_data frag
         | [] -> (
-          match Consumable.complete t.hs ~header:4 ~at:1 ~width:3 with
+          match Consumable.complete t.hs with
           | Some size -> Handshake_message (Consumable.take t.hs size)
           | None -> if pull_record t then go () else Need_more_data)
     in
@@ -133,29 +195,28 @@ end
 let max_fragment = 16384
 
 (* the 2^14-byte chunking every record path shares: [one] frames a whole
-   message that fits one record, [into] appends the record of a chunk
-   to a buffer presized for all of them *)
+   message that fits one record; a larger one is laid out as its records
+   in one buffer of their exact size, [into buf pos s off len] writing
+   the record of [s]'s chunk at [pos] *)
 let fragment ~overhead ~one ~into msg =
   let n = String.length msg in
   if n = 0 then ""
   else if n <= max_fragment then one msg
   else begin
     let records = (n + max_fragment - 1) / max_fragment in
-    let buf = Buffer.create (n + (records * overhead)) in
-    let pos = ref 0 in
-    while !pos < n do
-      let len = min max_fragment (n - !pos) in
-      into buf msg !pos len;
-      pos := !pos + len
+    let buf = Bytes.create (n + (records * overhead)) in
+    for i = 0 to records - 1 do
+      let off = i * max_fragment in
+      into buf (off + (i * overhead)) msg off (min max_fragment (n - off))
     done;
-    Buffer.contents buf
+    Bytes.unsafe_to_string buf
   end
 
 let fragment_plaintext =
   let ty = Wire.Content_type.Handshake in
-  fragment ~overhead:5 ~one:(Wire.record ty) ~into:(fun buf s off len ->
-      Buffer.add_string buf (Wire.record_header ty len);
-      Buffer.add_substring buf s off len)
+  fragment ~overhead:5 ~one:(Wire.record ty) ~into:(fun buf pos s off len ->
+      Bytes.blit_string (Wire.record_header ty len) 0 buf pos 5;
+      Bytes.blit_string s off buf (pos + 5) len)
 
 let fragment_sealed ty crypt =
   fragment ~overhead:Record.overhead ~one:(Record.seal crypt ty)

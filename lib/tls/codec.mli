@@ -1,6 +1,13 @@
 (** Byte-stream plumbing between TCP and the handshake logic: TLS record
     parsing/decryption, handshake-message reassembly, and fragmentation
-    of outgoing messages into records. *)
+    of outgoing messages into records.
+
+    Inbound, what TCP delivers is queued as it arrives and moved into a
+    record queue one record at a time. Each record is read and, if
+    protected, opened where it lies there; its handshake bytes go from
+    there to the reassembly queue, from which a complete message is
+    taken as a string. Once a record's or message's header is in, its
+    queue grows at most once, to its size. *)
 
 module Inbound : sig
   type t
@@ -15,6 +22,9 @@ module Inbound : sig
 
   val create : unit -> t
   val feed : t -> string -> unit
+  (** Queue bytes as TCP delivered them; they are copied into the record
+      queue only when {!next} reads their record. *)
+
   val enable_decryption : t -> Record.t -> unit
   (** All subsequent application_data records are opened with this state. *)
 
@@ -33,11 +43,14 @@ val max_fragment : int
 (** 2^14, RFC 8446 section 5.1. *)
 
 val fragment_plaintext : string -> string
-(** Wrap a handshake message into one or more plaintext records. *)
+(** Wrap a handshake message into one or more plaintext records. A
+    message over {!max_fragment} bytes is laid out as its records in
+    one allocation of their exact size. *)
 
 val fragment_encrypted : Record.t -> string -> string
 (** Wrap into encrypted application_data records, advancing the write
-    state. *)
+    state; laid out like {!fragment_plaintext}, each record sealed into
+    place with {!Record.seal_into}. *)
 
 val fragment_app : Record.t -> string -> string
 (** Like {!fragment_encrypted} but with inner type application_data —

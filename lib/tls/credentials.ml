@@ -3,6 +3,7 @@ type t = {
   server_key : Pqc.Sigalg.keypair;
   alg : Pqc.Sigalg.t;
   profile : Chain_profile.t;
+  certificate : string;
 }
 
 let cache : (string, t) Hashtbl.t =
@@ -31,6 +32,9 @@ let get ?(profile = Chain_profile.default) alg =
       | None ->
         let rng = Crypto.Drbg.create ~seed:("credentials/" ^ key) in
         let chain, server_key = Chain.make profile ~leaf:alg rng in
-        let c = { chain; server_key; alg; profile } in
+        let certificate =
+          Messages.encode_certificate_chain (Chain.wire_certs chain)
+        in
+        let c = { chain; server_key; alg; profile; certificate } in
         Hashtbl.add cache key c;
         c)

@@ -205,7 +205,7 @@ let send_plain (p : peer) label msg =
 type flight = {
   cfg : Config.t;
   peer : peer;
-  mutable pending : string list;  (* newest first, joined at the flush *)
+  mutable pending : string list;  (* newest first, handed to TCP as parts *)
   mutable pending_bytes : int;
   mutable fmarks : (int * string) list;
 }
@@ -215,8 +215,8 @@ let make_flight cfg peer =
 
 let flight_flush f =
   if f.pending_bytes > 0 then begin
-    Netsim.Tcp.write f.peer.tcp ~marks:(List.rev f.fmarks)
-      (String.concat "" (List.rev f.pending));
+    Netsim.Tcp.write_parts f.peer.tcp ~marks:(List.rev f.fmarks)
+      (List.rev f.pending);
     f.pending <- [];
     f.pending_bytes <- 0;
     f.fmarks <- []
@@ -356,9 +356,7 @@ let server_flight ctx (p : peer) msg (ch : M.client_hello) ?psk k =
   let authenticate k =
     if resumed then k ()
     else begin
-      send "CERT"
-        (M.encode_certificate_chain
-           (Chain.wire_certs ctx.s_creds.Credentials.chain));
+      send "CERT" ctx.s_creds.Credentials.certificate;
       flight_push_point flight;
       charge p.host (sig_costs cfg).Pqc.Costs.sign @@ fun () ->
       let cv_content =
@@ -655,9 +653,8 @@ let client_on_finished ctx (p : peer) msg secrets =
   in
   Transcript.add p.transcript fin;
   let crypt = make_record ~memo:p.memo cfg secrets.K.client_handshake_traffic in
-  Netsim.Tcp.write p.tcp ~marks:[ (0, "FIN_C") ]
-    (String.concat ""
-       [ eoed_records; ccs_record; Codec.fragment_encrypted crypt fin ]);
+  Netsim.Tcp.write_parts p.tcp ~marks:[ (0, "FIN_C") ]
+    [ eoed_records; ccs_record; Codec.fragment_encrypted crypt fin ];
   (* both application traffic secrets are charged, as OpenSSL derives
      them eagerly; only the server's protects anything here *)
   charge_n p.host Pqc.Costs.key_schedule_derive 2 @@ fun () ->

@@ -57,34 +57,50 @@ let binders_length = 2 + 1 + 32
 
 (* The OpenSSL s_client CH also carries SNI, EC point formats, session
    ticket, encrypt-then-mac, extended master secret, PSK modes and
-   padding-free framing; modelled with realistic bodies. *)
+   padding-free framing; modelled with realistic bodies. The extensions
+   that are the same bytes in every ClientHello are joined once, here. *)
+let constant parts = String.concat "" parts
+
+(* SNI, supported_versions, and the handful of groups the client
+   announces, two bytes each *)
+let leading_extensions =
+  constant
+    (extension 0 (W.vec16 ("\x00" :: W.vec16 [ "server.pqtls.example" ]))
+    @ extension 43 (W.vec8 [ "\x03\x04" ])
+    @ extension 10 (W.vec16 (List.init 12 (fun i -> u16 (0x0100 + i)))))
+
+let sig_algs_extension n =
+  constant (extension 13 (W.vec16 (List.init n (fun i -> u16 (0x0800 + i)))))
+
+let min_sig_algs = 17
+let default_sig_algs_extension = sig_algs_extension min_sig_algs
+
+(* psk_key_exchange_modes (psk_dhe_ke only, section 4.2.9), then EMS,
+   EtM and record size limit with fixed small bodies. The legacy
+   session_ticket (35) stub is only advertised on full handshakes:
+   offering a real TLS 1.3 PSK alongside a fake empty ticket body would
+   be a wire lie. *)
+let trailing_extensions ~full =
+  constant
+    (extension 45 (W.vec8 [ "\x01" ])
+    @ (if full then extension 35 [] else [])
+    @ extension 23 [] @ extension 22 [] @ extension 28 [ "\x40\x01" ])
+
+let full_trailing_extensions = trailing_extensions ~full:true
+let resumed_trailing_extensions = trailing_extensions ~full:false
+
 let client_extensions ch =
-  let sni =
-    extension 0 (W.vec16 ("\x00" :: W.vec16 [ "server.pqtls.example" ]))
-  in
-  let supported_versions = extension 43 (W.vec8 [ "\x03\x04" ]) in
-  (* the client announces a handful of groups; two bytes each *)
-  let groups =
-    extension 10 (W.vec16 (List.init 12 (fun i -> u16 (0x0100 + i))))
-  in
   let sig_algs =
-    extension 13
-      (W.vec16
-         (List.init (max 17 (List.length ch.sig_algs)) (fun i ->
-              u16 (0x0800 + i))))
+    if List.length ch.sig_algs <= min_sig_algs then default_sig_algs_extension
+    else sig_algs_extension (List.length ch.sig_algs)
   in
   let key_share =
     extension 51 (W.vec16 (u16 0x0199 :: W.vec16 [ ch.key_share ]))
   in
-  (* psk_key_exchange_modes: psk_dhe_ke only (section 4.2.9) *)
-  let psk_modes = extension 45 (W.vec8 [ "\x01" ]) in
-  let misc =
-    (* EMS, EtM, record size limit: fixed small bodies. The legacy
-       session_ticket (35) stub is only advertised on full handshakes:
-       offering a real TLS 1.3 PSK alongside a fake empty ticket body
-       would be a wire lie. *)
-    (match ch.psk_offer with None -> extension 35 [] | Some _ -> [])
-    @ extension 23 [] @ extension 22 [] @ extension 28 [ "\x40\x01" ]
+  let trailing =
+    match ch.psk_offer with
+    | None -> full_trailing_extensions
+    | Some _ -> resumed_trailing_extensions
   in
   (* group and algorithm names ride in a private extension so the peer
      can resolve the exact algorithm without a numeric registry *)
@@ -103,8 +119,8 @@ let client_extensions ch =
       extension 41 (W.vec16 identity @ binders p.psk_binder)
   in
   List.concat
-    [ sni; supported_versions; groups; sig_algs; key_share; psk_modes; misc;
-      names; early_data; pre_shared_key ]
+    [ [ leading_extensions; sig_algs ]; key_share; [ trailing ]; names;
+      early_data; pre_shared_key ]
 
 let encode_client_hello ch =
   W.handshake HT.Client_hello

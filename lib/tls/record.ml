@@ -40,46 +40,52 @@ let seal t ty fragment =
   bump t;
   record
 
-let seal_into t ty buf s off len =
+let seal_into t ty buf pos s off len =
   let hdr = header (len + 1 + tag_size) in
-  Buffer.add_string buf hdr;
+  Bytes.blit_string hdr 0 buf pos 5;
   (match t.cipher with
   | Gcm (key, iv) ->
-    Buffer.add_string buf (seal_gcm key iv t.seq hdr ty (String.sub s off len))
+    let sealed = seal_gcm key iv t.seq hdr ty (String.sub s off len) in
+    Bytes.blit_string sealed 0 buf (pos + 5) (String.length sealed)
   | Null ->
-    Buffer.add_substring buf s off len;
-    Buffer.add_string buf (inner_type ty);
-    Buffer.add_string buf null_tag);
+    Bytes.blit_string s off buf (pos + 5) len;
+    Bytes.set buf (pos + 5 + len) (Char.chr (Wire.Content_type.to_byte ty));
+    Bytes.blit_string null_tag 0 buf (pos + 6 + len) tag_size);
   bump t
 
-let open_sub t s off len =
+let open_in_place t buf off len =
   let opened =
     match t.cipher with
     | Gcm (key, iv) ->
       Crypto.Aes_gcm.open_ key ~nonce:(nonce iv t.seq) ~ad:(header len)
-        (String.sub s off len)
-      |> Option.map (fun inner -> (inner, 0, String.length inner))
+        (Bytes.sub_string buf off len)
+      |> Option.map (fun inner ->
+             Bytes.blit_string inner 0 buf off (String.length inner);
+             String.length inner)
     | Null ->
       let n = len - tag_size in
-      if n >= 0 && Crypto.Bytesx.equal_ct (String.sub s (off + n) tag_size) null_tag
-      then Some (s, off, n)
+      if n >= 0
+         && Crypto.Bytesx.equal_ct (Bytes.sub_string buf (off + n) tag_size)
+              null_tag
+      then Some n
       else None
   in
   match opened with
   | None -> None
-  | Some (inner, off, n) ->
+  | Some n ->
     bump t;
     (* strip zero padding, then the content type byte *)
     let n = ref n in
-    while !n > 0 && inner.[off + !n - 1] = '\000' do
+    while !n > 0 && Bytes.get buf (off + !n - 1) = '\000' do
       decr n
     done;
     if !n = 0 then None
     else
       Some
-        ( Wire.Content_type.of_byte (Char.code inner.[off + !n - 1]),
-          inner, off, !n - 1 )
+        ( Wire.Content_type.of_byte (Char.code (Bytes.get buf (off + !n - 1))),
+          !n - 1 )
 
 let open_ t body =
-  open_sub t body 0 (String.length body)
-  |> Option.map (fun (ty, s, off, len) -> (ty, String.sub s off len))
+  let buf = Bytes.of_string body in
+  open_in_place t buf 0 (Bytes.length buf)
+  |> Option.map (fun (ty, n) -> (ty, Bytes.sub_string buf 0 n))

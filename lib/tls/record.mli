@@ -20,16 +20,19 @@ val seal : t -> Wire.Content_type.t -> string -> string
     included); advances the sequence number. *)
 
 val seal_into :
-  t -> Wire.Content_type.t -> Buffer.t -> string -> int -> int -> unit
-(** [seal_into t ty buf s off len] appends [seal t ty (String.sub s off
-    len)] to [buf] without taking the substring. *)
+  t -> Wire.Content_type.t -> Bytes.t -> int -> string -> int -> int -> unit
+(** [seal_into t ty buf pos s off len] writes [seal t ty (String.sub s
+    off len)], which is [len + overhead] bytes, to [buf] at [pos],
+    without taking the substring. *)
 
 val open_ : t -> string -> (Wire.Content_type.t * string) option
 (** Decrypts the body of an application_data record (header excluded);
     [None] on authentication failure. *)
 
-val open_sub :
-  t -> string -> int -> int -> (Wire.Content_type.t * string * int * int) option
-(** [open_sub t s off len] is [open_ t (String.sub s off len)] with the
-    plaintext given as a range [(s', off', len')]: under null protection
-    [s'] is [s] itself, so no byte is copied. *)
+val open_in_place :
+  t -> Bytes.t -> int -> int -> (Wire.Content_type.t * int) option
+(** [open_in_place t buf off len] opens the record body at [buf.[off ..
+    off + len)] where it lies: [Some (ty, n)] leaves the plaintext
+    content at [buf.[off .. off + n)], overwriting the ciphertext.
+    Under null protection the content is already there, so no byte is
+    copied. [None] on authentication failure. *)

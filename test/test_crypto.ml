@@ -124,6 +124,54 @@ let test_sha3_multi_block () =
     "a5e4fa0514ae974d8c2648513b5db494cea847156d277ad0e141c24c7839064c"
     (String.sub (Keccak.shake256 m 300) 268 32)
 
+(* shake256_parts_into writes exactly shake256_parts's output into its
+   range, and shake256_parts_equal finds it there, misses any one
+   flipped byte, and answers false on a range outside its string *)
+let test_shake_parts_in_place () =
+  let parts = [ "sim:"; "sig-tail"; ":"; String.make 32 '\x5c' ] in
+  List.iter
+    (fun len ->
+      let expected = Keccak.shake256_parts parts len in
+      List.iter
+        (fun off ->
+          let name = Printf.sprintf "len %d at %d" len off in
+          let buf = Bytes.make (off + len + 9) '\x77' in
+          Keccak.shake256_parts_into parts buf off len;
+          Alcotest.(check string) (name ^ ": output") expected
+            (Bytes.sub_string buf off len);
+          Alcotest.(check string) (name ^ ": bytes around it untouched")
+            (String.make off '\x77' ^ String.make 9 '\x77')
+            (Bytes.sub_string buf 0 off ^ Bytes.sub_string buf (off + len) 9);
+          let s = Bytes.to_string buf in
+          Alcotest.(check bool) (name ^ ": equal") true
+            (Keccak.shake256_parts_equal parts s off len);
+          List.iter
+            (fun i ->
+              if 0 <= i && i < len then begin
+                let b = Bytes.of_string s in
+                Bytes.set b (off + i)
+                  (Char.chr (Char.code s.[off + i] lxor 0x80));
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: byte %d flipped" name i)
+                  false
+                  (Keccak.shake256_parts_equal parts (Bytes.to_string b) off len)
+              end)
+            [ 0; 135; 136; len - 1 ])
+        [ 0; 7 ])
+    [ 0; 1; 135; 136; 137; 49_824 ];
+  let s = Keccak.shake256_parts parts 200 in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "range (%d, %d) outside a 200-byte string" off len)
+        false
+        (Keccak.shake256_parts_equal parts s off len))
+    [ (-1, 10); (0, -1); (0, 201); (1, 200); (201, 0); (max_int, 1);
+      (1, max_int) ];
+  Alcotest.check_raises "shake256_parts_into outside its buffer"
+    (Invalid_argument "Keccak.shake256_parts_into") (fun () ->
+      Keccak.shake256_parts_into parts (Bytes.create 10) 5 6)
+
 (* SHA3 and SHAKE of a fixed byte pattern at lengths around each rate
    (72, 136, 168) and twice the SHAKE256 rate, from Python's hashlib. Each
    row is (length, SHA3-256, SHA3-512, SHAKE128, SHAKE256); a SHAKE pair
@@ -552,6 +600,8 @@ let suites =
         Alcotest.test_case "sha3/shake vectors" `Quick test_sha3;
         Alcotest.test_case "shake incremental" `Quick test_shake_incremental;
         Alcotest.test_case "sha3/shake multi-block" `Quick test_sha3_multi_block;
+        Alcotest.test_case "shake256 parts in place" `Quick
+          test_shake_parts_in_place;
         Alcotest.test_case "sha3/shake known answers" `Quick test_keccak_kats;
         Alcotest.test_case "hmac vectors" `Quick test_hmac;
         Alcotest.test_case "hkdf rfc5869" `Quick test_hkdf;

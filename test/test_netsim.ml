@@ -213,11 +213,12 @@ let tcp_setup ?(netem = Netsim.Link.ideal) ?(config = Netsim.Tcp.default_config)
   let c, s = Netsim.Tcp.create_pair e link config ~client ~server in
   (e, c, s, trace)
 
-let transfer ?netem ?config ~data seed =
+let transfer ?netem ?config ?(write = fun c data -> Netsim.Tcp.write c data)
+    ~data seed =
   let e, c, s, trace = tcp_setup ?netem ?config seed in
   let received = Buffer.create 1024 in
   Netsim.Tcp.on_receive s (fun chunk -> Buffer.add_string received chunk);
-  Netsim.Tcp.connect c ~on_established:(fun () -> Netsim.Tcp.write c data);
+  Netsim.Tcp.connect c ~on_established:(fun () -> write c data);
   Netsim.Engine.run e;
   (Buffer.contents received, c, s, trace, e)
 
@@ -254,10 +255,31 @@ let test_tcp_loss_recovery () =
       jitter_s = 0.; rate_bps = 1e8 }
   in
   let data = String.init 200_000 (fun i -> Char.chr (i * 7 mod 256)) in
-  let got, c, _, _, _ = transfer ~netem ~data "tcp-loss" in
+  let got, c, s, _, _ = transfer ~netem ~data "tcp-loss" in
   Alcotest.(check string) "lossless delivery over lossy link" data got;
   Alcotest.(check bool) "retransmissions happened" true
-    (Netsim.Tcp.retransmissions c > 0)
+    (Netsim.Tcp.retransmissions c > 0);
+  (* the same bytes as uneven parts: segments are cut across the parts'
+     boundaries, and retransmissions read parts not yet acknowledged *)
+  let write_uneven c data =
+    let cuts = [ 1; 5; 1448; 16_406 ] in
+    let rec split off = function
+      | n :: rest -> String.sub data off n :: split (off + n) rest
+      | [] -> [ String.sub data off (String.length data - off) ]
+    in
+    Netsim.Tcp.write_parts c (split 0 cuts)
+  in
+  let got', c', s', _, _ =
+    transfer ~netem ~write:write_uneven ~data "tcp-loss"
+  in
+  Alcotest.(check string) "parts: lossless delivery" data got';
+  Alcotest.(check (list int)) "parts: same packets and retransmissions"
+    (List.concat_map
+       (fun t -> [ Netsim.Tcp.packets_sent t; Netsim.Tcp.retransmissions t ])
+       [ c; s ])
+    (List.concat_map
+       (fun t -> [ Netsim.Tcp.packets_sent t; Netsim.Tcp.retransmissions t ])
+       [ c'; s' ])
 
 let test_tcp_trace_counters () =
   (* under 10 % loss the trace must carry one retransmit instant per
@@ -370,7 +392,20 @@ let test_tcp_marks () =
   | Some en ->
     Alcotest.(check int) "B in third segment" 2896
       en.Netsim.Tap.packet.Netsim.Packet.seq
-  | None -> Alcotest.fail "mark B not seen")
+  | None -> Alcotest.fail "mark B not seen");
+  (* a mark's offset counts from the first part, so one in a later part
+     lands where the joined write would put it *)
+  let e, c, s, trace = tcp_setup "tcp-marks-parts" in
+  Netsim.Tcp.on_receive s (fun _ -> ());
+  Netsim.Tcp.connect c ~on_established:(fun () ->
+      Netsim.Tcp.write_parts c ~marks:[ (0, "A"); (3000, "B") ]
+        [ String.make 1000 'm'; String.make 3000 'n' ]);
+  Netsim.Engine.run e;
+  match Netsim.Tap.find_mark trace "B" with
+  | Some en ->
+    Alcotest.(check int) "B, in the second part, in third segment" 2896
+      en.Netsim.Tap.packet.Netsim.Packet.seq
+  | None -> Alcotest.fail "mark B in a later part not seen"
 
 let test_tcp_fin () =
   let e, c, s, trace = tcp_setup "tcp-fin" in

@@ -417,8 +417,8 @@ let test_shared_memo_pins () =
       let rng = Crypto.Drbg.create ~seed:("pins/" ^ name) in
       let kp = sa.Sigalg.keygen rng in
       let s = sa.Sigalg.sign rng ~secret:kp.Sigalg.secret "pins" in
-      (* signing took keygen's pk and put the tag and the tail *)
-      Alcotest.(check int) (name ^ ": producer entries") 2
+      (* signing took keygen's pk and put the whole signature *)
+      Alcotest.(check int) (name ^ ": producer entries") 1
         (Crypto.Memo.length memo);
       Alcotest.(check (pair string string)) name (pk, signature)
         (md5 kp.Sigalg.public, md5 s);
@@ -428,7 +428,9 @@ let test_shared_memo_pins () =
         (Crypto.Memo.length memo))
     sig_pins
 
-(* one flipped byte (first, middle, last) or a truncation *)
+(* one flipped byte (first, middle, last; the tail's first byte, which
+   follows the 32-byte head, and both sides of the tail's first
+   136-byte XOF block boundary) or a truncation *)
 let tampered s =
   let flip i =
     let b = Bytes.of_string s in
@@ -437,7 +439,12 @@ let tampered s =
   in
   let n = String.length s in
   [ ("first byte", flip 0); ("middle byte", flip (n / 2));
-    ("last byte", flip (n - 1)); ("truncated", String.sub s 0 (n - 1)) ]
+    ("last byte", flip (n - 1)) ]
+  @ List.filter_map
+      (fun (what, i) -> if i < n then Some (what, flip i) else None)
+      [ ("first tail byte", 32); ("last byte of the tail's first block", 32 + 135);
+        ("first byte of the tail's second block", 32 + 136) ]
+  @ [ ("truncated", String.sub s 0 (n - 1)) ]
 
 (* A tampered ciphertext or signature, checked against the memo its
    producer filled, gets what it gets alone: the implicit-rejection

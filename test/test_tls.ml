@@ -1169,18 +1169,23 @@ let test_byte_path_allocation () =
     Alcotest.failf "Transcript.current allocated %d bytes: a 64-word schedule"
       bytes;
   (* the hello codecs copy a key share a bounded number of times: an
-     encoder about twice the message, a decoder about twice the share *)
+     encoder about twice the message, a decoder about twice the share.
+     The extensions every ClientHello shares are built once, so a small
+     ClientHello encodes within a fixed number of words. *)
   List.iter
-    (fun kem_name ->
+    (fun (kem_name, ch_encode_words) ->
       let k = Pqc.Kem.mocked (kem kem_name) in
       let rng = Crypto.Drbg.create ~seed:"tls-alloc" in
       let kp = k.Pqc.Kem.keygen rng in
       let ct, _ = k.Pqc.Kem.encaps rng kp.Pqc.Kem.public in
-      let hello name share encode decode =
+      let hello ?words name share encode decode =
         let msg, bytes = allocated encode in
         check_limit
           (Printf.sprintf "%s %s encode" kem_name name)
-          ~limit:((2 * String.length msg) + 8192)
+          ~limit:
+            (match words with
+            | Some w -> w * (Sys.word_size / 8)
+            | None -> (2 * String.length msg) + 8192)
           ~of_:(Printf.sprintf "a %d-byte message" (String.length msg))
           bytes;
         let _, bytes = allocated (fun () -> decode msg) in
@@ -1205,13 +1210,25 @@ let test_byte_path_allocation () =
           sh_key_share = ct;
           sh_psk_selected = false }
       in
-      hello "ClientHello" kp.Pqc.Kem.public
+      hello ?words:ch_encode_words "ClientHello" kp.Pqc.Kem.public
         (fun () -> Tls.Messages.encode_client_hello ch)
         Tls.Messages.decode_client_hello;
       hello "ServerHello" ct
         (fun () -> Tls.Messages.encode_server_hello sh)
         Tls.Messages.decode_server_hello)
-    [ "hqc256"; "kyber768" ]
+    [ ("hqc256", None); ("kyber768", None); ("x25519", Some 640) ];
+  (* a whole handshake copies each flight byte a fixed number of times,
+     from the signer to the decoders: the mocked x25519 x sphincs256
+     handshake on the ideal link (106 kB on the wire) allocates at most
+     10 bytes per wire byte. The first run fills the credentials and
+     other caches. *)
+  let handshake () = run_handshake ~real:false "x25519" "sphincs256" in
+  ignore (handshake ());
+  let r, bytes = allocated handshake in
+  let wire = r.client_bytes + r.server_bytes in
+  check_limit "x25519 x sphincs256 handshake" ~limit:(10 * wire)
+    ~of_:(Printf.sprintf "%d wire bytes" wire)
+    bytes
 
 let suites =
   [ ( "tls",
