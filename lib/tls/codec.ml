@@ -121,13 +121,16 @@ module Inbound = struct
   (* move unread bytes into raw until its front record is complete or
      nothing is left, so raw holds one record at a time *)
   let rec fill t =
+    let raw = t.raw in
     let want =
-      match Consumable.frame_size t.raw with 0 -> 5 | size -> size
+      match Consumable.frame_size raw with
+      | 0 -> raw.Consumable.header
+      | size -> size
     in
     match Queue.peek_opt t.unread with
-    | Some s when t.raw.Consumable.len < want ->
-      let n = min (want - t.raw.Consumable.len) (String.length s - t.unread_off) in
-      Consumable.add_string t.raw s t.unread_off n;
+    | Some s when raw.Consumable.len < want ->
+      let n = min (want - raw.Consumable.len) (String.length s - t.unread_off) in
+      Consumable.add_string raw s t.unread_off n;
       t.unread_off <- t.unread_off + n;
       if t.unread_off = String.length s then begin
         ignore (Queue.pop t.unread);

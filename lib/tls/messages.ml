@@ -91,8 +91,9 @@ let resumed_trailing_extensions = trailing_extensions ~full:false
 
 let client_extensions ch =
   let sig_algs =
-    if List.length ch.sig_algs <= min_sig_algs then default_sig_algs_extension
-    else sig_algs_extension (List.length ch.sig_algs)
+    let n = List.length ch.sig_algs in
+    if n <= min_sig_algs then default_sig_algs_extension
+    else sig_algs_extension n
   in
   let key_share =
     extension 51 (W.vec16 (u16 0x0199 :: W.vec16 [ ch.key_share ]))
