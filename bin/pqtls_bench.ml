@@ -1,10 +1,10 @@
 (* Command-line driver mirroring the paper's experiment.py (Appendix B):
 
      pqtls-bench list
+     pqtls-bench list kas --json
      pqtls-bench run all-kem all-sig -o out/
      pqtls-bench handshake --kem kyber768 --sig dilithium3 --scenario lte-m
      pqtls-bench trace kyber512 dilithium2 --format chrome -o trace.json
-     pqtls-bench algorithms
 *)
 
 open Cmdliner
@@ -36,21 +36,14 @@ let quiet_arg =
     value & flag
     & info [ "q"; "quiet" ] ~doc:"Suppress the per-cell progress lines.")
 
-let retries_arg =
-  let doc =
-    "Re-run a failing cell up to $(docv) extra times (each attempt \
-     reseeds the cell deterministically) before recording it as failed."
-  in
-  Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
-
 let keep_going_arg =
   Arg.(
     value & flag
     & info [ "k"; "keep-going" ]
         ~doc:
-          "Exit 0 even when cells failed after retries. Reports always \
-           render, with failed cells marked; without this flag a failed \
-           cell makes the run exit 1.")
+          "Exit 0 even when cells failed after their retry. Reports \
+           always render, with failed cells marked; without this flag a \
+           failed cell makes the run exit 1.")
 
 (* KA, SA and scenario names: an unknown one is a usage error listing the
    valid names *)
@@ -74,22 +67,111 @@ let scenario_arg =
 
 (* ---- list ---------------------------------------------------------------- *)
 
+(* Every registry `list` shows, each a thunk so that listing one builds
+   no other: per item, its text line and its JSON fields. *)
+let listings =
+  let open Core.Json in
+  let each xs f () = List.map f xs in
+  (* a KA's or an SA's row: level, name, wire sizes and hybrid mark *)
+  let alg ~level ~name ~hybrid ~pk (tag, field, bytes) =
+    ( Printf.sprintf "L%d %-18s pk %6d B  %s %6d B%s" level name pk tag bytes
+        (if hybrid then "  (hybrid)" else ""),
+      [ ("name", String name); ("level", Int level); ("hybrid", Bool hybrid);
+        ("public_key_bytes", Int pk); (field, Int bytes) ] )
+  in
+  let chain_level = function
+    | Tls.Chain_profile.Leaf_alg -> String "leaf-alg"
+    | Tls.Chain_profile.Named n -> String n
+  in
+  [ ( "experiments",
+      each Core.Catalog.names (fun n ->
+          let description = Core.Catalog.describe n in
+          ( Printf.sprintf "%-22s %s" n description,
+            [ ("name", String n);
+              ("description", String description);
+              ( "aliases",
+                List
+                  (List.filter_map
+                     (fun (a, target) ->
+                       if target = n then Some (String a) else None)
+                     Core.Catalog.aliases) ) ] )) );
+    ( "kas",
+      each Pqc.Registry.kems (fun (k : Pqc.Kem.t) ->
+          alg ~level:k.level ~name:k.name ~hybrid:k.hybrid
+            ~pk:k.public_key_bytes
+            ("ct", "ciphertext_bytes", k.ciphertext_bytes)) );
+    ( "sas",
+      each Pqc.Registry.sigs (fun (s : Pqc.Sigalg.t) ->
+          alg ~level:s.level ~name:s.name ~hybrid:s.hybrid
+            ~pk:s.public_key_bytes
+            ("sig", "signature_bytes", s.signature_bytes)) );
+    ( "scenarios",
+      each Core.Scenario.all (fun (s : Core.Scenario.t) ->
+          let n = s.netem in
+          ( Printf.sprintf "%-10s %s" s.name s.label,
+            [ ("name", String s.name);
+              ("label", String s.label);
+              ("loss", Float n.Netsim.Link.loss);
+              ( "loss_towards",
+                match n.Netsim.Link.loss_towards with
+                | None -> Null
+                | Some d -> String d );
+              ("delay_s", Float n.Netsim.Link.delay_s);
+              ("jitter_s", Float n.Netsim.Link.jitter_s);
+              ("rate_bps", Float n.Netsim.Link.rate_bps) ] )) );
+    ( "workloads",
+      each Netsim.Workload.all (fun (w : Netsim.Workload.t) ->
+          ( Printf.sprintf "%-12s %-24s %s" w.name w.label w.description,
+            [ ("name", String w.name);
+              ("label", String w.label);
+              ("description", String w.description);
+              ("peak", Float w.peak) ] )) );
+    ( "mixes",
+      each Core.Mix.all (fun (m : Core.Mix.t) ->
+          ( Printf.sprintf "%-15s %-18s %s" m.name m.label m.description,
+            [ ("name", String m.name);
+              ("label", String m.label);
+              ("resumed", Float m.resumed);
+              ("early_data", Bool m.early_data);
+              ("description", String m.description) ] )) );
+    ( "chains",
+      each Tls.Chain_profile.all (fun (p : Tls.Chain_profile.t) ->
+          let depth = Tls.Chain_profile.depth p in
+          ( Printf.sprintf "%-16s %-14s depth %d  %s" p.name p.label depth
+              p.description,
+            [ ("name", String p.name);
+              ("label", String p.label);
+              ("depth", Int depth);
+              ("intermediates", List (List.map chain_level p.intermediates));
+              ("root", chain_level p.root);
+              ("description", String p.description) ] )) );
+    ( "ops",
+      fun () ->
+        List.map
+          (fun (o : Core.Profile.op) ->
+            let group = Core.Profile.group_name o.op_group in
+            ( Printf.sprintf "%-7s %-28s %d x %-3d  warmup %d" group o.op_name
+                o.op_samples o.op_batch o.op_warmup,
+              [ ("name", String o.op_name);
+                ("group", String group);
+                ("alg", String o.op_alg);
+                ("kind", String o.op_kind);
+                ("samples", Int o.op_samples);
+                ("batch", Int o.op_batch);
+                ("warmup", Int o.op_warmup) ] ))
+          (Core.Profile.registry ()) ) ]
+
 let list_cmd =
   let what_arg =
-    let whats =
-      [ ("experiments", `Experiments); ("kas", `Kas); ("sas", `Sas);
-        ("scenarios", `Scenarios); ("workloads", `Workloads);
-        ("mixes", `Mixes); ("chains", `Chains); ("ops", `Ops) ]
-    in
+    let names = List.map fst listings in
     Arg.(
       value
-      & pos 0 (enum whats) `Experiments
+      & pos 0 (enum (List.map (fun n -> (n, n)) names)) (List.hd names)
       & info [] ~docv:"WHAT"
           ~doc:
-            "What to list: $(b,experiments) (default), $(b,kas), \
-             $(b,sas), $(b,scenarios), $(b,workloads), $(b,mixes), \
-             $(b,chains), or $(b,ops) (the profiled-primitive registry \
-             behind $(b,profile)).")
+            ("What to list: "
+            ^ String.concat ", " (List.map (Printf.sprintf "$(b,%s)") names)
+            ^ ". $(b,ops) is the registry $(b,profile) measures."))
   in
   let json_arg =
     Arg.(
@@ -98,165 +180,20 @@ let list_cmd =
           ~doc:"Emit the listing as JSON (stable field order) for scripts.")
   in
   let run what json =
-    let open Core.Json in
-    let emit j = print_string (to_string j) in
-    match (what, json) with
-    | `Experiments, false ->
-      List.iter
-        (fun name ->
-          Printf.printf "%-22s %s\n" name (Core.Catalog.describe name))
-        Core.Catalog.names
-    | `Experiments, true ->
-      emit
-        (List
-           (List.map
-              (fun n ->
-                Obj
-                  [ ("name", String n);
-                    ("description", String (Core.Catalog.describe n));
-                    ( "aliases",
-                      List
-                        (List.filter_map
-                           (fun (a, target) ->
-                             if target = n then Some (String a) else None)
-                           Core.Catalog.aliases) ) ])
-              Core.Catalog.names))
-    | `Kas, false ->
-      List.iter (fun (k : Pqc.Kem.t) -> print_endline k.name) Pqc.Registry.kems
-    | `Kas, true ->
-      emit
-        (List
-           (List.map
-              (fun (k : Pqc.Kem.t) ->
-                Obj
-                  [ ("name", String k.name);
-                    ("level", Int k.level);
-                    ("hybrid", Bool k.hybrid);
-                    ("public_key_bytes", Int k.public_key_bytes);
-                    ("ciphertext_bytes", Int k.ciphertext_bytes) ])
-              Pqc.Registry.kems))
-    | `Sas, false ->
-      List.iter (fun (s : Pqc.Sigalg.t) -> print_endline s.name) Pqc.Registry.sigs
-    | `Sas, true ->
-      emit
-        (List
-           (List.map
-              (fun (s : Pqc.Sigalg.t) ->
-                Obj
-                  [ ("name", String s.name);
-                    ("level", Int s.level);
-                    ("hybrid", Bool s.hybrid);
-                    ("public_key_bytes", Int s.public_key_bytes);
-                    ("signature_bytes", Int s.signature_bytes) ])
-              Pqc.Registry.sigs))
-    | `Scenarios, false ->
-      List.iter
-        (fun (s : Core.Scenario.t) -> Printf.printf "%-10s %s\n" s.name s.label)
-        Core.Scenario.all
-    | `Scenarios, true ->
-      emit
-        (List
-           (List.map
-              (fun (s : Core.Scenario.t) ->
-                let n = s.Core.Scenario.netem in
-                Obj
-                  [ ("name", String s.name);
-                    ("label", String s.label);
-                    ("loss", Float n.Netsim.Link.loss);
-                    ( "loss_towards",
-                      match n.Netsim.Link.loss_towards with
-                      | None -> Null
-                      | Some d -> String d );
-                    ("delay_s", Float n.Netsim.Link.delay_s);
-                    ("jitter_s", Float n.Netsim.Link.jitter_s);
-                    ("rate_bps", Float n.Netsim.Link.rate_bps) ])
-              Core.Scenario.all))
-    | `Workloads, false ->
-      List.iter
-        (fun (w : Netsim.Workload.t) ->
-          Printf.printf "%-12s %-24s %s\n" w.name w.label w.description)
-        Netsim.Workload.all
-    | `Workloads, true ->
-      emit
-        (List
-           (List.map
-              (fun (w : Netsim.Workload.t) ->
-                Obj
-                  [ ("name", String w.name);
-                    ("label", String w.label);
-                    ("description", String w.description);
-                    ("peak", Float w.peak) ])
-              Netsim.Workload.all))
-    | `Mixes, false ->
-      List.iter
-        (fun (m : Core.Mix.t) ->
-          Printf.printf "%-15s %-18s %s\n" m.name m.label m.description)
-        Core.Mix.all
-    | `Mixes, true ->
-      emit
-        (List
-           (List.map
-              (fun (m : Core.Mix.t) ->
-                Obj
-                  [ ("name", String m.name);
-                    ("label", String m.label);
-                    ("resumed", Float m.resumed);
-                    ("early_data", Bool m.early_data);
-                    ("description", String m.description) ])
-              Core.Mix.all))
-    | `Chains, false ->
-      List.iter
-        (fun (p : Tls.Chain_profile.t) ->
-          Printf.printf "%-16s %-14s depth %d  %s\n" p.name p.label
-            (Tls.Chain_profile.depth p) p.description)
-        Tls.Chain_profile.all
-    | `Chains, true ->
-      let level = function
-        | Tls.Chain_profile.Leaf_alg -> String "leaf-alg"
-        | Tls.Chain_profile.Named n -> String n
-      in
-      emit
-        (List
-           (List.map
-              (fun (p : Tls.Chain_profile.t) ->
-                Obj
-                  [ ("name", String p.name);
-                    ("label", String p.label);
-                    ("depth", Int (Tls.Chain_profile.depth p));
-                    ("intermediates", List (List.map level p.intermediates));
-                    ("root", level p.root);
-                    ("description", String p.description) ])
-              Tls.Chain_profile.all))
-    | `Ops, false ->
-      List.iter
-        (fun (o : Core.Profile.op) ->
-          Printf.printf "%-7s %-28s %d x %-3d  warmup %d\n"
-            (Core.Profile.group_name o.op_group)
-            o.op_name o.op_samples o.op_batch o.op_warmup)
-        (Core.Profile.registry ())
-    | `Ops, true ->
-      emit
-        (List
-           (List.map
-              (fun (o : Core.Profile.op) ->
-                Obj
-                  [ ("name", String o.op_name);
-                    ("group", String (Core.Profile.group_name o.op_group));
-                    ("alg", String o.op_alg);
-                    ("kind", String o.op_kind);
-                    ("samples", Int o.op_samples);
-                    ("batch", Int o.op_batch);
-                    ("warmup", Int o.op_warmup) ])
-              (Core.Profile.registry ())))
+    let items = List.assoc what listings () in
+    if json then
+      print_string
+        Core.Json.(to_string (List (List.map (fun (_, f) -> Obj f) items)))
+    else List.iter (fun (line, _) -> print_endline line) items
   in
   Cmd.v
     (Cmd.info "list"
        ~doc:
          "List the available experiments (Appendix B.6 schema), key \
-          agreements, signature algorithms, network scenarios, farm \
-          arrival workloads, resumption workload mixes, certificate \
-          chain profiles, or profiled primitives; $(b,--json) emits a \
-          machine-readable listing.")
+          agreements and signature algorithms with their wire sizes, \
+          network scenarios, farm arrival workloads, resumption workload \
+          mixes, certificate chain profiles, or profiled primitives; \
+          $(b,--json) emits a machine-readable listing.")
     Term.(const run $ what_arg $ json_arg)
 
 (* ---- run ----------------------------------------------------------------- *)
@@ -291,8 +228,8 @@ let run_cmd =
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
-  let run seed jobs cache_dir quiet retries keep_going out_dir trace_out
-      metrics_out experiments =
+  let run seed jobs cache_dir quiet keep_going out_dir trace_out metrics_out
+      experiments =
     let store = Option.map (fun _ -> Trace.Store.create ()) trace_out in
     (* fault injection for tests and CI; unset or empty injects nothing *)
     let fail_cell =
@@ -301,8 +238,8 @@ let run_cmd =
       | needle -> needle
     in
     let exec =
-      Core.Exec.create ~jobs ?cache_dir ~progress:(not quiet) ~retries
-        ?fail_cell ?trace:store ()
+      Core.Exec.create ~jobs ?cache_dir ~progress:(not quiet) ?fail_cell
+        ?trace:store ()
     in
     List.iter
       (fun name ->
@@ -356,12 +293,12 @@ let run_cmd =
        ~doc:
          "Run named experiments (60 virtual seconds per configuration), \
           sharded across domains with $(b,--jobs) and memoized with \
-          $(b,--cache). Failing cells are retried, then marked in the \
-          rendered report; $(b,--keep-going) makes such runs exit 0.")
+          $(b,--cache). A failing cell is retried once with a reseeded \
+          DRBG, then marked in the rendered report; $(b,--keep-going) \
+          makes such runs exit 0.")
     Term.(
-      const run $ seed_arg $ jobs_arg $ cache_arg $ quiet_arg $ retries_arg
-      $ keep_going_arg $ out_dir $ trace_out $ metrics_out
-      $ experiments)
+      const run $ seed_arg $ jobs_arg $ cache_arg $ quiet_arg $ keep_going_arg
+      $ out_dir $ trace_out $ metrics_out $ experiments)
 
 (* ---- compare --------------------------------------------------------------- *)
 
@@ -601,14 +538,8 @@ let trace_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
            ~doc:"Write the export to $(docv) instead of stdout.")
   in
-  let max_samples_arg =
-    Arg.(value & opt (some int) None & info [ "max-samples" ] ~docv:"N"
-           ~doc:"Stop the cell after $(docv) handshake iterations.")
-  in
-  let run seed kem sig_alg scenario format out max_samples =
-    let spec =
-      Core.Experiment.spec ~seed ~scenario ?max_samples kem sig_alg
-    in
+  let run seed kem sig_alg scenario format out =
+    let spec = Core.Experiment.spec ~seed ~scenario kem sig_alg in
     let buf = Trace.Buf.create ~label:(Core.Experiment.spec_label spec) () in
     let outcome = Core.Experiment.run_spec ~trace:buf spec in
     let contents =
@@ -639,7 +570,7 @@ let trace_cmd =
           exported for Perfetto, flamegraphs, or plain text.")
     Term.(
       const run $ seed_arg $ kem_arg $ sig_arg $ scenario_arg $ format_arg
-      $ out_arg $ max_samples_arg)
+      $ out_arg)
 
 (* ---- profile --------------------------------------------------------------- *)
 
@@ -653,15 +584,6 @@ let profile_cmd =
             "Only measure ops whose $(b,group:name) contains $(docv) \
              (e.g. $(b,kyber512), $(b,sign), $(b,kernel:)); see \
              $(b,list ops).")
-  in
-  let jobs_arg =
-    let doc =
-      "Domains to shard the micro-benchmarks across. Defaults to 1: \
-       sequential measurement is the most accurate; parallel runs trade \
-       timing fidelity for wall time (the artifact's deterministic shape \
-       is identical either way)."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let format_arg =
     let formats = [ ("table", `Table); ("json", `Json); ("folded", `Folded) ] in
@@ -683,9 +605,9 @@ let profile_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Write the output to $(docv) instead of stdout.")
   in
-  let run seed jobs ops format out =
+  let run seed ops format out =
     let artifact =
-      try Core.Profile.run ~jobs ?ops_filter:ops ~seed ()
+      try Core.Profile.run ?ops_filter:ops ~seed ()
       with Invalid_argument msg ->
         Printf.eprintf "error: %s\n" msg;
         exit 2
@@ -713,32 +635,10 @@ let profile_cmd =
           shared kernels (Keccak permutation, NTTs, HKDF, SHA-256), with \
           robust per-op statistics, GC allocation deltas, and a \
           campaign-attribution table mapping each virtual-cost bucket to \
-          measured real milliseconds. Values are machine-dependent by \
-          design; the artifact's shape is deterministic.")
-    Term.(const run $ seed_arg $ jobs_arg $ ops_arg $ format_arg $ out_arg)
-
-(* ---- algorithms ------------------------------------------------------------ *)
-
-let algorithms_cmd =
-  let run () =
-    Printf.printf "Key agreements (%d):\n" (List.length Pqc.Registry.kems);
-    List.iter
-      (fun (k : Pqc.Kem.t) ->
-        Printf.printf "  L%d %-18s pk %6d B  ct %6d B%s\n" k.level k.name
-          k.public_key_bytes k.ciphertext_bytes
-          (if k.hybrid then "  (hybrid)" else ""))
-      Pqc.Registry.kems;
-    Printf.printf "Signature algorithms (%d):\n" (List.length Pqc.Registry.sigs);
-    List.iter
-      (fun (s : Pqc.Sigalg.t) ->
-        Printf.printf "  L%d %-18s pk %6d B  sig %6d B%s\n" s.level s.name
-          s.public_key_bytes s.signature_bytes
-          (if s.hybrid then "  (hybrid)" else ""))
-      Pqc.Registry.sigs
-  in
-  Cmd.v
-    (Cmd.info "algorithms" ~doc:"List every algorithm with its wire sizes.")
-    Term.(const run $ const ())
+          measured real milliseconds, one op at a time on one domain. \
+          Values are machine-dependent by design; the artifact's shape is \
+          deterministic.")
+    Term.(const run $ seed_arg $ ops_arg $ format_arg $ out_arg)
 
 let () =
   let info =
@@ -749,4 +649,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; run_cmd; compare_cmd; handshake_cmd; trace_cmd;
-            profile_cmd; algorithms_cmd ]))
+            profile_cmd ]))

@@ -96,18 +96,7 @@ let rules_cmd =
         Lint.Engine.rules
     else begin
       let buf = Buffer.create 1024 in
-      let str s =
-        Buffer.add_char buf '"';
-        String.iter
-          (fun c ->
-            match c with
-            | '"' -> Buffer.add_string buf "\\\""
-            | '\\' -> Buffer.add_string buf "\\\\"
-            | '\n' -> Buffer.add_string buf "\\n"
-            | c -> Buffer.add_char buf c)
-          s;
-        Buffer.add_char buf '"'
-      in
+      let str = Lint.Report.json_string buf in
       Buffer.add_string buf "{\n  \"rules\": [";
       List.iteri
         (fun i (r : Lint.Rule.t) ->

@@ -494,7 +494,7 @@ let table7_pairs = table6_pairs
 let table7_scenarios = [ Scenario.no_emulation; Scenario.high_delay ]
 
 let cwnd_variant segments =
-  { Netsim.Tcp.default_config with Netsim.Tcp.init_cwnd_segments = segments }
+  { Netsim.Tcp.init_cwnd_segments = segments }
 
 let table7 ~pairs ~profiles ~max_samples ~seed exec =
   let meta =

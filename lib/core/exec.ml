@@ -1,14 +1,14 @@
 (* The campaign execution context: how many domains, which result
-   cache, retry budget, and whether to narrate progress.
+   cache, and whether to narrate progress.
    Catalog/Deviation/Whitebox/Amplification build their grids as
    [Experiment.spec] lists and hand them here; formatting stays
    sequential and cheap.
 
-   Execution is fault-tolerant: a cell that raises is retried up to
-   [retries] times with a deterministically derived per-attempt seed,
-   and an exhausted budget yields [Error] instead of killing the
-   campaign — renderers mark the cell and every completed neighbour
-   survives. Failures are never written to the result cache. *)
+   Execution is fault-tolerant: a cell that raises is retried once
+   with a deterministically derived seed, and a failed retry yields
+   [Error] instead of killing the campaign — renderers mark the cell
+   and every completed neighbour survives. Failures are never written
+   to the result cache. *)
 
 type cell_error = {
   ce_message : string;
@@ -23,20 +23,17 @@ type t = {
   jobs : int;
   cache : Result_cache.t option;
   progress : bool;
-  retries : int;
   fail_cell : string option;
   started : float;
   trace : Trace.Store.t option;
   metrics : Metrics.t;
 }
 
-let create ~jobs ?cache_dir ?(progress = false) ?(retries = 1) ?fail_cell
-    ?trace () =
+let create ~jobs ?cache_dir ?(progress = false) ?fail_cell ?trace () =
   Printexc.record_backtrace true;
   { jobs = max 1 jobs;
     cache = Option.map (fun dir -> Result_cache.create ~dir) cache_dir;
     progress;
-    retries = max 0 retries;
     fail_cell;
     started = Clock.now_s ();
     trace;
@@ -48,9 +45,9 @@ let contains ~needle hay =
   n = 0 || go 0
 
 (* attempt 0 runs the spec verbatim (cache keys and historical outputs
-   are unchanged); attempt [k > 0] reseeds the cell's DRBG through the
-   seed string, so retry results depend only on the spec and the attempt
-   number — never on scheduling or [jobs] *)
+   are unchanged); the retry, attempt 1, reseeds the cell's DRBG through
+   the seed string, so its result depends only on the spec — never on
+   scheduling or [jobs] *)
 let attempt_spec (kind : _ Cell.kind) spec k =
   if k = 0 then spec
   else kind.Cell.reseed (fun seed -> Printf.sprintf "%s#retry%d" seed k) spec
@@ -77,7 +74,7 @@ let run_cell t (kind : _ Cell.kind) ?trace spec =
       Ok o
     | exception e ->
       let bt = Printexc.get_backtrace () in
-      if k < t.retries then attempt (k + 1)
+      if k = 0 then attempt 1
       else begin
         Metrics.incr t.metrics "cells_failed";
         Error

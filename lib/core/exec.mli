@@ -1,23 +1,23 @@
-(** Campaign execution context: domain count, optional result cache,
-    per-cell retry budget, and progress narration. Every campaign in
-    {!Catalog}, {!Deviation}, {!Whitebox} and {!Amplification} runs
-    through one, built by {!create}; [create ~jobs:1 ()] reproduces the
-    historical single-core behaviour bit for bit.
+(** Campaign execution context: domain count, optional result cache
+    and progress narration. Every campaign in {!Catalog}, {!Deviation},
+    {!Whitebox} and {!Amplification} runs through one, built by
+    {!create}; [create ~jobs:1 ()] reproduces the historical
+    single-core behaviour bit for bit.
 
     Every {!Cell.kind} runs through one grid runner: {!cells} and
     {!farm_cells} instantiate it for the two kinds.
 
     Execution is fault-tolerant end to end: a cell whose experiment
     raises (e.g. zero completed handshakes under 10 % loss) is retried
-    with a deterministically reseeded DRBG, and if the attempt budget is
-    exhausted the campaign records an {!cell_error} for that cell and
+    once with a deterministically reseeded DRBG, and if the retry fails
+    too the campaign records an {!cell_error} for that cell and
     keeps going — renderers mark the failed cell instead of aborting,
     and the health counters report what happened. *)
 
 type cell_error = {
   ce_message : string;  (** [Printexc.to_string] of the last exception *)
   ce_backtrace : string;  (** backtrace of the last failing attempt *)
-  ce_attempts : int;  (** attempts made, [>= 1] *)
+  ce_attempts : int;  (** attempts made: 2, the try and its retry *)
   ce_elapsed_s : float;  (** host seconds spent across all attempts *)
 }
 
@@ -27,7 +27,6 @@ type t = {
   jobs : int;  (** domains used per grid, including the caller's *)
   cache : Result_cache.t option;
   progress : bool;  (** per-cell timing lines on stderr *)
-  retries : int;  (** extra attempts granted to a failing cell *)
   fail_cell : string option;
       (** fault injection for tests/CI: any cell whose
           {!Cell.kind} label contains this substring raises on every
@@ -53,26 +52,24 @@ val create :
   jobs:int ->
   ?cache_dir:string ->
   ?progress:bool ->
-  ?retries:int ->
   ?fail_cell:string ->
   ?trace:Trace.Store.t ->
   unit ->
   t
 (** [jobs] is clamped to at least 1; [cache_dir] opens (creating if
     needed) a {!Result_cache} there; [progress] defaults to [false];
-    [retries] defaults to [1]; [fail_cell] defaults to no injection;
-    [trace] collects per-cell traces (see the field doc). Each call has
-    its own metrics registry. Turns on backtrace recording, for
-    {!cell_error}. *)
+    [fail_cell] defaults to no injection; [trace] collects per-cell
+    traces (see the field doc). Each call has its own metrics registry.
+    Turns on backtrace recording, for {!cell_error}. *)
 
 val cells : t -> Experiment.spec list -> cell_result list
 (** Evaluate a grid: each cell is served from the cache when possible,
     executed otherwise, sharded across [jobs] domains. Results are in
     input order and bit-identical regardless of [jobs]: cells derive
-    independent deterministic seeds, and retry attempt [k] reruns the
-    cell with seed ["<seed>#retry<k>"], so even retried and failed cells
-    are a pure function of the spec and the budget. A failing cell
-    yields [Error] (never cached); completed cells are unaffected.
+    independent deterministic seeds, and a failing cell's one retry
+    reruns it with seed ["<seed>#retry1"], so even retried and failed
+    cells are a pure function of the spec. A failing cell yields
+    [Error] (never cached); completed cells are unaffected.
     Summaries are recorded through {!Metrics.record_cell} in spec
     order. *)
 
@@ -90,7 +87,7 @@ val retried_count : t -> int
 (** Completed cells that needed more than one attempt. *)
 
 val failed_count : t -> int
-(** Cells that exhausted the attempt budget. *)
+(** Cells whose retry failed too. *)
 
 val cache_summary : t -> string option
 (** One-line hit/miss totals, when a cache is attached. *)

@@ -106,8 +106,8 @@ let spec_fingerprint sp =
     | Tls.Config.Default_buffered -> "buffered")
     sp.sp_duration_s
     (match sp.sp_max_samples with None -> "-" | Some n -> string_of_int n)
-    sp.sp_seed sp.sp_real_crypto tcp.Netsim.Tcp.mss
-    tcp.Netsim.Tcp.init_cwnd_segments tcp.Netsim.Tcp.kernel_cost_ms_per_packet
+    sp.sp_seed sp.sp_real_crypto Netsim.Tcp.mss
+    tcp.Netsim.Tcp.init_cwnd_segments Netsim.Tcp.kernel_cost_ms_per_packet
     sp.sp_buffer_limit sp.sp_wrong_key_share
     ((if Mix.is_full sp.sp_mix then ""
       else Printf.sprintf "|mix=%s" sp.sp_mix.Mix.name)

@@ -7,7 +7,7 @@
 let flights_to_deliver ~(tcp : Netsim.Tcp.config) bytes =
   (* flight n delivers init_cwnd * 2^(n-1) segments: the smallest n with
      mss * init_cwnd * (2^n - 1) >= bytes gets the flight on the wire *)
-  let window = tcp.Netsim.Tcp.mss * tcp.Netsim.Tcp.init_cwnd_segments in
+  let window = Netsim.Tcp.mss * tcp.Netsim.Tcp.init_cwnd_segments in
   let rec go n delivered cwnd_bytes =
     if delivered >= bytes then n
     else go (n + 1) (delivered + cwnd_bytes) (2 * cwnd_bytes)

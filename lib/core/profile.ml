@@ -6,7 +6,7 @@
      were eyeballed from one machine) but they are code constants, so
      the sampling plan — and with it the artifact's entire shape — is a
      pure function of the registries, identical on every machine and
-     across [--jobs].
+     every run.
 
    - The only wall-clock reads go through {!Clock}; everything measured
      here is explicitly volatile and never feeds back into a campaign
@@ -288,7 +288,7 @@ let attribution ~seed =
   in
   (spec.Experiment.sp_scenario.Scenario.name, rows)
 
-let run ?(jobs = 1) ?ops_filter ~seed () =
+let run ?ops_filter ~seed () =
   let ops = registry () in
   let ops =
     match ops_filter with
@@ -300,8 +300,10 @@ let run ?(jobs = 1) ?ops_filter ~seed () =
               (Printf.sprintf "profile: no op matches filter %S" needle)
         | l -> l)
   in
+  (* one op at a time on this domain: a second domain would share the
+     Gc counters and inflate every op's allocation *)
   let measured =
-    Pool.map ~jobs
+    List.map
       (fun op ->
         let time, gc = measure op in
         { p_op = op; p_time = time; p_gc = gc })

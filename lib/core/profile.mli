@@ -12,7 +12,7 @@
     - a {e deterministic shape} — the op registry, per-op iteration
       counts, JSON schema and key order, and the attribution rows'
       identities, counts and virtual costs, all pure functions of the
-      registries and the planning table, identical across [--jobs]; from
+      registries and the planning table, identical on every run; from
     - {e nondeterministic values} — the measured millisecond
       distributions, GC deltas and real-attribution columns, which
       depend on the machine and the moment and are compared only with a
@@ -103,12 +103,11 @@ val measure : op -> Metrics.dist * gc_delta
     [op_samples] timed batches with {!Clock}, with one [Gc.quick_stat]
     delta bracketing the whole sampled region. *)
 
-val run : ?jobs:int -> ?ops_filter:string -> seed:string -> unit -> artifact
-(** Measure the (optionally filtered) registry, sharding ops across
-    [jobs] domains (default 1 — parallel measurement trades accuracy
-    for wall time; the artifact's shape is identical either way), and
-    run the attribution cell (a traced mocked-crypto kyber768 x
-    dilithium3 cell under the ideal scenario, seeded from [seed]).
+val run : ?ops_filter:string -> seed:string -> unit -> artifact
+(** Measure the (optionally filtered) registry in registry order, one
+    op at a time on the calling domain, and run the attribution cell
+    (a traced mocked-crypto kyber768 x dilithium3 cell under the ideal
+    scenario, seeded from [seed]).
     @raise Invalid_argument when the filter matches nothing. *)
 
 val to_json_string : artifact -> string

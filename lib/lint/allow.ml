@@ -5,7 +5,6 @@ type scope = {
   s_file : string;
   s_line_start : int;
   s_line_end : int;
-  s_reason : string;
 }
 
 let attr_name = "lint.allow"
@@ -44,8 +43,7 @@ let scopes_of_source (src : Source.t) =
                    else loc.Location.loc_start.Lexing.pos_lnum);
                 s_line_end =
                   (if whole_file then max_int
-                   else loc.Location.loc_end.Lexing.pos_lnum);
-                s_reason = reason }
+                   else loc.Location.loc_end.Lexing.pos_lnum) }
               :: !scopes
           | _ ->
             bad :=

@@ -13,7 +13,6 @@ type scope = {
   s_file : string;
   s_line_start : int;
   s_line_end : int;
-  s_reason : string;
 }
 
 val scopes_of_source : Source.t -> scope list * Diag.t list

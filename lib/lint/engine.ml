@@ -20,9 +20,8 @@ let run ?(rules = rules) sources =
         (s @ scopes, b @ bad))
       ([], []) sources
   in
-  let findings =
-    List.concat_map (fun (r : Rule.t) -> r.Rule.check sources) rules
-  in
+  let run = { Rule.sources; syms = Symtab.build sources; scopes } in
+  let findings = List.concat_map (fun (r : Rule.t) -> r.Rule.check run) rules in
   let kept =
     List.filter (fun d -> not (Allow.suppressed ~scopes d)) findings
   in

@@ -5,6 +5,10 @@
 
 type format = Text | Json | Sarif
 
+val json_string : Buffer.t -> string -> unit
+(** Append a JSON string literal, escaping quotes, backslashes and
+    every control byte. *)
+
 val format_of_string : string -> format option
 
 val render :

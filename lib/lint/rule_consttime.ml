@@ -2,13 +2,7 @@ open Parsetree
 
 let dirs = [ "lib/crypto"; "lib/pqc"; "lib/tls" ]
 
-let banned_idents =
-  [ "String.equal"; "Bytes.equal"; "String.compare"; "Bytes.compare" ]
-
-let poly_compare = [ "="; "<>"; "=="; "!="; "compare" ]
-
-let check sources =
-  let syms = Symtab.build sources in
+let check { Rule.sources; syms; _ } =
   List.concat_map
     (fun (src : Source.t) ->
       let in_scope =
@@ -27,7 +21,7 @@ let check sources =
         Walk.iter_expressions str (fun ~symbol e ->
             match e.pexp_desc with
             | Pexp_ident _ -> (
-              match among banned_idents e with
+              match among Taint.byte_compares e with
               | Some path ->
                 diag ~symbol e.pexp_loc
                   (path
@@ -35,7 +29,7 @@ let check sources =
                     Bytesx.equal_ct for anything secret-adjacent")
               | None -> ())
             | Pexp_apply (op, args) -> (
-              match among poly_compare op with
+              match among Taint.poly_compares op with
               | Some name
                 when List.exists
                           (fun (_, a) -> Walk.string_const a <> None)

@@ -53,8 +53,7 @@ let write_target_index parts =
   | [ ("Queue" | "Stack"); ("pop" | "take" | "clear") ] -> Some 0
   | _ -> None
 
-let check sources =
-  let syms = Symtab.build sources in
+let check { Rule.syms; _ } =
   let cg = Callgraph.build syms in
   let reach = Callgraph.reachable cg (Callgraph.pool_roots syms) in
   let mutables = Hashtbl.create 64 in

@@ -1,24 +1,14 @@
 open Parsetree
 
+(* S2's creators, and the guarded kinds, which S1 still wants named at
+   their birthplace *)
 let creators =
-  [ "ref";
-    "Hashtbl.create";
-    "Array.make";
-    "Array.init";
-    "Array.create_float";
-    "Bytes.create";
-    "Bytes.make";
-    "Buffer.create";
-    "Queue.create";
-    "Stack.create";
-    "Atomic.make";
-    "Domain.DLS.new_key" ]
+  Rule_domain_race.creators @ [ "Atomic.make"; "Domain.DLS.new_key" ]
 
 (* Walk only the expressions the runtime evaluates while the module
    initializes: stop at function/lazy abstractions, whose bodies run
    per call. *)
-let check sources =
-  let syms = Symtab.build sources in
+let check { Rule.sources; syms; _ } =
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with

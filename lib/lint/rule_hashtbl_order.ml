@@ -9,8 +9,7 @@ let sorts =
 (* A fold is fine when a sort consumes it in the same expression; we
    mark those call sites in a first pass, then flag every unmarked
    enumeration. *)
-let check sources =
-  let syms = Symtab.build sources in
+let check { Rule.sources; syms; _ } =
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with

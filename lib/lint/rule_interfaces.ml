@@ -1,7 +1,7 @@
 let module_name path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-let check sources =
+let check { Rule.sources; _ } =
   List.filter_map
     (fun (src : Source.t) ->
       match src.Source.kind with

@@ -5,9 +5,7 @@
    born in lib/crypto is still secret inside lib/tls); diagnostics are
    confined to the crypto-bearing directories. *)
 
-let check sources =
-  let syms = Symtab.build sources in
-  Taint.check (Taint.analyse syms)
+let check { Rule.syms; _ } = Taint.check (Taint.analyse syms)
 
 let rule =
   { Rule.name = "C2";

@@ -48,11 +48,8 @@ let unnamed_uses syms (src : Source.t) =
         | _ -> [])
       str
 
-let check_tree sources =
+let check_tree ~scopes sources =
   let syms = Symtab.build sources in
-  let scopes =
-    List.concat_map (fun s -> fst (Allow.scopes_of_source s)) sources
-  in
   let in_lib path = Option.map snd (tree_of path) = Some "lib" in
   let roots =
     List.filter_map
@@ -74,7 +71,8 @@ let check_tree sources =
       if Hashtbl.mem reach d.Symtab.d_qual then None else Some (diag d))
     (Symtab.defs syms)
 
-let check sources =
+(* one symbol table per tree: a name resolves only within its tree *)
+let check { Rule.sources; scopes; _ } =
   let trees =
     List.filter_map
       (fun (src : Source.t) ->
@@ -86,7 +84,7 @@ let check sources =
     trees
   |> List.sort_uniq String.compare
   |> List.concat_map (fun prefix ->
-         check_tree
+         check_tree ~scopes
            (List.filter_map
               (fun ((p, _), src) -> if p = prefix then Some src else None)
               trees))

@@ -62,8 +62,7 @@ let kernel_reason str =
       | _ -> None)
     str
 
-let check sources =
-  let syms = Symtab.build sources in
+let check { Rule.sources; syms; _ } =
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with

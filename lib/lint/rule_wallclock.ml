@@ -19,8 +19,7 @@ let sim_dirs =
 
 let in_sim path = List.exists (fun dir -> Walk.in_dir ~dir path) sim_dirs
 
-let check sources =
-  let syms = Symtab.build sources in
+let check { Rule.sources; syms; _ } =
   List.concat_map
     (fun (src : Source.t) ->
       match src.Source.ast with

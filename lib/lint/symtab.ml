@@ -2,8 +2,6 @@ open Parsetree
 
 type def = {
   d_qual : string;
-  d_lib : string;
-  d_module : string;
   d_name : string;
   d_scope : string;
   d_params : string list;
@@ -76,8 +74,6 @@ let add_source t (src : Source.t) =
               let params, body = strip_params vb.pvb_expr in
               let d =
                 { d_qual = pfx ^ "." ^ txt;
-                  d_lib = lib;
-                  d_module = modname;
                   d_name = txt;
                   d_scope = pfx;
                   d_params = params;

@@ -11,8 +11,6 @@
 
 type def = {
   d_qual : string; (* "Tls.Handshake.open_ticket" *)
-  d_lib : string; (* "Tls"; "" outside lib/ *)
-  d_module : string; (* "Handshake" *)
   d_name : string; (* "open_ticket" *)
   d_scope : string; (* enclosing module path: "Tls.Handshake" *)
   d_params : string list; (* fun-chain parameter names, "_" if complex *)

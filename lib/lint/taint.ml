@@ -63,9 +63,11 @@ let declassify_reason attrs =
 let dotted_of_lid lid =
   Walk.strip_stdlib (String.concat "." (Longident.flatten lid))
 
-let banned_compare =
-  [ "String.equal"; "String.compare"; "Bytes.equal"; "Bytes.compare";
-    "="; "<>"; "=="; "!="; "compare" ]
+let byte_compares =
+  [ "String.equal"; "String.compare"; "Bytes.equal"; "Bytes.compare" ]
+
+let poly_compares = [ "="; "<>"; "=="; "!="; "compare" ]
+let banned_compare = byte_compares @ poly_compares
 
 let format_heads =
   [ "print_string"; "print_endline"; "print_newline"; "print_int";

@@ -47,6 +47,15 @@ val check_def : t -> Symtab.def -> Diag.t list
 val check : t -> Diag.t list
 (** [check_def] over every definition in the C2 scope directories. *)
 
+val byte_compares : string list
+(** The variable-time byte-string comparisons: [String.equal],
+    [Bytes.compare], ... Rule C1 bans them outright in the crypto
+    directories; here they are sinks. *)
+
+val poly_compares : string list
+(** The polymorphic comparisons ([=], [<>], [compare], ...): a sink
+    here, and banned by C1 on a string literal. *)
+
 val secret_name : string -> bool
 (** The binding-name seeding predicate (exposed for tests). *)
 

@@ -18,7 +18,6 @@ type config = { servers : int; max_concurrent : int; accept_queue : int }
 type conn = {
   id : int;
   arrived : float;
-  mutable server : int;
   mutable admitted : float; (* nan until admitted *)
   mutable finished : float; (* nan until completed *)
 }
@@ -37,7 +36,6 @@ type t = {
 
 let rec admit t (c : conn) server =
   t.in_flight.(server) <- t.in_flight.(server) + 1;
-  c.server <- server;
   c.admitted <- Engine.now t.engine;
   t.launch ~server ~conn:c.id ~finished:(fun () ->
       c.finished <- Engine.now t.engine;
@@ -58,10 +56,8 @@ let least_loaded t =
 let arrive t c =
   let server = least_loaded t in
   if t.in_flight.(server) < t.config.max_concurrent then admit t c server
-  else if Queue.length t.queues.(server) < t.config.accept_queue then begin
-    c.server <- server;
+  else if Queue.length t.queues.(server) < t.config.accept_queue then
     Queue.push c t.queues.(server)
-  end
   else t.dropped <- t.dropped + 1
 
 let create ~engine ~config ~arrivals ~launch =
@@ -72,7 +68,7 @@ let create ~engine ~config ~arrivals ~launch =
     Array.of_list
       (List.mapi
          (fun id at ->
-           { id; arrived = at; server = -1; admitted = nan; finished = nan })
+           { id; arrived = at; admitted = nan; finished = nan })
          arrivals)
   in
   let t =

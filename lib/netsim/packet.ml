@@ -1,4 +1,4 @@
-type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
+type flags = { syn : bool; ack : bool; fin : bool }
 
 type t = {
   id : int;
@@ -11,11 +11,11 @@ type t = {
   marks : (int * string) list;
 }
 
-let plain_flags = { syn = false; ack = true; fin = false; rst = false }
-let syn_flags = { syn = true; ack = false; fin = false; rst = false }
-let synack_flags = { syn = true; ack = true; fin = false; rst = false }
+let plain_flags = { syn = false; ack = true; fin = false }
+let syn_flags = { syn = true; ack = false; fin = false }
+let synack_flags = { syn = true; ack = true; fin = false }
 let ack_flags = plain_flags
-let fin_flags = { syn = false; ack = true; fin = true; rst = false }
+let fin_flags = { syn = false; ack = true; fin = true }
 
 let ethernet = 14
 let ipv4 = 20
@@ -32,10 +32,9 @@ let wire_bytes p = header_bytes p + payload_len p
 
 let describe p =
   let fl = p.flags in
-  Printf.sprintf "%s->%s %s%s%sseq=%d ack=%d len=%d%s" p.src p.dst
+  Printf.sprintf "%s->%s %s%sseq=%d ack=%d len=%d%s" p.src p.dst
     (if fl.syn then "SYN " else "")
     (if fl.fin then "FIN " else "")
-    (if fl.rst then "RST " else "")
     p.seq p.ack_seq (payload_len p)
     (match p.marks with
     | [] -> ""

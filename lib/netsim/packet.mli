@@ -4,7 +4,7 @@
     fiber: Ethernet framing plus IPv4 plus TCP with the timestamp option
     (and the full option set on SYNs). *)
 
-type flags = { syn : bool; ack : bool; fin : bool; rst : bool }
+type flags = { syn : bool; ack : bool; fin : bool }
 
 type t = {
   id : int;

@@ -29,7 +29,6 @@ let global_header =
 let tcp_flags_byte (f : Packet.flags) =
   (if f.Packet.fin then 0x01 else 0)
   lor (if f.Packet.syn then 0x02 else 0)
-  lor (if f.Packet.rst then 0x04 else 0)
   lor if f.Packet.ack then 0x10 else 0
 
 let frame (p : Packet.t) =

@@ -1,11 +1,8 @@
-type config = {
-  mss : int;
-  init_cwnd_segments : int;
-  kernel_cost_ms_per_packet : float;
-}
+type config = { init_cwnd_segments : int }
 
-let default_config =
-  { mss = 1448; init_cwnd_segments = 10; kernel_cost_ms_per_packet = 0.009 }
+let default_config = { init_cwnd_segments = 10 }
+let mss = 1448
+let kernel_cost_ms_per_packet = 0.009
 
 let initial_rto = 1.0
 let min_rto = 0.2
@@ -115,7 +112,7 @@ let note_tx t ~flags ~payload ~seq ~ack_seq =
 
 let rec deliver_to t packet =
   (* charge kernel receive cost, then process *)
-  Host.charge_async t.host ~ms:t.config.kernel_cost_ms_per_packet ~lib:"kernel";
+  Host.charge_async t.host ~ms:kernel_cost_ms_per_packet ~lib:"kernel";
   handle t packet
 
 and emit t ~flags ?(payload = "") ?(marks = []) ~seq ~ack_seq () =
@@ -128,7 +125,7 @@ and emit t ~flags ?(payload = "") ?(marks = []) ~seq ~ack_seq () =
   t.wire_bytes <- t.wire_bytes + Packet.wire_bytes packet;
   t.pkts <- t.pkts + 1;
   note_tx t ~flags ~payload ~seq ~ack_seq;
-  Host.charge_async t.host ~ms:t.config.kernel_cost_ms_per_packet ~lib:"kernel";
+  Host.charge_async t.host ~ms:kernel_cost_ms_per_packet ~lib:"kernel";
   Link.send t.link packet ~deliver:(fun p -> deliver_to peer p)
 
 and send_ack t =
@@ -248,7 +245,7 @@ and drop_acked_chunks t =
   | _ -> ()
 
 and retransmit_first t =
-  let len = min t.config.mss (t.write_end - t.snd_una) in
+  let len = min mss (t.write_end - t.snd_una) in
   if len > 0 then begin
     t.rtx <- t.rtx + 1;
     t.rtx_fast <- t.rtx_fast + 1;
@@ -266,7 +263,7 @@ and try_send t =
     while !continue do
       let unsent = t.write_end - t.snd_nxt in
       let window_open = float_of_int (in_flight_segs t) < t.cwnd in
-      let len = min t.config.mss unsent in
+      let len = min mss unsent in
       if len <= 0 || not window_open then continue := false
       else begin
         let payload = stream_sub t t.snd_nxt len in

@@ -10,14 +10,15 @@
     segments), while window-blocked bytes coalesce into full MSS
     segments. Section 5.4's extra round trips emerge from exactly this. *)
 
-type config = {
-  mss : int;  (** payload bytes per segment (1448 on the testbed) *)
-  init_cwnd_segments : int;  (** Linux default 10 *)
-  kernel_cost_ms_per_packet : float;
-      (** CPU charged to the kernel for every packet sent or received *)
-}
+type config = { init_cwnd_segments : int  (** Linux default 10 *) }
 
 val default_config : config
+
+val mss : int
+(** Payload bytes per segment: 1448, as on the testbed. *)
+
+val kernel_cost_ms_per_packet : float
+(** CPU charged to the kernel for every packet sent or received. *)
 
 type t
 

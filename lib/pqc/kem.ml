@@ -4,7 +4,6 @@ type t = {
   name : string;
   level : int;
   hybrid : bool;
-  pq : bool;
   mocked : bool;
   sim_suites : bool;
   public_key_bytes : int;
@@ -19,7 +18,6 @@ let of_kyber params ~level =
   { name = Kyber.name params;
     level;
     hybrid = false;
-    pq = true;
     mocked = false;
     sim_suites = false;
     public_key_bytes = Kyber.public_key_bytes params;
@@ -36,7 +34,6 @@ let x25519 =
   { name = "x25519";
     level = 1;
     hybrid = false;
-    pq = false;
     mocked = false;
     sim_suites = false;
     public_key_bytes = 32;
@@ -65,7 +62,6 @@ let of_ec_curve curve ~name ~level =
   { name;
     level;
     hybrid = false;
-    pq = false;
     mocked = false;
     sim_suites = false;
     public_key_bytes = point_bytes;
@@ -104,7 +100,6 @@ let simulated ~name ~level ~public_key_bytes ~ciphertext_bytes
   { name;
     level;
     hybrid = false;
-    pq = true;
     mocked = false;
     sim_suites = true;
     public_key_bytes;
@@ -127,7 +122,6 @@ let hybrid classical pq_kem =
   { name = classical.name ^ "_" ^ pq_kem.name;
     level = max classical.level pq_kem.level;
     hybrid = true;
-    pq = pq_kem.pq;
     mocked = false;
     sim_suites = false;
     public_key_bytes = classical.public_key_bytes + pq_kem.public_key_bytes;

@@ -18,7 +18,6 @@ type t = {
   name : string;  (** paper spelling, e.g. ["p256_kyber512"] *)
   level : int;  (** claimed NIST security level, 1..5 *)
   hybrid : bool;
-  pq : bool;  (** has a post-quantum component *)
   mocked : bool;  (** size-exact stand-in implementation (see {!mocked}) *)
   sim_suites : bool;
       (** the operations run on {!Sim_suites}: simulated and mocked

@@ -4,7 +4,6 @@ type t = {
   name : string;
   level : int;
   hybrid : bool;
-  pq : bool;
   mocked : bool;
   sim_suites : bool;
   public_key_bytes : int;
@@ -24,7 +23,6 @@ let rsa ~bits ~level =
   { name = Printf.sprintf "rsa:%d" bits;
     level;
     hybrid = false;
-    pq = false;
     mocked = false;
     sim_suites = false;
     public_key_bytes = String.length example_pub;
@@ -50,7 +48,6 @@ let ecdsa curve ~name ~level =
   { name;
     level;
     hybrid = false;
-    pq = false;
     mocked = false;
     sim_suites = false;
     public_key_bytes = 1 + (2 * coord);
@@ -77,7 +74,6 @@ let of_dilithium params ~level =
   { name = Dilithium.name params;
     level;
     hybrid = false;
-    pq = true;
     mocked = false;
     sim_suites = false;
     public_key_bytes = Dilithium.public_key_bytes params;
@@ -95,7 +91,6 @@ let of_slh params ~level =
   { name = Slh.name params;
     level;
     hybrid = false;
-    pq = true;
     mocked = false;
     sim_suites = false;
     public_key_bytes = Slh.public_key_bytes params;
@@ -125,7 +120,6 @@ let simulated ~name ~level ~public_key_bytes ~signature_bytes =
   { name;
     level;
     hybrid = false;
-    pq = true;
     mocked = false;
     sim_suites = true;
     public_key_bytes;
@@ -146,7 +140,6 @@ let hybrid classical pq_alg =
   { name = classical.name ^ "_" ^ pq_alg.name;
     level = max classical.level pq_alg.level;
     hybrid = true;
-    pq = pq_alg.pq;
     mocked = false;
     sim_suites = false;
     public_key_bytes = 2 + classical.public_key_bytes + pq_alg.public_key_bytes;

@@ -8,7 +8,6 @@ type t = {
   name : string;  (** paper spelling, e.g. ["p256_dilithium2"] *)
   level : int;  (** claimed NIST level; 0 marks sub-level-1 RSA *)
   hybrid : bool;
-  pq : bool;
   mocked : bool;  (** size-exact stand-in implementation (see {!mocked}) *)
   sim_suites : bool;
       (** the operations run on {!Sim_suites}: simulated and mocked

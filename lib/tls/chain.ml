@@ -103,7 +103,6 @@ let verify t = verify_against ~local:t t.certs
 
 type level_stat = {
   lv_name : string;
-  lv_subject_sa : string;
   lv_issuer_sa : string;
   lv_bytes : int;
   lv_verify_ms : float;
@@ -115,12 +114,7 @@ let entry_overhead = 5
 let levels t =
   List.mapi
     (fun i ((c : Certificate.t), (iss : Pqc.Sigalg.t)) ->
-      let subject_sa =
-        if i = 0 then t.leaf_alg.Pqc.Sigalg.name
-        else (List.nth t.issuers (i - 1)).Pqc.Sigalg.name
-      in
       { lv_name = (if i = 0 then "leaf" else Printf.sprintf "int%d" i);
-        lv_subject_sa = subject_sa;
         lv_issuer_sa = iss.Pqc.Sigalg.name;
         lv_bytes =
           Wire.parts_length (Certificate.encode_parts c) + entry_overhead;

@@ -44,7 +44,6 @@ val verify : t -> bool
 (** Per-level wire-size and verification-CPU breakdown. *)
 type level_stat = {
   lv_name : string;  (** ["leaf"], ["int1"], ... *)
-  lv_subject_sa : string;  (** algorithm of this level's key *)
   lv_issuer_sa : string;  (** algorithm that signed this certificate *)
   lv_bytes : int;  (** CertificateEntry bytes incl. per-entry framing *)
   lv_verify_ms : float;  (** Table 3 verify cost for the issuing SA *)

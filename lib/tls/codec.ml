@@ -15,19 +15,22 @@
    front when they are no more than the bytes consumed since the last
    move, and else into a buffer at least twice as large. So a queue
    that holds one frame at a time grows once per larger frame, and no
-   byte moves more often than a byte is consumed. *)
+   byte moves more often than a byte is consumed. A header announcing a
+   body over [max_body] is a decode error before any buffer grows, so a
+   peer cannot make the queue allocate more than that. *)
 module Consumable = struct
   type t = {
     header : int;
     at : int;
     width : int;
+    max_body : int;
     mutable data : Bytes.t;
     mutable off : int;
     mutable len : int;
   }
 
-  let create ~header ~at ~width =
-    { header; at; width; data = Bytes.create 1024; off = 0; len = 0 }
+  let create ~header ~at ~width ~max_body =
+    { header; at; width; max_body; data = Bytes.create 1024; off = 0; len = 0 }
 
   (* the size of the front frame once its header is in, else 0 *)
   let frame_size t =
@@ -37,6 +40,11 @@ module Consumable = struct
       for i = t.at to t.at + t.width - 1 do
         body := (!body lsl 8) lor Char.code (Bytes.get t.data (t.off + i))
       done;
+      if !body > t.max_body then
+        raise
+          (Wire.Decode_error
+             (Printf.sprintf "frame of %d bytes over the %d-byte limit" !body
+                t.max_body));
       t.header + !body
     end
 
@@ -93,6 +101,10 @@ module Consumable = struct
     t.off <- 0
 end
 
+let max_fragment = 16384
+let max_record_body = max_fragment + 256
+let max_handshake_body = 1 lsl 17
+
 module Inbound = struct
   type event =
     | Handshake_message of string
@@ -112,8 +124,10 @@ module Inbound = struct
 
   let create () =
     { unread = Queue.create (); unread_off = 0;
-      raw = Consumable.create ~header:5 ~at:3 ~width:2;
-      hs = Consumable.create ~header:4 ~at:1 ~width:3;
+      raw =
+        Consumable.create ~header:5 ~at:3 ~width:2 ~max_body:max_record_body;
+      hs =
+        Consumable.create ~header:4 ~at:1 ~width:3 ~max_body:max_handshake_body;
       crypt = None; pending_ccs = false; pending_app = [] }
 
   let feed t s = if String.length s > 0 then Queue.push s t.unread
@@ -194,8 +208,6 @@ module Inbound = struct
     in
     go ()
 end
-
-let max_fragment = 16384
 
 (* the 2^14-byte chunking every record path shares: [one] frames a whole
    message that fits one record; a larger one is laid out as its records

@@ -7,7 +7,16 @@
     protected, opened where it lies there; its handshake bytes go from
     there to the reassembly queue, from which a complete message is
     taken as a string. Once a record's or message's header is in, its
-    queue grows at most once, to its size. *)
+    queue grows at most once, to its size; a header announcing more than
+    {!max_record_body} or {!max_handshake_body} bytes is a decode error
+    before any buffer grows. *)
+
+val max_record_body : int
+(** 2^14 + 256: the largest TLSCiphertext body, RFC 8446 section 5.2. *)
+
+val max_handshake_body : int
+(** 2^17: the largest handshake message body accepted. Every registry
+    algorithm's Certificate message, in every chain profile, fits. *)
 
 module Inbound : sig
   type t
@@ -36,7 +45,8 @@ module Inbound : sig
   (** Pull-driven: the state machine asks for the next event only when it
       is ready to process it (CPU-serialized), so records that arrive
       before the traffic keys exist stay buffered and undecrypted.
-      @raise Wire.Decode_error on malformed input or failed decryption. *)
+      @raise Wire.Decode_error on malformed input, an over-long record
+      or message, or failed decryption. *)
 end
 
 val max_fragment : int

@@ -177,9 +177,7 @@ let test_finding_cwnd_extra_rtts () =
   Alcotest.(check bool) "sphincs192 3 RTT" true (Float.abs (t "sphincs192" -. 3000.) < 60.);
   Alcotest.(check bool) "sphincs256 4 RTT" true (Float.abs (t "sphincs256" -. 4000.) < 60.);
   (* and a larger initial window removes the extra round trips *)
-  let big_window =
-    { Netsim.Tcp.default_config with Netsim.Tcp.init_cwnd_segments = 80 }
-  in
+  let big_window = { Netsim.Tcp.init_cwnd_segments = 80 } in
   let o =
     Experiment.run_spec
       (Experiment.spec ~seed:"test" ~scenario:delay ~tcp_config:big_window

@@ -22,10 +22,10 @@ let failing_spec seed =
 let good_spec seed = Experiment.spec ~seed (kem "x25519") (sa "rsa:2048")
 
 let test_error_records_attempts () =
-  let exec = Exec.create ~jobs:1 ~retries:2 () in
+  let exec = Exec.create ~jobs:1 () in
   match Exec.cells exec [ failing_spec "failures-attempts" ] with
   | [ Error e ] ->
-    Alcotest.(check int) "initial try plus two retries" 3 e.Exec.ce_attempts;
+    Alcotest.(check int) "initial try plus one retry" 2 e.Exec.ce_attempts;
     Alcotest.(check bool) "message mentions the cell" true
       (String.length e.Exec.ce_message > 0);
     Alcotest.(check int) "counted as failed" 1 (Exec.failed_count exec);
@@ -41,7 +41,7 @@ let test_lossy_underbudget_cell_fails () =
       ~duration_s:0. ~max_samples:1
       (kem "kyber512") (sa "sphincs128")
   in
-  match Exec.cells (Exec.create ~jobs:1 ~retries:1 ()) [ spec ] with
+  match Exec.cells (Exec.create ~jobs:1 ()) [ spec ] with
   | [ Error e ] -> Alcotest.(check int) "retried once" 2 e.Exec.ce_attempts
   | _ -> Alcotest.fail "no handshake fits in zero virtual time"
 
@@ -51,7 +51,7 @@ let test_mixed_grid_order_and_determinism () =
       failing_spec "failures-grid";
       Experiment.spec ~seed:"failures-grid" (kem "kyber768") (sa "dilithium3") ]
   in
-  let run jobs = Exec.cells (Exec.create ~jobs ~retries:1 ()) specs in
+  let run jobs = Exec.cells (Exec.create ~jobs ()) specs in
   let r1 = run 1 and r4 = run 4 in
   let shape = function Ok _ -> `Ok | Error _ -> `Err in
   Alcotest.(check (list bool))
@@ -116,13 +116,13 @@ let test_failures_are_not_cached () =
   let dir = temp_cache_dir () in
   let specs = [ good_spec "failures-cache"; failing_spec "failures-cache" ] in
   (* first run: one success (cached), one failure (must not be) *)
-  let first = Exec.create ~jobs:1 ~cache_dir:dir ~retries:0 () in
+  let first = Exec.create ~jobs:1 ~cache_dir:dir () in
   (match Exec.cells first specs with
   | [ Ok _; Error _ ] -> ()
   | _ -> Alcotest.fail "expected [Ok; Error] on the cold run");
   (* second run over the same directory: the success replays from disk,
      the failed cell is executed again — and fails again *)
-  let second = Exec.create ~jobs:1 ~cache_dir:dir ~retries:0 () in
+  let second = Exec.create ~jobs:1 ~cache_dir:dir () in
   (match Exec.cells second specs with
   | [ Ok _; Error _ ] -> ()
   | _ -> Alcotest.fail "expected [Ok; Error] on the warm run");
@@ -133,7 +133,7 @@ let test_failures_are_not_cached () =
     (counter "cells_executed")
 
 let test_health_summary_counts () =
-  let exec = Exec.create ~jobs:1 ~retries:0 () in
+  let exec = Exec.create ~jobs:1 () in
   (match Exec.cells exec [ good_spec "failures-health"; failing_spec "failures-health" ] with
   | [ Ok _; Error _ ] -> ()
   | _ -> Alcotest.fail "expected [Ok; Error]");

@@ -253,9 +253,10 @@ let test_farm_outcome_sanity () =
     (o.Experiment.fo_adv_server_bytes > 3 * o.Experiment.fo_adv_client_bytes)
 
 let test_farm_retry_and_failure () =
-  (* injected failure on a farm label: retries reseed deterministically,
-     budget exhaustion yields Error and the campaign keeps going *)
-  let exec = Exec.create ~jobs:2 ~retries:1 ~fail_cell:"flash-crowd" () in
+  (* injected failure on a farm label: the retry reseeds
+     deterministically, a failed retry yields Error and the campaign
+     keeps going *)
+  let exec = Exec.create ~jobs:2 ~fail_cell:"flash-crowd" () in
   let results = Exec.farm_cells exec (farm_grid "farm-fail") in
   let oks, errs = List.partition Result.is_ok results in
   Alcotest.(check (pair int int)) "poisson cells ok, flash-crowd cells fail"
@@ -265,7 +266,7 @@ let test_farm_retry_and_failure () =
   List.iter
     (function
       | Error (e : Exec.cell_error) ->
-        Alcotest.(check int) "attempt budget spent" 2 e.Exec.ce_attempts
+        Alcotest.(check int) "try and retry spent" 2 e.Exec.ce_attempts
       | Ok _ -> ())
     results
 

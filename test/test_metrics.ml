@@ -413,7 +413,7 @@ let test_failed_cells_in_artifact () =
   let sp = [ Experiment.spec ~seed (kem "x25519") (sa "rsa:2048") ] in
   let ok_exec = Exec.create ~jobs:1 () in
   ignore (Exec.cells ok_exec sp);
-  let bad_exec = Exec.create ~jobs:1 ~retries:0 ~fail_cell:"x25519" () in
+  let bad_exec = Exec.create ~jobs:1 ~fail_cell:"x25519" () in
   ignore (Exec.cells bad_exec sp);
   let ok_a =
     parse_artifact (Metrics.to_json_string (Metrics.artifact ok_exec.Exec.metrics ~seed))

@@ -167,8 +167,6 @@ let test_hybrid_structure () =
     (p256.Kem.shared_secret_bytes + ky.Kem.shared_secret_bytes)
     h.Kem.shared_secret_bytes;
   Alcotest.(check bool) "flagged hybrid" true h.Kem.hybrid;
-  Alcotest.(check bool) "hybrid pq" true h.Kem.pq;
-  Alcotest.(check bool) "classical not pq" false p256.Kem.pq;
   (* hybrid SA: breaking one component must break the composite *)
   let rng = Crypto.Drbg.create ~seed:"hybrid-sa" in
   let hs = Registry.find_sig "p256_dilithium2" in

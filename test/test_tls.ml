@@ -1230,6 +1230,66 @@ let test_byte_path_allocation () =
     ~of_:(Printf.sprintf "%d wire bytes" wire)
     bytes
 
+(* A peer cannot make the receiver allocate what a header announces: a
+   record or handshake message over its cap fails closed before any
+   buffer grows. *)
+let test_codec_length_caps () =
+  let fails inb =
+    match Tls.Codec.Inbound.next inb with
+    | exception Tls.Wire.Decode_error _ -> true
+    | _ -> false
+  in
+  let fed bytes =
+    let inb = Tls.Codec.Inbound.create () in
+    Tls.Codec.Inbound.feed inb bytes;
+    inb
+  in
+  (* one plaintext record whose Certificate header announces 0xffffff
+     bytes *)
+  let hostile =
+    Tls.Wire.record Tls.Wire.Content_type.Handshake
+      ("\x0b\xff\xff\xff" ^ String.make 100 'c')
+  in
+  Alcotest.(check int) "hostile record length" 109 (String.length hostile);
+  let failed, bytes = allocated (fun () -> fails (fed hostile)) in
+  Alcotest.(check bool) "oversized message fails closed" true failed;
+  if bytes >= 4096 then
+    Alcotest.failf "a 109-byte hostile record allocated %d bytes" bytes;
+  let record_header n =
+    Tls.Wire.record_header Tls.Wire.Content_type.Application_data n
+  in
+  let hs_header n =
+    Tls.Wire.record Tls.Wire.Content_type.Handshake
+      (String.sub
+         (Tls.Wire.handshake Tls.Wire.Handshake_type.Certificate
+            [ String.make n 'c' ])
+         0 4)
+  in
+  let cap = Tls.Codec.max_record_body
+  and hs_cap = Tls.Codec.max_handshake_body in
+  Alcotest.(check bool) "a record at the cap waits for its body" false
+    (fails (fed (record_header cap)));
+  Alcotest.(check bool) "a record over the cap fails closed" true
+    (fails (fed (record_header (cap + 1))));
+  Alcotest.(check bool) "a message at the cap waits for its body" false
+    (fails (fed (hs_header hs_cap)));
+  Alcotest.(check bool) "a message over the cap fails closed" true
+    (fails (fed (hs_header (hs_cap + 1))));
+  (* every Certificate message a registry SA serves, in every chain
+     profile, fits under the cap, so a larger algorithm fails here
+     rather than in a campaign *)
+  List.iter
+    (fun profile ->
+      List.iter
+        (fun alg ->
+          let c = Tls.Credentials.get ~profile (Pqc.Sigalg.mocked alg) in
+          let body = String.length c.Tls.Credentials.certificate - 4 in
+          if body > hs_cap then
+            Alcotest.failf "%s %s: a %d-byte Certificate body over the cap"
+              alg.Pqc.Sigalg.name profile.Tls.Chain_profile.name body)
+        (Pqc.Registry.sigs @ Pqc.Registry.sphincs_variants))
+    Tls.Chain_profile.all
+
 let suites =
   [ ( "tls",
       [ Alcotest.test_case "wire vectors" `Quick test_wire_vectors;
@@ -1284,4 +1344,6 @@ let suites =
           (QCheck.Test.make ~name:"decoders fail closed" ~count:300
              fail_closed_case fail_closed_prop);
         Alcotest.test_case "byte path allocation" `Quick
-          test_byte_path_allocation ] ) ]
+          test_byte_path_allocation;
+        Alcotest.test_case "codec length caps" `Quick
+          test_codec_length_caps ] ) ]
