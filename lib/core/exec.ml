@@ -10,14 +10,7 @@
    and every completed neighbour survives. Failures are never written
    to the result cache. *)
 
-type cell_error = {
-  ce_message : string;
-  ce_backtrace : string;
-  ce_attempts : int;
-  ce_elapsed_s : float;
-}
-
-type cell_result = (Experiment.outcome, cell_error) result
+type cell_result = (Experiment.outcome, string) result
 
 type t = {
   jobs : int;
@@ -53,9 +46,6 @@ let attempt_spec (kind : _ Cell.kind) spec k =
   else kind.Cell.reseed (fun seed -> Printf.sprintf "%s#retry%d" seed k) spec
 
 let run_cell t (kind : _ Cell.kind) ?trace spec =
-  (* volatile telemetry only (ce_elapsed_s, cell_wall_s): host time never
-     reaches a deterministic artifact, see Clock *)
-  let t0 = Clock.now_s () in
   let label = kind.Cell.label spec in
   let rec attempt k =
     (* a retried attempt restarts the cell from scratch, so its trace
@@ -73,15 +63,10 @@ let run_cell t (kind : _ Cell.kind) ?trace spec =
       if k > 0 then Metrics.incr t.metrics "cells_retried";
       Ok o
     | exception e ->
-      let bt = Printexc.get_backtrace () in
       if k = 0 then attempt 1
       else begin
         Metrics.incr t.metrics "cells_failed";
-        Error
-          { ce_message = Printexc.to_string e;
-            ce_backtrace = bt;
-            ce_attempts = k + 1;
-            ce_elapsed_s = Clock.elapsed_s t0 }
+        Error (Printexc.to_string e)
       end
   in
   attempt 0
@@ -140,10 +125,8 @@ let grid t (kind : _ Cell.kind) record specs =
             match (r, status) with
             | Ok _, `Hit -> "  (cached)"
             | Ok _, `Miss -> ""
-            | Error e, _ ->
-              Printf.sprintf "  FAILED after %d attempt%s: %s" e.ce_attempts
-                (if e.ce_attempts = 1 then "" else "s")
-                e.ce_message
+            | Error message, _ ->
+              "  FAILED after 2 attempts: " ^ message
           in
           Printf.eprintf "  [%*d/%d] %-45s %6.2fs%s\n%!"
             (String.length (string_of_int total))
@@ -158,15 +141,12 @@ let grid t (kind : _ Cell.kind) record specs =
   (* record cell summaries in spec order from this (coordinating)
      domain, mirroring the trace-buffer merge above: the artifact's cell
      order is a function of the grids alone, never of [jobs] *)
-  List.iter2
-    (fun spec (r, _status) ->
-      record t.metrics spec (Result.map_error (fun e -> e.ce_message) r))
-    specs results;
+  List.iter2 (fun spec (r, _status) -> record t.metrics spec r) specs results;
   List.map fst results
 
 let cells t = grid t Cell.standard Metrics.record_cell
 
-type farm_cell_result = (Experiment.farm_outcome, cell_error) result
+type farm_cell_result = (Experiment.farm_outcome, string) result
 
 let farm_cells t = grid t Cell.farm Metrics.record_farm_cell
 

@@ -10,18 +10,13 @@
     Execution is fault-tolerant end to end: a cell whose experiment
     raises (e.g. zero completed handshakes under 10 % loss) is retried
     once with a deterministically reseeded DRBG, and if the retry fails
-    too the campaign records an {!cell_error} for that cell and
+    too the campaign records the error's message for that cell and
     keeps going — renderers mark the failed cell instead of aborting,
     and the health counters report what happened. *)
 
-type cell_error = {
-  ce_message : string;  (** [Printexc.to_string] of the last exception *)
-  ce_backtrace : string;  (** backtrace of the last failing attempt *)
-  ce_attempts : int;  (** attempts made: 2, the try and its retry *)
-  ce_elapsed_s : float;  (** host seconds spent across all attempts *)
-}
-
-type cell_result = (Experiment.outcome, cell_error) result
+type cell_result = (Experiment.outcome, string) result
+(** A failed cell's error is [Printexc.to_string] of its retry's
+    exception. *)
 
 type t = {
   jobs : int;  (** domains used per grid, including the caller's *)
@@ -60,7 +55,8 @@ val create :
     needed) a {!Result_cache} there; [progress] defaults to [false];
     [fail_cell] defaults to no injection; [trace] collects per-cell
     traces (see the field doc). Each call has its own metrics registry.
-    Turns on backtrace recording, for {!cell_error}. *)
+    Turns on backtrace recording, so an exception that escapes a
+    {!Pool} task is re-raised with its backtrace. *)
 
 val cells : t -> Experiment.spec list -> cell_result list
 (** Evaluate a grid: each cell is served from the cache when possible,
@@ -73,7 +69,7 @@ val cells : t -> Experiment.spec list -> cell_result list
     Summaries are recorded through {!Metrics.record_cell} in spec
     order. *)
 
-type farm_cell_result = (Experiment.farm_outcome, cell_error) result
+type farm_cell_result = (Experiment.farm_outcome, string) result
 
 val farm_cells : t -> Experiment.farm_spec list -> farm_cell_result list
 (** Evaluate a server-farm grid ({!Cell.farm}) under the same contract,

@@ -4,6 +4,7 @@ type t = {
   alg : Pqc.Sigalg.t;
   profile : Chain_profile.t;
   certificate : string;
+  verdict : bool;
 }
 
 let cache : (string, t) Hashtbl.t =
@@ -35,6 +36,18 @@ let get ?(profile = Chain_profile.default) alg =
         let certificate =
           Messages.encode_certificate_chain (Chain.wire_certs chain)
         in
-        let c = { chain; server_key; alg; profile; certificate } in
+        (* the client's own check, on the bytes every server sends *)
+        let verdict =
+          Chain.verify_against ~local:chain
+            (Messages.decode_certificate_chain certificate)
+        in
+        let c = { chain; server_key; alg; profile; certificate; verdict } in
         Hashtbl.add cache key c;
         c)
+
+let check t msg =
+  if Crypto.Bytesx.equal_ct msg t.certificate then
+    (Chain.wire_certs t.chain, fun () -> t.verdict)
+  else
+    let certs = Messages.decode_certificate_chain msg in
+    (certs, fun () -> Chain.verify_against ~local:t.chain certs)

@@ -480,7 +480,7 @@ type client_state =
 type client_ctx = {
   c_cfg : Config.t;
   c_rng : Crypto.Drbg.t;
-  c_creds : Credentials.t; (* for the trusted CA public key *)
+  c_creds : Credentials.t; (* the trust store: see Credentials.check *)
   c_resume : session option;
   c_early_data : bool;
   c_await_ticket : bool;
@@ -589,9 +589,8 @@ let client_on_encrypted_extensions ctx (p : peer) msg secrets =
   finish_step p
 
 let client_on_certificate ctx (p : peer) msg secrets =
-  let certs = M.decode_certificate_chain msg in
-  let local = ctx.c_creds.Credentials.chain in
-  (* PKI check: walk the received chain up to the trust anchor, one
+  let certs, verdict = Credentials.check ctx.c_creds msg in
+  (* PKI check: the received chain up to the trust anchor, one
      verification per level, each charged at its issuing SA's cost so
      the Table 3 ledger sees the per-level placement *)
   let rec charge_levels issuers k =
@@ -601,8 +600,8 @@ let client_on_certificate ctx (p : peer) msg secrets =
       charge p.host (Pqc.Costs.sig_ iss.Pqc.Sigalg.name).Pqc.Costs.verify
       @@ fun () -> charge_levels rest k
   in
-  charge_levels (Chain.issuer_algs local) @@ fun () ->
-  if not (Chain.verify_against ~local certs) then
+  charge_levels (Chain.issuer_algs ctx.c_creds.Credentials.chain) @@ fun () ->
+  if not (verdict ()) then
     raise (Wire.Decode_error "certificate chain verification failed");
   Transcript.add p.transcript msg;
   ctx.c_state <- C_certificate_verify (secrets, List.hd certs);

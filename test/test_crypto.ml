@@ -18,10 +18,31 @@ let test_sha2 () =
   check_hex "sha256 msg"
     "5c961f4161b7f0cc3eb77f4fab0fb3d164e48028a3f02fba4009e16e16974cf2"
     (Sha256.digest msg);
+  (* FIPS 180-2, appendix B.2 (two blocks) and B.3 (one million 'a') *)
+  check_hex "sha256 448-bit message"
+    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+    (Sha256.digest "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
+  check_hex "sha256 one million a"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Sha256.digest (String.make 1_000_000 'a'));
   check_hex "sha512 abc"
     "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a\
      2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"
     (Sha512.digest "abc")
+
+(* a context holds its chaining value, its block buffer and two
+   counters, and no message schedule: an HMAC builds two per call and a
+   handshake about twenty *)
+let test_sha256_context_words () =
+  let measure f =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. w0
+  in
+  let overhead = measure (fun () -> ()) in
+  let words = measure Sha256.init -. overhead in
+  if words > 32. then
+    Alcotest.failf "Sha256.init allocated %.0f words (limit 32)" words
 
 let test_sha2_streaming () =
   (* feeding in odd-size chunks must equal the one-shot digest *)
@@ -35,6 +56,9 @@ let test_sha2_streaming () =
     step := (!step * 7 mod 1024) + 1
   done;
   check_hex "streamed = one-shot" (Bytesx.to_hex (Sha256.digest data)) (Sha256.get ctx);
+  check_hex "sha256sum of all 100000 bytes"
+    "cd2df694e424bc7968cc37f47751019e5ca0cd1bdf2e479ea537c3a1c32ee1aa"
+    (Sha256.get ctx);
   (* get must not disturb the running context *)
   let c2 = Sha256.init () in
   Sha256.feed c2 "ab";
@@ -597,6 +621,8 @@ let suites =
   [ ( "crypto",
       [ Alcotest.test_case "sha2 vectors" `Quick test_sha2;
         Alcotest.test_case "sha2 streaming" `Quick test_sha2_streaming;
+        Alcotest.test_case "sha256 context words" `Quick
+          test_sha256_context_words;
         Alcotest.test_case "sha3/shake vectors" `Quick test_sha3;
         Alcotest.test_case "shake incremental" `Quick test_shake_incremental;
         Alcotest.test_case "sha3/shake multi-block" `Quick test_sha3_multi_block;

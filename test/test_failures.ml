@@ -21,28 +21,62 @@ let failing_spec seed =
 
 let good_spec seed = Experiment.spec ~seed (kem "x25519") (sa "rsa:2048")
 
+(* x25519 whose key generation records the first 8 bytes its DRBG
+   gives and then refuses: a cell on it fails at its first keygen, so
+   the list counts the cell's runs, newest first, and tells apart the
+   seeds they ran under. Marked mocked, so a mocked config keeps it. *)
+let refusing_kem () =
+  let runs = ref [] in
+  let k = kem "x25519" in
+  ( { k with
+      Pqc.Kem.mocked = true;
+      keygen =
+        (fun rng ->
+          runs := Crypto.Drbg.generate rng 8 :: !runs;
+          failwith "keygen refused") },
+    runs )
+
+(* a failing cell runs twice, the second time reseeded *)
+let check_try_and_reseeded_retry runs =
+  match runs with
+  | [ retry; first ] ->
+    Alcotest.(check bool) "the retry runs under another seed" false
+      (String.equal retry first)
+  | _ ->
+    Alcotest.failf "initial try plus one retry: %d runs" (List.length runs)
+
 let test_error_records_attempts () =
   let exec = Exec.create ~jobs:1 () in
-  match Exec.cells exec [ failing_spec "failures-attempts" ] with
-  | [ Error e ] ->
-    Alcotest.(check int) "initial try plus one retry" 2 e.Exec.ce_attempts;
-    Alcotest.(check bool) "message mentions the cell" true
-      (String.length e.Exec.ce_message > 0);
+  let refusing, runs = refusing_kem () in
+  let spec =
+    Experiment.spec ~seed:"failures-attempts" refusing (sa "dilithium2")
+  in
+  match Exec.cells exec [ spec ] with
+  | [ Error message ] ->
+    check_try_and_reseeded_retry !runs;
+    Alcotest.(check bool) "message names the exception" true
+      (contains "keygen refused" message);
     Alcotest.(check int) "counted as failed" 1 (Exec.failed_count exec);
     Alcotest.(check int) "not counted as ok" 0 (Exec.ok_count exec)
-  | _ -> Alcotest.fail "a zero-sample spec cannot succeed"
+  | _ -> Alcotest.fail "a cell whose keygen refuses cannot succeed"
 
 let test_lossy_underbudget_cell_fails () =
   (* a 10%-loss cell with a zero time budget: no handshake can finish,
-     the engine gives up and the cell must surface as Error (with the
-     retry recorded), not as a crash *)
+     the engine gives up and the cell must surface as Error, counted
+     once as failed, not as a crash. It starts no handshake, so its
+     runs are counted on a refusing cell in "error records attempts". *)
   let spec =
     Experiment.spec ~seed:"failures-loss" ~scenario:Scenario.high_loss
       ~duration_s:0. ~max_samples:1
       (kem "kyber512") (sa "sphincs128")
   in
-  match Exec.cells (Exec.create ~jobs:1 ()) [ spec ] with
-  | [ Error e ] -> Alcotest.(check int) "retried once" 2 e.Exec.ce_attempts
+  let exec = Exec.create ~jobs:1 () in
+  match Exec.cells exec [ spec ] with
+  | [ Error message ] ->
+    Alcotest.(check bool) "the experiment's own error" true
+      (contains "no handshake completed" message);
+    Alcotest.(check (pair int int)) "failed, not retried to success" (1, 0)
+      (Exec.failed_count exec, Exec.retried_count exec)
   | _ -> Alcotest.fail "no handshake fits in zero virtual time"
 
 let test_mixed_grid_order_and_determinism () =

@@ -263,12 +263,16 @@ let test_farm_retry_and_failure () =
     (2, 2)
     (List.length oks, List.length errs);
   Alcotest.(check int) "failures counted" 2 (Exec.failed_count exec);
-  List.iter
-    (function
-      | Error (e : Exec.cell_error) ->
-        Alcotest.(check int) "try and retry spent" 2 e.Exec.ce_attempts
-      | Ok _ -> ())
-    results
+  (* a farm cell whose benign clients cannot generate a key fails on
+     its first keygen: it runs twice, the retry reseeded *)
+  let refusing, runs = Test_failures.refusing_kem () in
+  let spec =
+    Experiment.farm_spec ~seed:"farm-fail" ~servers:2 ~duration_s:0.2
+      ~max_connections:120 refusing (sa "rsa:2048")
+  in
+  (match Exec.farm_cells (Exec.create ~jobs:1 ()) [ spec ] with
+  | [ Error _ ] -> Test_failures.check_try_and_reseeded_retry !runs
+  | _ -> Alcotest.fail "a farm whose keygen refuses cannot succeed")
 
 (* ---- farm cells through the result cache ----------------------------------- *)
 

@@ -73,8 +73,7 @@ let oks results =
   List.map
     (function
       | Ok o -> o
-      | Error (e : Exec.cell_error) ->
-        Alcotest.fail ("unexpected cell failure: " ^ e.Exec.ce_message))
+      | Error message -> Alcotest.fail ("unexpected cell failure: " ^ message))
     results
 
 let test_parallel_bit_identical () =

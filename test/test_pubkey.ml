@@ -123,6 +123,17 @@ let test_rsa () =
       | None -> Alcotest.fail "pub decode")
     [ 1024; 2048 ]
 
+(* the registry's RSA algorithms state their public-key size without
+   building a key: the formula agrees with an encoded embedded key *)
+let test_rsa_public_key_bytes () =
+  List.iter
+    (fun bits ->
+      Alcotest.(check int)
+        (Printf.sprintf "rsa:%d public key bytes" bits)
+        (String.length (Rsa.encode_pub (Rsa_keys.fixed_key bits).Rsa.pub))
+        (Pqc.Sigalg.rsa ~bits ~level:0).Pqc.Sigalg.public_key_bytes)
+    [ 1024; 2048; 3072; 4096 ]
+
 let test_rsa_keygen () =
   (* fresh keygen at a small size so the test stays fast *)
   let rng = Drbg.create ~seed:"rsa-keygen" in
@@ -160,5 +171,7 @@ let suites =
         Alcotest.test_case "ecdh all curves" `Quick test_ecdh;
         Alcotest.test_case "ecdsa all curves" `Quick test_ecdsa;
         Alcotest.test_case "rsa fixed keys" `Quick test_rsa;
+        Alcotest.test_case "rsa public key size" `Quick
+          test_rsa_public_key_bytes;
         Alcotest.test_case "rsa keygen" `Slow test_rsa_keygen ]
       @ prop_tests ) ]

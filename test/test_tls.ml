@@ -200,6 +200,70 @@ let test_chain_verify () =
   Alcotest.(check bool) "unknown root rejected" false
     (ok (Tls.Chain.wire_certs other))
 
+(* The client's check of a Certificate message: on the credentials' own
+   bytes it gives the verdict that decoding and walking them gives; on
+   any other bytes it decodes and walks them, so a tampered chain or
+   another credential's chain fails and a malformed message raises
+   before any verification. *)
+let test_credentials_check () =
+  let flip_last s =
+    let n = String.length s in
+    String.mapi (fun i c -> if i = n - 1 then Char.chr (Char.code c lxor 1) else c) s
+  in
+  let algs = List.map Pqc.Sigalg.mocked Pqc.Registry.sigs in
+  List.iter
+    (fun profile ->
+      let creds = List.map (Tls.Credentials.get ~profile) algs in
+      List.iteri
+        (fun i (c : Tls.Credentials.t) ->
+          let name =
+            Printf.sprintf "%s %s" c.Tls.Credentials.alg.Pqc.Sigalg.name
+              profile.Tls.Chain_profile.name
+          in
+          let local = c.Tls.Credentials.chain in
+          let msg = c.Tls.Credentials.certificate in
+          let certs, verdict = Tls.Credentials.check c msg in
+          let decoded = Tls.Messages.decode_certificate_chain msg in
+          Alcotest.(check bool) (name ^ ": own certificates") true
+            (certs = decoded);
+          Alcotest.(check bool) (name ^ ": verdict of decode and walk")
+            (Tls.Chain.verify_against ~local decoded) (verdict ());
+          Alcotest.(check bool) (name ^ ": own chain verifies") true
+            (verdict ());
+          let rejected what received =
+            let msg' = Tls.Messages.encode_certificate_chain received in
+            let _, verdict = Tls.Credentials.check c msg' in
+            Alcotest.(check bool) (name ^ ": " ^ what ^ " rejected") false
+              (verdict ())
+          in
+          List.iteri
+            (fun level _ ->
+              let tamper what f =
+                rejected
+                  (Printf.sprintf "level %d %s flipped" level what)
+                  (List.mapi (fun j x -> if j = level then f x else x) decoded)
+              in
+              tamper "signature" (fun x ->
+                  { x with Tls.Certificate.signature = flip_last x.Tls.Certificate.signature });
+              tamper "public key" (fun x ->
+                  { x with Tls.Certificate.public_key = flip_last x.Tls.Certificate.public_key });
+              tamper "subject" (fun x ->
+                  { x with Tls.Certificate.subject = flip_last x.Tls.Certificate.subject }))
+            decoded;
+          let other = List.nth creds ((i + 1) mod List.length creds) in
+          let _, verdict =
+            Tls.Credentials.check c other.Tls.Credentials.certificate
+          in
+          Alcotest.(check bool) (name ^ ": another credential's chain") false
+            (verdict ());
+          match
+            Tls.Credentials.check c (String.sub msg 0 (String.length msg - 1))
+          with
+          | exception Tls.Wire.Decode_error _ -> ()
+          | _ -> Alcotest.failf "%s: a truncated message decoded" name)
+        creds)
+    Tls.Chain_profile.all
+
 let test_chain_default_identity () =
   (* the default profile is a lone CA over the leaf, drawn as CA keygen,
      server keygen, one signature: the same leaf, anchor and server
@@ -1218,15 +1282,16 @@ let test_byte_path_allocation () =
         Tls.Messages.decode_server_hello)
     [ ("hqc256", None); ("kyber768", None); ("x25519", Some 640) ];
   (* a whole handshake copies each flight byte a fixed number of times,
-     from the signer to the decoders: the mocked x25519 x sphincs256
-     handshake on the ideal link (106 kB on the wire) allocates at most
-     10 bytes per wire byte. The first run fills the credentials and
-     other caches. *)
+     from the signer to the decoders, and the client takes the
+     credentials' verdict on their own Certificate message without
+     decoding it: the mocked x25519 x sphincs256 handshake on the ideal
+     link (106 kB on the wire) allocates at most 7 bytes per wire byte.
+     The first run fills the credentials and other caches. *)
   let handshake () = run_handshake ~real:false "x25519" "sphincs256" in
   ignore (handshake ());
   let r, bytes = allocated handshake in
   let wire = r.client_bytes + r.server_bytes in
-  check_limit "x25519 x sphincs256 handshake" ~limit:(10 * wire)
+  check_limit "x25519 x sphincs256 handshake" ~limit:(7 * wire)
     ~of_:(Printf.sprintf "%d wire bytes" wire)
     bytes
 
@@ -1301,6 +1366,7 @@ let suites =
         Alcotest.test_case "certificate chain" `Quick test_certificate_roundtrip;
         Alcotest.test_case "chain codec" `Quick test_chain_codec;
         Alcotest.test_case "chain verification" `Quick test_chain_verify;
+        Alcotest.test_case "credential check" `Quick test_credentials_check;
         Alcotest.test_case "chain default identity" `Quick
           test_chain_default_identity;
         Alcotest.test_case "record protection" `Quick test_record_protection;
