@@ -41,9 +41,9 @@ let keep_going_arg =
     value & flag
     & info [ "k"; "keep-going" ]
         ~doc:
-          "Exit 0 even when cells failed after their retry. Reports \
-           always render, with failed cells marked; without this flag a \
-           failed cell makes the run exit 1.")
+          "Exit 0 even when cells failed. Reports always render, with \
+           failed cells marked; without this flag a failed cell makes the \
+           run exit 1.")
 
 (* KA, SA and scenario names: an unknown one is a usage error listing the
    valid names *)
@@ -293,9 +293,9 @@ let run_cmd =
        ~doc:
          "Run named experiments (60 virtual seconds per configuration), \
           sharded across domains with $(b,--jobs) and memoized with \
-          $(b,--cache). A failing cell is retried once with a reseeded \
-          DRBG, then marked in the rendered report; $(b,--keep-going) \
-          makes such runs exit 0.")
+          $(b,--cache). Each cell runs once; a failing cell is marked in \
+          the rendered report, and $(b,--keep-going) makes such runs \
+          exit 0.")
     Term.(
       const run $ seed_arg $ jobs_arg $ cache_arg $ quiet_arg $ keep_going_arg
       $ out_dir $ trace_out $ metrics_out $ experiments)

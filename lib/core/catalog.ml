@@ -512,7 +512,7 @@ let table7 ~pairs ~profiles ~max_samples ~seed exec =
          meta)
   in
   let row (k, s, (profile : Tls.Chain_profile.t)) results =
-    let levels = Placement.chain_stats ~profile s in
+    let levels = Placement.chain_stats ~profile (Pqc.Registry.find_sig s) in
     let chain_b =
       List.fold_left (fun a l -> a + l.Tls.Chain.lv_bytes) 0 levels
     in
@@ -544,7 +544,7 @@ let table7 ~pairs ~profiles ~max_samples ~seed exec =
       (fun (l : Tls.Chain.level_stat) ->
         Printf.sprintf "%-12s %-16s %-6s %-14s %8d %8.3f" s profile.name
           l.lv_name l.lv_issuer_sa l.lv_bytes l.lv_verify_ms)
-      (Placement.chain_stats ~profile s)
+      (Placement.chain_stats ~profile (Pqc.Registry.find_sig s))
   in
   buf_table
     "Table 7: signature placement across certificate hierarchies \

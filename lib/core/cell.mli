@@ -1,5 +1,5 @@
 (** Cell kinds: what the campaign pipeline needs to know about one kind
-    of campaign cell. {!Exec} (retry, fault injection, cache lookup,
+    of campaign cell. {!Exec} (fault injection, cache lookup,
     progress, spec-order recording), {!Result_cache} (key, find, store)
     and {!Metrics} (deduplication and label disambiguation) are each
     written once against this record; a kind adds only its own
@@ -16,9 +16,6 @@ type ('spec, 'outcome) kind = {
   fingerprint : 'spec -> string;
       (** stable rendering of every outcome-relevant field: the cell's
           identity in the artifact and the pre-image of its cache key *)
-  reseed : (string -> string) -> 'spec -> 'spec;
-      (** map the spec's seed string; retry attempt [k > 0] runs
-          [reseed (fun s -> s ^ "#retry<k>") spec] *)
   run : ?trace:Trace.Buf.t -> 'spec -> 'outcome;
       (** execute the cell; deterministic in the spec alone *)
   traced : bool;

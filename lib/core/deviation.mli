@@ -20,8 +20,8 @@ type grid = {
   cells : cell list;
   failed : (string * string) list;
       (** KA x SA combinations with no deviation value because the
-          pair's own cell, one of its marginals, or the baseline failed
-          (after retries); renderers mark these instead of aborting. *)
+          pair's own cell, one of its marginals, or the baseline failed;
+          renderers mark these instead of aborting. *)
 }
 
 val analyze :

@@ -4,11 +4,10 @@
    [Experiment.spec] lists and hand them here; formatting stays
    sequential and cheap.
 
-   Execution is fault-tolerant: a cell that raises is retried once
-   with a deterministically derived seed, and a failed retry yields
-   [Error] instead of killing the campaign — renderers mark the cell
-   and every completed neighbour survives. Failures are never written
-   to the result cache. *)
+   Execution is fault-tolerant: a cell runs once, and a cell that
+   raises yields [Error] instead of killing the campaign — renderers
+   mark the cell and every completed neighbour survives. Failures are
+   never written to the result cache. *)
 
 type cell_result = (Experiment.outcome, string) result
 
@@ -37,39 +36,21 @@ let contains ~needle hay =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* attempt 0 runs the spec verbatim (cache keys and historical outputs
-   are unchanged); the retry, attempt 1, reseeds the cell's DRBG through
-   the seed string, so its result depends only on the spec — never on
-   scheduling or [jobs] *)
-let attempt_spec (kind : _ Cell.kind) spec k =
-  if k = 0 then spec
-  else kind.Cell.reseed (fun seed -> Printf.sprintf "%s#retry%d" seed k) spec
-
 let run_cell t (kind : _ Cell.kind) ?trace spec =
   let label = kind.Cell.label spec in
-  let rec attempt k =
-    (* a retried attempt restarts the cell from scratch, so its trace
-       does too — only the completing attempt's events survive *)
-    Option.iter Trace.Buf.clear trace;
-    match
-      (match t.fail_cell with
-      | Some needle when contains ~needle label ->
-        failwith ("injected failure for " ^ label)
-      | _ -> ());
-      kind.Cell.run ?trace (attempt_spec kind spec k)
-    with
-    | o ->
-      Metrics.incr t.metrics "cells_ok";
-      if k > 0 then Metrics.incr t.metrics "cells_retried";
-      Ok o
-    | exception e ->
-      if k = 0 then attempt 1
-      else begin
-        Metrics.incr t.metrics "cells_failed";
-        Error (Printexc.to_string e)
-      end
-  in
-  attempt 0
+  match
+    (match t.fail_cell with
+    | Some needle when contains ~needle label ->
+      failwith ("injected failure for " ^ label)
+    | _ -> ());
+    kind.Cell.run ?trace spec
+  with
+  | o ->
+    Metrics.incr t.metrics "cells_ok";
+    Ok o
+  | exception e ->
+    Metrics.incr t.metrics "cells_failed";
+    Error (Printexc.to_string e)
 
 (* the grid runner every cell kind shares *)
 let grid t (kind : _ Cell.kind) record specs =
@@ -88,7 +69,7 @@ let grid t (kind : _ Cell.kind) record specs =
   in
   let run (spec, trace) =
     let t0 = Clock.now_s () in
-    let result =
+    let r, status =
       match t.cache with
       | None -> (run_cell t kind ?trace spec, `Miss)
       | Some c -> (
@@ -107,30 +88,30 @@ let grid t (kind : _ Cell.kind) record specs =
           (r, `Miss))
     in
     (* self-telemetry: volatile (host wall clock, scheduling-dependent),
-       so it feeds the registry and the stderr health summary only —
-       never the deterministic artifact *)
-    Metrics.observe t.metrics "cell_wall_s" (Clock.elapsed_s t0);
+       so it feeds the registry, the progress line and the stderr health
+       summary only — never the deterministic artifact *)
+    let wall = Clock.elapsed_s t0 in
+    Metrics.observe t.metrics "cell_wall_s" wall;
     Metrics.incr t.metrics
-      (match snd result with
+      (match status with
       | `Hit -> "cells_from_cache"
       | `Miss -> "cells_executed");
-    result
+    (r, status, wall)
   in
   let on_done =
     if not t.progress then None
     else
       Some
-        (fun ~index:_ ~completed ~total (spec, _) (r, status) elapsed ->
+        (fun ~completed ~total (spec, _) (r, status, wall) ->
           let note =
             match (r, status) with
             | Ok _, `Hit -> "  (cached)"
             | Ok _, `Miss -> ""
-            | Error message, _ ->
-              "  FAILED after 2 attempts: " ^ message
+            | Error message, _ -> "  FAILED: " ^ message
           in
           Printf.eprintf "  [%*d/%d] %-45s %6.2fs%s\n%!"
             (String.length (string_of_int total))
-            completed total (kind.Cell.label spec) elapsed note)
+            completed total (kind.Cell.label spec) wall note)
   in
   let results =
     Pool.map ~jobs:t.jobs ?on_done run (List.combine specs bufs)
@@ -141,8 +122,8 @@ let grid t (kind : _ Cell.kind) record specs =
   (* record cell summaries in spec order from this (coordinating)
      domain, mirroring the trace-buffer merge above: the artifact's cell
      order is a function of the grids alone, never of [jobs] *)
-  List.iter2 (fun spec (r, _status) -> record t.metrics spec r) specs results;
-  List.map fst results
+  List.iter2 (fun spec (r, _, _) -> record t.metrics spec r) specs results;
+  List.map (fun (r, _, _) -> r) results
 
 let cells t = grid t Cell.standard Metrics.record_cell
 
@@ -151,7 +132,6 @@ type farm_cell_result = (Experiment.farm_outcome, string) result
 let farm_cells t = grid t Cell.farm Metrics.record_farm_cell
 
 let ok_count t = Metrics.counter t.metrics "cells_ok"
-let retried_count t = Metrics.counter t.metrics "cells_retried"
 let failed_count t = Metrics.counter t.metrics "cells_failed"
 
 let cache_summary t =
@@ -167,9 +147,9 @@ let health_summary t =
   let total_wall = List.fold_left ( +. ) 0. walls in
   let max_wall = List.fold_left Float.max 0. walls in
   Printf.sprintf
-    "campaign health: %d cells ok (%d retried), %d failed%s; wall %.1f s; \
-     cells: %d fresh, %d cached; cell wall %.1f s total, %.1f s max"
-    (ok_count t) (retried_count t) (failed_count t)
+    "campaign health: %d cells ok, %d failed%s; wall %.1f s; cells: %d \
+     fresh, %d cached; cell wall %.1f s total, %.1f s max"
+    (ok_count t) (failed_count t)
     (match cache_summary t with None -> "" | Some line -> "; " ^ line)
     (Clock.elapsed_s t.started)
     (Metrics.counter t.metrics "cells_executed")

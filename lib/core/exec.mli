@@ -7,16 +7,14 @@
     Every {!Cell.kind} runs through one grid runner: {!cells} and
     {!farm_cells} instantiate it for the two kinds.
 
-    Execution is fault-tolerant end to end: a cell whose experiment
-    raises (e.g. zero completed handshakes under 10 % loss) is retried
-    once with a deterministically reseeded DRBG, and if the retry fails
-    too the campaign records the error's message for that cell and
-    keeps going — renderers mark the failed cell instead of aborting,
-    and the health counters report what happened. *)
+    Execution is fault-tolerant end to end: every cell runs once, and
+    when its experiment raises (e.g. zero completed handshakes under
+    10 % loss) the campaign records the error's message for that cell
+    and keeps going — renderers mark the failed cell instead of
+    aborting, and the health counters report what happened. *)
 
 type cell_result = (Experiment.outcome, string) result
-(** A failed cell's error is [Printexc.to_string] of its retry's
-    exception. *)
+(** A failed cell's error is [Printexc.to_string] of its exception. *)
 
 type t = {
   jobs : int;  (** domains used per grid, including the caller's *)
@@ -24,8 +22,8 @@ type t = {
   progress : bool;  (** per-cell timing lines on stderr *)
   fail_cell : string option;
       (** fault injection for tests/CI: any cell whose
-          {!Cell.kind} label contains this substring raises on every
-          attempt. *)
+          {!Cell.kind} label contains this substring raises instead of
+          running. *)
   started : float;  (** host clock at {!create}, for {!health_summary} *)
   trace : Trace.Store.t option;
       (** when set, every executed cell of a traced {!Cell.kind}
@@ -38,9 +36,9 @@ type t = {
           recorded in spec order after each {!cells} call (deduplicated
           on the spec fingerprint, so the artifact is bit-identical
           whatever [jobs]), plus volatile self-telemetry, the campaign's
-          only counters: [cells_ok], [cells_retried], [cells_failed],
-          [cells_executed] and [cells_from_cache], and the [cell_wall_s]
-          series, all feeding {!health_summary}. *)
+          only counters: [cells_ok], [cells_failed], [cells_executed]
+          and [cells_from_cache], and the [cell_wall_s] series, all
+          feeding {!health_summary} and the progress lines. *)
 }
 
 val create :
@@ -60,12 +58,11 @@ val create :
 
 val cells : t -> Experiment.spec list -> cell_result list
 (** Evaluate a grid: each cell is served from the cache when possible,
-    executed otherwise, sharded across [jobs] domains. Results are in
-    input order and bit-identical regardless of [jobs]: cells derive
-    independent deterministic seeds, and a failing cell's one retry
-    reruns it with seed ["<seed>#retry1"], so even retried and failed
-    cells are a pure function of the spec. A failing cell yields
-    [Error] (never cached); completed cells are unaffected.
+    executed once otherwise, sharded across [jobs] domains. Results
+    are in input order and bit-identical regardless of [jobs]: cells
+    derive independent deterministic seeds, so even a failed cell is a
+    pure function of the spec. A failing cell yields [Error] (never
+    cached); completed cells are unaffected.
     Summaries are recorded through {!Metrics.record_cell} in spec
     order. *)
 
@@ -77,19 +74,16 @@ val farm_cells : t -> Experiment.farm_spec list -> farm_cell_result list
     traced. *)
 
 val ok_count : t -> int
-(** Cells that completed (first try, retry, or cache hit). *)
-
-val retried_count : t -> int
-(** Completed cells that needed more than one attempt. *)
+(** Cells that completed (executed or served from the cache). *)
 
 val failed_count : t -> int
-(** Cells whose retry failed too. *)
+(** Cells whose run raised. *)
 
 val cache_summary : t -> string option
 (** One-line hit/miss totals, when a cache is attached. *)
 
 val health_summary : t -> string
-(** One line: cells ok / retried / failed, cache hits when a cache is
+(** One line: cells ok / failed, cache hits when a cache is
     attached, wall time since the context was created, fresh-vs-cached
     cell counts, and total / max per-cell wall time. Wall time is host
     time — print this to stderr to keep reports deterministic. *)

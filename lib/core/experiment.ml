@@ -7,7 +7,6 @@ type sample = {
   server_bytes : int;
   client_pkts : int;
   server_pkts : int;
-  retransmissions : int;
   fast_retransmissions : int;
   timeout_retransmissions : int;
   rtt_samples : int;
@@ -16,7 +15,6 @@ type sample = {
 }
 
 type outcome = {
-  chain_levels : (string * string * int * float) list;
   samples : sample list;
   handshakes_per_minute : int;
   client_cpu_ms : float;
@@ -158,21 +156,6 @@ let run_spec_traced sp =
       ~buffer_limit ~wrong_first_key_share:wrong_key_share
       ~chain_profile:chain kem sig_alg
   in
-  (* the per-level placement breakdown of the credentials this cell's
-     handshakes will serve (generation is cached, never measured) *)
-  let chain_levels =
-    let creds =
-      Tls.Credentials.get ~profile:config.Tls.Config.chain_profile
-        config.Tls.Config.sig_alg
-    in
-    List.map
-      (fun l ->
-        ( l.Tls.Chain.lv_name,
-          l.Tls.Chain.lv_issuer_sa,
-          l.Tls.Chain.lv_bytes,
-          l.Tls.Chain.lv_verify_ms ))
-      (Tls.Chain.levels creds.Tls.Credentials.chain)
-  in
   let samples = ref [] in
   let count = ref 0 in
   (* resumption state threads through the loop exactly as a client
@@ -231,9 +214,6 @@ let run_spec_traced sp =
               server_bytes = Netsim.Tcp.bytes_sent r.Tls.Handshake.server_tcp;
               client_pkts = Netsim.Tcp.packets_sent r.Tls.Handshake.client_tcp;
               server_pkts = Netsim.Tcp.packets_sent r.Tls.Handshake.server_tcp;
-              retransmissions =
-                Netsim.Tcp.retransmissions r.Tls.Handshake.client_tcp
-                + Netsim.Tcp.retransmissions r.Tls.Handshake.server_tcp;
               fast_retransmissions =
                 Netsim.Tcp.fast_retransmissions r.Tls.Handshake.client_tcp
                 + Netsim.Tcp.fast_retransmissions r.Tls.Handshake.server_tcp;
@@ -290,8 +270,7 @@ let run_spec_traced sp =
     else int_of_float (float_of_int !count *. 60. /. duration_s)
   in
   let n = float_of_int !count in
-  { chain_levels;
-    samples;
+  { samples;
     handshakes_per_minute = per_minute;
     client_cpu_ms = Netsim.Host.total_cpu_ms client_host /. n;
     server_cpu_ms = Netsim.Host.total_cpu_ms server_host /. n;

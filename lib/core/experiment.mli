@@ -17,18 +17,14 @@ type sample = {
   server_bytes : int;
   client_pkts : int;
   server_pkts : int;
-  retransmissions : int;  (** both directions, any cause *)
-  fast_retransmissions : int;  (** dup-ACK-driven subset *)
-  timeout_retransmissions : int;  (** RTO / SYN / SYN-ACK subset *)
+  fast_retransmissions : int;  (** both directions, dup-ACK-driven *)
+  timeout_retransmissions : int;  (** both directions, RTO / SYN / SYN-ACK *)
   rtt_samples : int;  (** completed round-trip measurements, both sides *)
   resumed : bool;  (** this connection resumed with a PSK ticket *)
   early_data_bytes : int;  (** 0-RTT bytes the server accepted *)
 }
 
 type outcome = {
-  chain_levels : (string * string * int * float) list;
-      (** per-level placement breakdown of the served chain, leaf first:
-          (level name, issuing SA, CertificateEntry bytes, verify ms) *)
   samples : sample list;
   handshakes_per_minute : int;
       (** per-minute handshake rate: the raw count scaled by
@@ -102,7 +98,7 @@ val run_spec : ?trace:Trace.Buf.t -> spec -> outcome
     @raise Invalid_argument if not a single handshake completed within
     the duration (possible under heavy impairment, or with a sample /
     duration budget of zero) — the campaign layer ({!Exec}) turns this
-    into a retried, then recorded, cell failure. *)
+    into a recorded cell failure. *)
 
 val spec_label : spec -> string
 (** Short human-readable cell name for progress lines. *)

@@ -76,7 +76,6 @@ type cell_data = {
   cd_server_bytes : dist;
   cd_client_pkts : dist;
   cd_server_pkts : dist;
-  cd_retransmissions : int;
   cd_fast_retx : int;
   cd_timeout_retx : int;
   cd_rtt_samples : int;
@@ -87,9 +86,9 @@ type cell_data = {
   cd_client_ledger : (string * float) list;
   cd_server_ledger : (string * float) list;
   cd_resumption : resumption option;  (* Some iff the mix is not full *)
-  cd_chain_levels : (string * string * int * float) list;
-      (* per-level placement breakdown; serialized iff the chain profile
-         is not the default *)
+  cd_chain_levels : Tls.Chain.level_stat list;
+      (* per-level placement breakdown; [] for the default chain profile,
+         whose artifacts carry no chain block *)
 }
 
 type cell = {
@@ -148,7 +147,6 @@ let data_of_outcome ~id (sp : Experiment.spec) (o : Experiment.outcome) =
     cd_server_bytes = di "server_bytes" (fun s -> s.Experiment.server_bytes);
     cd_client_pkts = di "client_pkts" (fun s -> s.Experiment.client_pkts);
     cd_server_pkts = di "server_pkts" (fun s -> s.Experiment.server_pkts);
-    cd_retransmissions = sum (fun s -> s.Experiment.retransmissions);
     cd_fast_retx = sum (fun s -> s.Experiment.fast_retransmissions);
     cd_timeout_retx = sum (fun s -> s.Experiment.timeout_retransmissions);
     cd_rtt_samples = sum (fun s -> s.Experiment.rtt_samples);
@@ -159,7 +157,10 @@ let data_of_outcome ~id (sp : Experiment.spec) (o : Experiment.outcome) =
     cd_client_ledger = o.Experiment.client_ledger;
     cd_server_ledger = o.Experiment.server_ledger;
     cd_resumption = resumption;
-    cd_chain_levels = o.Experiment.chain_levels }
+    cd_chain_levels =
+      (let profile = sp.Experiment.sp_chain in
+       if Tls.Chain_profile.is_default profile then []
+       else Placement.chain_stats ~profile sp.Experiment.sp_sig) }
 
 let buffering_name = function
   | Tls.Config.Optimized_push -> "push"
@@ -412,21 +413,25 @@ let json_of_resumption r =
 (* like the resumption block: the chain identity key and per-level
    breakdown only exist for non-default chain profiles, so every
    pre-chain artifact stays byte-identical under schema /1 *)
-let json_of_chain_levels levels =
-  let wire = List.fold_left (fun acc (_, _, b, _) -> acc + b) 0 levels in
-  let cpu = List.fold_left (fun acc (_, _, _, ms) -> acc +. ms) 0. levels in
+let json_of_chain_levels (levels : Tls.Chain.level_stat list) =
+  let wire =
+    List.fold_left (fun acc l -> acc + l.Tls.Chain.lv_bytes) 0 levels
+  in
+  let cpu =
+    List.fold_left (fun acc l -> acc +. l.Tls.Chain.lv_verify_ms) 0. levels
+  in
   Json.Obj
     [ ("wire_bytes", Json.Int wire);
       ("verify_ms", Json.Float cpu);
       ( "levels",
         Json.List
           (List.map
-             (fun (name, issuer, bytes, verify_ms) ->
+             (fun (l : Tls.Chain.level_stat) ->
                Json.Obj
-                 [ ("level", Json.String name);
-                   ("issuer_sa", Json.String issuer);
-                   ("bytes", Json.Int bytes);
-                   ("verify_ms", Json.Float verify_ms) ])
+                 [ ("level", Json.String l.lv_name);
+                   ("issuer_sa", Json.String l.lv_issuer_sa);
+                   ("bytes", Json.Int l.lv_bytes);
+                   ("verify_ms", Json.Float l.lv_verify_ms) ])
              levels) ) ]
 
 (* the frame every kind's cell shares: the common identity keys, the
@@ -467,7 +472,8 @@ let json_of_cell c =
               ("server_bytes", json_of_dist d.cd_server_bytes);
               ("client_pkts", json_of_dist d.cd_client_pkts);
               ("server_pkts", json_of_dist d.cd_server_pkts);
-              ("retransmissions", Json.Int d.cd_retransmissions);
+              ( "retransmissions",
+                Json.Int (d.cd_fast_retx + d.cd_timeout_retx) );
               ("fast_retx", Json.Int d.cd_fast_retx);
               ("timeout_retx", Json.Int d.cd_timeout_retx);
               ("rtt_samples", Json.Int d.cd_rtt_samples) ] );

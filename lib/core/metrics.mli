@@ -56,8 +56,9 @@ type cell_data = {
   cd_server_bytes : dist;
   cd_client_pkts : dist;
   cd_server_pkts : dist;
-  cd_retransmissions : int;  (** summed over every sampled handshake *)
   cd_fast_retx : int;
+      (** summed over every sampled handshake, like [cd_timeout_retx];
+          the artifact's "retransmissions" is their sum *)
   cd_timeout_retx : int;
   cd_rtt_samples : int;
   cd_client_cpu_ms : float;
@@ -70,12 +71,13 @@ type cell_data = {
       (** [Some] iff the cell ran a non-full {!Mix}; the serialized
           artifact gains its "resumption" key (and the cell its "mix"
           key) only then, so pre-mix artifacts stay byte-identical *)
-  cd_chain_levels : (string * string * int * float) list;
-      (** per-level certificate-chain breakdown, leaf first: (level,
-          issuing SA, CertificateEntry bytes, verify ms). Serialized —
-          as the "chain" data block plus the cell's "chain" identity
-          key — only for non-default {!Tls.Chain_profile}s, so
-          pre-chain artifacts stay byte-identical *)
+  cd_chain_levels : Tls.Chain.level_stat list;
+      (** per-level certificate-chain breakdown, leaf first, from
+          {!Placement.chain_stats} of the spec's SA and chain profile;
+          [[]] for the default profile. Serialized — as the "chain" data
+          block plus the cell's "chain" identity key — only for
+          non-default {!Tls.Chain_profile}s, so pre-chain artifacts stay
+          byte-identical *)
 }
 
 type cell = {

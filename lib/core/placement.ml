@@ -17,7 +17,6 @@ let flights_to_deliver ~(tcp : Netsim.Tcp.config) bytes =
 (* per-level stats of exactly the credentials the mocked cells serve
    (same cache entry), computable without running the cell — failed
    cells still render their placement columns *)
-let chain_stats ~profile sa_name =
-  let alg = Pqc.Sigalg.mocked (Pqc.Registry.find_sig sa_name) in
-  let creds = Tls.Credentials.get ~profile alg in
+let chain_stats ~profile alg =
+  let creds = Tls.Credentials.get ~profile (Pqc.Sigalg.mocked alg) in
   Tls.Chain.levels creds.Tls.Credentials.chain

@@ -9,6 +9,8 @@ val flights_to_deliver : tcp:Netsim.Tcp.config -> int -> int
     empty payloads. *)
 
 val chain_stats :
-  profile:Tls.Chain_profile.t -> string -> Tls.Chain.level_stat list
+  profile:Tls.Chain_profile.t -> Pqc.Sigalg.t -> Tls.Chain.level_stat list
 (** Per-level breakdown of exactly the (cached, mocked) credentials the
-    campaign cells serve for this SA name, without running a cell. *)
+    campaign cells serve for this SA, without running a cell. The levels
+    depend only on names, exact sizes and {!Pqc.Costs}, so real
+    credentials have the same ones. *)

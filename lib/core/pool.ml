@@ -20,48 +20,41 @@ let map ~jobs ?on_done f inputs =
   let n = Array.length inputs in
   let progress = Mutex.create () in
   let completed = ref 0 in
-  let finish i result elapsed =
+  let finish i result =
     (match on_done with
     | None -> ()
     | Some g ->
       Mutex.protect progress (fun () ->
           incr completed;
-          g ~index:i ~completed:!completed ~total:n inputs.(i) result elapsed));
+          g ~completed:!completed ~total:n inputs.(i) result));
     result
   in
-  let timed i =
-    (* per-task elapsed time for the progress callback; display only *)
-    let t0 = Clock.now_s () in
-    let r = f inputs.(i) in
-    finish i r (Clock.elapsed_s t0)
-  in
-  if jobs <= 1 || n <= 1 then Array.to_list (Array.init n timed)
-  else begin
-    let results = Array.make n None in
-    let next = Atomic.make 0 in
-    let failure = Atomic.make None in
-    let rec worker () =
-      if Atomic.get failure = None then begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (try results.(i) <- Some (timed i)
-           with e ->
-             let bt = Printexc.get_raw_backtrace () in
-             ignore (Atomic.compare_and_set failure None (Some (e, bt))));
-          worker ()
-        end
+  let results = Array.make n None in
+  let next = Atomic.make 0 in
+  let failure = Atomic.make None in
+  let rec worker () =
+    if Atomic.get failure = None then begin
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        (try results.(i) <- Some (finish i (f inputs.(i)))
+         with e ->
+           let bt = Printexc.get_raw_backtrace () in
+           ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+        worker ()
       end
-    in
-    let domains = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join domains;
-    (match Atomic.get failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list
-      (Array.map
-         (function
-           | Some r -> r
-           | None -> invalid_arg "Pool.map: unfinished task")
-         results)
-  end
+    end
+  in
+  let domains =
+    List.init (max 0 (min jobs n - 1)) (fun _ -> Domain.spawn worker)
+  in
+  worker ();
+  List.iter Domain.join domains;
+  (match Atomic.get failure with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ());
+  Array.to_list
+    (Array.map
+       (function
+         | Some r -> r
+         | None -> invalid_arg "Pool.map: unfinished task")
+       results)

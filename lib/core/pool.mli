@@ -12,24 +12,16 @@ val default_jobs : unit -> int
 
 val map :
   jobs:int ->
-  ?on_done:
-    (index:int ->
-    completed:int ->
-    total:int ->
-    'a ->
-    'b ->
-    float ->
-    unit) ->
+  ?on_done:(completed:int -> total:int -> 'a -> 'b -> unit) ->
   ('a -> 'b) ->
   'a list ->
   'b list
 (** [map ~jobs f xs] is [List.map f xs] evaluated on [min jobs n]
-    domains (including the calling one); [jobs <= 1] runs sequentially
-    in the caller with no domain spawned.
+    domains (including the calling one); with [jobs <= 1] the caller
+    runs every task and no domain is spawned.
 
     [on_done] fires after each task under an internal lock (safe to
-    print from): input index, completion count, total, the input, the
-    result, and the task's host-time seconds.
+    print from): completion count, total, the input and the result.
 
     If a task raises, no further task is claimed, in-flight ones drain,
     and the first exception is re-raised in the caller with its

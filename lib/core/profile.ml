@@ -152,9 +152,8 @@ let kernel_ops () =
     kernel "hkdf-sha256" (fun () ->
         let salt = String.make 32 '\007' and ikm = String.make 32 '\042' in
         fun () ->
-          let prk = Crypto.Hkdf.extract Crypto.Hmac.sha256 ~salt ~ikm in
-          ignore (Crypto.Hkdf.expand Crypto.Hmac.sha256 ~prk ~info:"profile" 32
-                  : string));
+          let prk = Crypto.Hkdf.extract ~salt ~ikm in
+          ignore (Crypto.Hkdf.expand ~prk ~info:"profile" 32 : string));
     kernel "sha256-1k" (fun () ->
         let m = String.init 1024 (fun i -> Char.chr (i land 0xff)) in
         fun () -> ignore (Crypto.Sha256.digest m : string)) ]

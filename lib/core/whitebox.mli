@@ -23,8 +23,8 @@ val rows :
   seed:string -> exec:Exec.t -> (int * string * string) list ->
   row option list
 (** Measure the given pairs through [exec]. The result is aligned with
-    the input: [None] marks a pair whose cell failed (after retries), so
-    renderers can still show the rest. *)
+    the input: [None] marks a pair whose cell failed, so renderers can
+    still show the rest. *)
 
 (** {1 Trace cross-check}
 

@@ -2,33 +2,25 @@
   "pad's buffer is created locally, and unsafe_to_string takes it after \
    its last write"]
 
-type hash = {
-  digest_size : int;
-  block_size : int;
-  digest : string -> string;
-  digest_parts : string list -> string;
-}
+let block_size = 64
 
-let sha256_parts parts =
+(* [Sha256.digest (String.concat "" parts)], fed part by part into one
+   context instead of concatenated first *)
+let digest_parts parts =
   let c = Sha256.init () in
   List.iter (Sha256.feed c) parts;
   Sha256.get c
 
-let sha256 =
-  { digest_size = 32; block_size = 64;
-    digest = Sha256.digest; digest_parts = sha256_parts }
-
 (* the key, zero-extended to one block, XORed with [byte] *)
-let pad h key byte =
-  let b = Bytes.make h.block_size (Char.chr byte) in
+let pad key byte =
+  let b = Bytes.make block_size (Char.chr byte) in
   for i = 0 to String.length key - 1 do
     Bytes.set b i (Char.chr (Char.code key.[i] lxor byte))
   done;
   Bytes.unsafe_to_string b
 
-let hmac h ~key msg =
+let hmac ~key msg =
   let key =
-    if String.length key > h.block_size then h.digest key else key
+    if String.length key > block_size then Sha256.digest key else key
   in
-  h.digest_parts
-    [ pad h key 0x5c; h.digest_parts [ pad h key 0x36; msg ] ]
+  digest_parts [ pad key 0x5c; digest_parts [ pad key 0x36; msg ] ]

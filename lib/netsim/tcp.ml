@@ -54,7 +54,6 @@ type t = {
   (* counters *)
   mutable wire_bytes : int;
   mutable pkts : int;
-  mutable rtx : int;
   mutable rtx_fast : int; (* dup-ACK-triggered (incl. NewReno partial) *)
   mutable rtx_timeout : int; (* timer-driven: RTO, SYN, SYN-ACK *)
   mutable rtt_meas : int; (* completed round-trip measurements *)
@@ -73,7 +72,7 @@ let make engine link config host =
     high_water = 0; syn_sent_at = nan; in_recovery = false;
     fin_pending = false; rcv_nxt = 0; ooo = []; unacked_segs = 0;
     pending_deliveries = 0; agg_timer = None; delack_timer = None;
-    wire_bytes = 0; pkts = 0; rtx = 0; rtx_fast = 0; rtx_timeout = 0;
+    wire_bytes = 0; pkts = 0; rtx_fast = 0; rtx_timeout = 0;
     rtt_meas = 0; next_pkt_id = 0 }
 
 (* trace emission: counters for congestion-window / flight evolution and
@@ -207,7 +206,6 @@ and on_rto t =
        would degenerate to one segment per backed-off RTO *)
     t.seg_ends <- [];
     t.snd_nxt <- t.snd_una;
-    t.rtx <- t.rtx + 1;
     t.rtx_timeout <- t.rtx_timeout + 1;
     note_retransmit t "rto";
     note_cwnd t;
@@ -247,7 +245,6 @@ and drop_acked_chunks t =
 and retransmit_first t =
   let len = min mss (t.write_end - t.snd_una) in
   if len > 0 then begin
-    t.rtx <- t.rtx + 1;
     t.rtx_fast <- t.rtx_fast + 1;
     note_retransmit t "fast";
     let payload = stream_sub t t.snd_una len in
@@ -413,7 +410,6 @@ and handle t (p : Packet.t) =
     emit t ~flags:Packet.synack_flags ~seq:0 ~ack_seq:0 ()
   | Syn_received when p.flags.syn && not p.flags.ack ->
     (* our SYN-ACK was lost and the client retransmitted its SYN *)
-    t.rtx <- t.rtx + 1;
     t.rtx_timeout <- t.rtx_timeout + 1;
     note_retransmit t "synack";
     t.syn_sent_at <- nan;
@@ -467,7 +463,6 @@ let create_pair engine link config ~client ~server =
 let rec send_syn t attempt =
   if t.state = Syn_sent then begin
     if attempt > 0 then begin
-      t.rtx <- t.rtx + 1;
       t.rtx_timeout <- t.rtx_timeout + 1;
       note_retransmit t "syn"
     end;
@@ -516,7 +511,6 @@ let close t =
 
 let bytes_sent t = t.wire_bytes
 let packets_sent t = t.pkts
-let retransmissions t = t.rtx
 let fast_retransmissions t = t.rtx_fast
 let timeout_retransmissions t = t.rtx_timeout
 let rtt_samples t = t.rtt_meas

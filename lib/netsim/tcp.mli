@@ -52,16 +52,14 @@ val bytes_sent : t -> int
 
 val packets_sent : t -> int
 
-val retransmissions : t -> int
-(** Every retransmitted segment, whatever triggered it. *)
-
 val fast_retransmissions : t -> int
 (** Duplicate-ACK-driven retransmits (including NewReno partial-ACK
-    ones) — the subset of {!retransmissions} that cost no timer wait. *)
+    ones), which cost no timer wait. *)
 
 val timeout_retransmissions : t -> int
 (** Timer-driven retransmits: RTO go-back-N plus SYN / SYN-ACK
-    handshake retries. *)
+    handshake retries. Every retransmitted segment is counted by
+    exactly one of the two. *)
 
 val rtt_samples : t -> int
 (** Completed round-trip measurements this endpoint took (handshake

@@ -209,33 +209,27 @@ module Inbound = struct
     go ()
 end
 
-(* the 2^14-byte chunking every record path shares: [one] frames a whole
-   message that fits one record; a larger one is laid out as its records
-   in one buffer of their exact size, [into buf pos s off len] writing
-   the record of [s]'s chunk at [pos] *)
-let fragment ~overhead ~one ~into msg =
+(* the 2^14-byte chunking every record path shares: a message is laid
+   out as its records in one buffer of their exact size, [into buf pos s
+   off len] writing the record of [s]'s chunk at [pos] *)
+let fragment ~overhead ~into msg =
   let n = String.length msg in
-  if n = 0 then ""
-  else if n <= max_fragment then one msg
-  else begin
-    let records = (n + max_fragment - 1) / max_fragment in
-    let buf = Bytes.create (n + (records * overhead)) in
-    for i = 0 to records - 1 do
-      let off = i * max_fragment in
-      into buf (off + (i * overhead)) msg off (min max_fragment (n - off))
-    done;
-    Bytes.unsafe_to_string buf
-  end
+  let records = (n + max_fragment - 1) / max_fragment in
+  let buf = Bytes.create (n + (records * overhead)) in
+  for i = 0 to records - 1 do
+    let off = i * max_fragment in
+    into buf (off + (i * overhead)) msg off (min max_fragment (n - off))
+  done;
+  Bytes.unsafe_to_string buf
 
 let fragment_plaintext =
   let ty = Wire.Content_type.Handshake in
-  fragment ~overhead:5 ~one:(Wire.record ty) ~into:(fun buf pos s off len ->
+  fragment ~overhead:5 ~into:(fun buf pos s off len ->
       Bytes.blit_string (Wire.record_header ty len) 0 buf pos 5;
       Bytes.blit_string s off buf (pos + 5) len)
 
 let fragment_sealed ty crypt =
-  fragment ~overhead:Record.overhead ~one:(Record.seal crypt ty)
-    ~into:(Record.seal_into crypt ty)
+  fragment ~overhead:Record.overhead ~into:(Record.seal_into crypt ty)
 
 let fragment_encrypted = fragment_sealed Wire.Content_type.Handshake
 let fragment_app = fragment_sealed Wire.Content_type.Application_data

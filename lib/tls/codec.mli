@@ -53,9 +53,9 @@ val max_fragment : int
 (** 2^14, RFC 8446 section 5.1. *)
 
 val fragment_plaintext : string -> string
-(** Wrap a handshake message into one or more plaintext records. A
-    message over {!max_fragment} bytes is laid out as its records in
-    one allocation of their exact size. *)
+(** Wrap a handshake message into plaintext records of at most
+    {!max_fragment} bytes each, laid out in one allocation of their
+    exact size. An empty message yields [""]. *)
 
 val fragment_encrypted : Record.t -> string -> string
 (** Wrap into encrypted application_data records, advancing the write

@@ -37,7 +37,7 @@ let make_record ~memo cfg traffic_secret =
 let early_record cfg ~memo ~early_secret ch_msg =
   make_record ~memo cfg
     (K.client_early_traffic ~memo ~early_secret
-       ~client_hello_hash:(K.hash.Crypto.Hmac.digest ch_msg))
+       ~client_hello_hash:(Crypto.Sha256.digest ch_msg))
 
 (* ---- session tickets (stateless STEK sealing) --------------------------- *)
 
@@ -52,7 +52,7 @@ let default_max_early_data = 16384
 let early_data_size = 256
 
 let stek_record ~config ~ticket_key =
-  let secret = Crypto.Hkdf.extract K.hash ~salt:"pqtls stek" ~ikm:ticket_key in
+  let secret = Crypto.Hkdf.extract ~salt:"pqtls stek" ~ikm:ticket_key in
   make_record ~memo:(Crypto.Memo.create ()) config secret
 
 let seal_ticket ~config ~ticket_key psk =
@@ -74,8 +74,8 @@ let open_ticket ~config ~ticket_key ticket =
        no key bytes leave this match"])
   with
   | Some (Wire.Content_type.Application_data, pt)
-    when String.length pt >= K.hash.Crypto.Hmac.digest_size ->
-    String.sub pt 0 K.hash.Crypto.Hmac.digest_size
+    when String.length pt >= K.digest_size ->
+    String.sub pt 0 K.digest_size
   | _ -> raise (Wire.Decode_error "ticket decryption failed")
 
 (* HelloRetryRequest: a ServerHello whose random is the RFC 8446 magic *)
@@ -167,7 +167,7 @@ let psk_binder (p : peer) ~psk truncated k =
   let binder_key = K.binder_key ~memo ~early_secret in
   k ~early_secret
     (K.binder_mac ~memo ~binder_key
-       ~truncated_transcript_hash:(K.hash.Crypto.Hmac.digest truncated))
+       ~truncated_transcript_hash:(Crypto.Sha256.digest truncated))
 
 (* Section 4.6.1, the same on both sides: the PSK a NewSessionTicket
    binds, under the res master over the transcript through the client

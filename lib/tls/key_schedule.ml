@@ -4,10 +4,9 @@ type secrets = {
   master : string;
 }
 
-let hash = Crypto.Hmac.sha256
-let digest_size = hash.Crypto.Hmac.digest_size
+let digest_size = 32
 let zeros = String.make digest_size '\000'
-let empty_hash = hash.Crypto.Hmac.digest ""
+let empty_hash = Crypto.Sha256.digest ""
 
 (* The schedule's three derivations: HKDF-Extract, HKDF-Expand-Label and
    the HMAC of a Finished or binder. Each runs through a memo, tagged
@@ -19,7 +18,7 @@ let empty_hash = hash.Crypto.Hmac.digest ""
 
 let extract memo ~salt ikm =
   Crypto.Memo.once memo ~tag:"extract" [ salt; ikm ] digest_size (fun () ->
-      Crypto.Hkdf.extract hash ~salt ~ikm)
+      Crypto.Hkdf.extract ~salt ~ikm)
 
 let hkdf_expand_label ?(memo = Crypto.Memo.create ()) ~secret ~label ~context
     len =
@@ -30,7 +29,7 @@ let hkdf_expand_label ?(memo = Crypto.Memo.create ()) ~secret ~label ~context
           (Crypto.Bytesx.u16_be len :: Wire.vec8 [ "tls13 "; label ]
           @ Wire.vec8 [ context ])
       in
-      Crypto.Hkdf.expand hash ~prk:secret ~info:hkdf_label len)
+      Crypto.Hkdf.expand ~prk:secret ~info:hkdf_label len)
 
 let derive_secret memo ~secret ~label transcript_hash =
   hkdf_expand_label ~memo ~secret ~label ~context:transcript_hash digest_size
@@ -43,11 +42,11 @@ let verify_data ~memo ~base_key transcript_hash =
       digest_size
   in
   Crypto.Memo.once memo ~tag:"hmac" [ key; transcript_hash ] digest_size
-    (fun () -> Crypto.Hmac.hmac hash ~key transcript_hash)
+    (fun () -> Crypto.Hmac.hmac ~key transcript_hash)
 
 (* Without a PSK the early secret extracts from all-zero input, so it and
    its "derived" secret are the same in every handshake. *)
-let no_psk_early_secret = Crypto.Hkdf.extract hash ~salt:"" ~ikm:zeros
+let no_psk_early_secret = Crypto.Hkdf.extract ~salt:"" ~ikm:zeros
 
 let no_psk_derived =
   derive_secret (Crypto.Memo.create ()) ~secret:no_psk_early_secret

@@ -15,8 +15,9 @@ type secrets = {
   master : string;
 }
 
-val hash : Crypto.Hmac.hash
-(** The cipher-suite hash (SHA-256 for TLS_AES_128_GCM_SHA256). *)
+val digest_size : int
+(** 32: the output size of the cipher-suite hash, SHA-256 for
+    TLS_AES_128_GCM_SHA256. *)
 
 val hkdf_expand_label :
   ?memo:Crypto.Memo.t ->

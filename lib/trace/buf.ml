@@ -20,10 +20,6 @@ let create ?(label = "") () =
 let label t = t.label
 let length t = t.len
 
-let clear t =
-  t.len <- 0;
-  t.open_spans <- []
-
 let add t e =
   if t.len = Array.length t.events then begin
     let bigger = Array.make (2 * t.len) e in

@@ -12,10 +12,6 @@ val create : ?label:string -> unit -> t
 val label : t -> string
 val length : t -> int
 
-val clear : t -> unit
-(** Drop every event and any open spans — used when a failing cell is
-    retried, so only the final attempt's events survive. *)
-
 val span :
   t -> track:string -> cat:string -> name:string -> ?args:Event.args ->
   float -> float -> unit

@@ -372,7 +372,7 @@ let test_hmac () =
   (* RFC 4231 test case 2 *)
   check_hex "hmac-sha256 rfc4231#2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.hmac Hmac.sha256 ~key:"Jefe" "what do ya want for nothing?");
+    (Hmac.hmac ~key:"Jefe" "what do ya want for nothing?");
   (* RFC 4231 cases 1, 3, 4, 6 and 7 for HMAC-SHA-256: short, 20-byte,
      25-byte and longer-than-a-block keys, and a longer-than-a-block
      message *)
@@ -380,7 +380,7 @@ let test_hmac () =
   List.iter
     (fun (case, key, data, want) ->
       check_hex ("hmac-sha256 rfc4231#" ^ case) want
-        (Hmac.hmac Hmac.sha256 ~key data))
+        (Hmac.hmac ~key data))
     [ ( "1", String.make 20 '\x0b', "Hi There",
         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
       ( "3", String.make 20 '\xaa', String.make 50 '\xdd',
@@ -398,21 +398,21 @@ let test_hmac () =
   let long_key = String.make 200 'k' in
   Alcotest.(check string)
     "long key = hashed key"
-    (Bytesx.to_hex (Hmac.hmac Hmac.sha256 ~key:(Sha256.digest long_key) msg))
-    (Bytesx.to_hex (Hmac.hmac Hmac.sha256 ~key:long_key msg))
+    (Bytesx.to_hex (Hmac.hmac ~key:(Sha256.digest long_key) msg))
+    (Bytesx.to_hex (Hmac.hmac ~key:long_key msg))
 
 let test_hkdf () =
   (* RFC 5869 test case 1 *)
   let ikm = String.make 22 '\x0b' in
   let salt = hex "000102030405060708090a0b0c" in
   let info = hex "f0f1f2f3f4f5f6f7f8f9" in
-  let prk = Hkdf.extract Hmac.sha256 ~salt ~ikm in
+  let prk = Hkdf.extract ~salt ~ikm in
   check_hex "hkdf prk"
     "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5" prk;
   check_hex "hkdf okm"
     "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
      34007208d5b887185865"
-    (Hkdf.expand Hmac.sha256 ~prk ~info 42)
+    (Hkdf.expand ~prk ~info 42)
 
 (* ---- AES / GCM ------------------------------------------------------------ *)
 
@@ -604,7 +604,7 @@ let prop_tests =
       (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b);
     qc "hkdf expand length" QCheck.(int_range 1 800)
       (fun n ->
-        String.length (Hkdf.expand Hmac.sha256 ~prk:(Sha256.digest "p") ~info:"" n) = n);
+        String.length (Hkdf.expand ~prk:(Sha256.digest "p") ~info:"" n) = n);
     qc "gcm roundtrip random"
       QCheck.(pair small_string small_string)
       (fun (pt, ad) ->

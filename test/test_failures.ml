@@ -1,5 +1,5 @@
-(* Fault-tolerant campaign execution: a cell that keeps raising turns
-   into [Error] with its attempt count recorded, the rest of the grid
+(* Fault-tolerant campaign execution: a cell that raises runs once and
+   turns into [Error] with its message recorded, the rest of the grid
    still completes (in spec order, identically for any job count),
    reports render with the failed cell marked, and the failure is never
    written to the result cache. *)
@@ -23,8 +23,8 @@ let good_spec seed = Experiment.spec ~seed (kem "x25519") (sa "rsa:2048")
 
 (* x25519 whose key generation records the first 8 bytes its DRBG
    gives and then refuses: a cell on it fails at its first keygen, so
-   the list counts the cell's runs, newest first, and tells apart the
-   seeds they ran under. Marked mocked, so a mocked config keeps it. *)
+   the list counts the cell's runs, newest first. Marked mocked, so a
+   mocked config keeps it. *)
 let refusing_kem () =
   let runs = ref [] in
   let k = kem "x25519" in
@@ -36,16 +36,10 @@ let refusing_kem () =
           failwith "keygen refused") },
     runs )
 
-(* a failing cell runs twice, the second time reseeded *)
-let check_try_and_reseeded_retry runs =
-  match runs with
-  | [ retry; first ] ->
-    Alcotest.(check bool) "the retry runs under another seed" false
-      (String.equal retry first)
-  | _ ->
-    Alcotest.failf "initial try plus one retry: %d runs" (List.length runs)
+let check_runs_once runs =
+  Alcotest.(check int) "the failing cell ran once" 1 (List.length runs)
 
-let test_error_records_attempts () =
+let test_failing_cell_runs_once () =
   let exec = Exec.create ~jobs:1 () in
   let refusing, runs = refusing_kem () in
   let spec =
@@ -53,7 +47,7 @@ let test_error_records_attempts () =
   in
   match Exec.cells exec [ spec ] with
   | [ Error message ] ->
-    check_try_and_reseeded_retry !runs;
+    check_runs_once !runs;
     Alcotest.(check bool) "message names the exception" true
       (contains "keygen refused" message);
     Alcotest.(check int) "counted as failed" 1 (Exec.failed_count exec);
@@ -64,7 +58,7 @@ let test_lossy_underbudget_cell_fails () =
   (* a 10%-loss cell with a zero time budget: no handshake can finish,
      the engine gives up and the cell must surface as Error, counted
      once as failed, not as a crash. It starts no handshake, so its
-     runs are counted on a refusing cell in "error records attempts". *)
+     runs are counted on a refusing cell in "a failing cell runs once". *)
   let spec =
     Experiment.spec ~seed:"failures-loss" ~scenario:Scenario.high_loss
       ~duration_s:0. ~max_samples:1
@@ -75,8 +69,7 @@ let test_lossy_underbudget_cell_fails () =
   | [ Error message ] ->
     Alcotest.(check bool) "the experiment's own error" true
       (contains "no handshake completed" message);
-    Alcotest.(check (pair int int)) "failed, not retried to success" (1, 0)
-      (Exec.failed_count exec, Exec.retried_count exec)
+    Alcotest.(check int) "counted as failed" 1 (Exec.failed_count exec)
   | _ -> Alcotest.fail "no handshake fits in zero virtual time"
 
 let test_mixed_grid_order_and_determinism () =
@@ -173,7 +166,6 @@ let test_health_summary_counts () =
   | _ -> Alcotest.fail "expected [Ok; Error]");
   Alcotest.(check int) "one ok" 1 (Exec.ok_count exec);
   Alcotest.(check int) "one failed" 1 (Exec.failed_count exec);
-  Alcotest.(check int) "nothing retried" 0 (Exec.retried_count exec);
   let line = Exec.health_summary exec in
   Alcotest.(check bool) "summary lists ok and failed counts" true
     (contains "1 cells ok" line && contains "1 failed" line)
@@ -197,8 +189,8 @@ let test_library_reads_no_environment () =
 
 let suites =
   [ ( "failures",
-      [ Alcotest.test_case "error records attempts" `Quick
-          test_error_records_attempts;
+      [ Alcotest.test_case "a failing cell runs once" `Quick
+          test_failing_cell_runs_once;
         Alcotest.test_case "lossy under-budget cell fails cleanly" `Quick
           test_lossy_underbudget_cell_fails;
         Alcotest.test_case "mixed grid: order and determinism" `Slow

@@ -1,8 +1,7 @@
 (* The server-farm layer: arrival-stream generators, least-connections
    balancing, farm admission control, the fixed farm shape's identity
    strings, and the farm campaign's determinism contract
-   (byte-identical metrics artifacts for any [jobs], cache states and
-   retry budgets included). *)
+   (byte-identical metrics artifacts for any [jobs] and cache state). *)
 
 open Core
 
@@ -252,10 +251,9 @@ let test_farm_outcome_sanity () =
   Alcotest.(check bool) "amplification over QUIC's 3x" true
     (o.Experiment.fo_adv_server_bytes > 3 * o.Experiment.fo_adv_client_bytes)
 
-let test_farm_retry_and_failure () =
-  (* injected failure on a farm label: the retry reseeds
-     deterministically, a failed retry yields Error and the campaign
-     keeps going *)
+let test_farm_failure_runs_once () =
+  (* injected failure on a farm label: the cell yields Error and the
+     campaign keeps going *)
   let exec = Exec.create ~jobs:2 ~fail_cell:"flash-crowd" () in
   let results = Exec.farm_cells exec (farm_grid "farm-fail") in
   let oks, errs = List.partition Result.is_ok results in
@@ -264,14 +262,14 @@ let test_farm_retry_and_failure () =
     (List.length oks, List.length errs);
   Alcotest.(check int) "failures counted" 2 (Exec.failed_count exec);
   (* a farm cell whose benign clients cannot generate a key fails on
-     its first keygen: it runs twice, the retry reseeded *)
+     its first keygen, and runs once *)
   let refusing, runs = Test_failures.refusing_kem () in
   let spec =
     Experiment.farm_spec ~seed:"farm-fail" ~servers:2 ~duration_s:0.2
       ~max_connections:120 refusing (sa "rsa:2048")
   in
   (match Exec.farm_cells (Exec.create ~jobs:1 ()) [ spec ] with
-  | [ Error _ ] -> Test_failures.check_try_and_reseeded_retry !runs
+  | [ Error _ ] -> Test_failures.check_runs_once !runs
   | _ -> Alcotest.fail "a farm whose keygen refuses cannot succeed")
 
 (* ---- farm cells through the result cache ----------------------------------- *)
@@ -346,8 +344,8 @@ let suites =
           test_farm_jobs_identity;
         Alcotest.test_case "farm outcome sanity" `Slow
           test_farm_outcome_sanity;
-        Alcotest.test_case "farm retry and failure" `Slow
-          test_farm_retry_and_failure;
+        Alcotest.test_case "farm failure runs once" `Slow
+          test_farm_failure_runs_once;
         Alcotest.test_case "farm cache cold/warm byte-identity" `Slow
           test_farm_cache_roundtrip;
         Alcotest.test_case "farm cache entries stay apart" `Slow

@@ -222,12 +222,16 @@ let transfer ?netem ?config ?(write = fun c data -> Netsim.Tcp.write c data)
   Netsim.Engine.run e;
   (Buffer.contents received, c, s, trace, e)
 
+(* retransmissions of either cause *)
+let retransmissions t =
+  Netsim.Tcp.fast_retransmissions t + Netsim.Tcp.timeout_retransmissions t
+
 let test_tcp_basic_transfer () =
   let data = String.init 10_000 (fun i -> Char.chr (i mod 256)) in
   let got, c, _, _, _ = transfer ~data "tcp-basic" in
   Alcotest.(check int) "all bytes" (String.length data) (String.length got);
   Alcotest.(check string) "in order, uncorrupted" data got;
-  Alcotest.(check int) "no retransmissions" 0 (Netsim.Tcp.retransmissions c)
+  Alcotest.(check int) "no retransmissions" 0 (retransmissions c)
 
 let test_tcp_mss_segmentation () =
   let data = String.make 5000 'z' in
@@ -258,7 +262,7 @@ let test_tcp_loss_recovery () =
   let got, c, s, _, _ = transfer ~netem ~data "tcp-loss" in
   Alcotest.(check string) "lossless delivery over lossy link" data got;
   Alcotest.(check bool) "retransmissions happened" true
-    (Netsim.Tcp.retransmissions c > 0);
+    (retransmissions c > 0);
   (* the same bytes as uneven parts: segments are cut across the parts'
      boundaries, and retransmissions read parts not yet acknowledged *)
   let write_uneven c data =
@@ -275,10 +279,10 @@ let test_tcp_loss_recovery () =
   Alcotest.(check string) "parts: lossless delivery" data got';
   Alcotest.(check (list int)) "parts: same packets and retransmissions"
     (List.concat_map
-       (fun t -> [ Netsim.Tcp.packets_sent t; Netsim.Tcp.retransmissions t ])
+       (fun t -> [ Netsim.Tcp.packets_sent t; retransmissions t ])
        [ c; s ])
     (List.concat_map
-       (fun t -> [ Netsim.Tcp.packets_sent t; Netsim.Tcp.retransmissions t ])
+       (fun t -> [ Netsim.Tcp.packets_sent t; retransmissions t ])
        [ c'; s' ])
 
 let test_tcp_trace_counters () =
@@ -304,7 +308,7 @@ let test_tcp_trace_counters () =
            | _ -> false)
          events)
   in
-  let total_rtx = Netsim.Tcp.retransmissions c + Netsim.Tcp.retransmissions s in
+  let total_rtx = retransmissions c + retransmissions s in
   Alcotest.(check bool) "retransmissions happened" true (total_rtx > 0);
   Alcotest.(check int) "one retransmit instant per retransmission" total_rtx
     retransmit_instants;

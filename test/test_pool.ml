@@ -35,16 +35,16 @@ let test_pool_on_done () =
   let seen = ref [] in
   let results =
     Pool.map ~jobs:4
-      ~on_done:(fun ~index ~completed:_ ~total x y _elapsed ->
+      ~on_done:(fun ~completed:_ ~total x y ->
         Alcotest.(check int) "total" 10 total;
         Alcotest.(check int) "result matches input" (x + 1) y;
-        seen := index :: !seen)
+        seen := x :: !seen)
       (fun x -> x + 1)
       (List.init 10 Fun.id)
   in
   Alcotest.(check (list int)) "results ordered" (List.init 10 (fun i -> i + 1))
     results;
-  Alcotest.(check (list int)) "every index reported once"
+  Alcotest.(check (list int)) "every input reported once"
     (List.init 10 Fun.id) (List.sort compare !seen)
 
 exception Boom
