@@ -53,21 +53,33 @@ let run_cell t (kind : _ Cell.kind) ?trace spec =
     Error (Printexc.to_string e)
 
 (* the grid runner every cell kind shares *)
-let grid t (kind : _ Cell.kind) record specs =
-  (* one buffer per cell of a traced kind, allocated in spec order
-     before the fan-out and merged into the store in that same order
-     afterwards, so the trace is bit-identical whatever [jobs]. A cell
-     served from the cache keeps its (empty, labelled) buffer: cache
-     hits execute nothing. *)
-  let bufs =
-    match t.trace with
-    | Some _ when kind.Cell.traced ->
-      List.map
-        (fun sp -> Some (Trace.Buf.create ~label:(kind.Cell.label sp) ()))
-        specs
-    | _ -> List.map (fun _ -> None) specs
+let grid t (kind : _ Cell.kind) summarize specs =
+  (* Decided serially before the fan-out, in spec order: a cell is
+     recorded when its fingerprint occurs first in the grid and the
+     registry has not recorded it yet. Only those cells' tasks
+     summarize. A traced kind also gets one buffer per cell, merged
+     into the store in spec order afterwards, so the trace is
+     bit-identical whatever [jobs]. A cell served from the cache keeps
+     its (empty, labelled) buffer: cache hits execute nothing. *)
+  let firsts = Hashtbl.create 64 in
+  let tasks =
+    List.map
+      (fun spec ->
+        let id = kind.Cell.fingerprint spec in
+        let record =
+          not (Hashtbl.mem firsts id || Metrics.recorded t.metrics id)
+        in
+        Hashtbl.replace firsts id ();
+        let trace =
+          match t.trace with
+          | Some _ when kind.Cell.traced ->
+            Some (Trace.Buf.create ~label:(kind.Cell.label spec) ())
+          | _ -> None
+        in
+        (spec, trace, record))
+      specs
   in
-  let run (spec, trace) =
+  let run (spec, trace, record) =
     let t0 = Clock.now_s () in
     let r, status =
       match t.cache with
@@ -75,18 +87,24 @@ let grid t (kind : _ Cell.kind) record specs =
       | Some c -> (
         let k = Result_cache.kind_key c kind spec in
         match Result_cache.kind_find c kind k with
-        | Some o ->
+        | Ok o ->
           Metrics.incr t.metrics "cells_ok";
           (Ok o, `Hit)
-        | None ->
+        | Error miss ->
+          if miss = Result_cache.Damaged then
+            Metrics.incr t.metrics "cache_damaged";
           let r = run_cell t kind ?trace spec in
           (* failures are never cached: the next run re-executes the cell
-             instead of replaying the error *)
+             instead of replaying the error; a success overwrites a
+             damaged entry *)
           (match r with
           | Ok o -> Result_cache.kind_store c kind k o
           | Error _ -> ());
           (r, `Miss))
     in
+    (* the summary is a pure function of the spec and the result, so it
+       is drawn here, on whichever domain ran or fetched the cell *)
+    let summary = if record then Some (summarize spec r) else None in
     (* self-telemetry: volatile (host wall clock, scheduling-dependent),
        so it feeds the registry, the progress line and the stderr health
        summary only — never the deterministic artifact *)
@@ -96,13 +114,13 @@ let grid t (kind : _ Cell.kind) record specs =
       (match status with
       | `Hit -> "cells_from_cache"
       | `Miss -> "cells_executed");
-    (r, status, wall)
+    (r, summary, status, wall)
   in
   let on_done =
     if not t.progress then None
     else
       Some
-        (fun ~completed ~total (spec, _) (r, status, wall) ->
+        (fun ~completed ~total (spec, _, _) (r, _, status, wall) ->
           let note =
             match (r, status) with
             | Ok _, `Hit -> "  (cached)"
@@ -113,23 +131,25 @@ let grid t (kind : _ Cell.kind) record specs =
             (String.length (string_of_int total))
             completed total (kind.Cell.label spec) wall note)
   in
-  let results =
-    Pool.map ~jobs:t.jobs ?on_done run (List.combine specs bufs)
-  in
+  let results = Pool.map ~jobs:t.jobs ?on_done run tasks in
   (match t.trace with
   | None -> ()
-  | Some store -> List.iter (Option.iter (Trace.Store.add store)) bufs);
-  (* record cell summaries in spec order from this (coordinating)
-     domain, mirroring the trace-buffer merge above: the artifact's cell
-     order is a function of the grids alone, never of [jobs] *)
-  List.iter2 (fun spec (r, _, _) -> record t.metrics spec r) specs results;
-  List.map (fun (r, _, _) -> r) results
+  | Some store ->
+    List.iter (fun (_, trace, _) -> Option.iter (Trace.Store.add store) trace)
+      tasks);
+  (* register in spec order from this (coordinating) domain, mirroring
+     the trace-buffer merge above: the artifact's cell order and [#k]
+     keys are a function of the grids alone, never of [jobs] *)
+  List.iter
+    (fun (_, summary, _, _) -> Option.iter (Metrics.register t.metrics) summary)
+    results;
+  List.map (fun (r, _, _, _) -> r) results
 
-let cells t = grid t Cell.standard Metrics.record_cell
+let cells t = grid t Cell.standard Metrics.summarize_cell
 
 type farm_cell_result = (Experiment.farm_outcome, string) result
 
-let farm_cells t = grid t Cell.farm Metrics.record_farm_cell
+let farm_cells t = grid t Cell.farm Metrics.summarize_farm_cell
 
 let ok_count t = Metrics.counter t.metrics "cells_ok"
 let failed_count t = Metrics.counter t.metrics "cells_failed"
@@ -137,9 +157,12 @@ let failed_count t = Metrics.counter t.metrics "cells_failed"
 let cache_summary t =
   Option.map
     (fun _ ->
-      Printf.sprintf "cache: %d cells reused, %d executed"
+      Printf.sprintf "cache: %d cells reused, %d executed%s"
         (Metrics.counter t.metrics "cells_from_cache")
-        (Metrics.counter t.metrics "cells_executed"))
+        (Metrics.counter t.metrics "cells_executed")
+        (match Metrics.counter t.metrics "cache_damaged" with
+        | 0 -> ""
+        | n -> Printf.sprintf ", %d damaged entries" n))
     t.cache
 
 let health_summary t =

@@ -32,13 +32,16 @@ type t = {
           whatever [jobs]. Cache hits contribute empty labelled
           buffers. *)
   metrics : Metrics.t;
-      (** always-on observability: per-cell distribution summaries
-          recorded in spec order after each {!cells} call (deduplicated
-          on the spec fingerprint, so the artifact is bit-identical
-          whatever [jobs]), plus volatile self-telemetry, the campaign's
-          only counters: [cells_ok], [cells_failed], [cells_executed]
-          and [cells_from_cache], and the [cell_wall_s] series, all
-          feeding {!health_summary} and the progress lines. *)
+      (** always-on observability: per-cell distribution summaries,
+          each computed in the task that ran or fetched its cell and
+          registered in spec order after each {!cells} call
+          (deduplicated on the spec fingerprint, so the artifact is
+          bit-identical whatever [jobs]), plus volatile self-telemetry,
+          the campaign's only counters: [cells_ok], [cells_failed],
+          [cells_executed], [cells_from_cache] and [cache_damaged], and
+          the [cell_wall_s] series, whose walls include each cell's
+          summary, all feeding {!health_summary} and the progress
+          lines. *)
 }
 
 val create :
@@ -63,15 +66,21 @@ val cells : t -> Experiment.spec list -> cell_result list
     derive independent deterministic seeds, so even a failed cell is a
     pure function of the spec. A failing cell yields [Error] (never
     cached); completed cells are unaffected.
-    Summaries are recorded through {!Metrics.record_cell} in spec
-    order. *)
+    Before the fan-out, the cells to record are fixed in spec order:
+    those whose fingerprint occurs first in the grid and is not yet
+    recorded in [t.metrics]. Each of their tasks computes
+    {!Metrics.summarize_cell} right after running or fetching the cell,
+    so every bootstrap is drawn on the domain that ran it. The
+    coordinating domain then {!Metrics.register}s the summaries in spec
+    order, which keeps only deduplication, [#k] labels and order off
+    the pool. *)
 
 type farm_cell_result = (Experiment.farm_outcome, string) result
 
 val farm_cells : t -> Experiment.farm_spec list -> farm_cell_result list
 (** Evaluate a server-farm grid ({!Cell.farm}) under the same contract,
-    recording through {!Metrics.record_farm_cell}. Farm cells are never
-    traced. *)
+    summarizing through {!Metrics.summarize_farm_cell}. Farm cells are
+    never traced. *)
 
 val ok_count : t -> int
 (** Cells that completed (executed or served from the cache). *)
@@ -80,7 +89,10 @@ val failed_count : t -> int
 (** Cells whose run raised. *)
 
 val cache_summary : t -> string option
-(** One-line hit/miss totals, when a cache is attached. *)
+(** One-line hit/miss totals, when a cache is attached:
+    [cache: R cells reused, E executed], followed by
+    [, D damaged entries] when D entries failed their digest check
+    (each is a miss, re-executed and overwritten). *)
 
 val health_summary : t -> string
 (** One line: cells ok / failed, cache hits when a cache is

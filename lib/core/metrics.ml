@@ -1,6 +1,7 @@
 (* The observability layer: a domain-safe registry of counters and
    observation series for harness self-telemetry, plus per-cell
-   distribution summaries recorded by [Exec] after every campaign grid.
+   distribution summaries, computed in the [Pool] task that ran or
+   fetched each cell and registered by [Exec] after every campaign grid.
 
    Two invariants keep the [--metrics] artifact useful as a regression
    gate:
@@ -304,31 +305,6 @@ let note_experiment t name =
       if not (List.mem name t.experiments_rev) then
         t.experiments_rev <- name :: t.experiments_rev)
 
-(* The recorder every cell kind shares, called by [Exec] once per grid
-   in spec order from the coordinating domain — so recording order (and
-   thus the artifact) is independent of [jobs]. Re-run cells (same
-   fingerprint) keep their first recording; grids that share cells stay
-   deduplicated. Fingerprints never collide across kinds and label
-   formats differ, so one [seen] / [labels] pair serves every kind. *)
-let record (kind : _ Cell.kind) summarize push t sp result =
-  let id = kind.Cell.fingerprint sp in
-  locked t (fun () ->
-      if not (Hashtbl.mem t.seen id) then begin
-        Hashtbl.add t.seen id ();
-        let label = kind.Cell.label sp in
-        let occurrences =
-          1 + Option.value ~default:0 (Hashtbl.find_opt t.labels label)
-        in
-        Hashtbl.replace t.labels label occurrences;
-        (* ablation grids reuse labels (same pair, different knob):
-           disambiguate later occurrences deterministically *)
-        let key =
-          if occurrences = 1 then label
-          else Printf.sprintf "%s#%d" label occurrences
-        in
-        push t (summarize ~id ~key sp result)
-      end)
-
 let cell_of ~id ~key (sp : Experiment.spec) result =
   { m_id = id;
     m_key = key;
@@ -351,12 +327,60 @@ let farm_cell_of ~id ~key (sp : Experiment.farm_spec) result =
     f_adv_fraction = sp.Experiment.fa_adv_fraction;
     f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
 
-let record_cell =
-  record Cell.standard cell_of (fun t c -> t.cells_rev <- c :: t.cells_rev)
+(* A cell's artifact entry, every bootstrap already drawn, keyed by its
+   bare label until [register] gives it its artifact key. It is a pure
+   function of the spec and the result, so any domain may compute it. *)
+type summary = Standard of cell | Farm of farm_cell
 
-let record_farm_cell =
-  record Cell.farm farm_cell_of (fun t c ->
-      t.farm_cells_rev <- c :: t.farm_cells_rev)
+let summarize (kind : _ Cell.kind) entry wrap sp result =
+  wrap
+    (entry ~id:(kind.Cell.fingerprint sp) ~key:(kind.Cell.label sp) sp result)
+
+let summarize_cell = summarize Cell.standard cell_of (fun c -> Standard c)
+let summarize_farm_cell = summarize Cell.farm farm_cell_of (fun c -> Farm c)
+
+let recorded t id = locked t (fun () -> Hashtbl.mem t.seen id)
+
+(* The registration every cell kind shares. [Exec] calls it from the
+   coordinating domain once the pool has summarized a grid's cells, in
+   spec order, so the artifact's order and keys do not depend on
+   [jobs]. Re-run cells (same fingerprint) keep their first
+   registration; grids that share cells stay deduplicated.
+   Fingerprints never collide across kinds and label formats differ, so
+   one [seen] / [labels] pair serves every kind. *)
+let register t summary =
+  let id, label =
+    match summary with
+    | Standard c -> (c.m_id, c.m_key)
+    | Farm c -> (c.f_id, c.f_key)
+  in
+  locked t (fun () ->
+      if not (Hashtbl.mem t.seen id) then begin
+        Hashtbl.add t.seen id ();
+        let occurrences =
+          1 + Option.value ~default:0 (Hashtbl.find_opt t.labels label)
+        in
+        Hashtbl.replace t.labels label occurrences;
+        (* ablation grids reuse labels (same pair, different knob):
+           disambiguate later occurrences deterministically *)
+        let key =
+          if occurrences = 1 then label
+          else Printf.sprintf "%s#%d" label occurrences
+        in
+        match summary with
+        | Standard c -> t.cells_rev <- { c with m_key = key } :: t.cells_rev
+        | Farm c ->
+          t.farm_cells_rev <- { c with f_key = key } :: t.farm_cells_rev
+      end)
+
+(* summary then registration, with no summary for a cell already
+   recorded *)
+let record (kind : _ Cell.kind) summarize t sp result =
+  if not (recorded t (kind.Cell.fingerprint sp)) then
+    register t (summarize sp result)
+
+let record_cell = record Cell.standard summarize_cell
+let record_farm_cell = record Cell.farm summarize_farm_cell
 
 (* ---- the artifact -------------------------------------------------------- *)
 

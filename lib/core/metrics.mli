@@ -168,20 +168,48 @@ val note_experiment : t -> string -> unit
 (** Record a campaign name for the artifact header (deduplicated,
     first-seen order). *)
 
-val record_cell :
-  t -> Experiment.spec -> (Experiment.outcome, string) result -> unit
-(** Summarize one finished {!Cell.standard} cell. Cells of every kind
-    are deduplicated on their {!Cell.kind} fingerprint (first recording
+(** {2 Recording cells}
+
+    Recording a cell is two steps. The summary, {!summarize_cell} or
+    {!summarize_farm_cell}, draws every bootstrap and computes the
+    percentile ladder, mean and stddev of each distribution. It is a
+    pure function of the spec and the result, so {!Exec} computes it in
+    the {!Pool} task that ran or fetched the cell. The registration,
+    {!register}, keeps only deduplication, [#k] labels and order, and
+    {!Exec} runs it in spec order on the coordinating domain. *)
+
+type summary
+(** One cell's artifact entry, computed but not yet registered. *)
+
+val summarize_cell :
+  Experiment.spec -> (Experiment.outcome, string) result -> summary
+
+val summarize_farm_cell :
+  Experiment.farm_spec -> (Experiment.farm_outcome, string) result -> summary
+
+val recorded : t -> string -> bool
+(** Whether a cell of this {!Cell.kind} fingerprint is registered. *)
+
+val register : t -> summary -> unit
+(** Add a summarized cell to the artifact. Cells of every kind are
+    deduplicated on their {!Cell.kind} fingerprint (first registration
     wins) and keyed by their label, with a deterministic [#k] suffix on
     later clashes, so call order — which {!Exec} fixes to spec order —
     fully determines the artifact. *)
+
+val record_cell :
+  t -> Experiment.spec -> (Experiment.outcome, string) result -> unit
+(** Summarize one finished {!Cell.standard} cell and register it, in
+    the calling domain. A cell whose fingerprint is already recorded
+    is not summarized. *)
 
 val record_farm_cell :
   t ->
   Experiment.farm_spec ->
   (Experiment.farm_outcome, string) result ->
   unit
-(** Summarize one finished {!Cell.farm} cell, under the same rules. *)
+(** Summarize and register one finished {!Cell.farm} cell, under the
+    same rules. *)
 
 (** {1 The artifact} *)
 

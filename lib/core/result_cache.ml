@@ -10,12 +10,17 @@
    extension and part of the magic, since Marshal is untyped and two
    outcome types must never be able to read each other's files.
 
+   An entry is the kind's magic, the MD5 of the marshalled outcome, then
+   the outcome. Marshal checks nothing about the bytes it reads, so a
+   damaged payload would unmarshal to another outcome and change the
+   artifact; the digest is checked first, and a mismatch is a miss that
+   the re-executed cell overwrites.
+
    Writes go through a unique temp file followed by [Sys.rename], so
    concurrent domains (or concurrent processes sharing a cache
-   directory) never observe a torn entry; a corrupt or alien file is
-   treated as a miss and overwritten. *)
+   directory) never observe a torn entry. *)
 
-let magic (kind : _ Cell.kind) = "pqtls-cache-2/" ^ kind.Cell.tag
+let magic (kind : _ Cell.kind) = "pqtls-cache-3/" ^ kind.Cell.tag
 
 type t = { dir : string; code_fingerprint : string }
 
@@ -40,16 +45,29 @@ let kind_key t (kind : _ Cell.kind) spec =
 
 let path t (kind : _ Cell.kind) k = Filename.concat t.dir (k ^ "." ^ kind.Cell.tag)
 
-let kind_find (type o) t (kind : (_, o) Cell.kind) k : o option =
-  let read () =
-    let ic = open_in_bin (path t kind k) in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let m, (o : o) = Marshal.from_channel ic in
-        if m <> magic kind then None else Some o)
+type miss = Absent | Damaged
+
+(* The digest is computed over the channel and the payload unmarshalled
+   from it, so a lookup allocates no copy of the entry. *)
+let kind_find (type o) t (kind : (_, o) Cell.kind) k : (o, miss) result =
+  let m = magic kind in
+  let off = String.length m + 16 in
+  let read ic =
+    let head = really_input_string ic off in
+    if
+      String.starts_with ~prefix:m head
+      && Digest.channel ic (in_channel_length ic - off)
+         = String.sub head (String.length m) 16
+    then begin
+      seek_in ic off;
+      Ok (Marshal.from_channel ic : o)
+    end
+    else Error Damaged
   in
-  try read () with Sys_error _ | End_of_file | Failure _ -> None
+  match In_channel.with_open_bin (path t kind k) read with
+  | r -> r
+  | exception Sys_error _ -> Error Absent
+  | exception (End_of_file | Failure _ | Invalid_argument _) -> Error Damaged
 
 let kind_store (type o) t (kind : (_, o) Cell.kind) k (o : o) =
   let final = path t kind k in
@@ -57,15 +75,16 @@ let kind_store (type o) t (kind : (_, o) Cell.kind) k (o : o) =
     Printf.sprintf "%s.%d.%d.tmp" final (Unix.getpid ())
       (Domain.self () :> int)
   in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Marshal.to_channel oc (magic kind, o) []);
+  let payload = Marshal.to_string o [] in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (magic kind);
+      output_string oc (Digest.string payload);
+      output_string oc payload);
   Sys.rename tmp final
 
 let key t = kind_key t Cell.standard
-let find t = kind_find t Cell.standard
+let find t k = Result.to_option (kind_find t Cell.standard k)
 let store t = kind_store t Cell.standard
 let farm_key t = kind_key t Cell.farm
-let find_farm t = kind_find t Cell.farm
+let find_farm t k = Result.to_option (kind_find t Cell.farm k)
 let store_farm t = kind_store t Cell.farm

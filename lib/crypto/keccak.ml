@@ -271,6 +271,22 @@ module Xof = struct
   let shake128 msg = make 168 msg
   let shake256 msg = make 136 msg
   let squeeze = squeeze
+
+  (* the next [k] output bytes read where the state holds them, permuting
+     when a block runs out as [squeeze_into] does; the accumulator is a
+     local ref, which ocamlopt keeps in a register *)
+  let squeeze_uint sp k =
+    if k < 1 || k > 7 then invalid_arg "Keccak.Xof.squeeze_uint";
+    let v = ref 0 in
+    for _ = 1 to k do
+      if sp.pos = sp.rate then begin
+        keccak_f sp.st;
+        sp.pos <- 0
+      end;
+      v := (!v lsl 8) lor Char.code (Bytes.get sp.st sp.pos);
+      sp.pos <- sp.pos + 1
+    done;
+    !v
 end
 
 (* ---- micro-benchmark kernel hook ----------------------------------------- *)

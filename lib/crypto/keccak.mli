@@ -38,6 +38,13 @@ module Xof : sig
 
   val squeeze : t -> int -> string
   (** [squeeze t n] produces the next [n] bytes of the output stream. *)
+
+  val squeeze_uint : t -> int -> int
+  (** [squeeze_uint t k], for [1 <= k <= 7], is the next [k] bytes of
+      the output stream read as a big-endian unsigned integer: the same
+      bytes [squeeze t k] would return, read in place, so it allocates
+      nothing. {!Drbg.uniform} and {!Drbg.float} draw through it.
+      @raise Invalid_argument for [k] outside [1, 7]. *)
 end
 
 val bench_permutation : unit -> unit -> unit

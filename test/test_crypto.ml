@@ -573,6 +573,68 @@ let parts_case =
         n)
     (pair (list_size (int_range 0 8) part) (int_range 0 300))
 
+(* [Drbg.uniform] and [Drbg.float] as [Drbg.generate] defines them:
+   30-bit words from 4 bytes with rejection, 53-bit floats from 7 *)
+let reference_uniform g n =
+  let limit = (1 lsl 30) - ((1 lsl 30) mod n) in
+  let rec go () =
+    let b = Drbg.generate g 4 in
+    let v =
+      (Char.code b.[0] lsl 22) lor (Char.code b.[1] lsl 14)
+      lor (Char.code b.[2] lsl 6) lor (Char.code b.[3] lsr 2)
+    in
+    if v < limit then v mod n else go ()
+  in
+  go ()
+
+let reference_float g =
+  let b = Drbg.generate g 7 in
+  let acc = ref 0 in
+  String.iter (fun c -> acc := (!acc lsl 8) lor Char.code c) b;
+  float_of_int (!acc lsr 3) /. 9007199254740992.0
+
+type draw = Generate of int | Uniform of int | Float
+
+(* draws interleaved with [generate] calls of every length up to past
+   the 136-byte rate; n spans 2..2^30, with n just above 2^29, where
+   about half of the words are rejected *)
+let draws_case =
+  let open QCheck.Gen in
+  let n =
+    oneof
+      [ int_range 2 1000;
+        int_range ((1 lsl 29) + 1) ((1 lsl 29) + 1000);
+        oneofl [ 2; 3; (1 lsl 29) + 1; (1 lsl 30) - 1; 1 lsl 30 ];
+        int_range 2 (1 lsl 30) ]
+  in
+  let draw =
+    frequency
+      [ (2, map (fun k -> Generate k) (int_range 0 200));
+        (4, map (fun n -> Uniform n) n);
+        (2, return Float) ]
+  in
+  QCheck.make
+    ~print:(fun (seed, ds) ->
+      Printf.sprintf "seed=%S [%s]" seed
+        (String.concat "; "
+           (List.map
+              (function
+                | Generate k -> Printf.sprintf "generate %d" k
+                | Uniform n -> Printf.sprintf "uniform %d" n
+                | Float -> "float")
+              ds)))
+    (pair (string_size ~gen:printable (int_range 0 8))
+       (list_size (int_range 1 60) draw))
+
+let draws_match_generate (seed, ds) =
+  let a = Drbg.create ~seed and b = Drbg.create ~seed in
+  List.for_all
+    (function
+      | Generate k -> Drbg.generate a k = Drbg.generate b k
+      | Uniform n -> Drbg.uniform a n = reference_uniform b n
+      | Float -> Drbg.float a = reference_float b)
+    ds
+
 let prop_tests =
   [ qc "hex roundtrip" QCheck.string (fun s -> Bytesx.of_hex (Bytesx.to_hex s) = s);
     qc "xor involution"
@@ -615,7 +677,9 @@ let prop_tests =
       (fun n ->
         let rng = Drbg.create ~seed:(string_of_int n) in
         let v = Drbg.uniform rng n in
-        v >= 0 && v < n) ]
+        v >= 0 && v < n);
+    qc "drbg uniform and float = their generate definitions" draws_case
+      draws_match_generate ]
 
 let suites =
   [ ( "crypto",

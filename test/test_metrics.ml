@@ -94,6 +94,22 @@ let test_stats_bootstrap_ci () =
   Alcotest.check_raises "empty" (Invalid_argument "Stats.bootstrap_ci: empty")
     (fun () -> ignore (Stats.bootstrap_ci ~seed:"t" 0.5 []))
 
+(* Each resample draws one index per sample, 40,000 draws for 200
+   samples, so a draw that built a 4-byte string (two words) would cost
+   over 80,000 words. The draws allocate nothing: what is left is the
+   generator, the sample and resample arrays and the 200 resampled
+   percentiles. *)
+let test_bootstrap_allocation () =
+  let xs = List.init 200 (fun i -> float_of_int (i * 7919 mod 1009) /. 3.) in
+  let run () = Stats.bootstrap_ci ~seed:"alloc" 0.5 xs in
+  let expected = run () in
+  let w0 = Gc.minor_words () in
+  let ci = run () in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (pair (float 0.) (float 0.))) "same interval" expected ci;
+  if words > 4000. then
+    Alcotest.failf "a 200-sample bootstrap allocated %.0f minor words" words
+
 (* ---- the JSON codec --------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -192,6 +208,63 @@ let test_artifact_cache_identity () =
   Alcotest.(check (pair int int)) "warm telemetry" (0, 4)
     (warm_fresh, warm_hits)
 
+(* Every entry of a cache whose payload bytes were damaged is a miss:
+   the re-run executes every cell and overwrites its entry, and the run
+   after it reads every cell back. *)
+let test_damaged_cache_entries () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "pqtls-damaged-cache-%d-%.0f" (Unix.getpid ())
+         (Clock.now_s () *. 1e6))
+  in
+  let seed = "metrics-damaged-cache" in
+  let run () =
+    let exec = Exec.create ~jobs:2 ~cache_dir:dir () in
+    ignore (Exec.cells exec (grid seed));
+    ( Metrics.to_json_string (Metrics.artifact exec.Exec.metrics ~seed),
+      ( Metrics.counter exec.Exec.metrics "cells_executed",
+        Metrics.counter exec.Exec.metrics "cells_from_cache" ),
+      Exec.cache_summary exec )
+  in
+  let entries () = Array.to_list (Sys.readdir dir) in
+  let remove () =
+    if Sys.file_exists dir then begin
+      List.iter
+        (fun name -> Sys.remove (Filename.concat dir name))
+        (entries ());
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:remove @@ fun () ->
+  let fresh, fresh_counts, _ = run () in
+  Alcotest.(check (pair int int)) "fresh run executes" (4, 0) fresh_counts;
+  Alcotest.(check int) "one entry per cell" 4 (List.length (entries ()));
+  (* three payload bytes near the middle of each entry, past its magic
+     and digest *)
+  List.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      let b =
+        Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+      in
+      let flip i =
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x5a))
+      in
+      let mid = Bytes.length b / 2 in
+      List.iter flip [ mid; mid + 1; mid + 9 ];
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b))
+    (entries ());
+  let rerun, rerun_counts, summary = run () in
+  Alcotest.(check (pair int int)) "every damaged entry re-executes" (4, 0)
+    rerun_counts;
+  Alcotest.(check (option string)) "the damage is counted"
+    (Some "cache: 0 cells reused, 4 executed, 4 damaged entries") summary;
+  Alcotest.(check string) "re-executed artifact = fresh" fresh rerun;
+  let third, third_counts, _ = run () in
+  Alcotest.(check (pair int int)) "overwritten entries are hits" (0, 4)
+    third_counts;
+  Alcotest.(check string) "cached artifact = fresh" fresh third
+
 let test_registry_and_health () =
   let exec = Exec.create ~jobs:2 () in
   ignore (Exec.cells exec (grid "metrics-health"));
@@ -237,6 +310,42 @@ let test_cell_identity_rules () =
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "non-default knob is not standard" false
     (List.nth a.Metrics.a_cells 1).Metrics.m_standard
+
+(* [Exec] summarizes each cell in the task that ran it and registers
+   the summaries in spec order afterwards. Its artifact must be the one
+   [record_cell] builds from the same outcomes in spec order, whatever
+   [jobs]: the second grid repeats a cell of the first, holds one cell
+   twice and reuses a label of the first under another knob. *)
+let test_recording_placement () =
+  let seed = "metrics-placement" in
+  let sp ?buffer_limit k s =
+    Experiment.spec ~seed ~max_samples:10 ?buffer_limit (kem k) (sa s)
+  in
+  let first = [ sp "x25519" "rsa:2048"; sp "kyber512" "dilithium2" ] in
+  let second =
+    [ sp "kyber768" "dilithium3"; sp "kyber512" "dilithium2";
+      sp "kyber768" "dilithium3"; sp ~buffer_limit:8192 "x25519" "rsa:2048" ]
+  in
+  let via_exec jobs =
+    let exec = Exec.create ~jobs () in
+    let r1 = Exec.cells exec first in
+    let r2 = Exec.cells exec second in
+    (Metrics.artifact exec.Exec.metrics ~seed, r1 @ r2)
+  in
+  let a1, results = via_exec 1 in
+  let a4, _ = via_exec 4 in
+  let m = Metrics.create () in
+  List.iter2 (Metrics.record_cell m) (first @ second) results;
+  let reference = Metrics.artifact m ~seed in
+  let json = Metrics.to_json_string in
+  Alcotest.(check string) "jobs=1 = record_cell in spec order"
+    (json reference) (json a1);
+  Alcotest.(check string) "jobs=4 = record_cell in spec order"
+    (json reference) (json a4);
+  Alcotest.(check (list string)) "each cell once, keys in spec order"
+    [ "x25519 x rsa:2048 @ none"; "kyber512 x dilithium2 @ none";
+      "kyber768 x dilithium3 @ none"; "x25519 x rsa:2048 @ none#2" ]
+    (List.map (fun c -> c.Metrics.m_key) a1.Metrics.a_cells)
 
 (* ---- mix cells (Table 6) ----------------------------------------------------- *)
 
@@ -495,15 +604,21 @@ let suites =
           test_stats_percentiles;
         Alcotest.test_case "stats: deterministic bootstrap CI" `Quick
           test_stats_bootstrap_ci;
+        Alcotest.test_case "stats: bootstrap draws allocate nothing" `Quick
+          test_bootstrap_allocation;
         Alcotest.test_case "json: round-trip" `Quick test_json_roundtrip;
         Alcotest.test_case "artifact: --jobs byte-identity" `Slow
           test_artifact_jobs_identity;
         Alcotest.test_case "artifact: cache byte-identity + telemetry" `Slow
           test_artifact_cache_identity;
+        Alcotest.test_case "cache: damaged entries re-execute" `Slow
+          test_damaged_cache_entries;
         Alcotest.test_case "registry + health summary" `Slow
           test_registry_and_health;
         Alcotest.test_case "cell identity: dedup + label clash" `Slow
           test_cell_identity_rules;
+        Alcotest.test_case "recording placement: jobs, repeats, dedup" `Slow
+          test_recording_placement;
         Alcotest.test_case "mix cells: identity, split, byte-identity" `Slow
           test_mix_cells_in_artifact;
         Alcotest.test_case "chain cells: identity, totals, byte-identity" `Slow
