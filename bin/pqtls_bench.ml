@@ -440,12 +440,19 @@ let handshake_cmd =
       if default_buffering then Tls.Config.Default_buffered
       else Tls.Config.Optimized_push
     in
-    let o =
-      Core.Experiment.run_spec
-        (Core.Experiment.spec ~seed ~scenario ~buffering ~real_crypto:real kem
-           sig_alg)
+    (* a one-cell campaign: the numbers are the cell's summary, as the
+       reports and the metrics artifact read them *)
+    let spec =
+      Core.Experiment.spec ~seed ~scenario ~buffering ~real_crypto:real kem
+        sig_alg
     in
-    let m f = Core.Experiment.median_of f o in
+    let (d : Core.Metrics.cell_data) =
+      match Core.Exec.cells (Core.Exec.create ~jobs:1 ()) [ spec ] with
+      | [ Ok d ] -> d
+      | r ->
+        List.iter (Result.iter_error (Printf.eprintf "error: %s\n")) r;
+        exit 1
+    in
     Printf.printf
       "%s x %s under %s (%s crypto, %s buffering)\n\
       \  CH->SH            %8.3f ms\n\
@@ -457,18 +464,16 @@ let handshake_cmd =
       kem.Pqc.Kem.name sig_alg.Pqc.Sigalg.name scenario.Core.Scenario.label
       (if real then "real" else "mocked")
       (if default_buffering then "default" else "optimized")
-      (m (fun s -> s.Core.Experiment.part_a_ms))
-      (m (fun s -> s.Core.Experiment.part_b_ms))
-      (m (fun s -> s.Core.Experiment.total_ms))
-      o.Core.Experiment.handshakes_per_minute
-      (Core.Experiment.median_bytes (fun s -> s.Core.Experiment.client_bytes) o)
-      (Core.Experiment.median_bytes (fun s -> s.Core.Experiment.server_bytes) o)
-      o.Core.Experiment.client_cpu_ms o.Core.Experiment.server_cpu_ms;
+      d.cd_part_a.d_p50 d.cd_part_b.d_p50 d.cd_total.d_p50
+      d.cd_handshakes_per_minute
+      (int_of_float d.cd_client_bytes.d_p50)
+      (int_of_float d.cd_server_bytes.d_p50)
+      d.cd_client_cpu_ms d.cd_server_cpu_ms;
     List.iter
       (fun (lib, share) ->
         if share >= 0.005 then
           Printf.printf "    server %-10s %4.0f%%\n" lib (100. *. share))
-      o.Core.Experiment.server_ledger;
+      d.cd_server_ledger;
     match pcap with
     | None -> ()
     | Some path ->

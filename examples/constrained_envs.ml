@@ -24,25 +24,36 @@ let () =
   Printf.printf "%-16s %-16s %12s %12s %12s %9s\n" "KA" "SA" "LTE-M ms"
     "5G ms" "1s-RTT ms" "bytes";
   print_endline (String.make 82 '-');
+  (* one grid: per candidate, the ideal link for the byte count, then
+     the three scenarios *)
+  let exec = Exec.create ~jobs:(Pool.default_jobs ()) () in
   let rows =
-    List.map
-      (fun (k, s) ->
-        let kem = Pqc.Registry.find_kem k and sa = Pqc.Registry.find_sig s in
-        let med sc =
-          Experiment.median_of
-            (fun smp -> smp.Experiment.total_ms)
-            (Experiment.run_spec
-               (Experiment.spec ~seed:"constrained" ~scenario:sc kem sa))
-        in
-        let bytes =
-          let o =
-            Experiment.run_spec (Experiment.spec ~seed:"constrained" kem sa)
-          in
-          Experiment.median_bytes (fun smp -> smp.Experiment.server_bytes) o
-          + Experiment.median_bytes (fun smp -> smp.Experiment.client_bytes) o
-        in
-        ((k, s), List.map med scenarios, bytes))
+    List.map2
+      (fun pair cells ->
+        match
+          List.map
+            (function
+              | Ok (d : Metrics.cell_data) -> d
+              | Error message -> failwith message)
+            cells
+        with
+        | ideal :: scenario_cells ->
+          ( pair,
+            List.map (fun d -> d.Metrics.cd_total.d_p50) scenario_cells,
+            int_of_float ideal.cd_server_bytes.d_p50
+            + int_of_float ideal.cd_client_bytes.d_p50 )
+        | [] -> assert false)
       candidates
+      (Tablefmt.chunks (Exec.cells exec)
+         (List.map
+            (fun (k, s) ->
+              let kem = Pqc.Registry.find_kem k
+              and sa = Pqc.Registry.find_sig s in
+              List.map
+                (fun scenario ->
+                  Experiment.spec ~seed:"constrained" ~scenario kem sa)
+                (Scenario.no_emulation :: scenarios))
+            candidates))
   in
   List.iter
     (fun ((k, s), meds, bytes) ->

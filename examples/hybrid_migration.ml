@@ -29,29 +29,33 @@ let () =
   Printf.printf "%-5s %-10s %-30s %10s %10s %10s\n" "level" "stage"
     "KA x SA" "total ms" "hs/60s" "bytes";
   print_endline (String.make 82 '-');
-  List.iter
-    (fun (level, stages) ->
-      List.iter
-        (fun st ->
-          let o =
-            Experiment.run_spec
-              (Experiment.spec ~seed:"migration"
-                 (Pqc.Registry.find_kem st.ka)
-                 (Pqc.Registry.find_sig st.sa))
-          in
-          let total =
-            Experiment.median_of (fun s -> s.Experiment.total_ms) o
-          in
-          let bytes =
-            Experiment.median_bytes (fun s -> s.Experiment.client_bytes) o
-            + Experiment.median_bytes (fun s -> s.Experiment.server_bytes) o
-          in
-          Printf.printf "%-5d %-10s %-30s %10.2f %10d %10d\n" level st.label
-            (st.ka ^ " x " ^ st.sa) total o.Experiment.handshakes_per_minute
-            bytes)
-        stages;
+  (* every stage of every level in one grid *)
+  let exec = Exec.create ~jobs:(Pool.default_jobs ()) () in
+  List.iter2
+    (fun (level, stages) cells ->
+      List.iter2
+        (fun st r ->
+          match r with
+          | Error message -> failwith message
+          | Ok (d : Metrics.cell_data) ->
+            Printf.printf "%-5d %-10s %-30s %10.2f %10d %10d\n" level st.label
+              (st.ka ^ " x " ^ st.sa) d.cd_total.d_p50
+              d.cd_handshakes_per_minute
+              (int_of_float d.cd_client_bytes.d_p50
+              + int_of_float d.cd_server_bytes.d_p50))
+        stages cells;
       print_newline ())
-    plans;
+    plans
+    (Tablefmt.chunks (Exec.cells exec)
+       (List.map
+          (fun (_, stages) ->
+            List.map
+              (fun st ->
+                Experiment.spec ~seed:"migration"
+                  (Pqc.Registry.find_kem st.ka)
+                  (Pqc.Registry.find_sig st.sa))
+              stages)
+          plans));
   print_endline
     "Reading: on level 1 the hybrid column costs almost nothing over\n\
      classical; on levels 3-5 pure PQ is the fastest option because the\n\

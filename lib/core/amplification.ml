@@ -7,14 +7,11 @@ type row = {
 
 let quic_limit = 3.0
 
-let row_of kem sa (o : Experiment.outcome) =
-  let med f = Stats.median_int (List.map f o.Experiment.samples) in
+let row_of kem sa (d : Metrics.cell_data) =
   { kem = kem.Pqc.Kem.name;
     sa = sa.Pqc.Sigalg.name;
-    cpu_ratio = o.Experiment.server_cpu_ms /. o.Experiment.client_cpu_ms;
-    amplification =
-      med (fun s -> s.Experiment.server_bytes)
-      /. med (fun s -> s.Experiment.client_bytes) }
+    cpu_ratio = d.cd_server_cpu_ms /. d.cd_client_cpu_ms;
+    amplification = d.cd_server_bytes.d_p50 /. d.cd_client_bytes.d_p50 }
 
 let survey ~seed ~exec () =
   let pairs =
@@ -31,7 +28,7 @@ let survey ~seed ~exec () =
     List.concat
       (List.map2
          (fun (k, s) r ->
-           match r with Ok o -> [ row_of k s o ] | Error _ -> [])
+           match r with Ok d -> [ row_of k s d ] | Error _ -> [])
          pairs results)
   in
   List.sort (fun a b -> Float.compare b.amplification a.amplification) rows

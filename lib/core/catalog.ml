@@ -8,11 +8,13 @@ let fmt_paper = Tablefmt.fmt_paper
 let or_dash = Tablefmt.or_dash
 let failed_suffix = Tablefmt.failed_suffix
 
-let part_a o = Experiment.median_of (fun s -> s.Experiment.part_a_ms) o
-let part_b o = Experiment.median_of (fun s -> s.Experiment.part_b_ms) o
-let total o = Experiment.median_of (fun s -> s.Experiment.total_ms) o
-let cbytes o = Experiment.median_bytes (fun s -> s.Experiment.client_bytes) o
-let sbytes o = Experiment.median_bytes (fun s -> s.Experiment.server_bytes) o
+(* Every number a report prints is a field of a cell's summary, the
+   record its artifact entry serializes: [col] prints one column of a
+   row from it, [farm_col] one of a farm row. *)
+let col w fmt (f : Metrics.cell_data -> 'a) d = or_dash w fmt f d
+let farm_col w fmt (f : Metrics.farm_cell_data -> 'a) d = or_dash w fmt f d
+let total (d : Metrics.cell_data) = d.cd_total.d_p50
+let sbytes (d : Metrics.cell_data) = int_of_float d.cd_server_bytes.d_p50
 
 (* a row of cells as their median total latencies, [w] columns each *)
 let totals w fmt results =
@@ -56,7 +58,7 @@ let header2 =
 
 let table2 title sw ~seed exec =
   let row (name, _, _) r =
-    let o = Result.to_option r in
+    let d = Result.to_option r in
     let pa, pb, tk, cb, sb =
       match sw.paper2 name with
       | Some (p : Paper_data.t2_row) ->
@@ -64,12 +66,14 @@ let table2 title sw ~seed exec =
       | None -> (nan, nan, nan, 0, 0)
     in
     Printf.sprintf "%-20s %s %s | %s %s | %s %5.1fk | %s %7d | %s %7d" name
-      (or_dash 6 "%6.2f" part_a o) (fmt_paper pa)
-      (or_dash 6 "%6.2f" part_b o) (fmt_paper pb)
-      (or_dash 7 "%6.1fk"
-         (fun o -> float_of_int o.Experiment.handshakes_per_minute /. 1000.)
-         o)
-      tk (or_dash 7 "%7d" cbytes o) cb (or_dash 7 "%7d" sbytes o) sb
+      (col 6 "%6.2f" (fun d -> d.cd_part_a.d_p50) d) (fmt_paper pa)
+      (col 6 "%6.2f" (fun d -> d.cd_part_b.d_p50) d) (fmt_paper pb)
+      (col 7 "%6.1fk"
+         (fun d -> float_of_int d.cd_handshakes_per_minute /. 1000.)
+         d)
+      tk
+      (col 7 "%7d" (fun d -> int_of_float d.cd_client_bytes.d_p50) d)
+      cb (col 7 "%7d" sbytes d) sb
   in
   buf_table title header2
     (List.map2 row sw.algs (Exec.cells exec (sweep_specs ~seed sw)))
@@ -82,19 +86,22 @@ let fmt_libs libs =
   |> List.map (fun (lib, f) -> Printf.sprintf "%s %.0f%%" lib (100. *. f))
   |> String.concat " "
 
+let handshakes_per_s (d : Metrics.cell_data) =
+  float_of_int d.cd_handshakes_per_minute /. 60.
+
 let table3 ~seed exec =
-  let row (level, kem, sa) r =
+  let row (level, kem, sa) d =
     Printf.sprintf "%d %-14s %-15s %s | %s %s | %s %s | %s" level kem sa
-      (or_dash 5 "%5.0f" (fun r -> r.Whitebox.handshakes_per_s) r)
-      (or_dash 5 "%5.2f" (fun r -> r.Whitebox.server_cpu_ms) r)
-      (or_dash 5 "%5.2f" (fun r -> r.Whitebox.client_cpu_ms) r)
-      (or_dash 3 "%3d" (fun r -> r.Whitebox.server_pkts) r)
-      (or_dash 3 "%3d" (fun r -> r.Whitebox.client_pkts) r)
-      (match r with
-      | Some r ->
+      (or_dash 5 "%5.0f" handshakes_per_s d)
+      (col 5 "%5.2f" (fun d -> d.cd_server_cpu_ms) d)
+      (col 5 "%5.2f" (fun d -> d.cd_client_cpu_ms) d)
+      (col 3 "%3d" (fun d -> int_of_float d.cd_server_pkts.d_p50) d)
+      (col 3 "%3d" (fun d -> int_of_float d.cd_client_pkts.d_p50) d)
+      (match d with
+      | Some d ->
         Printf.sprintf "S: %s | C: %s"
-          (fmt_libs r.Whitebox.server_libs)
-          (fmt_libs r.Whitebox.client_libs)
+          (fmt_libs d.Metrics.cd_server_ledger)
+          (fmt_libs d.Metrics.cd_client_ledger)
       | None -> "(cell failed)")
   in
   buf_table "Table 3: white-box measurements"
@@ -108,13 +115,13 @@ let perf_report level ~seed exec =
   let b = Buffer.create 1024 in
   Printf.bprintf b "Level-%d white-box profiling\n" level;
   List.iter2
-    (fun (_, kem, sa) r ->
+    (fun (_, kem, sa) d ->
       Printf.bprintf b "  %-15s %-15s %s hs/s %s\n" kem sa
-        (or_dash 4 "%4.0f" (fun r -> r.Whitebox.handshakes_per_s) r)
-        (match r with
-        | Some r ->
-          Printf.sprintf "cpu %5.2f/%5.2f ms" r.Whitebox.server_cpu_ms
-            r.Whitebox.client_cpu_ms
+        (or_dash 4 "%4.0f" handshakes_per_s d)
+        (match d with
+        | Some d ->
+          Printf.sprintf "cpu %5.2f/%5.2f ms" d.Metrics.cd_server_cpu_ms
+            d.cd_client_cpu_ms
         | None -> "(cell failed)"))
     pairs
     (Whitebox.rows ~seed ~exec pairs);
@@ -255,7 +262,7 @@ let figure4 ~seed exec =
         List.partition_map
           (fun ((name, _, _), r) ->
             match r with
-            | Ok o -> Either.Left (name, o)
+            | Ok d -> Either.Left (name, d)
             | Error _ -> Either.Right (name, None))
           (List.combine sw.algs results)
       in
@@ -269,7 +276,7 @@ let figure4 ~seed exec =
             (failed_suffix e))
         (List.map
            (fun (e : Ranking.entry) -> (e.name, Some e))
-           (Ranking.of_outcomes ranked)
+           (Ranking.of_cells ranked)
         @ failed);
       Buffer.add_char b '\n')
     sweeps
@@ -326,50 +333,42 @@ let table5_pairs =
    bytes buying the full SA-dominated server flight and its CPU) *)
 let table5_attack_pair = ("kyber512", "sphincs128")
 
-let farm_p50_p99_p999 (o : Experiment.farm_outcome) =
-  match
-    Stats.percentiles [ 0.5; 0.99; 0.999 ] o.Experiment.fo_latencies_ms
-  with
-  | [ p50; p99; p999 ] -> (p50, p99, p999)
-  | _ -> assert false
-
 let capacity_row (sp : Experiment.farm_spec) r =
-  let o = Result.to_option r in
-  let tails = Option.map farm_p50_p99_p999 o in
+  let d = Result.to_option r in
   Printf.sprintf "%-15s %-12s %-12s %s %s %s %s %s %s %s %s%s"
     sp.fa_kem.Pqc.Kem.name sp.fa_sig.Pqc.Sigalg.name sp.fa_profile
-    (or_dash 8 "%8.0f" (fun o -> o.Experiment.fo_capacity_hs_s) o)
-    (or_dash 6 "%6d" (fun o -> o.Experiment.fo_offered) o)
-    (or_dash 6 "%6d" (fun o -> o.Experiment.fo_completed) o)
-    (or_dash 5 "%5d" (fun o -> o.Experiment.fo_dropped) o)
-    (or_dash 4 "%4d" (fun o -> o.Experiment.fo_unfinished) o)
-    (or_dash 8 "%8.2f" (fun (p50, _, _) -> p50) tails)
-    (or_dash 8 "%8.2f" (fun (_, p99, _) -> p99) tails)
-    (or_dash 8 "%8.2f" (fun (_, _, p999) -> p999) tails)
-    (failed_suffix o)
+    (farm_col 8 "%8.0f" (fun d -> d.fd_capacity_hs_s) d)
+    (farm_col 6 "%6d" (fun d -> d.fd_offered) d)
+    (farm_col 6 "%6d" (fun d -> d.fd_completed) d)
+    (farm_col 5 "%5d" (fun d -> d.fd_dropped) d)
+    (farm_col 4 "%4d" (fun d -> d.fd_unfinished) d)
+    (farm_col 8 "%8.2f" (fun d -> d.fd_latency.d_p50) d)
+    (farm_col 8 "%8.2f" (fun d -> d.fd_latency.d_p99) d)
+    (farm_col 8 "%8.2f" (fun d -> d.fd_latency_p999) d)
+    (failed_suffix d)
 
 let attack_row (sp : Experiment.farm_spec) r =
-  let o = Result.to_option r in
-  let amplification (o : Experiment.farm_outcome) =
-    if o.fo_adv_client_bytes = 0 then 0.
+  let d = Result.to_option r in
+  let amplification (d : Metrics.farm_cell_data) =
+    if d.fd_adv_client_bytes = 0 then 0.
     else
-      float_of_int o.fo_adv_server_bytes /. float_of_int o.fo_adv_client_bytes
+      float_of_int d.fd_adv_server_bytes /. float_of_int d.fd_adv_client_bytes
   in
-  let cpu_share (o : Experiment.farm_outcome) =
-    if o.fo_server_cpu_ms = 0. then 0.
+  let cpu_share (d : Metrics.farm_cell_data) =
+    if d.fd_server_cpu_ms = 0. then 0.
     else
-      float_of_int o.fo_adv_completed *. o.fo_cal_adv_server_cpu_ms
-      /. o.fo_server_cpu_ms
+      float_of_int d.fd_adv_completed *. d.fd_cal_adv_server_cpu_ms
+      /. d.fd_server_cpu_ms
   in
   Printf.sprintf "%4.0f%% %7.0f%% %s %s %s %s %s %s%s"
     (100. *. sp.fa_utilization) (100. *. sp.fa_adv_fraction)
-    (or_dash 6 "%6d" (fun o -> o.Experiment.fo_offered) o)
-    (or_dash 6 "%6d" (fun o -> o.Experiment.fo_completed) o)
-    (or_dash 5 "%5d" (fun o -> o.Experiment.fo_dropped) o)
-    (or_dash 8 "%8.2f" (fun o -> let _, p99, _ = farm_p50_p99_p999 o in p99) o)
-    (or_dash 10 "%9.2fx" amplification o)
-    (or_dash 10 "%9.0f%%" (fun o -> 100. *. cpu_share o) o)
-    (failed_suffix o)
+    (farm_col 6 "%6d" (fun d -> d.fd_offered) d)
+    (farm_col 6 "%6d" (fun d -> d.fd_completed) d)
+    (farm_col 5 "%5d" (fun d -> d.fd_dropped) d)
+    (farm_col 8 "%8.2f" (fun d -> d.fd_latency.d_p99) d)
+    (or_dash 10 "%9.2fx" amplification d)
+    (or_dash 10 "%9.0f%%" (fun d -> 100. *. cpu_share d) d)
+    (failed_suffix d)
 
 let table5 ~pairs ~profiles ~utilizations ~servers ~duration_s
     ~capacity_connections ~attack_connections ~seed exec =
@@ -449,32 +448,34 @@ let table6 ~pairs ~mixes ~max_samples ~seed exec =
       pairs
   in
   let row (sp : Experiment.spec) r =
-    let o = Result.to_option r in
-    (* median latency of the full or the resumed handshakes, if any ran *)
-    let p50 resumed (o : Experiment.outcome) =
-      match List.filter (fun s -> s.Experiment.resumed = resumed) o.samples with
-      | [] -> None
-      | subset ->
-        Some (Stats.median (List.map (fun s -> s.Experiment.total_ms) subset))
-    in
-    let mean_i f (o : Experiment.outcome) =
-      Stats.mean (List.map (fun s -> float_of_int (f s)) o.samples)
+    let d = Result.to_option r in
+    (* median latency of the full or the resumed handshakes, if any ran:
+       a full-mix cell has no resumption block and resumes nothing *)
+    let p50 resumed =
+      Option.map
+        (fun (dist : Metrics.dist) -> dist.d_p50)
+        (Option.bind d (fun (d : Metrics.cell_data) ->
+             match (d.cd_resumption, resumed) with
+             | None, false -> Some d.cd_total
+             | None, true -> None
+             | Some r, false -> r.rs_full_total
+             | Some r, true -> r.rs_resumed_total))
     in
     Printf.sprintf "%-15s %-12s %-20s %s %s %s %s %s %s %s%s"
       sp.sp_kem.Pqc.Kem.name sp.sp_sig.Pqc.Sigalg.name sp.sp_mix.Mix.label
-      (or_dash 8 "%8.2f" Fun.id (Option.bind o (p50 false)))
-      (or_dash 8 "%8.2f" Fun.id (Option.bind o (p50 true)))
-      (or_dash 9 "%9.0f" (mean_i (fun s -> s.Experiment.client_bytes)) o)
-      (or_dash 9 "%9.0f" (mean_i (fun s -> s.Experiment.server_bytes)) o)
-      (or_dash 8 "%8.2f" (fun o -> o.Experiment.server_cpu_ms) o)
-      (or_dash 7 "%7d" (fun o -> o.Experiment.handshakes_per_minute) o)
-      (or_dash 7 "%7d"
-         (fun o ->
-           List.fold_left
-             (fun acc s -> acc + s.Experiment.early_data_bytes)
-             0 o.Experiment.samples)
-         o)
-      (failed_suffix o)
+      (or_dash 8 "%8.2f" Fun.id (p50 false))
+      (or_dash 8 "%8.2f" Fun.id (p50 true))
+      (col 9 "%9.0f" (fun d -> d.cd_client_bytes.d_mean) d)
+      (col 9 "%9.0f" (fun d -> d.cd_server_bytes.d_mean) d)
+      (col 8 "%8.2f" (fun d -> d.cd_server_cpu_ms) d)
+      (col 7 "%7d" (fun d -> d.cd_handshakes_per_minute) d)
+      (col 7 "%7d"
+         (fun d ->
+           match d.cd_resumption with
+           | None -> 0
+           | Some r -> r.rs_early_data_bytes)
+         d)
+      (failed_suffix d)
   in
   buf_table
     "Table 6: steady-state cost under workload mixes (PSK resumption, 0-RTT)"
@@ -521,10 +522,7 @@ let table7 ~pairs ~profiles ~max_samples ~seed exec =
     in
     (* server flight bytes measured on the unimpaired link *)
     let sv_bytes =
-      match results with
-      | Ok o :: _ ->
-        Some (Experiment.median_bytes (fun s -> s.Experiment.server_bytes) o)
-      | _ -> None
+      match results with Ok d :: _ -> Some (sbytes d) | _ -> None
     in
     let flights segments =
       or_dash 5 "%5d"
@@ -666,7 +664,7 @@ let all_sphincs ~seed exec =
     List.partition_map
       (fun ((v : Pqc.Sigalg.t), r) ->
         match r with
-        | Ok o -> Either.Left (v, total o)
+        | Ok d -> Either.Left (v, total d)
         | Error _ -> Either.Right (v, None))
       (List.combine variants results)
   in

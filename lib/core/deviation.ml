@@ -13,8 +13,6 @@ type grid = {
   failed : (string * string) list;
 }
 
-let total outcome = Experiment.median_of (fun s -> s.Experiment.total_ms) outcome
-
 let analyze ?(buffering = Tls.Config.Optimized_push) ~seed ~exec level =
   let kems = Pqc.Registry.level_group level `Kem in
   let sigs = Pqc.Registry.level_group_sigs level in
@@ -48,7 +46,9 @@ let analyze ?(buffering = Tls.Config.Optimized_push) ~seed ~exec level =
       (List.map2
          (fun (k, s) r ->
            match r with
-           | Ok o -> [ ((k.Pqc.Kem.name, s.Pqc.Sigalg.name), total o) ]
+           | Ok d ->
+             [ ( (k.Pqc.Kem.name, s.Pqc.Sigalg.name),
+                 d.Metrics.cd_total.Metrics.d_p50 ) ]
            | Error _ -> [])
          distinct results)
   in

@@ -9,7 +9,7 @@
    mark the cell and every completed neighbour survives. Failures are
    never written to the result cache. *)
 
-type cell_result = (Experiment.outcome, string) result
+type cell_result = (Metrics.cell_data, string) result
 
 type t = {
   jobs : int;
@@ -53,33 +53,33 @@ let run_cell t (kind : _ Cell.kind) ?trace spec =
     Error (Printexc.to_string e)
 
 (* the grid runner every cell kind shares *)
-let grid t (kind : _ Cell.kind) summarize specs =
-  (* Decided serially before the fan-out, in spec order: a cell is
-     recorded when its fingerprint occurs first in the grid and the
-     registry has not recorded it yet. Only those cells' tasks
-     summarize. A traced kind also gets one buffer per cell, merged
-     into the store in spec order afterwards, so the trace is
-     bit-identical whatever [jobs]. A cell served from the cache keeps
-     its (empty, labelled) buffer: cache hits execute nothing. *)
+let grid t (kind : _ Cell.kind) summarize find specs =
+  (* Decided serially before the fan-out, in spec order: a cell runs
+     when its fingerprint occurs first in the grid and the registry does
+     not hold it yet; every other spec is served from the registry. A
+     traced kind also gets one buffer per run cell, merged into the
+     store in spec order afterwards, so the trace is bit-identical
+     whatever [jobs]. A cell served from the cache keeps its (empty,
+     labelled) buffer: cache hits execute nothing. *)
   let firsts = Hashtbl.create 64 in
   let tasks =
-    List.map
+    List.filter_map
       (fun spec ->
         let id = kind.Cell.fingerprint spec in
-        let record =
-          not (Hashtbl.mem firsts id || Metrics.recorded t.metrics id)
-        in
-        Hashtbl.replace firsts id ();
-        let trace =
-          match t.trace with
-          | Some _ when kind.Cell.traced ->
-            Some (Trace.Buf.create ~label:(kind.Cell.label spec) ())
-          | _ -> None
-        in
-        (spec, trace, record))
+        if Hashtbl.mem firsts id || Metrics.recorded t.metrics id then None
+        else begin
+          Hashtbl.add firsts id ();
+          let trace =
+            match t.trace with
+            | Some _ when kind.Cell.traced ->
+              Some (Trace.Buf.create ~label:(kind.Cell.label spec) ())
+            | _ -> None
+          in
+          Some (spec, trace)
+        end)
       specs
   in
-  let run (spec, trace, record) =
+  let run (spec, trace) =
     let t0 = Clock.now_s () in
     let r, status =
       match t.cache with
@@ -103,8 +103,15 @@ let grid t (kind : _ Cell.kind) summarize specs =
           (r, `Miss))
     in
     (* the summary is a pure function of the spec and the result, so it
-       is drawn here, on whichever domain ran or fetched the cell *)
-    let summary = if record then Some (summarize spec r) else None in
+       is drawn here, on whichever domain ran or fetched the cell, and
+       it is all that leaves the task: the outcome dies with it *)
+    let summary = summarize spec r in
+    let note =
+      match (r, status) with
+      | Ok _, `Hit -> "  (cached)"
+      | Ok _, `Miss -> ""
+      | Error message, _ -> "  FAILED: " ^ message
+    in
     (* self-telemetry: volatile (host wall clock, scheduling-dependent),
        so it feeds the registry, the progress line and the stderr health
        summary only — never the deterministic artifact *)
@@ -114,19 +121,13 @@ let grid t (kind : _ Cell.kind) summarize specs =
       (match status with
       | `Hit -> "cells_from_cache"
       | `Miss -> "cells_executed");
-    (r, summary, status, wall)
+    (summary, note, wall)
   in
   let on_done =
     if not t.progress then None
     else
       Some
-        (fun ~completed ~total (spec, _, _) (r, _, status, wall) ->
-          let note =
-            match (r, status) with
-            | Ok _, `Hit -> "  (cached)"
-            | Ok _, `Miss -> ""
-            | Error message, _ -> "  FAILED: " ^ message
-          in
+        (fun ~completed ~total (spec, _) (_, note, wall) ->
           Printf.eprintf "  [%*d/%d] %-45s %6.2fs%s\n%!"
             (String.length (string_of_int total))
             completed total (kind.Cell.label spec) wall note)
@@ -135,21 +136,22 @@ let grid t (kind : _ Cell.kind) summarize specs =
   (match t.trace with
   | None -> ()
   | Some store ->
-    List.iter (fun (_, trace, _) -> Option.iter (Trace.Store.add store) trace)
+    List.iter (fun (_, trace) -> Option.iter (Trace.Store.add store) trace)
       tasks);
   (* register in spec order from this (coordinating) domain, mirroring
      the trace-buffer merge above: the artifact's cell order and [#k]
-     keys are a function of the grids alone, never of [jobs] *)
-  List.iter
-    (fun (_, summary, _, _) -> Option.iter (Metrics.register t.metrics) summary)
-    results;
-  List.map (fun (r, _, _, _) -> r) results
+     keys are a function of the grids alone, never of [jobs]. Every spec
+     then reads its cell's registered data, whether this grid ran the
+     cell or an earlier one did. *)
+  List.iter (fun (summary, _, _) -> Metrics.register t.metrics summary) results;
+  List.map (fun spec -> find t.metrics (kind.Cell.fingerprint spec)) specs
 
-let cells t = grid t Cell.standard Metrics.summarize_cell
+let cells t = grid t Cell.standard Metrics.summarize_cell Metrics.find_cell
 
-type farm_cell_result = (Experiment.farm_outcome, string) result
+type farm_cell_result = (Metrics.farm_cell_data, string) result
 
-let farm_cells t = grid t Cell.farm Metrics.summarize_farm_cell
+let farm_cells t =
+  grid t Cell.farm Metrics.summarize_farm_cell Metrics.find_farm_cell
 
 let ok_count t = Metrics.counter t.metrics "cells_ok"
 let failed_count t = Metrics.counter t.metrics "cells_failed"

@@ -288,11 +288,6 @@ let run_spec ?trace sp =
   | None -> run_spec_traced sp
   | Some buf -> Trace.Sink.run_with buf (fun () -> run_spec_traced sp)
 
-let median_of f outcome = Stats.median (List.map f outcome.samples)
-
-let median_bytes f outcome =
-  int_of_float (Stats.median_int (List.map f outcome.samples))
-
 (* ---- server-farm cells (Table 5) ---------------------------------------- *)
 
 type farm_spec = {

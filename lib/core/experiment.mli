@@ -40,6 +40,9 @@ type outcome = {
           scheduler pressure, surfaced in the metrics artifact *)
   server_cpu_charges : int;
 }
+(** A cell's raw measurements. Reports read the summary {!Exec} makes
+    of them where the cell ran ({!Metrics.cell_data}), as the metrics
+    artifact does, so one module decides what a cell's median is. *)
 
 type spec = {
   sp_buffering : Tls.Config.buffering;
@@ -108,9 +111,6 @@ val spec_fingerprint : spec -> string
     pre-image of {!Result_cache} keys. Versioned: bump the leading tag
     when the meaning of a field changes. *)
 
-val median_of : (sample -> float) -> outcome -> float
-val median_bytes : (sample -> int) -> outcome -> int
-
 (** {1 Server-farm cells (Table 5)}
 
     Open-loop N-client x M-server campaigns: arrivals from a
@@ -167,6 +167,7 @@ type farm_outcome = {
   fo_cal_server_cpu_ms : float;
   fo_cal_adv_server_cpu_ms : float;
 }
+(** Summarized, like {!outcome}, into {!Metrics.farm_cell_data}. *)
 
 val farm_spec :
   ?profile:string ->

@@ -95,13 +95,7 @@ type cell_data = {
 type cell = {
   m_id : string;
   m_key : string;
-  m_kem : string;
-  m_sig : string;
-  m_scenario : string;
-  m_mix : string;
-  m_chain : string;
-  m_buffering : string;
-  m_standard : bool;
+  m_spec : Experiment.spec;
   m_data : (cell_data, string) result;
 }
 
@@ -216,11 +210,7 @@ type farm_cell_data = {
 type farm_cell = {
   f_id : string;
   f_key : string;
-  f_kem : string;
-  f_sig : string;
-  f_profile : string;
-  f_utilization : float;
-  f_adv_fraction : float;
+  f_spec : Experiment.farm_spec;
   f_data : (farm_cell_data, string) result;
 }
 
@@ -257,11 +247,17 @@ let data_of_farm_outcome ~id (o : Experiment.farm_outcome) =
 
 (* ---- the registry -------------------------------------------------------- *)
 
+(* A cell's artifact entry, every bootstrap already drawn, keyed by its
+   bare label until [register] gives it its artifact key. It is a pure
+   function of the spec and the result, so any domain may compute it. *)
+type summary = Standard of cell | Farm of farm_cell
+
 type t = {
   mu : Mutex.t;
   counters : (string, int) Hashtbl.t;
   series : (string, float list) Hashtbl.t; (* newest first *)
-  seen : (string, unit) Hashtbl.t; (* cell fingerprints already recorded *)
+  registered : (string, summary) Hashtbl.t;
+      (* cell fingerprint -> its entry, artifact key included *)
   labels : (string, int) Hashtbl.t; (* spec_label -> occurrences *)
   mutable cells_rev : cell list;
   mutable farm_cells_rev : farm_cell list;
@@ -272,7 +268,7 @@ let create () =
   { mu = Mutex.create ();
     counters = Hashtbl.create 16;
     series = Hashtbl.create 8;
-    seen = Hashtbl.create 64;
+    registered = Hashtbl.create 64;
     labels = Hashtbl.create 64;
     cells_rev = [];
     farm_cells_rev = [];
@@ -305,41 +301,30 @@ let note_experiment t name =
       if not (List.mem name t.experiments_rev) then
         t.experiments_rev <- name :: t.experiments_rev)
 
-let cell_of ~id ~key (sp : Experiment.spec) result =
-  { m_id = id;
-    m_key = key;
-    m_kem = sp.Experiment.sp_kem.Pqc.Kem.name;
-    m_sig = sp.Experiment.sp_sig.Pqc.Sigalg.name;
-    m_scenario = sp.Experiment.sp_scenario.Scenario.name;
-    m_mix = sp.Experiment.sp_mix.Mix.name;
-    m_chain = sp.Experiment.sp_chain.Tls.Chain_profile.name;
-    m_buffering = buffering_name sp.Experiment.sp_buffering;
-    m_standard = is_standard sp;
-    m_data = Result.map (data_of_outcome ~id sp) result }
+let summarize_cell sp result =
+  let id = Cell.standard.fingerprint sp in
+  Standard
+    { m_id = id;
+      m_key = Cell.standard.label sp;
+      m_spec = sp;
+      m_data = Result.map (data_of_outcome ~id sp) result }
 
-let farm_cell_of ~id ~key (sp : Experiment.farm_spec) result =
-  { f_id = id;
-    f_key = key;
-    f_kem = sp.Experiment.fa_kem.Pqc.Kem.name;
-    f_sig = sp.Experiment.fa_sig.Pqc.Sigalg.name;
-    f_profile = sp.Experiment.fa_profile;
-    f_utilization = sp.Experiment.fa_utilization;
-    f_adv_fraction = sp.Experiment.fa_adv_fraction;
-    f_data = Result.map (fun o -> data_of_farm_outcome ~id o) result }
+let summarize_farm_cell sp result =
+  let id = Cell.farm.fingerprint sp in
+  Farm
+    { f_id = id;
+      f_key = Cell.farm.label sp;
+      f_spec = sp;
+      f_data = Result.map (data_of_farm_outcome ~id) result }
 
-(* A cell's artifact entry, every bootstrap already drawn, keyed by its
-   bare label until [register] gives it its artifact key. It is a pure
-   function of the spec and the result, so any domain may compute it. *)
-type summary = Standard of cell | Farm of farm_cell
+let recorded t id = locked t (fun () -> Hashtbl.mem t.registered id)
+let find t id = locked t (fun () -> Hashtbl.find t.registered id)
 
-let summarize (kind : _ Cell.kind) entry wrap sp result =
-  wrap
-    (entry ~id:(kind.Cell.fingerprint sp) ~key:(kind.Cell.label sp) sp result)
+let find_cell t id =
+  match find t id with Standard c -> c.m_data | Farm _ -> raise Not_found
 
-let summarize_cell = summarize Cell.standard cell_of (fun c -> Standard c)
-let summarize_farm_cell = summarize Cell.farm farm_cell_of (fun c -> Farm c)
-
-let recorded t id = locked t (fun () -> Hashtbl.mem t.seen id)
+let find_farm_cell t id =
+  match find t id with Farm c -> c.f_data | Standard _ -> raise Not_found
 
 (* The registration every cell kind shares. [Exec] calls it from the
    coordinating domain once the pool has summarized a grid's cells, in
@@ -347,7 +332,7 @@ let recorded t id = locked t (fun () -> Hashtbl.mem t.seen id)
    [jobs]. Re-run cells (same fingerprint) keep their first
    registration; grids that share cells stay deduplicated.
    Fingerprints never collide across kinds and label formats differ, so
-   one [seen] / [labels] pair serves every kind. *)
+   one [registered] / [labels] pair serves every kind. *)
 let register t summary =
   let id, label =
     match summary with
@@ -355,8 +340,7 @@ let register t summary =
     | Farm c -> (c.f_id, c.f_key)
   in
   locked t (fun () ->
-      if not (Hashtbl.mem t.seen id) then begin
-        Hashtbl.add t.seen id ();
+      if not (Hashtbl.mem t.registered id) then begin
         let occurrences =
           1 + Option.value ~default:0 (Hashtbl.find_opt t.labels label)
         in
@@ -367,10 +351,18 @@ let register t summary =
           if occurrences = 1 then label
           else Printf.sprintf "%s#%d" label occurrences
         in
-        match summary with
-        | Standard c -> t.cells_rev <- { c with m_key = key } :: t.cells_rev
-        | Farm c ->
-          t.farm_cells_rev <- { c with f_key = key } :: t.farm_cells_rev
+        let entry =
+          match summary with
+          | Standard c ->
+            let c = { c with m_key = key } in
+            t.cells_rev <- c :: t.cells_rev;
+            Standard c
+          | Farm c ->
+            let c = { c with f_key = key } in
+            t.farm_cells_rev <- c :: t.farm_cells_rev;
+            Farm c
+        in
+        Hashtbl.add t.registered id entry
       end)
 
 (* summary then registration, with no summary for a cell already
@@ -475,13 +467,16 @@ let json_of_frame ~id ~key ~kem ~sig_ ~scenario identity data result =
   | Ok d -> Json.Obj (base @ [ ("data", Json.Obj (data d)) ])
 
 let json_of_cell c =
-  json_of_frame ~id:c.m_id ~key:c.m_key ~kem:c.m_kem ~sig_:c.m_sig
-    ~scenario:c.m_scenario
-    ((if c.m_mix = "full" then [] else [ ("mix", Json.String c.m_mix) ])
-    @ (if c.m_chain = "default" then []
-       else [ ("chain", Json.String c.m_chain) ])
-    @ [ ("buffering", Json.String c.m_buffering);
-        ("standard", Json.Bool c.m_standard) ])
+  let sp = c.m_spec in
+  let mix = sp.Experiment.sp_mix.Mix.name
+  and chain = sp.Experiment.sp_chain.Tls.Chain_profile.name in
+  json_of_frame ~id:c.m_id ~key:c.m_key ~kem:sp.Experiment.sp_kem.Pqc.Kem.name
+    ~sig_:sp.Experiment.sp_sig.Pqc.Sigalg.name
+    ~scenario:sp.Experiment.sp_scenario.Scenario.name
+    ((if mix = "full" then [] else [ ("mix", Json.String mix) ])
+    @ (if chain = "default" then [] else [ ("chain", Json.String chain) ])
+    @ [ ("buffering", Json.String (buffering_name sp.Experiment.sp_buffering));
+        ("standard", Json.Bool (is_standard sp)) ])
     (fun d ->
       [ ("handshakes_per_minute", Json.Int d.cd_handshakes_per_minute);
         ( "latency_ms",
@@ -514,19 +509,20 @@ let json_of_cell c =
         | None -> []
         | Some r -> [ ("resumption", json_of_resumption r) ])
       @
-      if c.m_chain = "default" then []
+      if chain = "default" then []
       else [ ("chain", json_of_chain_levels d.cd_chain_levels) ])
     c.m_data
 
 (* every farm cell runs on the ideal link under least-connections (see
    [Experiment.farm_spec]); the artifact still names both *)
 let json_of_farm_cell c =
-  json_of_frame ~id:c.f_id ~key:c.f_key ~kem:c.f_kem ~sig_:c.f_sig
-    ~scenario:"none"
-    [ ("profile", Json.String c.f_profile);
+  let sp = c.f_spec in
+  json_of_frame ~id:c.f_id ~key:c.f_key ~kem:sp.Experiment.fa_kem.Pqc.Kem.name
+    ~sig_:sp.Experiment.fa_sig.Pqc.Sigalg.name ~scenario:"none"
+    [ ("profile", Json.String sp.Experiment.fa_profile);
       ("policy", Json.String "least-connections");
-      ("utilization", Json.Float c.f_utilization);
-      ("adv_fraction", Json.Float c.f_adv_fraction) ]
+      ("utilization", Json.Float sp.Experiment.fa_utilization);
+      ("adv_fraction", Json.Float sp.Experiment.fa_adv_fraction) ]
     (fun d ->
       [ ( "load",
           Json.Obj

@@ -85,17 +85,10 @@ type cell = {
   m_key : string;
       (** {!Experiment.spec_label}, with a deterministic [#k] suffix
           when several specs share a label (ablation grids) *)
-  m_kem : string;
-  m_sig : string;
-  m_scenario : string;
-  m_mix : string;  (** {!Mix} name; ["full"] for pre-mix cells *)
-  m_chain : string;
-      (** {!Tls.Chain_profile} name; ["default"] for pre-chain cells *)
-  m_buffering : string;  (** ["push"] or ["buffered"] *)
-  m_standard : bool;
-      (** everything except kem/sig/scenario/buffering/seed at the
-          {!Experiment.spec} defaults — the cells {!against_paper} may
-          judge *)
+  m_spec : Experiment.spec;
+      (** the artifact's identity keys come from it; its "standard" key
+          holds when all but kem/sig/scenario/buffering/seed sit at the
+          {!Experiment.spec} defaults (the cells {!against_paper} judges) *)
   m_data : (cell_data, string) result;  (** [Error] carries the failure *)
 }
 
@@ -137,11 +130,7 @@ type farm_cell_data = {
 type farm_cell = {
   f_id : string;  (** {!Experiment.farm_spec_fingerprint} *)
   f_key : string;
-  f_kem : string;
-  f_sig : string;
-  f_profile : string;
-  f_utilization : float;
-  f_adv_fraction : float;
+  f_spec : Experiment.farm_spec;  (** the artifact's identity keys *)
   f_data : (farm_cell_data, string) result;
 }
 
@@ -176,7 +165,12 @@ val note_experiment : t -> string -> unit
     pure function of the spec and the result, so {!Exec} computes it in
     the {!Pool} task that ran or fetched the cell. The registration,
     {!register}, keeps only deduplication, [#k] labels and order, and
-    {!Exec} runs it in spec order on the coordinating domain. *)
+    {!Exec} runs it in spec order on the coordinating domain.
+
+    A registered summary is the one record of its cell: {!Exec} returns
+    it to every caller ({!find_cell}, {!find_farm_cell}), so the reports
+    print the numbers the artifact serializes, and a fingerprint the
+    registry holds is never run again in the same context. *)
 
 type summary
 (** One cell's artifact entry, computed but not yet registered. *)
@@ -196,6 +190,14 @@ val register : t -> summary -> unit
     wins) and keyed by their label, with a deterministic [#k] suffix on
     later clashes, so call order — which {!Exec} fixes to spec order —
     fully determines the artifact. *)
+
+val find_cell : t -> string -> (cell_data, string) result
+(** The [m_data] of the registered {!Cell.standard} cell with this
+    fingerprint, as its artifact entry serializes it.
+    @raise Not_found when no such cell is registered. *)
+
+val find_farm_cell : t -> string -> (farm_cell_data, string) result
+(** {!find_cell} for {!Cell.farm} cells. *)
 
 val record_cell :
   t -> Experiment.spec -> (Experiment.outcome, string) result -> unit

@@ -17,5 +17,5 @@ let rank latencies =
              rank = scale v })
     |> List.sort (fun a b -> compare (a.rank, a.latency_ms) (b.rank, b.latency_ms))
 
-let total o = Experiment.median_of (fun s -> s.Experiment.total_ms) o
-let of_outcomes outcomes = rank (List.map (fun (n, o) -> (n, total o)) outcomes)
+let of_cells cells =
+  rank (List.map (fun (n, (d : Metrics.cell_data)) -> (n, d.cd_total.d_p50)) cells)

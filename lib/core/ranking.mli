@@ -7,5 +7,6 @@ val rank : (string * float) list -> entry list
 (** [rank latencies] applies the paper's recipe: log, linear rescale to
     [0, 10], round; sorted fastest first. *)
 
-val of_outcomes : (string * Experiment.outcome) list -> entry list
-(** {!rank} on each outcome's median total handshake latency. *)
+val of_cells : (string * Metrics.cell_data) list -> entry list
+(** {!rank} on each cell summary's median total handshake latency
+    ([cd_total.d_p50]). *)

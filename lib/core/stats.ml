@@ -58,8 +58,6 @@ let min_max = function
   | x :: rest ->
     List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) rest
 
-let median_int xs = median (List.map float_of_int xs)
-
 let stddev = function
   | [] -> invalid_arg "Stats.stddev: empty"
   | [ _ ] -> 0.

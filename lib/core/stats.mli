@@ -8,7 +8,6 @@ val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [0,1], linear interpolation. *)
 
 val min_max : float list -> float * float
-val median_int : int list -> float
 
 val stddev : float list -> float
 (** Sample standard deviation (n-1 denominator); [0.] for a singleton.

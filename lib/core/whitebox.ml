@@ -1,16 +1,3 @@
-type row = {
-  level : int;
-  kem : string;
-  sa : string;
-  handshakes_per_s : float;
-  server_cpu_ms : float;
-  client_cpu_ms : float;
-  server_pkts : int;
-  client_pkts : int;
-  server_libs : (string * float) list;
-  client_libs : (string * float) list;
-}
-
 let paper_pairs =
   [ (1, "x25519", "rsa:2048");
     (1, "kyber512", "dilithium2");
@@ -26,24 +13,8 @@ let spec_of ~seed (_, kem_name, sa_name) =
     (Pqc.Registry.find_kem kem_name)
     (Pqc.Registry.find_sig sa_name)
 
-let row_of (level, kem_name, sa_name) o =
-  let pkts f = int_of_float (Stats.median_int (List.map f o.Experiment.samples)) in
-  { level;
-    kem = kem_name;
-    sa = sa_name;
-    handshakes_per_s = float_of_int o.Experiment.handshakes_per_minute /. 60.;
-    server_cpu_ms = o.Experiment.server_cpu_ms;
-    client_cpu_ms = o.Experiment.client_cpu_ms;
-    server_pkts = pkts (fun s -> s.Experiment.server_pkts);
-    client_pkts = pkts (fun s -> s.Experiment.client_pkts);
-    server_libs = o.Experiment.server_ledger;
-    client_libs = o.Experiment.client_ledger }
-
 let rows ~seed ~exec pairs =
-  let results = Exec.cells exec (List.map (spec_of ~seed) pairs) in
-  List.map2
-    (fun p r -> match r with Ok o -> Some (row_of p o) | Error _ -> None)
-    pairs results
+  List.map Result.to_option (Exec.cells exec (List.map (spec_of ~seed) pairs))
 
 (* Trace-vs-ledger cross-check: the ledger is written by Host.charge and
    every charge also emits exactly one cpu span tagged with its library,

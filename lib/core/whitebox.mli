@@ -3,28 +3,17 @@
     the per-shared-library CPU distribution the paper derives from Linux
     perf. *)
 
-type row = {
-  level : int;
-  kem : string;
-  sa : string;
-  handshakes_per_s : float;
-  server_cpu_ms : float;
-  client_cpu_ms : float;
-  server_pkts : int;
-  client_pkts : int;
-  server_libs : (string * float) list;  (** fraction of CPU, descending *)
-  client_libs : (string * float) list;
-}
-
 val paper_pairs : (int * string * string) list
 (** The eight pairs shown in the paper's Table 3. *)
 
 val rows :
   seed:string -> exec:Exec.t -> (int * string * string) list ->
-  row option list
+  Metrics.cell_data option list
 (** Measure the given pairs through [exec]. The result is aligned with
-    the input: [None] marks a pair whose cell failed, so renderers can
-    still show the rest. *)
+    the input: each pair's cell summary, whose handshake count, mean
+    CPU per handshake, median packet counts and per-library ledgers
+    ({!Metrics.cell_data}) are Table 3's columns; [None] marks a pair
+    whose cell failed, so renderers can still show the rest. *)
 
 (** {1 Trace cross-check}
 

@@ -12,11 +12,15 @@ let run ?buffering ?scenario ?max_samples k s =
     (Experiment.spec ?buffering ?scenario ?max_samples ~seed:"test" (kem k)
        (sa s))
 
-let part_a o = Experiment.median_of (fun s -> s.Experiment.part_a_ms) o
-let part_b o = Experiment.median_of (fun s -> s.Experiment.part_b_ms) o
-let total o = Experiment.median_of (fun s -> s.Experiment.total_ms) o
-let cbytes o = Experiment.median_bytes (fun s -> s.Experiment.client_bytes) o
-let sbytes o = Experiment.median_bytes (fun s -> s.Experiment.server_bytes) o
+(* medians straight from the samples: the reference a cell's summary
+   ([Metrics.cell_data]) is checked against *)
+let median f o = Stats.median (List.map f o.Experiment.samples)
+let part_a o = median (fun s -> s.Experiment.part_a_ms) o
+let part_b o = median (fun s -> s.Experiment.part_b_ms) o
+let total o = median (fun s -> s.Experiment.total_ms) o
+let bytes f o = int_of_float (median (fun s -> float_of_int (f s)) o)
+let cbytes o = bytes (fun s -> s.Experiment.client_bytes) o
+let sbytes o = bytes (fun s -> s.Experiment.server_bytes) o
 
 (* ---- stats ------------------------------------------------------------------ *)
 
@@ -55,6 +59,33 @@ let test_ledgers () =
     (sum o.Experiment.server_ledger);
   Alcotest.(check bool) "server cpu > client cpu for RSA" true
     (o.Experiment.server_cpu_ms > o.Experiment.client_cpu_ms)
+
+(* every median a report prints is its cell summary's p50: the same
+   interpolation over the same samples, so it equals the sample median
+   to the bit, on a loss-free and on a lossy cell *)
+let test_summary_medians () =
+  let specs =
+    [ Experiment.spec ~seed:"test" (kem "kyber512") (sa "dilithium2");
+      Experiment.spec ~seed:"test" ~scenario:Scenario.five_g ~max_samples:30
+        (kem "x25519") (sa "sphincs128") ]
+  in
+  List.iter2
+    (fun sp r ->
+      let o = Experiment.run_spec sp in
+      let name what = Experiment.spec_label sp ^ ": " ^ what in
+      match r with
+      | Error e -> Alcotest.fail e
+      | Ok (d : Metrics.cell_data) ->
+        let check what ref p50 = Alcotest.(check (float 0.)) (name what) ref p50 in
+        check "part A" (part_a o) d.cd_part_a.d_p50;
+        check "part B" (part_b o) d.cd_part_b.d_p50;
+        check "total" (total o) d.cd_total.d_p50;
+        Alcotest.(check int) (name "client bytes") (cbytes o)
+          (int_of_float d.cd_client_bytes.d_p50);
+        Alcotest.(check int) (name "server bytes") (sbytes o)
+          (int_of_float d.cd_server_bytes.d_p50))
+    specs
+    (Exec.cells (Exec.create ~jobs:1 ()) specs)
 
 (* ---- calibration against Table 2 ------------------------------------------------ *)
 
@@ -238,14 +269,17 @@ let test_whitebox_shapes () =
     | _ -> Alcotest.fail "white-box cell failed"
   in
   let row = measure (1, "bikel1", "dilithium2") in
-  let client_libssl = List.assoc_opt "libssl" row.Whitebox.client_libs in
-  let client_libcrypto = List.assoc_opt "libcrypto" row.Whitebox.client_libs in
+  let client_libssl = List.assoc_opt "libssl" row.Metrics.cd_client_ledger in
+  let client_libcrypto =
+    List.assoc_opt "libcrypto" row.Metrics.cd_client_ledger
+  in
   Alcotest.(check bool) "bike client dominated by libssl" true
     (Option.value ~default:0. client_libssl
     > Option.value ~default:0. client_libcrypto);
   let sp = measure (1, "kyber512", "sphincs128") in
   Alcotest.(check bool) "sphincs server >90% libcrypto" true
-    (Option.value ~default:0. (List.assoc_opt "libcrypto" sp.Whitebox.server_libs)
+    (Option.value ~default:0.
+       (List.assoc_opt "libcrypto" sp.Metrics.cd_server_ledger)
     > 0.9);
   Alcotest.(check int) "eight paper pairs" 8 (List.length Whitebox.paper_pairs)
 
@@ -348,4 +382,6 @@ let suites =
         Alcotest.test_case "Figure 3 deviation analysis" `Slow test_deviation_analysis;
         Alcotest.test_case "HRR fallback" `Slow test_hrr_fallback;
         Alcotest.test_case "Figure 4 ranking" `Quick test_ranking;
-        Alcotest.test_case "scenarios + catalog" `Quick test_scenarios_and_catalog ] ) ]
+        Alcotest.test_case "scenarios + catalog" `Quick test_scenarios_and_catalog;
+        Alcotest.test_case "summary medians = sample medians" `Quick
+          test_summary_medians ] ) ]

@@ -134,13 +134,8 @@ let test_injected_failure_renders_partial_report () =
         (Exec.failed_count exec > 0))
     failure_pins
 
-let temp_cache_dir () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "pqtls-failures-test-%d-%.0f" (Unix.getpid ())
-       (Clock.now_s () *. 1e6))
-
 let test_failures_are_not_cached () =
-  let dir = temp_cache_dir () in
+  Test_pool.with_cache_dir "failures-test" @@ fun dir ->
   let specs = [ good_spec "failures-cache"; failing_spec "failures-cache" ] in
   (* first run: one success (cached), one failure (must not be) *)
   let first = Exec.create ~jobs:1 ~cache_dir:dir () in

@@ -274,15 +274,11 @@ let test_farm_failure_runs_once () =
 
 (* ---- farm cells through the result cache ----------------------------------- *)
 
-let temp_cache_dir () =
-  Filename.concat (Filename.get_temp_dir_name ())
-    (Printf.sprintf "pqtls-farm-cache-test-%d-%.0f" (Unix.getpid ())
-       (Clock.now_s () *. 1e6))
-
 let farm_cache_grid seed = List.filteri (fun i _ -> i < 2) (farm_grid seed)
 
 let test_farm_cache_roundtrip () =
-  let dir = temp_cache_dir () and seed = "farm-cache" in
+  Test_pool.with_cache_dir "farm-cache-test" @@ fun dir ->
+  let seed = "farm-cache" in
   let run () =
     let exec = Exec.create ~jobs:2 ~cache_dir:dir () in
     let results = Exec.farm_cells exec (farm_cache_grid seed) in
@@ -300,7 +296,7 @@ let test_farm_cache_roundtrip () =
   Alcotest.(check string) "cached artifact byte-identical" cold warm
 
 let test_farm_cache_entries () =
-  let dir = temp_cache_dir () in
+  Test_pool.with_cache_dir "farm-cache-test" @@ fun dir ->
   let c = Result_cache.create ~dir in
   let spec = List.hd (farm_cache_grid "farm-cache-entry") in
   let k = Result_cache.farm_key c spec in

@@ -187,11 +187,7 @@ let test_artifact_jobs_identity () =
     && List.mem_assoc "data.cpu.client_ms" first.Metrics.p_leaves)
 
 let test_artifact_cache_identity () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pqtls-metrics-test-%d-%.0f" (Unix.getpid ())
-         (Clock.now_s () *. 1e6))
-  in
+  Test_pool.with_cache_dir "metrics-test" @@ fun dir ->
   let seed = "metrics-cache" in
   let run () =
     let exec = Exec.create ~jobs:2 ~cache_dir:dir () in
@@ -212,11 +208,7 @@ let test_artifact_cache_identity () =
    the re-run executes every cell and overwrites its entry, and the run
    after it reads every cell back. *)
 let test_damaged_cache_entries () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pqtls-damaged-cache-%d-%.0f" (Unix.getpid ())
-         (Clock.now_s () *. 1e6))
-  in
+  Test_pool.with_cache_dir "damaged-cache" @@ fun dir ->
   let seed = "metrics-damaged-cache" in
   let run () =
     let exec = Exec.create ~jobs:2 ~cache_dir:dir () in
@@ -227,15 +219,6 @@ let test_damaged_cache_entries () =
       Exec.cache_summary exec )
   in
   let entries () = Array.to_list (Sys.readdir dir) in
-  let remove () =
-    if Sys.file_exists dir then begin
-      List.iter
-        (fun name -> Sys.remove (Filename.concat dir name))
-        (entries ());
-      Sys.rmdir dir
-    end
-  in
-  Fun.protect ~finally:remove @@ fun () ->
   let fresh, fresh_counts, _ = run () in
   Alcotest.(check (pair int int)) "fresh run executes" (4, 0) fresh_counts;
   Alcotest.(check int) "one entry per cell" 4 (List.length (entries ()));
@@ -308,8 +291,11 @@ let test_cell_identity_rules () =
   (match (List.nth a.Metrics.a_cells 1).Metrics.m_data with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "non-default knob is not standard" false
-    (List.nth a.Metrics.a_cells 1).Metrics.m_standard
+  Alcotest.(check (list bool)) "non-default knob is not standard"
+    [ true; false ]
+    (List.map
+       (fun r -> r.Metrics.p_standard)
+       (parse_artifact (Metrics.to_json_string a)).Metrics.p_rows)
 
 (* [Exec] summarizes each cell in the task that ran it and registers
    the summaries in spec order afterwards. Its artifact must be the one
@@ -334,9 +320,21 @@ let test_recording_placement () =
   in
   let a1, results = via_exec 1 in
   let a4, _ = via_exec 4 in
+  (* the reference records outcomes run outside [Exec] *)
   let m = Metrics.create () in
-  List.iter2 (Metrics.record_cell m) (first @ second) results;
+  List.iter
+    (fun sp -> Metrics.record_cell m sp (Ok (Experiment.run_spec sp)))
+    (first @ second);
   let reference = Metrics.artifact m ~seed in
+  Alcotest.(check bool) "each result is its cell's recorded data" true
+    (List.for_all2
+       (fun sp r ->
+         List.exists
+           (fun c ->
+             c.Metrics.m_id = Experiment.spec_fingerprint sp
+             && c.Metrics.m_data = r)
+           reference.Metrics.a_cells)
+       (first @ second) results);
   let json = Metrics.to_json_string in
   Alcotest.(check string) "jobs=1 = record_cell in spec order"
     (json reference) (json a1);

@@ -65,8 +65,8 @@ let subgrid seed =
     (fun k -> List.map (fun s -> Experiment.spec ~seed (kem k) (sa s)) sas)
     kems
 
-let marshal_bytes (outcomes : Experiment.outcome list) =
-  Marshal.to_string outcomes []
+let marshal_bytes (cells : Metrics.cell_data list) =
+  Marshal.to_string cells []
 
 (* these grids are loss-free and must never fail a cell *)
 let oks results =
@@ -95,18 +95,86 @@ let test_catalog_report_bit_identical () =
   in
   Alcotest.(check string) "rendered report identical" seq par
 
+(* ---- one run per distinct cell ------------------------------------------- *)
+
+let distinct_specs seed =
+  List.map
+    (fun (k, s) -> Experiment.spec ~seed ~max_samples:4 (kem k) (sa s))
+    [ ("x25519", "rsa:2048"); ("kyber512", "dilithium2");
+      ("kyber768", "dilithium3") ]
+
+(* a context runs each fingerprint once, whether it repeats inside one
+   grid or comes back in a later one; every repeat reads the first
+   run's summary and adds no counter and no trace buffer *)
+let test_distinct_cells_run_once () =
+  match distinct_specs "pool-distinct" with
+  | [ a; b; c ] ->
+    List.iter
+      (fun jobs ->
+        let store = Trace.Store.create () in
+        let exec = Exec.create ~jobs ~trace:store () in
+        let executed () = Metrics.counter exec.Exec.metrics "cells_executed" in
+        let name what = Printf.sprintf "jobs=%d: %s" jobs what in
+        (match oks (Exec.cells exec [ a; b; a ]) with
+        | [ a1; b1; a3 ] -> (
+          Alcotest.(check int) (name "[a; b; a] executes 2 cells") 2
+            (executed ());
+          Alcotest.(check int) (name "2 cells ok") 2 (Exec.ok_count exec);
+          Alcotest.(check int) (name "2 trace buffers") 2
+            (Trace.Store.length store);
+          Alcotest.(check bool) (name "a's results equal") true (a1 = a3);
+          match oks (Exec.cells exec [ b; c ]) with
+          | [ b2; _ ] ->
+            Alcotest.(check int) (name "[b; c] executes 1 cell") 3
+              (executed ());
+            Alcotest.(check bool) (name "b equals the first grid's b") true
+              (b1 = b2)
+          | _ -> Alcotest.fail "a grid returns one result per spec")
+        | _ -> Alcotest.fail "a grid returns one result per spec"))
+      [ 1; 4 ]
+  | _ -> assert false
+
+(* what a campaign returns is what its artifact serializes *)
+let test_results_are_artifact_summaries () =
+  let specs = distinct_specs "pool-artifact" in
+  let exec = Exec.create ~jobs:2 () in
+  let grid = specs @ List.rev specs in
+  let results = Exec.cells exec grid in
+  let entries = (Metrics.artifact exec.Exec.metrics ~seed:"").Metrics.a_cells in
+  List.iter2
+    (fun sp r ->
+      match
+        List.find_opt
+          (fun c -> c.Metrics.m_id = Experiment.spec_fingerprint sp)
+          entries
+      with
+      | Some c ->
+        Alcotest.(check bool)
+          (Experiment.spec_label sp ^ ": result = artifact entry")
+          true (r = c.Metrics.m_data)
+      | None -> Alcotest.fail "a cell is missing from the artifact")
+    grid results
+
 (* ---- result cache ---------------------------------------------------------- *)
 
-let temp_cache_dir () =
+(* a fresh cache directory for [f], removed with its entries however [f]
+   returns *)
+let with_cache_dir name f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "pqtls-cache-test-%d-%.0f" (Unix.getpid ())
+      (Printf.sprintf "pqtls-%s-%d-%.0f" name (Unix.getpid ())
          (Clock.now_s () *. 1e6))
   in
-  dir
+  let remove () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  Fun.protect ~finally:remove (fun () -> f dir)
 
 let test_cache_roundtrip () =
-  let dir = temp_cache_dir () in
+  with_cache_dir "cache-test" @@ fun dir ->
   let specs = subgrid "pool-cache" in
   let first = Exec.create ~jobs:2 ~cache_dir:dir () in
   let cold = oks (Exec.cells first specs) in
@@ -128,7 +196,7 @@ let test_cache_roundtrip () =
   Alcotest.(check bool) "cached outcomes identical" true (cold = warm)
 
 let test_cache_key_sensitivity () =
-  let dir = temp_cache_dir () in
+  with_cache_dir "cache-test" @@ fun dir ->
   let c = Result_cache.create ~dir in
   let base = Experiment.spec ~seed:"a" (kem "kyber768") (sa "dilithium3") in
   let k1 = Result_cache.key c base in
@@ -154,7 +222,7 @@ let test_cache_key_sensitivity () =
 (* the production lookup path: a fresh context per run over one cache
    directory, with every entry on disk clobbered between runs *)
 let test_cache_corrupt_entry_is_miss () =
-  let dir = temp_cache_dir () in
+  with_cache_dir "cache-test" @@ fun dir ->
   let spec = List.hd (subgrid "pool-corrupt") in
   let run () =
     let exec = Exec.create ~jobs:1 ~cache_dir:dir () in
@@ -174,6 +242,28 @@ let test_cache_corrupt_entry_is_miss () =
   Alcotest.(check bool) "and returns the same outcome" true (o1 = o2);
   let _, executed3 = run () in
   Alcotest.(check int) "repaired entry now hits" 0 executed3
+
+(* a repeated cell is looked up once: a cold grid [a; b; a] stores two
+   entries, and a warm one reads two *)
+let test_cache_repeat_read_once () =
+  with_cache_dir "cache-test" @@ fun dir ->
+  let a, b =
+    match distinct_specs "pool-cache-repeat" with
+    | a :: b :: _ -> (a, b)
+    | _ -> assert false
+  in
+  let run () =
+    let exec = Exec.create ~jobs:2 ~cache_dir:dir () in
+    let r = oks (Exec.cells exec [ a; b; a ]) in
+    let counter = Metrics.counter exec.Exec.metrics in
+    (r, (counter "cells_executed", counter "cells_from_cache"))
+  in
+  let cold, cold_counts = run () in
+  Alcotest.(check (pair int int)) "cold: two cells run" (2, 0) cold_counts;
+  Alcotest.(check int) "two entries" 2 (Array.length (Sys.readdir dir));
+  let warm, warm_counts = run () in
+  Alcotest.(check (pair int int)) "warm: two entries read" (0, 2) warm_counts;
+  Alcotest.(check bool) "same summaries" true (cold = warm)
 
 (* every context has its own registry: two of them never share
    recorded cells or health counters *)
@@ -210,11 +300,17 @@ let suites =
         Alcotest.test_case "parallel catalog report identical" `Slow
           test_catalog_report_bit_identical;
         Alcotest.test_case "default contexts are independent" `Quick
-          test_sequential_contexts_independent ] );
+          test_sequential_contexts_independent;
+        Alcotest.test_case "each distinct cell runs once" `Quick
+          test_distinct_cells_run_once;
+        Alcotest.test_case "results are the artifact's summaries" `Quick
+          test_results_are_artifact_summaries ] );
     ( "result-cache",
       [ Alcotest.test_case "cold/warm roundtrip, zero re-execution" `Slow
           test_cache_roundtrip;
         Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
         Alcotest.test_case "corrupt entry is a miss" `Quick
           test_cache_corrupt_entry_is_miss;
-        Alcotest.test_case "catalog aliases" `Quick test_catalog_aliases ] ) ]
+        Alcotest.test_case "catalog aliases" `Quick test_catalog_aliases;
+        Alcotest.test_case "a repeated cell is read once" `Quick
+          test_cache_repeat_read_once ] ) ]
