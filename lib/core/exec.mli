@@ -87,10 +87,10 @@ val farm_cells : t -> Experiment.farm_spec list -> farm_cell_result list
     never traced. *)
 
 val ok_count : t -> int
-(** Cells that completed (executed or served from the cache). *)
+(** Distinct cells that completed (executed or served from the cache). *)
 
 val failed_count : t -> int
-(** Cells whose run raised. *)
+(** Distinct cells whose run raised. *)
 
 val cache_summary : t -> string option
 (** One-line hit/miss totals, when a cache is attached:

@@ -314,27 +314,18 @@ let test_recording_placement () =
   in
   let via_exec jobs =
     let exec = Exec.create ~jobs () in
-    let r1 = Exec.cells exec first in
-    let r2 = Exec.cells exec second in
-    (Metrics.artifact exec.Exec.metrics ~seed, r1 @ r2)
+    ignore (Exec.cells exec first);
+    ignore (Exec.cells exec second);
+    Metrics.artifact exec.Exec.metrics ~seed
   in
-  let a1, results = via_exec 1 in
-  let a4, _ = via_exec 4 in
+  let a1 = via_exec 1 in
+  let a4 = via_exec 4 in
   (* the reference records outcomes run outside [Exec] *)
   let m = Metrics.create () in
   List.iter
     (fun sp -> Metrics.record_cell m sp (Ok (Experiment.run_spec sp)))
     (first @ second);
   let reference = Metrics.artifact m ~seed in
-  Alcotest.(check bool) "each result is its cell's recorded data" true
-    (List.for_all2
-       (fun sp r ->
-         List.exists
-           (fun c ->
-             c.Metrics.m_id = Experiment.spec_fingerprint sp
-             && c.Metrics.m_data = r)
-           reference.Metrics.a_cells)
-       (first @ second) results);
   let json = Metrics.to_json_string in
   Alcotest.(check string) "jobs=1 = record_cell in spec order"
     (json reference) (json a1);
