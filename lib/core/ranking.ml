@@ -18,4 +18,5 @@ let rank latencies =
     |> List.sort (fun a b -> compare (a.rank, a.latency_ms) (b.rank, b.latency_ms))
 
 let of_cells cells =
-  rank (List.map (fun (n, (d : Metrics.cell_data)) -> (n, d.cd_total.d_p50)) cells)
+  rank
+    (List.map (fun (n, (d : Metrics.cell_data)) -> (n, d.cd_total.d_p50)) cells)

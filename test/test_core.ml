@@ -76,7 +76,9 @@ let test_summary_medians () =
       match r with
       | Error e -> Alcotest.fail e
       | Ok (d : Metrics.cell_data) ->
-        let check what ref p50 = Alcotest.(check (float 0.)) (name what) ref p50 in
+        let check what expected p50 =
+          Alcotest.(check (float 0.)) (name what) expected p50
+        in
         check "part A" (part_a o) d.cd_part_a.d_p50;
         check "part B" (part_b o) d.cd_part_b.d_p50;
         check "total" (total o) d.cd_total.d_p50;

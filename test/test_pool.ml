@@ -167,7 +167,9 @@ let with_cache_dir name f =
   in
   let remove () =
     if Sys.file_exists dir then begin
-      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Array.iter
+        (fun entry -> Sys.remove (Filename.concat dir entry))
+        (Sys.readdir dir);
       Sys.rmdir dir
     end
   in
